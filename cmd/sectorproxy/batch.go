@@ -21,13 +21,27 @@ import (
 )
 
 // batchEnvelope is the decoded /solve/batch body with the per-item raw
-// bytes preserved for faithful re-forwarding.
+// bytes preserved for faithful re-forwarding. decoded holds the items'
+// instances when the canonical decoder read the body, and is nil when
+// encoding/json did (each item is then decoded for routing on its own).
 type batchEnvelope struct {
 	Solver        string            `json:"solver"`
 	Seed          *int64            `json:"seed,omitempty"`
 	TimeoutMillis int64             `json:"timeout_ms,omitempty"`
 	FormatVersion int               `json:"format_version"`
 	Instances     []json.RawMessage `json:"instances"`
+	decoded       []*model.Instance
+}
+
+// parseBatchEnvelope decodes a /solve/batch body for splitting.
+func parseBatchEnvelope(body []byte) (batchEnvelope, error) {
+	if req, items, ok := model.ParseBatchRequest(body); ok {
+		return batchEnvelope{Solver: req.Solver, Seed: req.Seed, TimeoutMillis: req.TimeoutMillis,
+			FormatVersion: req.FormatVersion, Instances: items, decoded: req.Instances}, nil
+	}
+	var env batchEnvelope
+	err := json.Unmarshal(body, &env)
+	return env, err
 }
 
 // subBatch is the slice of a batch bound for one backend.
@@ -61,8 +75,8 @@ func (p *Proxy) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var env batchEnvelope
-	if err := json.Unmarshal(body, &env); err != nil || len(env.Instances) == 0 {
+	env, err := parseBatchEnvelope(body)
+	if err != nil || len(env.Instances) == 0 {
 		// Not a splittable batch: route the whole body by raw bytes and let
 		// the owning backend produce the decode/validation error the daemon
 		// would have produced directly.
@@ -178,7 +192,11 @@ func (p *Proxy) splitBatch(env batchEnvelope) ([]*subBatch, error) {
 	byBackend := map[*backend]*subBatch{}
 	var order []*subBatch
 	for i, raw := range env.Instances {
-		key := p.itemRoutingKey(env, raw)
+		var in *model.Instance
+		if env.decoded != nil {
+			in = env.decoded[i]
+		}
+		key := p.itemRoutingKey(env.Solver, env.Seed, raw, in)
 		candidates := p.pickBackends(key)
 		if len(candidates) == 0 {
 			return nil, errNoBackend
@@ -196,12 +214,15 @@ func (p *Proxy) splitBatch(env batchEnvelope) ([]*subBatch, error) {
 	return order, nil
 }
 
-func (p *Proxy) itemRoutingKey(env batchEnvelope, raw json.RawMessage) string {
-	var in *model.Instance
-	if err := json.Unmarshal(raw, &in); err != nil || in == nil {
-		return "raw:" + string(raw)
+// itemRoutingKey computes the routing key of one instance given its raw
+// bytes and, when the canonical decoder already produced it, its value.
+func (p *Proxy) itemRoutingKey(solver string, seed *int64, raw json.RawMessage, in *model.Instance) string {
+	if in == nil {
+		if err := json.Unmarshal(raw, &in); err != nil || in == nil {
+			return "raw:" + string(raw)
+		}
 	}
-	return p.instanceRoutingKey(in, env.Solver, env.Seed, raw)
+	return p.instanceRoutingKey(in, solver, seed, raw)
 }
 
 // solveSubBatches fans the sub-batches out concurrently (one request per

@@ -238,13 +238,27 @@ func TestFleetPermutedDuplicateKeepsShardAndCache(t *testing.T) {
 // and after restart the re-probe must put it back to work.
 func TestFleetBackendKillRebalanceReadmit(t *testing.T) {
 	backends, p, proxy := startFleet(t, 3)
+	// The ring hashes backend URLs, whose ports are ephemeral, so which
+	// bodies backend 1 owns changes from run to run. Take at least 12
+	// bodies and keep drawing until the proxy's own ring pick gives
+	// backend 1 one of them: the kill below must cost it traffic.
 	var bodies [][]byte
-	for i := 0; i < 12; i++ {
-		in, err := gen.Generate(gen.Config{Family: gen.Uniform, Seed: int64(100 + i), N: 30, M: 4})
+	owned := false
+	for seed := int64(100); len(bodies) < 12 || !owned; seed++ {
+		if seed == 400 {
+			t.Fatal("no body in 300 seeds routes to backend 1")
+		}
+		in, err := gen.Generate(gen.Config{Family: gen.Uniform, Seed: seed, N: 30, M: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		bodies = append(bodies, solveBodyFor(t, "greedy", in))
+		body := solveBodyFor(t, "greedy", in)
+		if p.pickBackends(p.solveRoutingKey(body))[0] == p.backends[1] {
+			owned = true
+		} else if len(bodies) >= 12 {
+			continue
+		}
+		bodies = append(bodies, body)
 	}
 	pass := func(label string) []map[string]any {
 		out := make([]map[string]any, len(bodies))

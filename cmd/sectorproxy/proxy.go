@@ -326,14 +326,13 @@ func (p *Proxy) routeOptions(seed *int64) core.Options {
 // can answer with its own error semantics and the proxy stays
 // semantics-free.
 func (p *Proxy) solveRoutingKey(body []byte) string {
-	var req struct {
-		Solver        string          `json:"solver"`
-		Seed          *int64          `json:"seed"`
-		TimeoutMillis int64           `json:"timeout_ms"`
-		FormatVersion int             `json:"format_version"`
-		Instance      *model.Instance `json:"instance"`
+	req, _, ok := model.ParseSolveRequest(body)
+	if !ok {
+		if err := json.Unmarshal(body, &req); err != nil {
+			return "raw:" + string(body)
+		}
 	}
-	if err := json.Unmarshal(body, &req); err != nil || req.Instance == nil {
+	if req.Instance == nil {
 		return "raw:" + string(body)
 	}
 	return p.instanceRoutingKey(req.Instance, req.Solver, req.Seed, body)

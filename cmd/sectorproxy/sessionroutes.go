@@ -15,6 +15,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"time"
+
+	"sectorpack/internal/model"
 )
 
 // sessionCreateEnvelope is the routing view of a POST /session body.
@@ -53,11 +55,17 @@ func (p *Proxy) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (p *Proxy) sessionCreateRoutingKey(body []byte) string {
+	if req, raw, ok := model.ParseSolveRequest(body); ok {
+		if req.Instance == nil {
+			return "raw:" + string(body)
+		}
+		return p.itemRoutingKey(req.Solver, req.Seed, raw, req.Instance)
+	}
 	var env sessionCreateEnvelope
 	if err := json.Unmarshal(body, &env); err != nil || len(env.Instance) == 0 {
 		return "raw:" + string(body)
 	}
-	return p.itemRoutingKey(batchEnvelope{Solver: env.Solver, Seed: env.Seed}, env.Instance)
+	return p.itemRoutingKey(env.Solver, env.Seed, env.Instance, nil)
 }
 
 // pinnedBackend resolves a session ID to its pinned backend, writing the

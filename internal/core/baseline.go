@@ -29,10 +29,7 @@ func SolveBaseline(ctx context.Context, in *model.Instance, opt Options) (model.
 	as := model.NewAssignment(n, m)
 	sol := model.Solution{Algorithm: "baseline", Assignment: as}
 	if n == 0 || m == 0 {
-		if !opt.SkipBound {
-			sol.UpperBound = UpperBound(in)
-		}
-		return sol, nil
+		return withBound(ctx, in, opt, sol)
 	}
 	if in.Variant == model.DisjointAngles {
 		var acc float64
@@ -72,8 +69,5 @@ func SolveBaseline(ctx context.Context, in *model.Instance, opt Options) (model.
 			}
 		}
 	}
-	if !opt.SkipBound {
-		sol.UpperBound = UpperBound(in)
-	}
-	return sol, nil
+	return withBound(ctx, in, opt, sol)
 }

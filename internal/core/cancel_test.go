@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"sectorpack/internal/angular"
+	"sectorpack/internal/knapsack"
 	"sectorpack/internal/model"
 )
 
@@ -93,5 +95,74 @@ func TestUncancelledBackgroundUnchanged(t *testing.T) {
 		if math.Float64bits(a.Assignment.Orientation[j]) != math.Float64bits(b.Assignment.Orientation[j]) {
 			t.Fatalf("orientation %d differs under live context", j)
 		}
+	}
+}
+
+// refUpperBound is UpperBound as it was before it consulted a context, the
+// reference the bound must stay bit-identical to.
+func refUpperBound(in *model.Instance) float64 {
+	total := float64(in.TotalProfit())
+	var sum float64
+	for j := range in.Antennas {
+		best := 0.0
+		for _, alpha := range angular.Candidates(in, j) {
+			items, _ := angular.WindowItems(in, j, alpha, nil)
+			if len(items) == 0 {
+				continue
+			}
+			if b := knapsack.FractionalBound(items, in.Antennas[j].Capacity); b > best {
+				best = b
+			}
+		}
+		sum += best
+	}
+	if sum < total {
+		return sum
+	}
+	return total
+}
+
+// errAfter is a context that reports Canceled from its (n+1)-th Err call
+// on, to cancel a computation between two of its ctx checks.
+type errAfter struct {
+	context.Context
+	n int
+}
+
+func (c *errAfter) Err() error {
+	if c.n == 0 {
+		return context.Canceled
+	}
+	c.n--
+	return nil
+}
+
+// TestUpperBoundContext checks that the bound the solvers end with honours
+// cancellation between antennas, and that uncancelled it is bit-identical
+// to the bound before it consulted a context.
+func TestUpperBoundContext(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	for trial := 0; trial < 30; trial++ {
+		in := randInstance(rng, 1+rng.Intn(40), 1+rng.Intn(4), model.Variant(trial%3))
+		want := math.Float64bits(refUpperBound(in))
+		got, err := UpperBoundContext(context.Background(), in)
+		if err != nil || math.Float64bits(got) != want {
+			t.Fatalf("trial %d: UpperBoundContext = %v, %v; want %v", trial, got, err, refUpperBound(in))
+		}
+		sol, err := SolveGreedy(context.Background(), in, Options{})
+		if err != nil || math.Float64bits(sol.UpperBound) != want {
+			t.Fatalf("trial %d: greedy bound %v (err %v), want %v", trial, sol.UpperBound, err, refUpperBound(in))
+		}
+	}
+
+	in := randInstance(rng, 30, 3, model.Sectors)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := UpperBoundContext(ctx, in); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled ctx: err = %v, want context.Canceled", err)
+	}
+	// Cancelled after the first antenna: the second check must see it.
+	if _, err := UpperBoundContext(&errAfter{Context: context.Background(), n: 1}, in); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ctx cancelled mid-bound: err = %v, want context.Canceled", err)
 	}
 }

@@ -100,10 +100,7 @@ func solveGreedyWithEngine(ctx context.Context, in *model.Instance, opt Options,
 			placed = append(placed, geom.NewInterval(win.Alpha, in.Antennas[j].Rho))
 		}
 	}
-	if !opt.SkipBound {
-		sol.UpperBound = UpperBound(in)
-	}
-	return sol, nil
+	return withBound(ctx, in, opt, sol)
 }
 
 // bestWindowConstrained is Engine.BestWindow extended with the

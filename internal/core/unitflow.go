@@ -64,10 +64,7 @@ func SolveUnitFlow(ctx context.Context, in *model.Instance, opt Options) (model.
 		}
 		sol.Assignment = best
 		sol.Profit = bestProfit
-		if !opt.SkipBound {
-			sol.UpperBound = UpperBound(in)
-		}
-		return sol, nil
+		return withBound(ctx, in, opt, sol)
 	}
 
 	greedy, err := SolveGreedy(ctx, in, opt)

@@ -313,16 +313,6 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	}
 }
 
-// solveRequest is the /solve body: the model.WriteJSON envelope plus
-// request-level knobs.
-type solveRequest struct {
-	Solver        string          `json:"solver"`
-	Seed          *int64          `json:"seed,omitempty"`
-	TimeoutMillis int64           `json:"timeout_ms,omitempty"`
-	FormatVersion int             `json:"format_version"`
-	Instance      *model.Instance `json:"instance"`
-}
-
 // solveResponse is the /solve reply.
 type solveResponse struct {
 	Solver      string    `json:"solver"`
@@ -340,17 +330,6 @@ type solveResponse struct {
 	FallbackReason string `json:"fallback_reason,omitempty"`
 	FallbackDetail string `json:"fallback_detail,omitempty"`
 	HedgeWin       bool   `json:"hedge_win,omitempty"`
-}
-
-// batchRequest is the /solve/batch body: shared solver/seed/deadline knobs
-// plus the model.WriteBatchJSON instance envelope. TimeoutMillis is a
-// per-item deadline, not a whole-batch one.
-type batchRequest struct {
-	Solver        string            `json:"solver"`
-	Seed          *int64            `json:"seed,omitempty"`
-	TimeoutMillis int64             `json:"timeout_ms,omitempty"`
-	FormatVersion int               `json:"format_version"`
-	Instances     []*model.Instance `json:"instances"`
 }
 
 // batchItemResponse is one item of the /solve/batch reply: either the
@@ -466,10 +445,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var req solveRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := model.DecodeSolveRequest(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	if err != nil {
 		s.failures.Add(1)
 		fail(http.StatusBadRequest, "bad_request", "decode request: "+err.Error())
 		return
@@ -772,10 +749,8 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var req batchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := model.DecodeBatchRequest(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	if err != nil {
 		s.failures.Add(1)
 		fail(http.StatusBadRequest, "bad_request", "decode request: "+err.Error())
 		return

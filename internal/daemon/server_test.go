@@ -396,3 +396,51 @@ func (b *syncBuffer) String() string {
 	defer b.mu.Unlock()
 	return b.buf.String()
 }
+
+// TestDecodeErrorsMatchEncodingJSON pins the 400 bodies of undecodable
+// requests on every route that decodes an instance envelope: each is
+// "decode request: " plus the error a json.Decoder with
+// DisallowUnknownFields gives for the same body.
+func TestDecodeErrorsMatchEncodingJSON(t *testing.T) {
+	ts := httptest.NewServer(NewServer(Config{}).Handler())
+	defer ts.Close()
+	bodies := []string{
+		"{not json",
+		`{"solver":"greedy","format_version":1,"bogus":1}`,
+		`{"solver":"greedy","seed":"7","format_version":1}`,
+		`{"solver":"greedy","format_version":1,"instance":{"customers":[{"id":0,"theta":1e400,"r":1,"demand":1}],"antennas":[]}}`,
+		`{"solver":"greedy","format_version":1,"instances":[{"customers":[],"antennas":[],"Extra":1}]}`,
+		"\xef\xbb\xbf{}",
+		"",
+	}
+	for _, route := range []struct {
+		path   string
+		newReq func() any
+	}{
+		{"/solve", func() any { return new(model.SolveRequest) }},
+		{"/solve/batch", func() any { return new(model.BatchRequest) }},
+		{"/session", func() any { return new(model.SolveRequest) }},
+	} {
+		for _, body := range bodies {
+			dec := json.NewDecoder(strings.NewReader(body))
+			dec.DisallowUnknownFields()
+			refErr := dec.Decode(route.newReq())
+			if refErr == nil {
+				continue
+			}
+			resp, err := ts.Client().Post(ts.URL+route.path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var er errorResponse
+			if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(raw, &er) != nil || er.Error != "decode request: "+refErr.Error() {
+				t.Errorf("POST %s %q: status %d body %s, want 400 %q", route.path, body, resp.StatusCode, raw, "decode request: "+refErr.Error())
+			}
+		}
+	}
+}

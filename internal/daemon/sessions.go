@@ -191,16 +191,6 @@ func addStats(a, b session.Stats) session.Stats {
 	return a
 }
 
-// sessionCreateRequest is the POST /session body: the /solve envelope,
-// minus the per-request cache knobs that do not apply to sessions.
-type sessionCreateRequest struct {
-	Solver        string          `json:"solver"`
-	Seed          *int64          `json:"seed,omitempty"`
-	TimeoutMillis int64           `json:"timeout_ms,omitempty"`
-	FormatVersion int             `json:"format_version"`
-	Instance      *model.Instance `json:"instance"`
-}
-
 // sessionDeltaRequest is the POST /session/{id}/delta body. The delta's
 // customer ids refer to the session's current instance (the state after
 // every previously applied delta).
@@ -365,10 +355,8 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var req sessionCreateRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := model.DecodeSolveRequest(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	if err != nil {
 		s.failures.Add(1)
 		fail(http.StatusBadRequest, "decode request: "+err.Error())
 		return

@@ -1,10 +1,10 @@
 package model
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"sectorpack/internal/faultfs"
 )
@@ -31,12 +31,23 @@ func WriteJSON(w io.Writer, in *Instance) error {
 }
 
 // ReadJSON parses an instance previously written by WriteJSON and validates
-// it.
+// it. It reads r to its end.
 func ReadJSON(r io.Reader) (*Instance, error) {
+	var body bytes.Buffer
+	_, err := body.ReadFrom(r)
+	return readInstance(body.Bytes(), err)
+}
+
+// readInstance decodes an instance envelope from the bytes read and the
+// error that ended the read.
+func readInstance(body []byte, readErr error) (*Instance, error) {
 	var env instanceJSON
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&env); err != nil {
+	err := decode(body, readErr, &env, func(body []byte) bool {
+		fast, ok := decodeEnvelope(body, fileFields)
+		env = instanceJSON{FormatVersion: fast.version, Instance: fast.instance}
+		return ok
+	})
+	if err != nil {
 		return nil, fmt.Errorf("decode instance: %w", err)
 	}
 	if env.FormatVersion != formatVersion {
@@ -73,12 +84,11 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 
 // LoadFile reads an instance from path.
 func LoadFile(path string) (*Instance, error) {
-	f, err := os.Open(path)
+	body, readErr, err := readFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return ReadJSON(f)
+	return readInstance(body, readErr)
 }
 
 // batchJSON is the multi-instance wire form used by `sectorpack -batch`,
@@ -98,12 +108,22 @@ func WriteBatchJSON(w io.Writer, ins []*Instance) error {
 
 // ReadBatchJSON parses a batch envelope written by WriteBatchJSON,
 // normalizing and validating every instance. Item errors name the failing
-// index.
+// index. It reads r to its end.
 func ReadBatchJSON(r io.Reader) ([]*Instance, error) {
+	var body bytes.Buffer
+	_, err := body.ReadFrom(r)
+	return readBatch(body.Bytes(), err)
+}
+
+// readBatch is readInstance for a batch envelope.
+func readBatch(body []byte, readErr error) ([]*Instance, error) {
 	var env batchJSON
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&env); err != nil {
+	err := decode(body, readErr, &env, func(body []byte) bool {
+		fast, ok := decodeEnvelope(body, batchFileFields)
+		env = batchJSON{FormatVersion: fast.version, Instances: fast.instances}
+		return ok
+	})
+	if err != nil {
 		return nil, fmt.Errorf("decode batch: %w", err)
 	}
 	if env.FormatVersion != formatVersion {
@@ -132,10 +152,9 @@ func SaveBatchFile(path string, ins []*Instance) error {
 
 // LoadBatchFile reads a batch of instances from path.
 func LoadBatchFile(path string) ([]*Instance, error) {
-	f, err := os.Open(path)
+	body, readErr, err := readFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return ReadBatchJSON(f)
+	return readBatch(body, readErr)
 }

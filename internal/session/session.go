@@ -302,7 +302,10 @@ func (s *Session) cascade(ctx context.Context, prev []stepRec, ru *reuseInfo) (m
 		s.stats.StepsResolved++
 	}
 	if !s.opt.Core.SkipBound {
-		sol.UpperBound = core.UpperBound(in)
+		var err error
+		if sol.UpperBound, err = core.UpperBoundContext(ctx, in); err != nil {
+			return model.Solution{}, err
+		}
 	}
 	s.trace = trace
 	s.traceOK = true
