@@ -8,16 +8,17 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"sectorpack/internal/model"
+	"sectorpack/internal/sweep"
 )
 
 // batchEnvelope is the decoded /solve/batch body with the per-item raw
@@ -85,8 +86,7 @@ func (p *Proxy) handleBatch(w http.ResponseWriter, r *http.Request) {
 			p.writeForwardError(w, "/solve/batch", ferr)
 			return
 		}
-		p.logRoute("batch", b, resp.Status, start)
-		passthrough(w, b, resp)
+		p.relay(w, "batch", b, resp, start)
 		return
 	}
 
@@ -98,17 +98,12 @@ func (p *Proxy) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if len(subs) == 1 {
 		// Whole batch lives on one shard: plain passthrough, no re-assembly.
 		sub := subs[0]
-		sub.b.requests.Add(1)
-		resp, err := sub.b.client.Do(r.Context(), http.MethodPost, pathWithQuery(r, "/solve/batch"), body, true)
+		resp, err := p.send(r.Context(), sub.b, http.MethodPost, pathWithQuery(r, "/solve/batch"), body, true)
 		if err != nil {
-			p.markFailure(sub.b, err)
 			p.writeForwardError(w, "/solve/batch", err)
 			return
 		}
-		p.markSuccess(sub.b)
-		p.routed.Add(1)
-		p.logRoute("batch", sub.b, resp.Status, start)
-		passthrough(w, sub.b, resp)
+		p.relay(w, "batch", sub.b, resp, start)
 		return
 	}
 
@@ -226,61 +221,54 @@ func (p *Proxy) itemRoutingKey(solver string, seed *int64, raw json.RawMessage, 
 }
 
 // solveSubBatches fans the sub-batches out concurrently (one request per
-// backend) and waits for all of them; the re-assembly needs every slice.
+// backend, on sweep.Each) and waits for all of them; the re-assembly needs
+// every slice. A sub-batch not started before the client went away
+// reports the cancellation.
 func (p *Proxy) solveSubBatches(r *http.Request, env batchEnvelope, subs []*subBatch) []subResult {
 	ctx := r.Context()
 	path := pathWithQuery(r, "/solve/batch")
 	results := make([]subResult, len(subs))
-	var wg sync.WaitGroup
-	for si, sub := range subs {
-		body, err := json.Marshal(map[string]any{
-			"solver":         env.Solver,
-			"seed":           env.Seed,
-			"timeout_ms":     env.TimeoutMillis,
-			"format_version": env.FormatVersion,
-			"instances":      sub.items,
-		})
-		if err != nil {
-			results[si] = subResult{sub: sub, err: err}
-			continue
+	err := sweep.Each(ctx, len(subs), len(subs), sweep.NoState, func(_ struct{}, si int) error {
+		results[si] = p.solveSubBatch(ctx, path, env, subs[si])
+		return nil
+	})
+	for si := range results {
+		if results[si].sub == nil {
+			results[si] = subResult{sub: subs[si], err: err}
 		}
-		p.splits.Add(1)
-		wg.Add(1)
-		go func(si int, sub *subBatch, body []byte) {
-			defer wg.Done()
-			if ctx.Err() != nil {
-				results[si] = subResult{sub: sub, err: ctx.Err()}
-				return
-			}
-			sub.b.requests.Add(1)
-			resp, err := sub.b.client.Do(ctx, http.MethodPost, path, body, true)
-			if err != nil {
-				if ctx.Err() == nil {
-					p.markFailure(sub.b, err)
-				}
-				results[si] = subResult{sub: sub, err: err}
-				return
-			}
-			p.markSuccess(sub.b)
-			if resp.Status != http.StatusOK {
-				results[si] = subResult{sub: sub, err: fmt.Errorf("backend %s: status %d: %s", sub.b.name, resp.Status, truncate(resp.Body, 200))}
-				return
-			}
-			var rb rawBatchResponse
-			if err := json.Unmarshal(resp.Body, &rb); err != nil {
-				results[si] = subResult{sub: sub, err: fmt.Errorf("backend %s: bad batch response: %w", sub.b.name, err)}
-				return
-			}
-			p.routed.Add(1)
-			shard := resp.Header.Get(shardHeader)
-			if shard == "" {
-				shard = sub.b.name
-			}
-			results[si] = subResult{sub: sub, resp: &rb, shard: shard}
-		}(si, sub, body)
 	}
-	wg.Wait()
 	return results
+}
+
+// solveSubBatch sends one backend its slice of the batch.
+func (p *Proxy) solveSubBatch(ctx context.Context, path string, env batchEnvelope, sub *subBatch) subResult {
+	body, err := json.Marshal(map[string]any{
+		"solver":         env.Solver,
+		"seed":           env.Seed,
+		"timeout_ms":     env.TimeoutMillis,
+		"format_version": env.FormatVersion,
+		"instances":      sub.items,
+	})
+	if err != nil {
+		return subResult{sub: sub, err: err}
+	}
+	p.splits.Add(1)
+	resp, err := p.send(ctx, sub.b, http.MethodPost, path, body, true)
+	if err != nil {
+		return subResult{sub: sub, err: err}
+	}
+	if resp.Status != http.StatusOK {
+		return subResult{sub: sub, err: fmt.Errorf("backend %s: status %d: %s", sub.b.name, resp.Status, truncate(resp.Body, 200))}
+	}
+	var rb rawBatchResponse
+	if err := json.Unmarshal(resp.Body, &rb); err != nil {
+		return subResult{sub: sub, err: fmt.Errorf("backend %s: bad batch response: %w", sub.b.name, err)}
+	}
+	shard := resp.Header.Get(shardHeader)
+	if shard == "" {
+		shard = sub.b.name
+	}
+	return subResult{sub: sub, resp: &rb, shard: shard}
 }
 
 // reindexItem rewrites an item's index field to its position in the

@@ -6,11 +6,17 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"testing"
+	"time"
 
+	"sectorpack/internal/core"
 	"sectorpack/internal/gen"
 	"sectorpack/internal/model"
 )
@@ -165,5 +171,89 @@ func TestFleetBatchBadItemKeepsPositionAndError(t *testing.T) {
 		if !reflect.DeepEqual(dItems[i], pItems[i]) {
 			t.Errorf("item %d differs:\ndirect:  %v\nproxied: %v", i, dItems[i], pItems[i])
 		}
+	}
+}
+
+// TestFleetBatchClientCancelKeepsBackend is the regression test for a
+// single-shard /solve/batch whose client hangs up mid-solve: the aborted
+// backend request says nothing about the backend's health, so it must not
+// count as a failure — with EjectAfter 1, counting it would eject a
+// healthy shard.
+func TestFleetBatchClientCancelKeepsBackend(t *testing.T) {
+	started := make(chan struct{}, 1)
+	core.Register("test-proxy-park", func(ctx context.Context, in *model.Instance, opt core.Options) (model.Solution, error) {
+		select {
+		case started <- struct{}{}:
+		default:
+		}
+		<-ctx.Done()
+		return model.Solution{}, ctx.Err()
+	})
+	t.Cleanup(func() { core.Unregister("test-proxy-park") })
+
+	_, p, _ := startFleet(t, 1) // one shard: every batch takes the single-shard path
+	handled := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		p.Handler().ServeHTTP(w, r)
+		if r.URL.Path == "/solve/batch" {
+			close(handled)
+		}
+	}))
+	defer ts.Close()
+
+	in, err := gen.Generate(gen.Config{Family: gen.Uniform, Seed: 5, N: 12, M: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/solve/batch",
+		bytes.NewReader(batchBodyFor(t, "test-proxy-park", []*model.Instance{in})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the batch never reached the backend's solver")
+	}
+	cancel()
+	select {
+	case <-handled:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the proxy never finished the abandoned batch")
+	}
+
+	b := p.backends[0]
+	if b.down.Load() {
+		t.Error("a client disconnect ejected the healthy backend")
+	}
+	resp, err := http.Get(ts.URL + "/debug/vars")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	vars := map[string]json.RawMessage{}
+	if err := json.Unmarshal(raw, &vars); err != nil {
+		t.Fatalf("/debug/vars: %v\n%s", err, raw)
+	}
+	var stats struct {
+		State    string `json:"state"`
+		Failures int64  `json:"failures"`
+	}
+	if err := json.Unmarshal(vars["sectorproxy.backend."+b.name], &stats); err != nil {
+		t.Fatalf("backend stats: %v\n%s", err, raw)
+	}
+	if stats.Failures != 0 || stats.State != "up" {
+		t.Errorf("backend after a client disconnect: state %q, failures %d; want up with 0 failures", stats.State, stats.Failures)
 	}
 }

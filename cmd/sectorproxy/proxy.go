@@ -20,10 +20,12 @@
 //
 // Transport is internal/sectorclient's raw Do hook, so capped-exponential
 // backoff, Retry-After floors, and idempotency discipline come from one
-// place. Health is passive: consecutive transport-level failures eject a
-// backend from the ring (its keyspace arcs slide to the next healthy
-// backend; everyone else's stay put), and a background re-probe of
-// /healthz readmits it with its exact old arcs back.
+// place; every backend request goes through one helper, send, which keeps
+// the backend's request, failure and routed counts. Health is passive:
+// consecutive transport-level failures eject a backend from the ring (its
+// keyspace arcs slide to the next healthy backend; everyone else's stay
+// put), and a background re-probe of /healthz readmits it with its exact
+// old arcs back.
 package main
 
 import (
@@ -284,9 +286,15 @@ func (p *Proxy) writeNoBackend(w http.ResponseWriter) {
 	writeProxyError(w, http.StatusServiceUnavailable, "no healthy backend")
 }
 
-// passthrough writes a backend response to the client unchanged, filling
-// the shard header with the backend name when the backend did not.
-func passthrough(w http.ResponseWriter, b *backend, resp *sectorclient.RawResponse) {
+// relay logs the routed request and writes the backend's response to the
+// client unchanged, filling the shard header with the backend name when
+// the backend did not.
+func (p *Proxy) relay(w http.ResponseWriter, route string, b *backend, resp *sectorclient.RawResponse, start time.Time) {
+	p.logger.Info("routed",
+		slog.String("route", route),
+		slog.String("backend", b.name),
+		slog.Int("status", resp.Status),
+		slog.Float64("duration_ms", float64(time.Since(start))/float64(time.Millisecond)))
 	for _, h := range []string{"Content-Type", "Retry-After", "X-Sectord-Cache", "X-Sectord-Idempotent", shardHeader} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
@@ -354,6 +362,26 @@ func (p *Proxy) instanceRoutingKey(in *model.Instance, solver string, seed *int6
 	return key
 }
 
+// send issues one request to backend b through its sectorclient and keeps
+// the backend's books: it counts the request, then either marks a
+// transport-level failure — unless the caller's ctx is done, since a
+// client that hung up says nothing about the backend's health — or marks
+// success and counts the request as routed. Any HTTP response, whatever
+// its status, is a success here: it is the backend's honest answer.
+func (p *Proxy) send(ctx context.Context, b *backend, method, path string, body []byte, retryable bool) (*sectorclient.RawResponse, error) {
+	b.requests.Add(1)
+	resp, err := b.client.Do(ctx, method, path, body, retryable)
+	if err != nil {
+		if ctx.Err() == nil {
+			p.markFailure(b, err)
+		}
+		return nil, err
+	}
+	p.markSuccess(b)
+	p.routed.Add(1)
+	return resp, nil
+}
+
 // forward sends the body to the key's backends in ring order: the owner
 // first, then — on transport-level failure only — each failover candidate.
 // HTTP responses of any status are terminal (they are the backend's honest
@@ -369,19 +397,14 @@ func (p *Proxy) forward(ctx context.Context, key, method, path string, body []by
 		if i > 0 {
 			p.failovers.Add(1)
 		}
-		b.requests.Add(1)
-		resp, err := b.client.Do(ctx, method, path, body, retryable)
-		if err != nil {
-			if ctx.Err() != nil {
-				return b, nil, err
-			}
-			p.markFailure(b, err)
-			lastErr = err
-			continue
+		resp, err := p.send(ctx, b, method, path, body, retryable)
+		if err == nil {
+			return b, resp, nil
 		}
-		p.markSuccess(b)
-		p.routed.Add(1)
-		return b, resp, nil
+		if ctx.Err() != nil {
+			return b, nil, err
+		}
+		lastErr = err
 	}
 	return nil, nil, fmt.Errorf("all %d candidate backends failed: %w", len(candidates), lastErr)
 }
@@ -410,8 +433,7 @@ func (p *Proxy) handleSolve(w http.ResponseWriter, r *http.Request) {
 		p.writeForwardError(w, "/solve", err)
 		return
 	}
-	p.logRoute("solve", b, resp.Status, start)
-	passthrough(w, b, resp)
+	p.relay(w, "solve", b, resp, start)
 }
 
 func (p *Proxy) writeForwardError(w http.ResponseWriter, route string, err error) {
@@ -421,14 +443,6 @@ func (p *Proxy) writeForwardError(w http.ResponseWriter, route string, err error
 	}
 	p.logger.Warn("forward failed", slog.String("route", route), slog.String("error", err.Error()))
 	writeProxyError(w, http.StatusBadGateway, "backend unreachable: "+err.Error())
-}
-
-func (p *Proxy) logRoute(route string, b *backend, status int, start time.Time) {
-	p.logger.Info("routed",
-		slog.String("route", route),
-		slog.String("backend", b.name),
-		slog.Int("status", status),
-		slog.Float64("duration_ms", float64(time.Since(start))/float64(time.Millisecond)))
 }
 
 func (p *Proxy) handleHealthz(w http.ResponseWriter, r *http.Request) {

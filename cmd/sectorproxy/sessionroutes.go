@@ -50,8 +50,7 @@ func (p *Proxy) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 			p.sessions.Store(created.SessionID, b)
 		}
 	}
-	p.logRoute("session.create", b, resp.Status, start)
-	passthrough(w, b, resp)
+	p.relay(w, "session.create", b, resp, start)
 }
 
 func (p *Proxy) sessionCreateRoutingKey(body []byte) string {
@@ -109,24 +108,17 @@ func (p *Proxy) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 		IdempotencyKey string `json:"idempotency_key"`
 	}
 	retryable := json.Unmarshal(body, &probe) == nil && probe.IdempotencyKey != ""
-	b.requests.Add(1)
-	resp, err := b.client.Do(r.Context(), http.MethodPost, pathWithQuery(r, "/session/"+id+"/delta"), body, retryable)
+	resp, err := p.send(r.Context(), b, http.MethodPost, pathWithQuery(r, "/session/"+id+"/delta"), body, retryable)
 	if err != nil {
-		if r.Context().Err() == nil {
-			p.markFailure(b, err)
-		}
 		p.writeForwardError(w, "/session/delta", err)
 		return
 	}
-	p.markSuccess(b)
-	p.routed.Add(1)
 	if resp.Status == http.StatusNotFound {
 		// The backend lost the session (TTL eviction, restart without a
 		// journal); drop the stale pin so the client's recreate re-routes.
 		p.sessions.Delete(id)
 	}
-	p.logRoute("session.delta", b, resp.Status, start)
-	passthrough(w, b, resp)
+	p.relay(w, "session.delta", b, resp, start)
 }
 
 func (p *Proxy) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
@@ -137,22 +129,15 @@ func (p *Proxy) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	b.requests.Add(1)
 	// DELETE is idempotent on the daemon (a second delete is 404), so
 	// transient-status retries are safe.
-	resp, err := b.client.Do(r.Context(), http.MethodDelete, "/session/"+id, nil, true)
+	resp, err := p.send(r.Context(), b, http.MethodDelete, "/session/"+id, nil, true)
 	if err != nil {
-		if r.Context().Err() == nil {
-			p.markFailure(b, err)
-		}
 		p.writeForwardError(w, "/session/delete", err)
 		return
 	}
-	p.markSuccess(b)
-	p.routed.Add(1)
 	if resp.Status == http.StatusOK || resp.Status == http.StatusNotFound {
 		p.sessions.Delete(id)
 	}
-	p.logRoute("session.delete", b, resp.Status, start)
-	passthrough(w, b, resp)
+	p.relay(w, "session.delete", b, resp, start)
 }

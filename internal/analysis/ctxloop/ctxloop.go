@@ -24,8 +24,9 @@
 // contract, because every callee that accepts the ctx is itself held to
 // this invariant.
 //
-// A second rule extends the contract to parallel fan-outs (the columnar
-// engine's Prewarm and CandidatesAll pools, sweep.Run, SolveBatch): inside
+// A second rule extends the contract to parallel fan-outs (sweep.Each,
+// the one worker pool, which the columnar engine's Prewarm, best-window
+// evaluation and CandidatesAll, sweep.Run and SolveBatch share): inside
 // ANY function whose first parameter is a context.Context — solver-shaped
 // or not — a goroutine launched as `go func() { ... }()` must consult a
 // context in every working loop, typically once per claimed work batch.

@@ -14,13 +14,12 @@ package angular
 import (
 	"context"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"sectorpack/internal/cols"
 	"sectorpack/internal/geom"
 	"sectorpack/internal/knapsack"
 	"sectorpack/internal/model"
+	"sectorpack/internal/sweep"
 )
 
 // Candidates returns the candidate start angles for the given antenna:
@@ -43,13 +42,12 @@ func Candidates(in *model.Instance, antenna int) []float64 {
 // shared columnar view: the instance is sorted once (not scanned and
 // sorted per antenna), each antenna's angles are gathered through the
 // radial pre-filter, and on large instances the per-antenna work fans out
-// across Workers() goroutines. The merge is deterministic — antenna j's
-// slice lands at index j and is a pure function of the view — so the
-// output is identical to calling Candidates(in, j) for each j, on either
-// the scalar or the parallel path.
+// across Workers() goroutines on sweep.Each. The merge is deterministic —
+// antenna j's slice lands at index j and is a pure function of the view —
+// so the output is identical to calling Candidates(in, j) for each j, on
+// either the scalar or the parallel path.
 //
-// Cancellation: ctx is consulted once per antenna on the scalar path and
-// once per claimed antenna by each worker on the parallel path; a
+// Cancellation: ctx is consulted before every antenna is claimed; a
 // cancelled call returns ctx.Err() and no slices.
 func CandidatesAll(ctx context.Context, in *model.Instance) ([][]float64, error) {
 	m := len(in.Antennas)
@@ -58,50 +56,21 @@ func CandidatesAll(ctx context.Context, in *model.Instance) ([][]float64, error)
 		return out, ctx.Err()
 	}
 	v := cols.New(in)
-	build := func(j int, pos []int32) []int32 {
-		pos = v.AppendEligible(in.Antennas[j], pos[:0])
-		angles := make([]float64, len(pos))
-		for t, p := range pos {
+	workers := Workers()
+	if v.Len()*m < prewarmParallelMin {
+		workers = 1
+	}
+	// Each worker reuses one position buffer across its antennas.
+	err := sweep.Each(ctx, m, workers, func() *[]int32 { return new([]int32) }, func(pos *[]int32, j int) error {
+		*pos = v.AppendEligible(in.Antennas[j], (*pos)[:0])
+		angles := make([]float64, len(*pos))
+		for t, p := range *pos {
 			angles[t] = v.Theta[p] // ascending: positions are theta-sorted
 		}
 		out[j] = dedupAngles(angles)
-		return pos
-	}
-	workers := Workers()
-	if workers > m {
-		workers = m
-	}
-	if workers <= 1 || v.Len()*m < prewarmParallelMin {
-		var pos []int32
-		for j := 0; j < m; j++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			pos = build(j, pos)
-		}
-		return out, nil
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var pos []int32
-			for {
-				if ctx.Err() != nil {
-					return // consult ctx once per claimed antenna
-				}
-				j := int(next.Add(1)) - 1
-				if j >= m {
-					return
-				}
-				pos = build(j, pos)
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil

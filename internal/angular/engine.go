@@ -1,9 +1,11 @@
 package angular
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -11,6 +13,7 @@ import (
 	"sectorpack/internal/cols"
 	"sectorpack/internal/knapsack"
 	"sectorpack/internal/model"
+	"sectorpack/internal/sweep"
 )
 
 // maxWorkersVar caps the worker count of every parallel path in this
@@ -78,6 +81,8 @@ type Engine struct {
 	outs   []outcome
 	posBuf []int32
 	posEnd []int32 // prefix ends of each candidate's segment in posBuf
+
+	best atomic.Int64 // the running evaluation's incumbent (see evaluate)
 }
 
 // windowCand is one candidate window awaiting evaluation: either a circular
@@ -154,14 +159,14 @@ func candidatesFromSweep(s *Sweep) []float64 {
 const prewarmParallelMin = 1 << 14
 
 // Prewarm builds every antenna's sweep and candidate list up front,
-// fanning the per-antenna builds across Workers() goroutines on large
-// instances. The merge is deterministic by construction: antenna j's
-// sweep lands in slot j and its content depends only on the shared view
-// and the antenna, never on scheduling, so a prewarmed engine is
+// fanning the per-antenna builds across Workers() goroutines (sweep.Each)
+// on large instances. The merge is deterministic by construction: antenna
+// j's sweep lands in slot j and its content depends only on the shared
+// view and the antenna, never on scheduling, so a prewarmed engine is
 // bit-identical to one that built sweeps lazily — and to the scalar path.
 //
-// Cancellation: each worker consults ctx before every antenna it claims;
-// on cancellation the already-built sweeps are kept (they are valid
+// Cancellation: ctx is consulted before every antenna is claimed; on
+// cancellation the already-built sweeps are kept (they are valid
 // caches) and ctx.Err() is returned.
 func (e *Engine) Prewarm(ctx context.Context) error {
 	m := len(e.sweeps)
@@ -170,50 +175,29 @@ func (e *Engine) Prewarm(ctx context.Context) error {
 	}
 	view := e.View() // built serially, before the fan-out
 	workers := Workers()
-	if workers > m {
-		workers = m
+	if view.Len()*m < prewarmParallelMin {
+		workers = 1
 	}
-	if workers <= 1 || view.Len()*m < prewarmParallelMin {
-		for j := 0; j < m; j++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			e.prewarmAntenna(view, j)
-		}
-		return nil
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return // consult ctx once per claimed antenna
-				}
-				j := int(next.Add(1)) - 1
-				if j >= m {
-					return
-				}
-				e.prewarmAntenna(view, j)
-			}
-		}()
-	}
-	wg.Wait()
-	return ctx.Err()
+	return sweep.Each(ctx, m, workers, func() prewarmer { return prewarmer{e, view} }, prewarmer.build)
 }
 
-// prewarmAntenna fills antenna j's sweep and candidate slots if still
-// empty. Distinct antennas touch distinct slots, so Prewarm's workers
-// never race.
-func (e *Engine) prewarmAntenna(v *cols.View, j int) {
+// prewarmer is a Prewarm worker.
+type prewarmer struct {
+	e *Engine
+	v *cols.View
+}
+
+// build fills antenna j's sweep and candidate slots if still empty.
+// Distinct antennas touch distinct slots, so Prewarm's workers never race.
+func (p prewarmer) build(j int) error {
+	e := p.e
 	if e.sweeps[j] == nil {
-		e.sweeps[j] = newSweepFromView(v, e.in.Antennas[j])
+		e.sweeps[j] = newSweepFromView(p.v, e.in.Antennas[j])
 	}
 	if e.cands[j] == nil {
 		e.cands[j] = candidatesFromSweep(e.sweeps[j])
 	}
+	return nil
 }
 
 // BestWindow finds the most profitable placement of a single antenna over
@@ -289,10 +273,10 @@ const parallelThreshold = 16
 // its orientation at profit 0, preserving BestWindow's historical
 // all-empty behavior).
 //
-// ctx is checked once per candidate in both the serial and the parallel
-// path; on cancellation the partial fold is abandoned and ctx.Err() is
-// returned. With a never-cancelled ctx every branch below behaves exactly
-// as before the context was threaded through.
+// The candidates fan out over Workers() goroutines on sweep.Each (inline
+// below parallelThreshold), each worker with its own evalScratch. ctx is
+// checked before every candidate is claimed; on cancellation the partial
+// fold is abandoned and ctx.Err() is returned.
 func (e *Engine) evaluate(ctx context.Context, s *Sweep, capacity int64, active []bool, opt knapsack.Options, skipEmpty bool) (Window, error) {
 	nc := len(e.wins)
 	if cap(e.order) < nc {
@@ -308,68 +292,38 @@ func (e *Engine) evaluate(ctx context.Context, s *Sweep, capacity int64, active 
 	}
 	// Descending bound, ties by original candidate order: the highest
 	// upper bound is the best chance to raise the incumbent early.
-	sort.Slice(e.order, func(x, y int) bool {
-		a, b := e.order[x], e.order[y]
-		if e.wins[a].bound != e.wins[b].bound {
-			return e.wins[a].bound > e.wins[b].bound
+	slices.SortFunc(e.order, func(a, b int32) int {
+		if c := cmp.Compare(e.wins[b].bound, e.wins[a].bound); c != 0 {
+			return c
 		}
-		return a < b
+		return cmp.Compare(a, b)
 	})
 
-	// best is the highest profit of any solved candidate so far; −1 until
+	// e.best is the highest profit of any solved candidate so far; −1 until
 	// the first solve, so the first candidate in bound order — which has
 	// the globally highest bound — is never pruned. Pruning strictly
 	// (bound < best) is what makes the fold below provably identical to
 	// the unpruned path: a pruned candidate's true window optimum is at
 	// most its bound, hence strictly below some solved profit, so it can
 	// be neither the maximum nor a first-index tie-winner.
-	var best atomic.Int64
-	best.Store(-1)
+	e.best.Store(-1)
 
 	workers := Workers()
-	if nc < parallelThreshold || workers <= 1 {
-		sc := evalPool.Get().(*evalScratch)
-		for _, k := range e.order {
-			if ctx.Err() != nil {
-				break
-			}
-			if e.wins[k].bound < best.Load() {
-				continue
-			}
-			e.solve(s, int(k), capacity, active, opt, &best, sc)
-		}
-		evalPool.Put(sc)
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		if workers > nc {
-			workers = nc
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sc := evalPool.Get().(*evalScratch)
-				defer evalPool.Put(sc)
-				for {
-					if ctx.Err() != nil {
-						return
-					}
-					i := int(next.Add(1)) - 1
-					if i >= nc {
-						return
-					}
-					k := e.order[i]
-					if e.wins[k].bound < best.Load() {
-						continue
-					}
-					e.solve(s, int(k), capacity, active, opt, &best, sc)
-				}
-			}()
-		}
-		wg.Wait()
+	if nc < parallelThreshold {
+		workers = 1
 	}
-	if err := ctx.Err(); err != nil {
+	var used *evalScratch // every worker's scratch, chained for the return to evalPool
+	err := sweep.Each(ctx, nc, workers, func() evalWorker {
+		sc := evalPool.Get().(*evalScratch)
+		sc.next, used = used, sc
+		return evalWorker{e: e, s: s, capacity: capacity, active: active, opt: opt, sc: sc}
+	}, evalWorker.run)
+	for used != nil {
+		sc := used
+		used, sc.next = sc.next, nil
+		evalPool.Put(sc)
+	}
+	if err != nil {
 		return Window{}, err
 	}
 
@@ -395,6 +349,27 @@ func (e *Engine) evaluate(ctx context.Context, s *Sweep, capacity int64, active 
 type evalScratch struct {
 	ids   []int
 	items []knapsack.Item
+	next  *evalScratch // evaluate's chain of the scratch its workers hold
+}
+
+// evalWorker is one evaluate worker: the call's inputs plus the worker's
+// own scratch.
+type evalWorker struct {
+	e        *Engine
+	s        *Sweep
+	capacity int64
+	active   []bool
+	opt      knapsack.Options
+	sc       *evalScratch
+}
+
+// run evaluates the i-th candidate in bound order unless its bound is
+// strictly below the incumbent.
+func (ew evalWorker) run(i int) error {
+	if k := ew.e.order[i]; ew.e.wins[k].bound >= ew.e.best.Load() {
+		ew.solve(int(k))
+	}
+	return nil
 }
 
 var evalPool = sync.Pool{New: func() any { return new(evalScratch) }}
@@ -403,7 +378,8 @@ var evalPool = sync.Pool{New: func() any { return new(evalScratch) }}
 // incumbent. Member enumeration preserves the historical item orders:
 // sweep order (rotated theta order) for range candidates, ascending
 // customer index for explicit-angle candidates.
-func (e *Engine) solve(s *Sweep, k int, capacity int64, active []bool, opt knapsack.Options, best *atomic.Int64, sc *evalScratch) {
+func (ew evalWorker) solve(k int) {
+	e, s, active, sc := ew.e, ew.s, ew.active, ew.sc
 	c := e.wins[k]
 	n := s.Len()
 	ids := sc.ids[:0]
@@ -426,7 +402,7 @@ func (e *Engine) solve(s *Sweep, k int, capacity int64, active []bool, opt knaps
 	sc.ids = ids
 	if len(ids) == 0 {
 		e.outs[k] = outcome{win: Window{Alpha: c.alpha, Exact: true}, solved: true, empty: true}
-		raise(best, 0)
+		raise(&e.best, 0)
 		return
 	}
 	items := sc.items[:0]
@@ -434,7 +410,7 @@ func (e *Engine) solve(s *Sweep, k int, capacity int64, active []bool, opt knaps
 		items = append(items, knapsack.Item{Weight: e.in.Customers[i].Demand, Profit: e.in.Customers[i].Profit})
 	}
 	sc.items = items
-	res, exact, err := knapsack.Solve(items, capacity, opt)
+	res, exact, err := knapsack.Solve(items, ew.capacity, ew.opt)
 	if err != nil {
 		e.outs[k] = outcome{err: err, solved: true}
 		return
@@ -446,7 +422,7 @@ func (e *Engine) solve(s *Sweep, k int, capacity int64, active []bool, opt knaps
 		}
 	}
 	e.outs[k] = outcome{win: w, solved: true}
-	raise(best, res.Profit)
+	raise(&e.best, res.Profit)
 }
 
 // raise lifts the atomic incumbent to at least p.

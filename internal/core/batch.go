@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"sectorpack/internal/model"
+	"sectorpack/internal/sweep"
 )
 
 // BatchOptions tunes SolveBatch.
@@ -27,18 +27,11 @@ type BatchOptions struct {
 	Hedged bool
 }
 
-func (o BatchOptions) workers(items int) int {
-	w := o.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+func (o BatchOptions) workers() int {
+	if o.Workers > 0 {
+		return o.Workers
 	}
-	if w > items {
-		w = items
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return runtime.GOMAXPROCS(0)
 }
 
 func (o BatchOptions) solverName() string {
@@ -58,10 +51,10 @@ type BatchResult struct {
 }
 
 // SolveBatch solves every instance concurrently on a bounded worker pool
-// and returns per-item results aligned with the input. The batch never
-// fails as a whole: a panicking, erroring, invalid, or timed-out item
-// produces an error (or, with Hedged, a degraded solution) in its own slot
-// while the rest proceed. Each item runs under SafeSolve and behind the
+// (sweep.Each) and returns per-item results aligned with the input. The
+// batch never fails as a whole: a panicking, erroring, invalid, or
+// timed-out item produces an error (or, with Hedged, a degraded solution)
+// in its own slot while the rest proceed. Each item runs under SafeSolve and behind the
 // VerifySolution gate exactly like the serving layer's single solves, so
 // an uncancelled, non-hedged item is bit-identical to calling the solver
 // directly.
@@ -70,33 +63,20 @@ type BatchResult struct {
 // solver honors cancellation) report ctx's error.
 func SolveBatch(ctx context.Context, ins []*model.Instance, solver Solver, opt BatchOptions) []BatchResult {
 	results := make([]BatchResult, len(ins))
-	if len(ins) == 0 {
-		return results
-	}
 	name := opt.solverName()
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < opt.workers(len(ins)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				start := time.Now()
-				sol, err := solveBatchItem(ctx, ins[i], solver, name, opt)
-				results[i] = BatchResult{Solution: sol, Err: err, Elapsed: time.Since(start)}
-			}
-		}()
-	}
-	for i := range ins {
-		select {
-		case work <- i:
-		case <-ctx.Done():
-			start := time.Now()
-			results[i] = BatchResult{Err: ctx.Err(), Elapsed: time.Since(start)}
+	started := make([]bool, len(ins))
+	err := sweep.Each(ctx, len(ins), opt.workers(), sweep.NoState, func(_ struct{}, i int) error {
+		started[i] = true
+		start := time.Now()
+		sol, err := solveBatchItem(ctx, ins[i], solver, name, opt)
+		results[i] = BatchResult{Solution: sol, Err: err, Elapsed: time.Since(start)}
+		return nil
+	})
+	for i := range results {
+		if !started[i] {
+			results[i].Err = err // cancelled before the item was claimed
 		}
 	}
-	close(work)
-	wg.Wait()
 	return results
 }
 

@@ -369,123 +369,237 @@ func (s *Server) nextRequestID() string {
 	return fmt.Sprintf("%s-%06d", s.ridPrefix, s.reqSeq.Add(1))
 }
 
-// solveOutcome is what one /solve request resolved to, for the structured
-// log line and the per-request counters.
-type solveOutcome struct {
+// call is one request's trip through the shared pipeline: admit (the
+// prologue every solving route shares), classify (the one mapping of solve
+// errors onto status and counters), and end (the inflight-slot release and
+// the request's log line).
+type call struct {
+	s     *Server
+	w     http.ResponseWriter
+	r     *http.Request
+	rid   string
+	start time.Time
+	held  bool // holds an inflight-semaphore slot
+
+	// What the request resolved to, for its log line.
 	solver   string
 	status   int
-	outcome  string // ok, degraded, shed, bad_request, cancelled, panic, invalid, error
-	degraded bool
+	outcome  string // ok, degraded, batch, shed, bad_request, cancelled, panic, invalid, error
+	degraded bool   // the answer is the fallback's
 	detail   string
 	profit   int64
+
+	// Session routes log a session record for action on session instead
+	// of a solve record.
+	action, session string
+
+	allowDegraded, bypass bool // the ?degraded= and ?cache= params (prologue.params)
 }
 
-func (s *Server) logSolve(rid string, start time.Time, o *solveOutcome) {
-	attrs := []slog.Attr{
-		slog.String("request_id", rid),
-		slog.String("solver", o.solver),
-		slog.Float64("duration_ms", float64(time.Since(start))/float64(time.Millisecond)),
-		slog.String("outcome", o.outcome),
-		slog.Bool("degraded", o.degraded),
-		slog.Int("status", o.status),
-	}
-	if o.outcome == "ok" || o.outcome == "degraded" {
-		attrs = append(attrs, slog.Int64("profit", o.profit))
-	}
-	if o.detail != "" {
-		attrs = append(attrs, slog.String("detail", o.detail))
-	}
-	level := slog.LevelInfo
-	if o.status >= 500 && o.outcome != "degraded" && o.outcome != "cancelled" {
-		level = slog.LevelWarn
-	}
-	s.logger.LogAttrs(context.Background(), level, "solve", attrs...)
+// begin starts a call; its handler defers end.
+func (s *Server) begin(w http.ResponseWriter, r *http.Request) *call {
+	return &call{s: s, w: w, r: r, rid: s.nextRequestID(), start: time.Now(),
+		outcome: "error", status: http.StatusInternalServerError}
 }
 
-func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	rid := s.nextRequestID()
-	start := time.Now()
-	o := &solveOutcome{outcome: "error", status: http.StatusInternalServerError}
-	defer func() { s.logSolve(rid, start, o) }()
-
-	fail := func(status int, outcome, msg string) {
-		o.status, o.outcome, o.detail = status, outcome, msg
-		writeJSON(w, status, errorResponse{Error: msg})
+// end releases the inflight slot, if held, and writes the request's log
+// line.
+func (c *call) end() {
+	if c.held {
+		<-c.s.sem
 	}
+	ms := slog.Float64("duration_ms", float64(time.Since(c.start))/float64(time.Millisecond))
+	level, msg := slog.LevelInfo, "solve"
+	var attrs []slog.Attr
+	if c.action != "" {
+		msg = "session"
+		attrs = []slog.Attr{slog.String("session_id", c.session), slog.String("action", c.action), slog.Int("status", c.status), ms}
+		if c.status >= 500 {
+			level = slog.LevelWarn
+		}
+	} else {
+		attrs = []slog.Attr{slog.String("request_id", c.rid), slog.String("solver", c.solver), ms,
+			slog.String("outcome", c.outcome), slog.Bool("degraded", c.degraded), slog.Int("status", c.status)}
+		if c.outcome == "ok" || c.outcome == "degraded" {
+			attrs = append(attrs, slog.Int64("profit", c.profit))
+		}
+		if c.status >= 500 && c.outcome != "degraded" && c.outcome != "cancelled" {
+			level = slog.LevelWarn
+		}
+	}
+	if c.detail != "" {
+		attrs = append(attrs, slog.String("detail", c.detail))
+	}
+	c.s.logger.LogAttrs(context.Background(), level, msg, attrs...)
+}
 
-	if r.Method != http.MethodPost {
-		s.failures.Add(1)
-		w.Header().Set("Allow", http.MethodPost)
-		fail(http.StatusMethodNotAllowed, "bad_request", "POST required")
-		return
+// fail answers with a JSON error and records the outcome.
+func (c *call) fail(status int, outcome, msg string) {
+	c.status, c.outcome, c.detail = status, outcome, msg
+	writeJSON(c.w, status, errorResponse{Error: msg})
+}
+
+// reject counts a bad request and answers it.
+func (c *call) reject(status int, msg string) {
+	c.s.failures.Add(1)
+	c.fail(status, "bad_request", msg)
+}
+
+// succeed answers 200 with body and records the outcome.
+func (c *call) succeed(detail string, body any) {
+	c.status, c.detail = http.StatusOK, detail
+	writeJSON(c.w, http.StatusOK, body)
+}
+
+// prologue selects admit's optional steps; a route runs only the ones it
+// needs.
+type prologue struct {
+	post   bool // check the method here (the route's mux pattern has none)
+	params bool // parse ?degraded= and ?cache=
+}
+
+// admit is the request prologue every solving route shares: the method
+// check, the shed with Retry-After, the degraded/cache params, the bounded
+// body decode, and the format_version check. decode reads the body and
+// returns the request's format version. On failure admit has answered the
+// request and returns false; on success the call holds an inflight slot
+// until end.
+func (c *call) admit(p prologue, decode func(io.Reader) (int, error)) bool {
+	if p.post && c.r.Method != http.MethodPost {
+		c.w.Header().Set("Allow", http.MethodPost)
+		c.reject(http.StatusMethodNotAllowed, "POST required")
+		return false
 	}
 	// Shed before reading the body: a saturated server should refuse work
 	// as cheaply as possible.
 	select {
-	case s.sem <- struct{}{}:
-		defer func() { <-s.sem }()
+	case c.s.sem <- struct{}{}:
+		c.held = true
 	default:
-		s.shed.Add(1)
-		s.setRetryAfter(w)
-		fail(http.StatusTooManyRequests, "shed", "server at capacity")
-		return
+		c.s.shed.Add(1)
+		c.s.setRetryAfter(c.w)
+		c.fail(http.StatusTooManyRequests, "shed", "server at capacity")
+		return false
 	}
+	if p.params {
+		var err error
+		if c.allowDegraded, err = switchParam(c.r, "degraded", "allow", "deny", "allow"); err == nil {
+			c.bypass, err = switchParam(c.r, "cache", "use", "bypass", "bypass")
+		}
+		if err != nil {
+			c.reject(http.StatusBadRequest, err.Error())
+			return false
+		}
+	}
+	version, err := decode(http.MaxBytesReader(c.w, c.r.Body, maxRequestBytes))
+	if err != nil {
+		c.reject(http.StatusBadRequest, "decode request: "+err.Error())
+		return false
+	}
+	if version != 1 {
+		c.reject(http.StatusBadRequest, fmt.Sprintf("unsupported format_version %d (want 1)", version))
+		return false
+	}
+	return true
+}
 
-	degradedAllowed, err := parseDegradedParam(r)
-	if err != nil {
-		s.failures.Add(1)
-		fail(http.StatusBadRequest, "bad_request", err.Error())
-		return
+// decodeSolve is admit's decode step for the single-instance envelope.
+func decodeSolve(req *model.SolveRequest) func(io.Reader) (int, error) {
+	return func(rd io.Reader) (_ int, err error) {
+		*req, err = model.DecodeSolveRequest(rd)
+		return req.FormatVersion, err
 	}
-	bypass, err := parseCacheParam(r)
-	if err != nil {
-		s.failures.Add(1)
-		fail(http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
+}
 
-	req, err := model.DecodeSolveRequest(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	if err != nil {
-		s.failures.Add(1)
-		fail(http.StatusBadRequest, "bad_request", "decode request: "+err.Error())
-		return
+// resolve applies the empty-name default and the allowlist to the
+// request's solver name, then resolves it through the registry (whose
+// solvers are panic-isolated), answering 400 on failure.
+func (c *call) resolve(name string) (string, core.Solver, bool) {
+	if name == "" {
+		name = "auto"
 	}
-	if req.FormatVersion != 1 {
+	c.solver = name
+	solver, err := core.Get(name)
+	if c.s.allowed != nil && !c.s.allowed[name] {
+		err = fmt.Errorf("solver %q not allowed (allowed: %v)", name, c.s.cfg.Allowed)
+	}
+	if err != nil {
+		c.reject(http.StatusBadRequest, err.Error())
+		return name, nil, false
+	}
+	return name, solver, true
+}
+
+// classify maps a solve error onto the daemon's status/outcome taxonomy,
+// bumps the matching counter, and logs panics with their stacks. msg is
+// the client-facing error text.
+func (s *Server) classify(rid string, err error) (status int, outcome, msg string) {
+	var pe *core.PanicError
+	var ie *core.InvalidSolutionError
+	switch {
+	case errors.As(err, &pe):
+		s.panics.Add(1)
+		s.logger.Error("solver panic",
+			slog.String("request_id", rid),
+			slog.String("solver", pe.Solver),
+			slog.String("panic", fmt.Sprint(pe.Value)),
+			slog.String("stack", string(pe.Stack)))
+		return http.StatusInternalServerError, "panic", "solve failed: " + pe.Error()
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		s.cancellations.Add(1)
+		return http.StatusServiceUnavailable, "cancelled", "solve aborted: " + err.Error()
+	case errors.As(err, &ie):
+		s.invalid.Add(1)
+		return http.StatusInternalServerError, "invalid", "solve failed: " + ie.Error()
+	default:
 		s.failures.Add(1)
-		fail(http.StatusBadRequest, "bad_request", fmt.Sprintf("unsupported format_version %d (want 1)", req.FormatVersion))
+		return http.StatusBadRequest, "error", "solve failed: " + err.Error()
+	}
+}
+
+// solveFailed classifies err and answers with it.
+func (c *call) solveFailed(err error) {
+	c.fail(c.s.classify(c.rid, err))
+}
+
+// solveContext layers the request's solve deadline (solveTimeout) under
+// ctx.
+func (s *Server) solveContext(ctx context.Context, requestMillis int64) (context.Context, context.CancelFunc) {
+	if timeout := s.solveTimeout(requestMillis); timeout > 0 {
+		return context.WithTimeout(ctx, timeout)
+	}
+	return ctx, func() {}
+}
+
+func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
+	s.requests.Add(1)
+	c := s.begin(w, r)
+	defer c.end()
+	var req model.SolveRequest
+	if !c.admit(prologue{post: true, params: true}, decodeSolve(&req)) {
 		return
 	}
 	if req.Instance == nil {
-		s.failures.Add(1)
-		fail(http.StatusBadRequest, "bad_request", "request missing instance")
+		c.reject(http.StatusBadRequest, "request missing instance")
 		return
 	}
 	req.Instance.Normalize()
 	if err := req.Instance.Validate(); err != nil {
-		s.failures.Add(1)
-		fail(http.StatusBadRequest, "bad_request", "invalid instance: "+err.Error())
+		c.reject(http.StatusBadRequest, "invalid instance: "+err.Error())
 		return
 	}
-	name, solver, err := s.resolveSolver(req.Solver)
-	o.solver = name
-	if err != nil {
-		s.failures.Add(1)
-		fail(http.StatusBadRequest, "bad_request", err.Error())
+	name, solver, ok := c.resolve(req.Solver)
+	if !ok {
 		return
 	}
-
-	ctx := r.Context()
-	if timeout := s.solveTimeout(req.TimeoutMillis); timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
+	ctx, cancel := s.solveContext(r.Context(), req.TimeoutMillis)
+	defer cancel()
 
 	opt := s.solveOptions(req.Seed)
 	var sol model.Solution
 	var cacheOutcome string
-	if degradedAllowed {
+	var err error
+	if c.allowDegraded {
 		// The hedged pipeline races the cache-fronted requested solver
 		// against the greedy safety net; both legs are panic-isolated and
 		// gated, so the answer (primary or fallback) is always feasible.
@@ -494,7 +608,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		var pmu sync.Mutex
 		pout := cacheBypass
 		primary := func(ctx context.Context, in *model.Instance, o core.Options) (model.Solution, error) {
-			psol, out, perr := s.solveThroughCache(ctx, name, solver, in, o, bypass)
+			psol, out, perr := s.solveThroughCache(ctx, name, solver, in, o, c.bypass)
 			pmu.Lock()
 			pout = out
 			pmu.Unlock()
@@ -511,31 +625,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			pmu.Unlock()
 		}
 	} else {
-		sol, cacheOutcome, err = s.solveThroughCache(ctx, name, solver, req.Instance, opt, bypass)
+		sol, cacheOutcome, err = s.solveThroughCache(ctx, name, solver, req.Instance, opt, c.bypass)
 	}
-	elapsed := time.Since(start)
+	elapsed := time.Since(c.start)
 	if err != nil {
-		var pe *core.PanicError
-		var ie *core.InvalidSolutionError
-		switch {
-		case errors.As(err, &pe):
-			s.panics.Add(1)
-			s.logger.Error("solver panic",
-				slog.String("request_id", rid),
-				slog.String("solver", pe.Solver),
-				slog.String("panic", fmt.Sprint(pe.Value)),
-				slog.String("stack", string(pe.Stack)))
-			fail(http.StatusInternalServerError, "panic", "solve failed: "+pe.Error())
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			s.cancellations.Add(1)
-			fail(http.StatusServiceUnavailable, "cancelled", "solve aborted: "+err.Error())
-		case errors.As(err, &ie):
-			s.invalid.Add(1)
-			fail(http.StatusInternalServerError, "invalid", "solve failed: "+ie.Error())
-		default:
-			s.failures.Add(1)
-			fail(http.StatusBadRequest, "error", "solve failed: "+err.Error())
-		}
+		c.solveFailed(err)
 		return
 	}
 	if sol.Degraded {
@@ -549,13 +643,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	s.solved.Add(1)
 	s.observeLatency(name, elapsed)
-	o.status, o.profit = http.StatusOK, sol.Profit
-	o.outcome, o.degraded, o.detail = "ok", sol.Degraded, sol.FallbackDetail
+	c.profit, c.degraded, c.outcome = sol.Profit, sol.Degraded, "ok"
 	if sol.Degraded {
-		o.outcome = "degraded"
+		c.outcome = "degraded"
 	}
 	w.Header().Set(cacheHeader, cacheOutcome)
-	writeJSON(w, http.StatusOK, newSolveResponse(name, sol, elapsed))
+	c.succeed(sol.FallbackDetail, newSolveResponse(name, sol, elapsed))
 }
 
 // cacheHeader reports how the cache treated a request: hit, miss,
@@ -585,42 +678,14 @@ func newSolveResponse(name string, sol model.Solution, elapsed time.Duration) *s
 	}
 }
 
-func parseDegradedParam(r *http.Request) (bool, error) {
-	switch v := r.URL.Query().Get("degraded"); v {
-	case "", "deny":
-		return false, nil
-	case "allow":
-		return true, nil
-	default:
-		return false, fmt.Errorf("invalid degraded=%q (want allow or deny)", v)
+// switchParam reads a query parameter that must be empty, a, or b, and
+// reports whether it is on (one of a and b).
+func switchParam(r *http.Request, name, a, b, on string) (bool, error) {
+	v := r.URL.Query().Get(name)
+	if v != "" && v != a && v != b {
+		return false, fmt.Errorf("invalid %s=%q (want %s or %s)", name, v, a, b)
 	}
-}
-
-func parseCacheParam(r *http.Request) (bool, error) {
-	switch v := r.URL.Query().Get("cache"); v {
-	case "", "use":
-		return false, nil
-	case "bypass":
-		return true, nil
-	default:
-		return false, fmt.Errorf("invalid cache=%q (want use or bypass)", v)
-	}
-}
-
-// resolveSolver applies the empty-name default and the allowlist, then
-// resolves through the registry (whose solvers are panic-isolated).
-func (s *Server) resolveSolver(name string) (string, core.Solver, error) {
-	if name == "" {
-		name = "auto"
-	}
-	if s.allowed != nil && !s.allowed[name] {
-		return name, nil, fmt.Errorf("solver %q not allowed (allowed: %v)", name, s.cfg.Allowed)
-	}
-	solver, err := core.Get(name)
-	if err != nil {
-		return name, nil, err
-	}
-	return name, solver, nil
+	return v == on, nil
 }
 
 // solveTimeout combines the server deadline with a request's timeout_ms:
@@ -710,72 +775,26 @@ func (s *Server) solveThroughCache(ctx context.Context, name string, solver core
 func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	s.batches.Add(1)
-	rid := s.nextRequestID()
-	start := time.Now()
-	o := &solveOutcome{outcome: "error", status: http.StatusInternalServerError}
-	defer func() { s.logSolve(rid, start, o) }()
-
-	fail := func(status int, outcome, msg string) {
-		o.status, o.outcome, o.detail = status, outcome, msg
-		writeJSON(w, status, errorResponse{Error: msg})
-	}
-
-	if r.Method != http.MethodPost {
-		s.failures.Add(1)
-		w.Header().Set("Allow", http.MethodPost)
-		fail(http.StatusMethodNotAllowed, "bad_request", "POST required")
-		return
-	}
-	select {
-	case s.sem <- struct{}{}:
-		defer func() { <-s.sem }()
-	default:
-		s.shed.Add(1)
-		s.setRetryAfter(w)
-		fail(http.StatusTooManyRequests, "shed", "server at capacity")
-		return
-	}
-
-	degradedAllowed, err := parseDegradedParam(r)
-	if err != nil {
-		s.failures.Add(1)
-		fail(http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
-	bypass, err := parseCacheParam(r)
-	if err != nil {
-		s.failures.Add(1)
-		fail(http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
-
-	req, err := model.DecodeBatchRequest(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	if err != nil {
-		s.failures.Add(1)
-		fail(http.StatusBadRequest, "bad_request", "decode request: "+err.Error())
-		return
-	}
-	if req.FormatVersion != 1 {
-		s.failures.Add(1)
-		fail(http.StatusBadRequest, "bad_request", fmt.Sprintf("unsupported format_version %d (want 1)", req.FormatVersion))
+	c := s.begin(w, r)
+	defer c.end()
+	var req model.BatchRequest
+	if !c.admit(prologue{post: true, params: true}, func(rd io.Reader) (_ int, err error) {
+		req, err = model.DecodeBatchRequest(rd)
+		return req.FormatVersion, err
+	}) {
 		return
 	}
 	if len(req.Instances) == 0 {
-		s.failures.Add(1)
-		fail(http.StatusBadRequest, "bad_request", "batch has no instances")
+		c.reject(http.StatusBadRequest, "batch has no instances")
 		return
 	}
 	if len(req.Instances) > maxBatchItems {
-		s.failures.Add(1)
-		fail(http.StatusBadRequest, "bad_request", fmt.Sprintf("batch has %d instances (max %d)", len(req.Instances), maxBatchItems))
+		c.reject(http.StatusBadRequest, fmt.Sprintf("batch has %d instances (max %d)", len(req.Instances), maxBatchItems))
 		return
 	}
 	s.batchItems.Add(int64(len(req.Instances)))
-	name, solver, err := s.resolveSolver(req.Solver)
-	o.solver = name
-	if err != nil {
-		s.failures.Add(1)
-		fail(http.StatusBadRequest, "bad_request", err.Error())
+	name, solver, ok := c.resolve(req.Solver)
+	if !ok {
 		return
 	}
 
@@ -801,7 +820,7 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	// store concurrently; reads happen after SolveBatch returns.
 	var outcomes sync.Map
 	cached := func(ctx context.Context, in *model.Instance, o core.Options) (model.Solution, error) {
-		sol, out, err := s.solveThroughCache(ctx, name, solver, in, o, bypass)
+		sol, out, err := s.solveThroughCache(ctx, name, solver, in, o, c.bypass)
 		outcomes.Store(in, out)
 		return sol, err
 	}
@@ -810,7 +829,7 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 		SolverName:  name,
 		Workers:     s.cfg.MaxInflight,
 		ItemTimeout: s.solveTimeout(req.TimeoutMillis),
-		Hedged:      degradedAllowed,
+		Hedged:      c.allowDegraded,
 	})
 
 	resp := batchResponse{Solver: name, Count: len(req.Instances), Items: make([]batchItemResponse, len(req.Instances))}
@@ -822,7 +841,7 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 			item.Error = itemErr[i]
 			resp.Failed++
 		case results[i].Err != nil:
-			s.countSolveError(rid, name, results[i].Err)
+			s.classify(c.rid, results[i].Err)
 			item.Error = results[i].Err.Error()
 			resp.Failed++
 		default:
@@ -847,33 +866,10 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Items[i] = item
 	}
-	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	o.status, o.outcome = http.StatusOK, "batch"
-	o.detail = fmt.Sprintf("count=%d ok=%d failed=%d degraded=%d", resp.Count, resp.OK, resp.Failed, resp.Degraded)
+	resp.ElapsedMS = float64(time.Since(c.start)) / float64(time.Millisecond)
+	c.outcome = "batch"
 	w.Header().Set(cacheHeader, s.batchCacheSummary(resp.Items))
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// countSolveError bumps the counter matching a per-item solve error and
-// logs panics with their captured stacks.
-func (s *Server) countSolveError(rid, name string, err error) {
-	var pe *core.PanicError
-	var ie *core.InvalidSolutionError
-	switch {
-	case errors.As(err, &pe):
-		s.panics.Add(1)
-		s.logger.Error("solver panic",
-			slog.String("request_id", rid),
-			slog.String("solver", pe.Solver),
-			slog.String("panic", fmt.Sprint(pe.Value)),
-			slog.String("stack", string(pe.Stack)))
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		s.cancellations.Add(1)
-	case errors.As(err, &ie):
-		s.invalid.Add(1)
-	default:
-		s.failures.Add(1)
-	}
+	c.succeed(fmt.Sprintf("count=%d ok=%d failed=%d degraded=%d", resp.Count, resp.OK, resp.Failed, resp.Degraded), resp)
 }
 
 // batchCacheSummary renders the per-item cache outcomes as a compact

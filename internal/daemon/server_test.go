@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"sectorpack/internal/core"
+	"sectorpack/internal/gen"
 	"sectorpack/internal/model"
 )
 
@@ -118,38 +120,81 @@ func TestSolveAllRegisteredSolvers(t *testing.T) {
 	}
 }
 
+// TestSolveBadRequests is the /solve and /solve/batch half of the route ×
+// failure matrix (TestSessionBadRequests is the session half): every way a
+// request can fail, with its exact status, body, headers and counter moves.
 func TestSolveBadRequests(t *testing.T) {
-	ts := httptest.NewServer(NewServer(Config{}).Handler())
-	defer ts.Close()
-	cases := []struct {
-		name string
-		body string
-		want int
-	}{
-		{"invalid JSON", "{not json", http.StatusBadRequest},
-		{"unknown solver", string(solveBody(t, "no-such-solver", sectorsInstance(), nil)), http.StatusBadRequest},
-		{"missing instance", `{"solver":"greedy","format_version":1}`, http.StatusBadRequest},
-		{"bad format version", string(bytes.Replace(solveBody(t, "greedy", sectorsInstance(), nil), []byte(`"format_version":1`), []byte(`"format_version":9`), 1)), http.StatusBadRequest},
-		{"invalid instance", `{"solver":"greedy","format_version":1,"instance":{"variant":0,"customers":[{"id":0,"theta":0,"r":-2,"demand":1}],"antennas":[]}}`, http.StatusBadRequest},
+	registerMatrixSolvers(t)
+	solve := func(solver string, extra map[string]any) string {
+		return string(solveBody(t, solver, sectorsInstance(), extra))
 	}
-	for _, tc := range cases {
-		resp, body := postSolve(t, ts.Client(), ts.URL, []byte(tc.body))
-		if resp.StatusCode != tc.want {
-			t.Errorf("%s: status %d (want %d), body %s", tc.name, resp.StatusCode, tc.want, body)
+	batch := func(solver string, in any, extra map[string]any) string {
+		return string(batchBody(t, solver, []any{in}, extra))
+	}
+	badInstance := `{"variant":0,"customers":[{"id":0,"theta":0,"r":-2,"demand":1}],"antennas":[]}`
+	deadline := map[string]any{"timeout_ms": 30}
+	one := func(names ...string) map[string]int64 {
+		m := map[string]int64{}
+		for _, n := range names {
+			m[n]++
 		}
-		var er errorResponse
-		if err := json.Unmarshal(body, &er); err != nil || er.Error == "" {
-			t.Errorf("%s: error body not JSON with error field: %s", tc.name, body)
-		}
+		return m
 	}
-	resp, err := ts.Client().Get(ts.URL + "/solve")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /solve: status %d, want 405", resp.StatusCode)
-	}
+	const batchNoCache = "hits=0,misses=0,collapsed=0,bypass=0"
+	const panicMsg = `core: solver "test-rt-panic" panicked: injected matrix panic`
+	const invalidMsg = "invalid instance: customer 0: invalid radius -2"
+	unknown := unknownSolverMsg(t)
+	runRouteMatrix(t, []routeCase{
+		{name: "solve: wrong method", method: http.MethodGet, path: "/solve",
+			status: 405, errMsg: "POST required", allow: "POST", vars: one("requests", "failures")},
+		{name: "solve: shed", path: "/solve", body: solve("greedy", nil), shed: true,
+			status: 429, errMsg: "server at capacity", retry: "1", vars: one("requests", "shed")},
+		{name: "solve: bad degraded", path: "/solve?degraded=maybe", body: solve("greedy", nil),
+			status: 400, errMsg: `invalid degraded="maybe" (want allow or deny)`, vars: one("requests", "failures")},
+		{name: "solve: bad cache", path: "/solve?cache=maybe", body: solve("greedy", nil),
+			status: 400, errMsg: `invalid cache="maybe" (want use or bypass)`, vars: one("requests", "failures")},
+		{name: "solve: invalid JSON", path: "/solve", body: "{not json",
+			status: 400, errMsg: "decode request: invalid character 'n' looking for beginning of object key string", vars: one("requests", "failures")},
+		{name: "solve: bad format version", path: "/solve", body: solve("greedy", map[string]any{"format_version": 9}),
+			status: 400, errMsg: "unsupported format_version 9 (want 1)", vars: one("requests", "failures")},
+		{name: "solve: missing instance", path: "/solve", body: `{"solver":"greedy","format_version":1}`,
+			status: 400, errMsg: "request missing instance", vars: one("requests", "failures")},
+		{name: "solve: invalid instance", path: "/solve", body: `{"solver":"greedy","format_version":1,"instance":` + badInstance + `}`,
+			status: 400, errMsg: invalidMsg, vars: one("requests", "failures")},
+		{name: "solve: unknown solver", path: "/solve", body: solve("no-such-solver", nil),
+			status: 400, errMsg: unknown, vars: one("requests", "failures")},
+		{name: "solve: solver error", path: "/solve", body: solve("test-rt-error", nil),
+			status: 400, errMsg: "solve failed: injected solver error", vars: one("requests", "failures")},
+		{name: "solve: panic", path: "/solve", body: solve("test-rt-panic", nil),
+			status: 500, errMsg: "solve failed: " + panicMsg, vars: one("requests", "panics")},
+		{name: "solve: deadline", path: "/solve", body: solve("test-rt-hang", deadline),
+			status: 503, errMsg: "solve aborted: context deadline exceeded", vars: one("requests", "cancellations")},
+
+		{name: "batch: wrong method", method: http.MethodGet, path: "/solve/batch",
+			status: 405, errMsg: "POST required", allow: "POST", vars: one("requests", "failures")},
+		{name: "batch: shed", path: "/solve/batch", body: batch("greedy", sectorsInstance(), nil), shed: true,
+			status: 429, errMsg: "server at capacity", retry: "1", vars: one("requests", "shed")},
+		{name: "batch: bad degraded", path: "/solve/batch?degraded=maybe", body: batch("greedy", sectorsInstance(), nil),
+			status: 400, errMsg: `invalid degraded="maybe" (want allow or deny)`, vars: one("requests", "failures")},
+		{name: "batch: bad cache", path: "/solve/batch?cache=maybe", body: batch("greedy", sectorsInstance(), nil),
+			status: 400, errMsg: `invalid cache="maybe" (want use or bypass)`, vars: one("requests", "failures")},
+		{name: "batch: invalid JSON", path: "/solve/batch", body: "{not json",
+			status: 400, errMsg: "decode request: invalid character 'n' looking for beginning of object key string", vars: one("requests", "failures")},
+		{name: "batch: bad format version", path: "/solve/batch", body: batch("greedy", sectorsInstance(), map[string]any{"format_version": 9}),
+			status: 400, errMsg: "unsupported format_version 9 (want 1)", vars: one("requests", "failures")},
+		{name: "batch: missing instances", path: "/solve/batch", body: `{"solver":"greedy","format_version":1}`,
+			status: 400, errMsg: "batch has no instances", vars: one("requests", "failures")},
+		{name: "batch: invalid instance", path: "/solve/batch", body: batch("greedy", json.RawMessage(badInstance), nil),
+			status: 200, itemErr: invalidMsg, cache: batchNoCache, vars: one("requests", "failures")},
+		{name: "batch: unknown solver", path: "/solve/batch", body: batch("no-such-solver", sectorsInstance(), nil),
+			status: 400, errMsg: unknown, vars: one("requests", "failures")},
+		{name: "batch: solver error", path: "/solve/batch", body: batch("test-rt-error", sectorsInstance(), nil),
+			status: 200, itemErr: "injected solver error", cache: batchNoCache, vars: one("requests", "failures")},
+		{name: "batch: panic", path: "/solve/batch", body: batch("test-rt-panic", sectorsInstance(), nil),
+			status: 200, itemErr: panicMsg, cache: batchNoCache, vars: one("requests", "panics")},
+		{name: "batch: deadline", path: "/solve/batch", body: batch("test-rt-hang", sectorsInstance(), deadline),
+			status: 200, itemErr: "context deadline exceeded", cache: batchNoCache, vars: one("requests", "cancellations")},
+	})
 }
 
 func TestSolveAllowlist(t *testing.T) {
@@ -440,6 +485,176 @@ func TestDecodeErrorsMatchEncodingJSON(t *testing.T) {
 			var er errorResponse
 			if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(raw, &er) != nil || er.Error != "decode request: "+refErr.Error() {
 				t.Errorf("POST %s %q: status %d body %s, want 400 %q", route.path, body, resp.StatusCode, raw, "decode request: "+refErr.Error())
+			}
+		}
+	}
+}
+
+// routeCase is one row of the daemon's route × failure matrix: a request,
+// the exact response it must get, and the /debug/vars counter deltas it
+// must cause (counters absent from vars must not move).
+type routeCase struct {
+	name    string
+	method  string // empty means POST
+	path    string // may carry a query; "{id}" is replaced by a fresh session's ID
+	body    string
+	session string // solver for the session "{id}" names; empty means greedy
+	shed    bool   // saturate the inflight semaphore for this request
+
+	status  int
+	errMsg  string // exact JSON error body {"error": errMsg}
+	rawBody string // exact non-JSON body (the mux's own 405)
+	itemErr string // /solve/batch: exact error of the single item
+	allow   string // exact Allow header ("" = absent)
+	retry   string // exact Retry-After header ("" = absent)
+	cache   string // exact X-Sectord-Cache header ("" = absent)
+	vars    map[string]int64
+}
+
+// matrixVars are the counters every routeCase pins.
+var matrixVars = []string{"requests", "failures", "shed", "panics", "cancellations", "invalid"}
+
+// errJSON renders an error body exactly as writeJSON does.
+func errJSON(msg string) string {
+	b, _ := json.MarshalIndent(errorResponse{Error: msg}, "", "  ")
+	return string(b) + "\n"
+}
+
+// matrixCounters reads the pinned counters from /debug/vars.
+func matrixCounters(t *testing.T, ts *httptest.Server) map[string]int64 {
+	t.Helper()
+	out := map[string]int64{}
+	for _, name := range matrixVars {
+		out[name] = varsInt(t, ts, "sectord."+name)
+	}
+	return out
+}
+
+// registerMatrixSolvers installs the fault solvers the matrix rows name:
+// test-rt-{error,panic,hang} fail every solve, and the -after variants
+// fail only once a delta has shrunk the instance below matrixN customers,
+// so a session can be created with them and fail on its first delta.
+func registerMatrixSolvers(t *testing.T) {
+	fail := func(kind string) core.Solver {
+		return func(ctx context.Context, in *model.Instance, opt core.Options) (model.Solution, error) {
+			switch kind {
+			case "error":
+				return model.Solution{}, errors.New("injected solver error")
+			case "panic":
+				panic("injected matrix panic")
+			default:
+				<-ctx.Done()
+				return model.Solution{}, ctx.Err()
+			}
+		}
+	}
+	greedy, err := core.Get("greedy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []string{"error", "panic", "hang"} {
+		always, after := "test-rt-"+kind, "test-rt-"+kind+"-after"
+		core.Register(always, fail(kind))
+		f := fail(kind)
+		core.Register(after, func(ctx context.Context, in *model.Instance, opt core.Options) (model.Solution, error) {
+			if in.N() < matrixN {
+				return f(ctx, in, opt)
+			}
+			return greedy(ctx, in, opt)
+		})
+		t.Cleanup(func() { core.Unregister(always); core.Unregister(after) })
+	}
+}
+
+// matrixN is the customer count of the matrix's session instance.
+const matrixN = 20
+
+func matrixInstance() *model.Instance {
+	return gen.MustGenerate(gen.Config{Family: gen.Uniform, Seed: 2, N: matrixN, M: 2, Tightness: 2})
+}
+
+// unknownSolverMsg is the registry's error for an unregistered name; it
+// lists every registered solver, so it is read at run time.
+func unknownSolverMsg(t *testing.T) string {
+	t.Helper()
+	_, err := core.Get("no-such-solver")
+	if err == nil {
+		t.Fatal("no-such-solver is registered")
+	}
+	return err.Error()
+}
+
+// runRouteMatrix drives every row against a fresh default Server and
+// checks status, exact body, headers and counter deltas.
+func runRouteMatrix(t *testing.T, cases []routeCase) {
+	t.Helper()
+	for _, tc := range cases {
+		s := NewServer(Config{})
+		ts := httptest.NewServer(s.Handler())
+		path := tc.path
+		if strings.Contains(path, "{id}") {
+			solver := tc.session
+			if solver == "" {
+				solver = "greedy"
+			}
+			resp, body := doJSON(t, ts.Client(), http.MethodPost, ts.URL+"/session", sessionCreateBody(t, solver, matrixInstance(), 1))
+			var sr sessionResponse
+			if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &sr) != nil {
+				t.Fatalf("%s: session setup: status %d, body %s", tc.name, resp.StatusCode, body)
+			}
+			path = strings.ReplaceAll(path, "{id}", sr.SessionID)
+		}
+		before := matrixCounters(t, ts)
+		if tc.shed {
+			for i := 0; i < cap(s.sem); i++ {
+				s.sem <- struct{}{}
+			}
+		}
+		method := tc.method
+		if method == "" {
+			method = http.MethodPost
+		}
+		var body []byte
+		if tc.body != "" {
+			body = []byte(tc.body)
+		}
+		resp, raw := doJSON(t, ts.Client(), method, ts.URL+path, body)
+		if tc.shed {
+			for i := 0; i < cap(s.sem); i++ {
+				<-s.sem
+			}
+		}
+		after := matrixCounters(t, ts)
+		ts.Close()
+
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s: status %d, want %d (body %s)", tc.name, resp.StatusCode, tc.status, raw)
+		}
+		switch {
+		case tc.errMsg != "":
+			if got, want := string(raw), errJSON(tc.errMsg); got != want {
+				t.Errorf("%s: body\n got  %q\n want %q", tc.name, got, want)
+			}
+		case tc.rawBody != "":
+			if string(raw) != tc.rawBody {
+				t.Errorf("%s: body %q, want %q", tc.name, raw, tc.rawBody)
+			}
+		case tc.itemErr != "":
+			var br batchReply
+			if err := json.Unmarshal(raw, &br); err != nil || len(br.Items) != 1 || br.Items[0].Error != tc.itemErr {
+				t.Errorf("%s: batch body %s, want one item with error %q", tc.name, raw, tc.itemErr)
+			}
+		}
+		for _, h := range []struct{ name, want string }{
+			{"Allow", tc.allow}, {"Retry-After", tc.retry}, {cacheHeader, tc.cache},
+		} {
+			if got := resp.Header.Get(h.name); got != h.want {
+				t.Errorf("%s: header %s = %q, want %q", tc.name, h.name, got, h.want)
+			}
+		}
+		for _, name := range matrixVars {
+			if got, want := after[name]-before[name], tc.vars[name]; got != want {
+				t.Errorf("%s: sectord.%s moved by %d, want %d", tc.name, name, got, want)
 			}
 		}
 	}

@@ -232,30 +232,100 @@ func TestSessionCacheIsolation(t *testing.T) {
 	}
 }
 
+// TestSessionBadRequests is the session half of the route × failure matrix
+// (see TestSolveBadRequests), then checks a rejected delta leaves its
+// session usable. Session routes never count toward sectord.requests,
+// ignore the degraded/cache params, and answer X-Sectord-Cache: off on
+// every response their handlers write.
 func TestSessionBadRequests(t *testing.T) {
-	in := gen.MustGenerate(gen.Config{Family: gen.Uniform, Seed: 2, N: 20, M: 2, Tightness: 2})
+	registerMatrixSolvers(t)
+	in := matrixInstance()
+	create := func(solver string, extra map[string]any) string {
+		req := map[string]any{"solver": solver, "seed": 1, "format_version": 1, "instance": in}
+		for k, v := range extra {
+			req[k] = v
+		}
+		b, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	delta := func(extra map[string]any) string {
+		req := map[string]any{"format_version": 1, "delta": model.Delta{Remove: []int{0}}}
+		for k, v := range extra {
+			req[k] = v
+		}
+		b, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	deadline := map[string]any{"timeout_ms": 30}
+	one := func(names ...string) map[string]int64 {
+		m := map[string]int64{}
+		for _, n := range names {
+			m[n]++
+		}
+		return m
+	}
+	const muxMethod = "Method Not Allowed\n"
+	const dpath = "/session/{id}/delta"
+	runRouteMatrix(t, []routeCase{
+		{name: "create: wrong method", method: http.MethodGet, path: "/session",
+			status: 405, rawBody: muxMethod, allow: "POST"},
+		{name: "create: shed", path: "/session", body: create("greedy", nil), shed: true,
+			status: 429, errMsg: "server at capacity", retry: "1", cache: cacheOff, vars: one("shed")},
+		{name: "create: degraded param ignored", path: "/session?degraded=maybe", body: create("greedy", nil),
+			status: 200, cache: cacheOff},
+		{name: "create: cache param ignored", path: "/session?cache=maybe", body: create("greedy", nil),
+			status: 200, cache: cacheOff},
+		{name: "create: invalid JSON", path: "/session", body: "{not json",
+			status: 400, errMsg: "decode request: invalid character 'n' looking for beginning of object key string", cache: cacheOff, vars: one("failures")},
+		{name: "create: bad format version", path: "/session", body: `{"solver":"greedy","format_version":9,"instance":{}}`,
+			status: 400, errMsg: "unsupported format_version 9 (want 1)", cache: cacheOff, vars: one("failures")},
+		{name: "create: missing instance", path: "/session", body: `{"solver":"greedy","format_version":1}`,
+			status: 400, errMsg: "request missing instance", cache: cacheOff, vars: one("failures")},
+		{name: "create: invalid instance", path: "/session", body: `{"solver":"greedy","format_version":1,"instance":{"variant":0,"customers":[{"id":0,"theta":0,"r":-2,"demand":1}],"antennas":[]}}`,
+			status: 400, errMsg: "solve failed: session: invalid instance: customer 0: invalid radius -2", cache: cacheOff, vars: one("failures")},
+		{name: "create: unknown solver", path: "/session", body: create("no-such-solver", nil),
+			status: 400, errMsg: unknownSolverMsg(t), cache: cacheOff, vars: one("failures")},
+		{name: "create: solver error", path: "/session", body: create("test-rt-error", nil),
+			status: 400, errMsg: "solve failed: injected solver error", cache: cacheOff, vars: one("failures")},
+		{name: "create: panic", path: "/session", body: create("test-rt-panic", nil),
+			status: 500, errMsg: `solve failed: core: solver "test-rt-panic" panicked: injected matrix panic`, cache: cacheOff, vars: one("panics")},
+		{name: "create: deadline", path: "/session", body: create("test-rt-hang", deadline),
+			status: 503, errMsg: "solve aborted: context deadline exceeded", cache: cacheOff, vars: one("cancellations")},
+
+		{name: "delta: wrong method", method: http.MethodGet, path: dpath,
+			status: 405, rawBody: muxMethod, allow: "POST"},
+		{name: "delta: shed", path: dpath, body: delta(nil), shed: true,
+			status: 429, errMsg: "server at capacity", retry: "1", cache: cacheOff, vars: one("shed")},
+		{name: "delta: degraded param ignored", path: dpath + "?degraded=maybe", body: delta(nil),
+			status: 200, cache: cacheOff},
+		{name: "delta: cache param ignored", path: dpath + "?cache=maybe", body: delta(nil),
+			status: 200, cache: cacheOff},
+		{name: "delta: invalid JSON", path: dpath, body: "{not json",
+			status: 400, errMsg: "decode request: invalid character 'n' looking for beginning of object key string", cache: cacheOff, vars: one("failures")},
+		{name: "delta: bad format version", path: dpath, body: delta(map[string]any{"format_version": 9}),
+			status: 400, errMsg: "unsupported format_version 9 (want 1)", cache: cacheOff, vars: one("failures")},
+		{name: "delta: missing delta is empty", path: dpath, body: `{"format_version":1}`,
+			status: 200, cache: cacheOff},
+		{name: "delta: unknown session", path: "/session/s-none/delta", body: delta(nil),
+			status: 404, errMsg: `no session "s-none" (expired or never created)`, cache: cacheOff, vars: one("failures")},
+		{name: "delta: invalid delta", path: dpath, body: `{"format_version":1,"delta":{"remove":[999]}}`,
+			status: 400, errMsg: "solve failed: invalid delta: remove[0]: customer 999 out of range [0,20)", cache: cacheOff, vars: one("failures")},
+		{name: "delta: solver error", path: dpath, session: "test-rt-error-after", body: delta(nil),
+			status: 400, errMsg: "solve failed: injected solver error", cache: cacheOff, vars: one("failures")},
+		{name: "delta: panic", path: dpath, session: "test-rt-panic-after", body: delta(nil),
+			status: 500, errMsg: `solve failed: core: solver "test-rt-panic-after" panicked: injected matrix panic`, cache: cacheOff, vars: one("panics")},
+		{name: "delta: deadline", path: dpath, session: "test-rt-hang-after", body: delta(deadline),
+			status: 503, errMsg: "solve aborted: context deadline exceeded", cache: cacheOff, vars: one("cancellations")},
+	})
+
 	ts := httptest.NewServer(NewServer(Config{}).Handler())
 	defer ts.Close()
-
-	cases := []struct {
-		name string
-		body string
-		want int
-	}{
-		{"invalid JSON", "{not json", http.StatusBadRequest},
-		{"bad format version", `{"solver":"greedy","format_version":9,"instance":{}}`, http.StatusBadRequest},
-		{"missing instance", `{"solver":"greedy","format_version":1}`, http.StatusBadRequest},
-		{"unknown solver", string(sessionCreateBody(t, "no-such-solver", in, 1)), http.StatusBadRequest},
-	}
-	for _, tc := range cases {
-		resp, body := doJSON(t, ts.Client(), http.MethodPost, ts.URL+"/session", []byte(tc.body))
-		if resp.StatusCode != tc.want {
-			t.Errorf("%s: status %d (want %d), body %s", tc.name, resp.StatusCode, tc.want, body)
-		}
-		if got := resp.Header.Get(cacheHeader); got != cacheOff {
-			t.Errorf("%s: %s = %q, want %q even on errors", tc.name, cacheHeader, got, cacheOff)
-		}
-	}
 
 	// A rejected delta leaves the session usable.
 	resp, body := doJSON(t, ts.Client(), http.MethodPost, ts.URL+"/session", sessionCreateBody(t, "greedy", in, 1))
@@ -275,12 +345,6 @@ func TestSessionBadRequests(t *testing.T) {
 		sessionDeltaBody(t, model.Delta{Remove: []int{0}}))
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("session unusable after rejected delta: status %d, body %s", resp.StatusCode, body)
-	}
-
-	// Wrong methods 405 via the method-scoped mux patterns.
-	resp, _ = doJSON(t, ts.Client(), http.MethodGet, ts.URL+"/session", nil)
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /session: status %d, want 405", resp.StatusCode)
 	}
 }
 

@@ -15,11 +15,10 @@
 package daemon
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"expvar"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"sync"
@@ -288,126 +287,61 @@ func (s *Server) nextSessionID() string {
 	return fmt.Sprintf("s-%s-%06d", s.ridPrefix, s.sessSeq.Add(1))
 }
 
-// logSession is the session routes' structured log line.
-func (s *Server) logSession(action, id string, start time.Time, status int, detail string) {
-	level := slog.LevelInfo
-	if status >= 500 {
-		level = slog.LevelWarn
-	}
-	attrs := []slog.Attr{
-		slog.String("session_id", id),
-		slog.String("action", action),
-		slog.Int("status", status),
-		slog.Float64("duration_ms", float64(time.Since(start))/float64(time.Millisecond)),
-	}
-	if detail != "" {
-		attrs = append(attrs, slog.String("detail", detail))
-	}
-	s.logger.LogAttrs(context.Background(), level, "session", attrs...)
+// beginSession starts a session route's call: it answers X-Sectord-Cache:
+// off on every response (session answers never come from the solve cache),
+// logs a session record, and runs the lazy idle-eviction pass.
+func (s *Server) beginSession(w http.ResponseWriter, r *http.Request, action string) *call {
+	w.Header().Set(cacheHeader, cacheOff)
+	c := s.begin(w, r)
+	c.action, c.session = action, r.PathValue("id")
+	s.sweepSessions()
+	return c
 }
 
-// sessionSolveStatus maps a session solve error onto the same status/outcome
-// taxonomy as /solve and bumps the matching counter.
-func (s *Server) sessionSolveStatus(rid string, err error) (int, string) {
-	var pe *core.PanicError
-	var ie *core.InvalidSolutionError
-	switch {
-	case errors.As(err, &pe):
-		s.panics.Add(1)
-		s.logger.Error("solver panic",
-			slog.String("request_id", rid),
-			slog.String("solver", pe.Solver),
-			slog.String("panic", fmt.Sprint(pe.Value)),
-			slog.String("stack", string(pe.Stack)))
-		return http.StatusInternalServerError, "solve failed: " + pe.Error()
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		s.cancellations.Add(1)
-		return http.StatusServiceUnavailable, "solve aborted: " + err.Error()
-	case errors.As(err, &ie):
-		s.invalid.Add(1)
-		return http.StatusInternalServerError, "solve failed: " + ie.Error()
-	default:
-		s.failures.Add(1)
-		return http.StatusBadRequest, "solve failed: " + err.Error()
-	}
+// tableFull sheds a create because the session table is at cap. Unlike the
+// inflight-semaphore sheds (setRetryAfter), a full table frees on DELETE or
+// TTL eviction, which solve latency says nothing about; a fixed short hint
+// is the honest one.
+func (c *call) tableFull() {
+	c.s.shed.Add(1)
+	c.w.Header().Set("Retry-After", "1")
+	c.fail(http.StatusTooManyRequests, "shed", fmt.Sprintf("session table full (%d live)", c.s.sessionMax()))
 }
 
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	// Session answers never come from the solve cache; say so on every
-	// response, including errors.
-	w.Header().Set(cacheHeader, cacheOff)
-	rid := s.nextRequestID()
-	s.sweepSessions()
-
-	fail := func(status int, msg string) {
-		s.logSession("create", "", start, status, msg)
-		writeJSON(w, status, errorResponse{Error: msg})
-	}
-
-	select {
-	case s.sem <- struct{}{}:
-		defer func() { <-s.sem }()
-	default:
-		s.shed.Add(1)
-		s.setRetryAfter(w)
-		fail(http.StatusTooManyRequests, "server at capacity")
-		return
-	}
-
-	req, err := model.DecodeSolveRequest(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	if err != nil {
-		s.failures.Add(1)
-		fail(http.StatusBadRequest, "decode request: "+err.Error())
-		return
-	}
-	if req.FormatVersion != 1 {
-		s.failures.Add(1)
-		fail(http.StatusBadRequest, fmt.Sprintf("unsupported format_version %d (want 1)", req.FormatVersion))
+	c := s.beginSession(w, r, "create")
+	defer c.end()
+	var req model.SolveRequest
+	if !c.admit(prologue{}, decodeSolve(&req)) {
 		return
 	}
 	if req.Instance == nil {
-		s.failures.Add(1)
-		fail(http.StatusBadRequest, "request missing instance")
+		c.reject(http.StatusBadRequest, "request missing instance")
 		return
 	}
-	name, _, err := s.resolveSolver(req.Solver)
-	if err != nil {
-		s.failures.Add(1)
-		fail(http.StatusBadRequest, err.Error())
+	name, _, ok := c.resolve(req.Solver)
+	if !ok {
 		return
 	}
 	if s.sessions.active() >= s.sessionMax() {
-		s.shed.Add(1)
-		// Unlike the inflight-semaphore sheds (setRetryAfter), a full
-		// session table frees on DELETE or TTL eviction, which solve
-		// latency says nothing about; a fixed short hint is the honest one.
-		w.Header().Set("Retry-After", "1")
-		fail(http.StatusTooManyRequests, fmt.Sprintf("session table full (%d live)", s.sessionMax()))
+		c.tableFull()
 		return
 	}
 
-	ctx := r.Context()
-	if timeout := s.solveTimeout(req.TimeoutMillis); timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
+	ctx, cancel := s.solveContext(r.Context(), req.TimeoutMillis)
+	defer cancel()
 	sopt := session.Options{
 		Solver: name,
 		Core:   s.solveOptions(req.Seed),
 	}
 	sess, err := session.New(ctx, req.Instance, sopt)
-	if err != nil {
-		status, msg := s.sessionSolveStatus(rid, err)
-		fail(status, msg)
-		return
+	if err == nil {
+		// The same post-solve gate as /solve: an infeasible answer is a
+		// server bug, never a served solution.
+		err = core.VerifySolution(name, sess.Instance(), sess.Solution())
 	}
-	// The same post-solve gate as /solve: an infeasible answer is a server
-	// bug, never a served solution.
-	if err := core.VerifySolution(name, sess.Instance(), sess.Solution()); err != nil {
-		s.invalid.Add(1)
-		fail(http.StatusInternalServerError, "solve failed: "+err.Error())
+	if err != nil {
+		c.solveFailed(err)
 		return
 	}
 
@@ -421,7 +355,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		j, jerr := session.CreateJournal(s.fsys, s.journalPath(id), sopt, req.Instance, s.journalSyncEvery())
 		if jerr != nil {
 			s.journalFailures.Add(1)
-			fail(http.StatusInternalServerError, "session journal create failed: "+jerr.Error())
+			c.fail(http.StatusInternalServerError, "error", "session journal create failed: "+jerr.Error())
 			return
 		}
 		e.journal = j
@@ -440,71 +374,51 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 				s.journalRemoveFailed(id, rerr)
 			}
 		}
-		s.shed.Add(1)
-		w.Header().Set("Retry-After", "1")
-		fail(http.StatusTooManyRequests, fmt.Sprintf("session table full (%d live)", s.sessionMax()))
+		c.tableFull()
 		return
 	}
 	s.sessCreated.Add(1)
-	elapsed := time.Since(start)
-	s.solved.Add(1)
-	s.observeLatency(name, elapsed)
-	s.logSession("create", id, start, http.StatusOK, "solver="+name)
-	writeJSON(w, http.StatusOK, sessionResponse{
-		SessionID:     id,
+	c.session = id
+	c.answerSession(name, sol, stats, true, "solver="+name)
+}
+
+// answerSession writes a create or delta reply for c.session. counted
+// marks a fresh solve, which counts as solved and feeds the latency
+// histogram; an idempotent replay does neither.
+func (c *call) answerSession(solver string, sol model.Solution, stats session.Stats, counted bool, detail string) {
+	elapsed := time.Since(c.start)
+	if counted {
+		c.s.solved.Add(1)
+		c.s.observeLatency(solver, elapsed)
+	}
+	c.succeed(detail, sessionResponse{
+		SessionID:     c.session,
 		Stats:         newSessionStats(stats),
-		solveResponse: *newSolveResponse(name, sol, elapsed),
+		solveResponse: *newSolveResponse(solver, sol, elapsed),
 	})
 }
 
 func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	w.Header().Set(cacheHeader, cacheOff)
-	rid := s.nextRequestID()
-	id := r.PathValue("id")
-	s.sweepSessions()
-
-	fail := func(status int, msg string) {
-		s.logSession("delta", id, start, status, msg)
-		writeJSON(w, status, errorResponse{Error: msg})
-	}
-
-	select {
-	case s.sem <- struct{}{}:
-		defer func() { <-s.sem }()
-	default:
-		s.shed.Add(1)
-		s.setRetryAfter(w)
-		fail(http.StatusTooManyRequests, "server at capacity")
-		return
-	}
-
+	c := s.beginSession(w, r, "delta")
+	defer c.end()
+	id := c.session
 	var req sessionDeltaRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.failures.Add(1)
-		fail(http.StatusBadRequest, "decode request: "+err.Error())
-		return
-	}
-	if req.FormatVersion != 1 {
-		s.failures.Add(1)
-		fail(http.StatusBadRequest, fmt.Sprintf("unsupported format_version %d (want 1)", req.FormatVersion))
+	if !c.admit(prologue{}, func(rd io.Reader) (int, error) {
+		dec := json.NewDecoder(rd)
+		dec.DisallowUnknownFields()
+		err := dec.Decode(&req)
+		return req.FormatVersion, err
+	}) {
 		return
 	}
 	e, ok := s.sessions.get(id)
 	if !ok {
-		s.failures.Add(1)
-		fail(http.StatusNotFound, fmt.Sprintf("no session %q (expired or never created)", id))
+		c.reject(http.StatusNotFound, fmt.Sprintf("no session %q (expired or never created)", id))
 		return
 	}
 
-	ctx := r.Context()
-	if timeout := s.solveTimeout(req.TimeoutMillis); timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
+	ctx, cancel := s.solveContext(r.Context(), req.TimeoutMillis)
+	defer cancel()
 
 	// Serialize against other deltas to the same session; concurrent deltas
 	// to different sessions only contend for inflight-semaphore slots.
@@ -536,18 +450,11 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 		e.touch()
 		e.mu.Unlock()
 		if err != nil {
-			status, msg := s.sessionSolveStatus(rid, err)
-			fail(status, msg)
+			c.solveFailed(err)
 			return
 		}
-		elapsed := time.Since(start)
 		w.Header().Set(idempotentHeader, "replay")
-		s.logSession("delta", id, start, http.StatusOK, "idempotent replay")
-		writeJSON(w, http.StatusOK, sessionResponse{
-			SessionID:     id,
-			Stats:         newSessionStats(stats),
-			solveResponse: *newSolveResponse(e.solver, sol, elapsed),
-		})
+		c.answerSession(e.solver, sol, stats, false, "idempotent replay")
 		return
 	}
 
@@ -557,9 +464,9 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 		verr = core.VerifySolution(e.solver, e.sess.Instance(), sol)
 	}
 	var status int
-	var msg string
+	var outcome, msg string
 	if err != nil {
-		status, msg = s.sessionSolveStatus(rid, err)
+		status, outcome, msg = s.classify(c.rid, err)
 	}
 	// Session.Apply installs the new instance before solving, so the state
 	// advanced unless the delta itself was rejected (the 400 path). Every
@@ -580,7 +487,7 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 			s.sessions.remove(id)
 			s.logger.Warn("session dropped: journal append failed",
 				slog.String("session_id", id), slog.String("error", jerr.Error()))
-			fail(http.StatusInternalServerError, "session journal write failed; session dropped")
+			c.fail(http.StatusInternalServerError, "error", "session journal write failed; session dropped")
 			return
 		}
 	}
@@ -592,37 +499,24 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 	e.touch()
 	e.mu.Unlock()
 	if err != nil {
-		fail(status, msg)
+		c.fail(status, outcome, msg)
 		return
 	}
 	if verr != nil {
-		s.invalid.Add(1)
-		fail(http.StatusInternalServerError, "solve failed: "+verr.Error())
+		c.solveFailed(verr)
 		return
 	}
 	s.sessDeltas.Add(1)
-	elapsed := time.Since(start)
-	s.solved.Add(1)
-	s.observeLatency(e.solver, elapsed)
-	s.logSession("delta", id, start, http.StatusOK, fmt.Sprintf("profit=%d", sol.Profit))
-	writeJSON(w, http.StatusOK, sessionResponse{
-		SessionID:     id,
-		Stats:         newSessionStats(stats),
-		solveResponse: *newSolveResponse(e.solver, sol, elapsed),
-	})
+	c.answerSession(e.solver, sol, stats, true, fmt.Sprintf("profit=%d", sol.Profit))
 }
 
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	w.Header().Set(cacheHeader, cacheOff)
-	id := r.PathValue("id")
-	s.sweepSessions()
-
+	c := s.beginSession(w, r, "delete")
+	defer c.end()
+	id := c.session
 	e, ok := s.sessions.remove(id)
 	if !ok {
-		s.failures.Add(1)
-		s.logSession("delete", id, start, http.StatusNotFound, "")
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("no session %q (expired or never created)", id)})
+		c.reject(http.StatusNotFound, fmt.Sprintf("no session %q (expired or never created)", id))
 		return
 	}
 	s.sessClosed.Add(1)
@@ -639,8 +533,7 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	e.mu.Unlock()
-	s.logSession("delete", id, start, http.StatusOK, "")
-	writeJSON(w, http.StatusOK, sessionDeleteResponse{SessionID: id, Stats: newSessionStats(stats)})
+	c.succeed("", sessionDeleteResponse{SessionID: id, Stats: newSessionStats(stats)})
 }
 
 // sessionVars returns the session metrics for /debug/vars.

@@ -11,6 +11,11 @@
 // after an ambiguous failure could leak a duplicate session (and its
 // journal); callers see the error and decide.
 //
+// There is one retry loop, Do. It returns the daemon's final answer
+// verbatim, which is what cmd/sectorproxy forwards. The typed calls (Solve,
+// CreateSession, ApplyDelta, Close) decode over it: a 2xx body becomes a
+// result and any other answer becomes an error.
+//
 // Backoff between attempts is capped exponential with equal jitter, and a
 // 429/503 Retry-After header, when present, sets the floor.
 package sectorclient
@@ -157,18 +162,23 @@ type SolveOptions struct {
 
 // Solve solves the instance remotely. Retries on transient failures.
 func (c *Client) Solve(ctx context.Context, solver string, in *model.Instance, opt SolveOptions) (*SolveResult, error) {
-	body, err := json.Marshal(map[string]any{
-		"format_version": 1, "solver": solver, "seed": opt.Seed,
-		"timeout_ms": opt.TimeoutMillis, "instance": in,
-	})
+	body, err := solveBody(solver, in, opt)
 	if err != nil {
 		return nil, err
 	}
-	url := c.base + "/solve"
+	path := "/solve"
 	if opt.AllowDegraded {
-		url += "?degraded=allow"
+		path += "?degraded=allow"
 	}
-	return c.doSolve(ctx, http.MethodPost, url, body, true)
+	return c.solve(ctx, http.MethodPost, path, body, true)
+}
+
+// solveBody is the request envelope of /solve and POST /session.
+func solveBody(solver string, in *model.Instance, opt SolveOptions) ([]byte, error) {
+	return json.Marshal(map[string]any{
+		"format_version": 1, "solver": solver, "seed": opt.Seed,
+		"timeout_ms": opt.TimeoutMillis, "instance": in,
+	})
 }
 
 // Session is a handle on a daemon-side delta-solve session.
@@ -181,14 +191,11 @@ type Session struct {
 // route: it is never retried, so an ambiguous network failure surfaces as
 // an error rather than a potential duplicate session.
 func (c *Client) CreateSession(ctx context.Context, solver string, in *model.Instance, opt SolveOptions) (*Session, *SolveResult, error) {
-	body, err := json.Marshal(map[string]any{
-		"format_version": 1, "solver": solver, "seed": opt.Seed,
-		"timeout_ms": opt.TimeoutMillis, "instance": in,
-	})
+	body, err := solveBody(solver, in, opt)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, raw, err := c.do(ctx, http.MethodPost, c.base+"/session", body, false)
+	resp, err := c.call(ctx, http.MethodPost, "/session", body, false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -196,10 +203,10 @@ func (c *Client) CreateSession(ctx context.Context, solver string, in *model.Ins
 		SessionID string `json:"session_id"`
 		SolveResult
 	}
-	if err := json.Unmarshal(raw, &rep); err != nil {
+	if err := json.Unmarshal(resp.Body, &rep); err != nil {
 		return nil, nil, fmt.Errorf("sectord: bad session response: %w", err)
 	}
-	rep.SolveResult.Attempts = res.attempts
+	rep.SolveResult.Attempts = resp.Attempts
 	return &Session{c: c, ID: rep.SessionID}, &rep.SolveResult, nil
 }
 
@@ -214,14 +221,14 @@ func (s *Session) ApplyDelta(ctx context.Context, d model.Delta) (*SolveResult, 
 	if err != nil {
 		return nil, err
 	}
-	return s.c.doSolve(ctx, http.MethodPost, s.c.base+"/session/"+s.ID+"/delta", body, true)
+	return s.c.solve(ctx, http.MethodPost, "/session/"+s.ID+"/delta", body, true)
 }
 
 // Close deletes the session on the daemon. Idempotent: a 404 (the retry of
 // a delete that already landed, or a session the daemon dropped) is
 // success.
 func (s *Session) Close(ctx context.Context) error {
-	_, _, err := s.c.do(ctx, http.MethodDelete, s.c.base+"/session/"+s.ID, nil, true)
+	_, err := s.c.call(ctx, http.MethodDelete, "/session/"+s.ID, nil, true)
 	if errors.Is(err, ErrNotFound) {
 		return nil
 	}
@@ -256,7 +263,7 @@ func (c *Client) Do(ctx context.Context, method, path string, body []byte, retry
 	}
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
-			floor := retryAfter(lastErr)
+			var floor time.Duration
 			if last != nil {
 				floor = parseRetryAfter(last.Header.Get("Retry-After"))
 			}
@@ -306,88 +313,45 @@ func (c *Client) Do(ctx context.Context, method, path string, body []byte, retry
 	return nil, fmt.Errorf("sectord: giving up after %d attempts: %w", maxAttempts, lastErr)
 }
 
-// doSolve runs do and decodes the solve-shaped answer.
-func (c *Client) doSolve(ctx context.Context, method, url string, body []byte, retryable bool) (*SolveResult, error) {
-	res, raw, err := c.do(ctx, method, url, body, retryable)
+// call is Do for the typed methods: it returns the 2xx answer and turns
+// anything else into an error — 404 into ErrNotFound, another terminal
+// status into *APIError, a transient status Do gave up on into "giving up
+// after N attempts", and a cancellation during the retries into an error
+// wrapping ctx.Err().
+func (c *Client) call(ctx context.Context, method, path string, body []byte, retryable bool) (*RawResponse, error) {
+	resp, err := c.Do(ctx, method, path, body, retryable)
+	if err != nil {
+		return nil, err
+	}
+	if resp.Status/100 == 2 {
+		return resp, nil
+	}
+	apiErr := &APIError{Status: resp.Status, Message: errorMessage(resp.Body)}
+	switch {
+	case resp.Status == http.StatusNotFound:
+		return nil, fmt.Errorf("%w: %w", ErrNotFound, apiErr)
+	case !transientStatus(resp.Status):
+		return nil, apiErr
+	case ctx.Err() != nil:
+		return nil, fmt.Errorf("%w (last attempt: %w)", ctx.Err(), apiErr)
+	default:
+		return nil, fmt.Errorf("sectord: giving up after %d attempts: %w", resp.Attempts, apiErr)
+	}
+}
+
+// solve runs call and decodes the solve-shaped answer.
+func (c *Client) solve(ctx context.Context, method, path string, body []byte, retryable bool) (*SolveResult, error) {
+	resp, err := c.call(ctx, method, path, body, retryable)
 	if err != nil {
 		return nil, err
 	}
 	var rep SolveResult
-	if err := json.Unmarshal(raw, &rep); err != nil {
+	if err := json.Unmarshal(resp.Body, &rep); err != nil {
 		return nil, fmt.Errorf("sectord: bad solve response: %w", err)
 	}
-	rep.CacheStatus = res.cacheStatus
-	rep.Attempts = res.attempts
+	rep.CacheStatus = resp.Header.Get("X-Sectord-Cache")
+	rep.Attempts = resp.Attempts
 	return &rep, nil
-}
-
-// doResult carries response metadata alongside the decoded body.
-type doResult struct {
-	attempts    int
-	cacheStatus string
-}
-
-// do issues one logical request, retrying transient failures when the
-// route is retryable. The returned bytes are the 2xx body.
-func (c *Client) do(ctx context.Context, method, url string, body []byte, retryable bool) (doResult, []byte, error) {
-	res := doResult{}
-	var lastErr error
-	maxAttempts := 1
-	if retryable && c.opt.MaxRetries > 0 {
-		maxAttempts = 1 + c.opt.MaxRetries
-	}
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		if attempt > 0 {
-			delay := c.backoff(attempt-1, retryAfter(lastErr))
-			select {
-			case <-time.After(delay):
-			case <-ctx.Done():
-				return res, nil, fmt.Errorf("%w (last attempt: %w)", ctx.Err(), lastErr)
-			}
-		}
-		res.attempts = attempt + 1
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		}
-		req, err := http.NewRequestWithContext(ctx, method, url, rd)
-		if err != nil {
-			return res, nil, err
-		}
-		if body != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			if ctx.Err() != nil {
-				return res, nil, err
-			}
-			lastErr = err // network-level: retryable
-			continue
-		}
-		raw, rerr := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-		resp.Body.Close()
-		if rerr != nil {
-			lastErr = rerr
-			continue
-		}
-		if resp.StatusCode/100 == 2 {
-			res.cacheStatus = resp.Header.Get("X-Sectord-Cache")
-			return res, raw, nil
-		}
-		apiErr := &retryableError{
-			APIError:   APIError{Status: resp.StatusCode, Message: errorMessage(raw)},
-			retryAfter: parseRetryAfter(resp.Header.Get("Retry-After")),
-		}
-		if !transientStatus(resp.StatusCode) {
-			if resp.StatusCode == http.StatusNotFound {
-				return res, nil, fmt.Errorf("%w: %w", ErrNotFound, &apiErr.APIError)
-			}
-			return res, nil, &apiErr.APIError
-		}
-		lastErr = apiErr
-	}
-	return res, nil, fmt.Errorf("sectord: giving up after %d attempts: %w", res.attempts, unwrapRetryable(lastErr))
 }
 
 // transientStatus reports whether a status is worth retrying: shed load,
@@ -399,28 +363,6 @@ func transientStatus(code int) bool {
 		return true
 	}
 	return false
-}
-
-// retryableError carries the server's Retry-After hint through the loop.
-type retryableError struct {
-	APIError
-	retryAfter time.Duration
-}
-
-func retryAfter(err error) time.Duration {
-	var re *retryableError
-	if errors.As(err, &re) {
-		return re.retryAfter
-	}
-	return 0
-}
-
-func unwrapRetryable(err error) error {
-	var re *retryableError
-	if errors.As(err, &re) {
-		return &re.APIError
-	}
-	return err
 }
 
 // parseRetryAfter accepts both RFC 9110 forms of the header: delta-seconds

@@ -1,17 +1,109 @@
-// Package sweep runs experiment workloads in parallel: a fixed pool of
-// workers (GOMAXPROCS by default) drains a queue of deterministic jobs and
-// collects results in submission order, so experiment tables are
-// reproducible regardless of scheduling. Cancellation flows through a
-// context; the first job error aborts the sweep.
+// Package sweep holds the repository's one worker pool, Each, and the
+// experiment runner built on it. Each fans a body out over the indices of
+// a work list on a bounded set of goroutines; the columnar engine's
+// Prewarm, best-window evaluation and CandidatesAll, core.SolveBatch,
+// cmd/sectorproxy's sub-batch fan-out, and Run all use it. Run drains a queue of deterministic jobs and collects
+// results in submission order, so experiment tables are reproducible
+// regardless of scheduling. Cancellation flows through a context; the
+// first job error aborts the sweep.
 package sweep
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 )
+
+// Each calls body(state, i) for every index i in [0, n) on up to workers
+// goroutines and waits for them all.
+//
+// Workers claim indices one at a time from an atomic counter, in
+// ascending order, and consult ctx before every claim: once ctx ends no
+// new index starts, so cancelling after k claims runs at most k + workers
+// bodies. With workers <= 1 (or n <= 1) the loop runs inline on the
+// caller's goroutine and starts no goroutine at all.
+//
+// newState is called once per worker, on the caller's goroutine before
+// that worker starts; the worker passes the result to every body it runs,
+// so per-worker scratch (buffers, pooled workspaces) is never shared.
+//
+// A body error stops further claims (bodies already running finish) and
+// Each returns the error of the lowest failing index. Otherwise it
+// returns ctx.Err() as of its return: nil unless ctx ended, in which case
+// some indices may never have run.
+func Each[S any](ctx context.Context, n, workers int, newState func() S, body func(S, int) error) error {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		if n <= 0 {
+			return ctx.Err()
+		}
+		st := newState()
+		for i := 0; i < n; i++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if err := body(st, i); err != nil {
+				return err
+			}
+		}
+		return ctx.Err()
+	}
+	p := &pool{}
+	p.wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		st := newState()
+		go func() {
+			defer p.wg.Done()
+			for {
+				if ctx.Err() != nil || p.failed.Load() {
+					return // consult ctx once per claimed index
+				}
+				i := int(p.next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				if err := body(st, i); err != nil {
+					p.fail(i, err)
+				}
+			}
+		}()
+	}
+	p.wg.Wait() // orders every fail before the read of p.err
+	if p.err != nil {
+		return p.err
+	}
+	return ctx.Err()
+}
+
+// pool is the shared state of one parallel Each. errIdx and err are
+// written under mu and read once every worker has exited.
+type pool struct {
+	wg     sync.WaitGroup
+	next   atomic.Int64
+	failed atomic.Bool
+
+	mu     sync.Mutex
+	errIdx int
+	err    error
+}
+
+// fail records the error of index i, keeping the lowest failing index.
+func (p *pool) fail(i int, err error) {
+	p.mu.Lock()
+	if p.err == nil || i < p.errIdx {
+		p.errIdx, p.err = i, err
+	}
+	p.mu.Unlock()
+	p.failed.Store(true)
+}
+
+// NoState is the newState of an Each whose workers need no state.
+func NoState() struct{} { return struct{}{} }
 
 // Job is one unit of work; Run must be safe to call concurrently with
 // other jobs' Run (jobs share nothing mutable).
@@ -23,87 +115,36 @@ type Options struct {
 	Workers int
 }
 
-// Run executes the jobs on a worker pool and returns their results in the
-// order the jobs were given. The first error cancels the remaining jobs
-// and is returned (wrapped with its job index).
-//
-// Work is dispatched by a chunked atomic counter rather than a feed
-// channel: each worker claims a contiguous block of job indices with one
-// atomic add, so the dispatcher costs a few nanoseconds per chunk instead
-// of a channel handoff (and a blocked feeding goroutine) per job. Chunks
-// keep counter contention negligible for fine-grained jobs while staying
-// small enough — at most 1/(8·workers) of the queue — to load-balance
-// uneven job costs.
+// Run executes the jobs on Each and returns their results in the order
+// the jobs were given. The first error cancels the remaining jobs and is
+// returned (wrapped with its job index); a job that merely reports the
+// cancellation that failure caused does not displace it, even from a
+// lower index.
 func Run[T any](ctx context.Context, jobs []Job[T], opt Options) ([]T, error) {
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
 	results := make([]T, len(jobs))
 	if len(jobs) == 0 {
 		return results, nil
 	}
-
+	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	type failure struct {
-		idx int
-		err error
-	}
-	var (
-		mu    sync.Mutex
-		first *failure
-	)
-	chunk := len(jobs) / (8 * workers)
-	if chunk < 1 {
-		chunk = 1
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				base := int(next.Add(int64(chunk))) - chunk
-				if base >= len(jobs) {
-					return
-				}
-				end := base + chunk
-				if end > len(jobs) {
-					end = len(jobs)
-				}
-				for idx := base; idx < end; idx++ {
-					if ctx.Err() != nil {
-						continue // skip remaining indices after cancellation
-					}
-					res, err := jobs[idx](ctx)
-					if err != nil {
-						mu.Lock()
-						if first == nil || idx < first.idx {
-							first = &failure{idx: idx, err: err}
-						}
-						mu.Unlock()
-						cancel()
-						continue
-					}
-					results[idx] = res
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	if first != nil {
-		return nil, fmt.Errorf("sweep: job %d: %w", first.idx, first.err)
-	}
-	// Only an external cancellation can leave ctx done without a recorded
-	// failure (our own cancel fires solely on job errors).
-	if err := ctx.Err(); err != nil {
+	err := Each(ctx, len(jobs), workers, NoState, func(_ struct{}, idx int) error {
+		res, err := jobs[idx](ctx)
+		if err == nil {
+			results[idx] = res
+			return nil
+		}
+		if errors.Is(err, context.Canceled) && ctx.Err() != nil && parent.Err() == nil {
+			return nil // aborted by another job's failure, which is reported
+		}
+		cancel()
+		return fmt.Errorf("sweep: job %d: %w", idx, err)
+	})
+	if err != nil {
 		return nil, err
 	}
 	return results, nil
