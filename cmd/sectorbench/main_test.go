@@ -109,6 +109,7 @@ func TestJSONExport(t *testing.T) {
 	if scratch.Name == "" || delta.Name == "" {
 		t.Fatalf("missing session/scratch-n100k or session/delta-n100k in %+v", rep.Micro)
 	}
+	t.Logf("session delta %.0f ns/op, from-scratch %.0f ns/op: %.1fx", delta.NsPerOp, scratch.NsPerOp, scratch.NsPerOp/delta.NsPerOp)
 	if delta.NsPerOp*5 > scratch.NsPerOp {
 		t.Errorf("session delta %.0f ns/op not 5x faster than from-scratch %.0f ns/op (%.1fx)",
 			delta.NsPerOp, scratch.NsPerOp, scratch.NsPerOp/delta.NsPerOp)

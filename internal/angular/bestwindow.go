@@ -20,9 +20,10 @@ type Window struct {
 // rotating sweep enumerates every candidate window (orientation plus
 // covered set), a knapsack selects within each, and the best candidate
 // wins. Evaluation goes through a one-shot Engine: candidate windows are
-// streamed (never materialized), visited in descending Dantzig-bound order,
-// pruned when their bound cannot beat the incumbent, and fanned out over
-// GOMAXPROCS workers when there are enough of them to pay for it. Callers
+// streamed (never materialized), the one with the highest Dantzig bound is
+// solved first, the rest are pruned when their bound cannot beat the
+// incumbent, and the survivors fan out over GOMAXPROCS workers when there
+// are enough of them to pay for it. Callers
 // evaluating many windows of the same instance — one per greedy step, one
 // per local-search reorientation — should build an Engine once and reuse it
 // so the per-antenna sweeps are shared.

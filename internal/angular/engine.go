@@ -1,12 +1,10 @@
 package angular
 
 import (
-	"cmp"
 	"context"
 	"math"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -48,23 +46,27 @@ func Workers() int {
 // list) per antenna for the lifetime of a solve — the sweep depends only on
 // instance geometry, so successive greedy steps and local-search
 // reorientations share it instead of re-filtering and re-sorting all
-// customers — and evaluates candidate windows with Dantzig-bound pruning:
+// customers — and solves only the candidate windows whose knapsack can
+// still win:
 //
-//  1. For every candidate window a fractional (Dantzig) upper bound is
-//     computed in O(window) from the sweep's density order, using integer
-//     ceiling arithmetic so the bound NEVER undershoots the window's true
-//     knapsack optimum.
-//  2. Candidates are visited in descending-bound order; a candidate whose
-//     bound is strictly below the best profit already solved is skipped —
-//     its knapsack provably cannot win.
-//  3. The surviving evaluations fold in original candidate order with the
-//     same strictly-greater comparison as the unpruned path.
+//  1. For every candidate window the Dantzig bound ⌊LP⌋ is computed in
+//     O(window) from the sweep's density order with integer arithmetic.
+//     Profits are integers, so it never undershoots the window's 0/1
+//     optimum.
+//  2. The candidate with the highest bound (the first one on ties) is
+//     solved first; it becomes the incumbent (profit, candidate index).
+//  3. The rest are visited in candidate order. A candidate is skipped when
+//     its bound is below the incumbent's profit, or equal to it with a
+//     later index: the fold keeps the first index on ties, so its knapsack
+//     provably cannot win.
+//  4. The solved candidates fold in candidate order with the same
+//     strictly-greater comparison as the unpruned path.
 //
-// Pruning is invisible in the results (see the correctness argument on
-// bestBound): Alpha, Profit, Customers, and Exact all match the unpruned
-// evaluation bit for bit on any input whose inner-solver exactness is
-// uniform across windows, and unconditionally for the first three. A
-// metamorphic test sweeps generator families × solvers to enforce this.
+// Pruning is invisible in the results (see beaten): Alpha, Profit,
+// Customers, and Exact all match the unpruned evaluation bit for bit on
+// any input whose inner-solver exactness is uniform across windows, and
+// unconditionally for the first three. A metamorphic test sweeps generator
+// families × solvers × worker counts to enforce this.
 //
 // An Engine is not safe for concurrent use; its methods parallelize
 // internally across GOMAXPROCS workers.
@@ -77,12 +79,17 @@ type Engine struct {
 	// Per-call scratch, reused across calls to keep the steady state
 	// allocation-free.
 	wins   []windowCand
-	order  []int32
 	outs   []outcome
 	posBuf []int32
 	posEnd []int32 // prefix ends of each candidate's segment in posBuf
 
-	best atomic.Int64 // the running evaluation's incumbent (see evaluate)
+	// best is the running evaluation's incumbent: the index of the solved
+	// candidate that currently leads the fold, −1 before the first. Its
+	// profit is read from outs, which is written before the index is
+	// published, so one atomic word carries the (profit, index) pair.
+	best atomic.Int64
+
+	solves atomic.Int64 // knapsacks solved over the engine's lifetime
 }
 
 // windowCand is one candidate window awaiting evaluation: either a circular
@@ -116,8 +123,9 @@ func NewEngine(in *model.Instance) *Engine {
 func (e *Engine) Instance() *model.Instance { return e.in }
 
 // View returns the engine's columnar view of the instance, building it on
-// first use. The instance is sorted exactly once per engine; every sweep
-// gathers from these shared read-only columns.
+// first use. Every sweep built from scratch gathers from these shared
+// read-only columns, so the instance is sorted at most once per engine and
+// per Rebase — and only if some sweep is built from scratch at all.
 func (e *Engine) View() *cols.View {
 	if e.view == nil {
 		e.view = cols.New(e.in)
@@ -164,6 +172,8 @@ const prewarmParallelMin = 1 << 14
 // j's sweep lands in slot j and its content depends only on the shared
 // view and the antenna, never on scheduling, so a prewarmed engine is
 // bit-identical to one that built sweeps lazily — and to the scalar path.
+// The view is built only if some sweep is missing, so prewarming a rebased
+// engine whose sweeps all carried over sorts nothing.
 //
 // Cancellation: ctx is consulted before every antenna is claimed; on
 // cancellation the already-built sweeps are kept (they are valid
@@ -173,9 +183,12 @@ func (e *Engine) Prewarm(ctx context.Context) error {
 	if m == 0 {
 		return ctx.Err()
 	}
-	view := e.View() // built serially, before the fan-out
+	var view *cols.View
+	if slices.Contains(e.sweeps, nil) {
+		view = e.View() // built serially, before the fan-out
+	}
 	workers := Workers()
-	if view.Len()*m < prewarmParallelMin {
+	if len(e.in.Customers)*m < prewarmParallelMin {
 		workers = 1
 	}
 	return sweep.Each(ctx, m, workers, func() prewarmer { return prewarmer{e, view} }, prewarmer.build)
@@ -273,51 +286,43 @@ const parallelThreshold = 16
 // its orientation at profit 0, preserving BestWindow's historical
 // all-empty behavior).
 //
-// The candidates fan out over Workers() goroutines on sweep.Each (inline
-// below parallelThreshold), each worker with its own evalScratch. ctx is
-// checked before every candidate is claimed; on cancellation the partial
-// fold is abandoned and ctx.Err() is returned.
+// The top-bound candidate is solved inline first, so the incumbent is as
+// high as it can be made with one knapsack before any other candidate is
+// tested against it. The rest fan out in candidate order over Workers()
+// goroutines on sweep.Each (inline below parallelThreshold), each worker
+// with its own evalScratch. ctx is checked before the inline solve and
+// before every candidate is claimed; on cancellation the partial fold is
+// abandoned and ctx.Err() is returned.
 func (e *Engine) evaluate(ctx context.Context, s *Sweep, capacity int64, active []bool, opt knapsack.Options, skipEmpty bool) (Window, error) {
 	nc := len(e.wins)
-	if cap(e.order) < nc {
-		e.order = make([]int32, nc)
+	if cap(e.outs) < nc {
 		e.outs = make([]outcome, nc)
 	}
-	e.order, e.outs = e.order[:nc], e.outs[:nc]
-	for k := range e.outs {
-		e.outs[k] = outcome{}
-	}
-	for k := range e.order {
-		e.order[k] = int32(k)
-	}
-	// Descending bound, ties by original candidate order: the highest
-	// upper bound is the best chance to raise the incumbent early.
-	slices.SortFunc(e.order, func(a, b int32) int {
-		if c := cmp.Compare(e.wins[b].bound, e.wins[a].bound); c != 0 {
-			return c
+	e.outs = e.outs[:nc]
+	clear(e.outs)
+	top := 0
+	for k := 1; k < nc; k++ {
+		if e.wins[k].bound > e.wins[top].bound {
+			top = k
 		}
-		return cmp.Compare(a, b)
-	})
-
-	// e.best is the highest profit of any solved candidate so far; −1 until
-	// the first solve, so the first candidate in bound order — which has
-	// the globally highest bound — is never pruned. Pruning strictly
-	// (bound < best) is what makes the fold below provably identical to
-	// the unpruned path: a pruned candidate's true window optimum is at
-	// most its bound, hence strictly below some solved profit, so it can
-	// be neither the maximum nor a first-index tie-winner.
+	}
 	e.best.Store(-1)
+	if err := ctx.Err(); err != nil {
+		return Window{}, err
+	}
 
 	workers := Workers()
 	if nc < parallelThreshold {
 		workers = 1
 	}
 	var used *evalScratch // every worker's scratch, chained for the return to evalPool
-	err := sweep.Each(ctx, nc, workers, func() evalWorker {
+	newWorker := func() evalWorker {
 		sc := evalPool.Get().(*evalScratch)
 		sc.next, used = used, sc
-		return evalWorker{e: e, s: s, capacity: capacity, active: active, opt: opt, sc: sc}
-	}, evalWorker.run)
+		return evalWorker{e: e, s: s, capacity: capacity, active: active, opt: opt, skipEmpty: skipEmpty, top: top, sc: sc}
+	}
+	newWorker().solve(top)
+	err := sweep.Each(ctx, nc, workers, newWorker, evalWorker.run)
 	for used != nil {
 		sc := used
 		used, sc.next = sc.next, nil
@@ -355,29 +360,68 @@ type evalScratch struct {
 // evalWorker is one evaluate worker: the call's inputs plus the worker's
 // own scratch.
 type evalWorker struct {
-	e        *Engine
-	s        *Sweep
-	capacity int64
-	active   []bool
-	opt      knapsack.Options
-	sc       *evalScratch
+	e         *Engine
+	s         *Sweep
+	capacity  int64
+	active    []bool
+	opt       knapsack.Options
+	skipEmpty bool
+	top       int // the candidate evaluate solved before the fan-out
+	sc        *evalScratch
 }
 
-// run evaluates the i-th candidate in bound order unless its bound is
-// strictly below the incumbent.
-func (ew evalWorker) run(i int) error {
-	if k := ew.e.order[i]; ew.e.wins[k].bound >= ew.e.best.Load() {
-		ew.solve(int(k))
+// run evaluates the k-th candidate unless it was solved first or beaten.
+func (ew evalWorker) run(k int) error {
+	if k != ew.top && !ew.e.beaten(k) {
+		ew.solve(k)
 	}
 	return nil
 }
 
 var evalPool = sync.Pool{New: func() any { return new(evalScratch) }}
 
+// beaten reports whether candidate k provably cannot win the fold, given
+// the incumbent (P, I): the solved candidate whose outcome currently leads
+// it. Candidate k's optimum is at most its bound b (the inner solver's
+// profit even more so), and the fold keeps the first index among the
+// maximal profits. So k cannot win if b < P, or if b == P and k > I: in
+// the tie, I reaches the same profit at a lower index. The incumbent only
+// ever moves to a higher profit or to a lower index at equal profit, so a
+// candidate beaten by a stale read stays beaten.
+func (e *Engine) beaten(k int) bool {
+	inc := e.best.Load()
+	if inc < 0 {
+		return false
+	}
+	b, p := e.wins[k].bound, e.outs[inc].win.Profit
+	return b < p || (b == p && int64(k) > inc)
+}
+
+// raise makes solved candidate k the incumbent if it leads the fold over
+// the current one: a higher profit, or the same profit at a lower index.
+// outs[k] is complete before k is published, so a reader that loads k
+// also sees its profit.
+func (e *Engine) raise(k int) {
+	p := e.outs[k].win.Profit
+	for {
+		inc := e.best.Load()
+		if inc >= 0 {
+			q := e.outs[inc].win.Profit
+			if p < q || (p == q && int64(k) > inc) {
+				return
+			}
+		}
+		if e.best.CompareAndSwap(inc, int64(k)) {
+			return
+		}
+	}
+}
+
 // solve evaluates candidate k into e.outs[k] and raises the shared
 // incumbent. Member enumeration preserves the historical item orders:
 // sweep order (rotated theta order) for range candidates, ascending
-// customer index for explicit-angle candidates.
+// customer index for explicit-angle candidates. An empty window raises the
+// incumbent only in the unconstrained fold, the only one it takes part in.
 func (ew evalWorker) solve(k int) {
 	e, s, active, sc := ew.e, ew.s, ew.active, ew.sc
 	c := e.wins[k]
@@ -397,12 +441,14 @@ func (ew evalWorker) solve(k int) {
 				ids = append(ids, i)
 			}
 		}
-		sort.Ints(ids) // Covered() order: ascending customer index
+		slices.Sort(ids) // Covered() order: ascending customer index
 	}
 	sc.ids = ids
 	if len(ids) == 0 {
 		e.outs[k] = outcome{win: Window{Alpha: c.alpha, Exact: true}, solved: true, empty: true}
-		raise(&e.best, 0)
+		if !ew.skipEmpty {
+			e.raise(k)
+		}
 		return
 	}
 	items := sc.items[:0]
@@ -410,6 +456,7 @@ func (ew evalWorker) solve(k int) {
 		items = append(items, knapsack.Item{Weight: e.in.Customers[i].Demand, Profit: e.in.Customers[i].Profit})
 	}
 	sc.items = items
+	e.solves.Add(1)
 	res, exact, err := knapsack.Solve(items, ew.capacity, ew.opt)
 	if err != nil {
 		e.outs[k] = outcome{err: err, solved: true}
@@ -422,24 +469,14 @@ func (ew evalWorker) solve(k int) {
 		}
 	}
 	e.outs[k] = outcome{win: w, solved: true}
-	raise(&e.best, res.Profit)
+	e.raise(k)
 }
 
-// raise lifts the atomic incumbent to at least p.
-func raise(best *atomic.Int64, p int64) {
-	for {
-		cur := best.Load()
-		if p <= cur || best.CompareAndSwap(cur, p) {
-			return
-		}
-	}
-}
-
-// dantzigRange computes the Dantzig fractional upper bound of the window
-// given as a circular position range, over active members only. Walking the
-// sweep's density order and rounding the split item's contribution UP with
-// integer arithmetic makes the result an exact-arithmetic upper bound on
-// the window's 0/1 optimum — no float rounding can pull it below.
+// dantzigRange computes the Dantzig bound of the window given as a circular
+// position range, over active members only: the floor of the fractional
+// (LP) optimum, from a walk of the sweep's density order in integer
+// arithmetic (floorFrac), so no float rounding can pull it below the
+// window's 0/1 optimum.
 func (s *Sweep) dantzigRange(start, count int, active []bool, capacity int64) int64 {
 	n := len(s.ids)
 	rem := capacity
@@ -464,7 +501,7 @@ func (s *Sweep) dantzigRange(start, count int, active []bool, capacity int64) in
 				break
 			}
 		} else {
-			bound += ceilFrac(s.profits[p], rem, w)
+			bound += floorFrac(s.profits[p], rem, w)
 			break
 		}
 	}
@@ -509,24 +546,24 @@ func (s *Sweep) dantzigSet(set []int32, active []bool, capacity int64) int64 {
 				break
 			}
 		} else {
-			bound += ceilFrac(s.profits[p], rem, w)
+			bound += floorFrac(s.profits[p], rem, w)
 			break
 		}
 	}
 	return bound
 }
 
-// ceilFrac returns ceil(p·rem/w), the split item's share of the Dantzig
-// bound, computed in integers so it can only round UP (a float could round
-// below the true fraction and break the pruning soundness proof). If the
-// product would overflow it falls back to p, which is always a valid upper
-// bound on the fraction since rem < w.
-func ceilFrac(p, rem, w int64) int64 {
+// floorFrac returns ⌊p·rem/w⌋, the split item's share of the Dantzig
+// bound. The whole items before it sum to an integer S, so the bound is
+// S + ⌊p·rem/w⌋ = ⌊LP⌋; every knapsack profit is an integer at most LP,
+// hence at most ⌊LP⌋. If the product would overflow it falls back to p,
+// which is still a valid bound on the fraction since rem < w.
+func floorFrac(p, rem, w int64) int64 {
 	if p == 0 || rem == 0 {
 		return 0
 	}
 	if p > math.MaxInt64/rem {
 		return p
 	}
-	return (p*rem + w - 1) / w
+	return p * rem / w
 }

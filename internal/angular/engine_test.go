@@ -1,9 +1,13 @@
 package angular
 
 import (
+	"cmp"
 	"context"
+	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sectorpack/internal/gen"
@@ -63,16 +67,59 @@ func windowsEqual(a, b Window) bool {
 	return true
 }
 
+// checkPruningInvariance compares every antenna's pruned BestWindow with
+// the unpruned reference for both inner solvers, at 1 worker and at 4, and
+// twice per setting so scratch reuse is covered.
+func checkPruningInvariance(t *testing.T, tag string, in *model.Instance, active []bool) {
+	t.Helper()
+	defer SetMaxWorkers(SetMaxWorkers(0))
+	eng := NewEngine(in)
+	for j := range in.Antennas {
+		for _, opt := range []knapsack.Options{{}, {ForceApprox: true, Eps: 0.3}} {
+			want, err := unprunedBestWindow(in, j, active, opt)
+			if err != nil {
+				t.Fatalf("%s antenna %d reference: %v", tag, j, err)
+			}
+			for _, workers := range []int{1, 4} {
+				SetMaxWorkers(workers)
+				for rep := 0; rep < 2; rep++ {
+					got, err := eng.BestWindow(context.Background(), j, active, opt)
+					if err != nil {
+						t.Fatalf("%s antenna %d engine: %v", tag, j, err)
+					}
+					if !windowsEqual(got, want) {
+						t.Fatalf("%s antenna %d opt=%+v workers=%d rep=%d: pruned %+v != unpruned %+v",
+							tag, j, opt, workers, rep, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestBestWindowPruningInvariance is the metamorphic guarantee of the
 // Dantzig-bound pruning: across generator families, problem variants,
-// random active masks, and both the exact and the FPTAS inner solvers, the
-// pruned Engine evaluation must return exactly the same (Alpha, Profit,
-// Customers, Exact) as the exhaustive reference. The Engine is also called
-// twice per case so scratch reuse is covered.
+// random active masks, both the exact and the FPTAS inner solvers, and 1
+// and 4 workers, the pruned Engine evaluation must return exactly the same
+// (Alpha, Profit, Customers, Exact) as the exhaustive reference. The
+// tie-heavy family gives every customer the same demand and profit, so
+// many windows share the optimum and only the first-index tie-break picks
+// the winner, and odd capacities open integrality gaps, so a candidate
+// can tie the incumbent's profit at a lower index; its multi-antenna
+// instances have enough candidates per antenna for the parallel fan-out.
 func TestBestWindowPruningInvariance(t *testing.T) {
 	variants := []model.Variant{model.Sectors, model.Angles, model.DisjointAngles}
-	opts := []knapsack.Options{{}, {ForceApprox: true, Eps: 0.3}}
 	rng := rand.New(rand.NewSource(77))
+	mask := func(in *model.Instance, on bool) []bool {
+		if !on {
+			return nil
+		}
+		active := make([]bool, in.N())
+		for i := range active {
+			active[i] = rng.Intn(4) != 0
+		}
+		return active
+	}
 	cases := 0
 	for _, fam := range gen.Families() {
 		for seed := int64(1); seed <= 6; seed++ {
@@ -84,36 +131,33 @@ func TestBestWindowPruningInvariance(t *testing.T) {
 					M:       1,
 					Variant: variants[cases%len(variants)],
 				})
-				var active []bool
-				if cases%2 == 1 {
-					active = make([]bool, in.N())
-					for i := range active {
-						active[i] = rng.Intn(4) != 0
-					}
-				}
-				eng := NewEngine(in)
-				for _, opt := range opts {
-					want, err := unprunedBestWindow(in, 0, active, opt)
-					if err != nil {
-						t.Fatalf("%s/%d/n%d reference: %v", fam, seed, n, err)
-					}
-					for rep := 0; rep < 2; rep++ {
-						got, err := eng.BestWindow(context.Background(), 0, active, opt)
-						if err != nil {
-							t.Fatalf("%s/%d/n%d engine: %v", fam, seed, n, err)
-						}
-						if !windowsEqual(got, want) {
-							t.Fatalf("%s/%d/n%d opt=%+v rep=%d: pruned %+v != unpruned %+v",
-								fam, seed, n, opt, rep, got, want)
-						}
-					}
-				}
+				checkPruningInvariance(t, fmt.Sprintf("%s/%d/n%d", fam, seed, n), in, mask(in, cases%2 == 1))
 				cases++
 			}
 		}
 	}
 	if cases < 50 {
 		t.Fatalf("only %d seeded instances, want >= 50", cases)
+	}
+	for _, fam := range gen.Families() {
+		for seed := int64(1); seed <= 3; seed++ {
+			in := gen.MustGenerate(gen.Config{Family: fam, Seed: seed, N: 60, M: 3, Variant: variants[int(seed)%len(variants)]})
+			for i := range in.Customers {
+				in.Customers[i].Demand, in.Customers[i].Profit = 2, 3
+			}
+			tag := fmt.Sprintf("ties/%s/%d", fam, seed)
+			checkPruningInvariance(t, tag, in, mask(in, seed == 3))
+			// Odd capacities leave half a customer's room: a window of
+			// more than c/2 members has bound ⌊1.5c⌋ but optimum
+			// 3·⌊c/2⌋, tying the windows of exactly ⌊c/2⌋ members, which
+			// the first-index rule must then break.
+			for c := int64(5); c <= 15; c += 2 {
+				for j := range in.Antennas {
+					in.Antennas[j].Capacity = c
+				}
+				checkPruningInvariance(t, fmt.Sprintf("%s/c%d", tag, c), in, nil)
+			}
+		}
 	}
 }
 
@@ -165,11 +209,55 @@ func TestBestWindowAtMatchesScanReference(t *testing.T) {
 			t.Fatalf("trial %d: BestWindowAt %+v != scan %+v", trial, got, want)
 		}
 	}
+
+	// An empty window at a lower index than a non-empty zero-profit one:
+	// both bounds are 0, and the empty window must not become the tie
+	// incumbent, or it would prune the only window the fold keeps.
+	in := instWith(
+		[]model.Customer{{Theta: 2.0, R: 1, Demand: 3}},
+		[]model.Antenna{{Rho: 0.5, Range: 10, Capacity: 0}},
+		model.Sectors,
+	)
+	got, err := NewEngine(in).BestWindowAt(context.Background(), 0, []float64{0.5, 1.8}, nil, knapsack.Options{})
+	if err != nil {
+		t.Fatalf("BestWindowAt: %v", err)
+	}
+	if want := (Window{Alpha: 1.8, Exact: true}); !windowsEqual(got, want) {
+		t.Fatalf("empty-before-zero-profit: BestWindowAt %+v, want %+v", got, want)
+	}
+}
+
+// floorLP is the oracle of the Dantzig bound: the fractional knapsack
+// optimum computed exactly in rationals (items by density descending,
+// zero-weight first, the first item that does not fit taken in part),
+// rounded down.
+func floorLP(items []knapsack.Item, capacity int64) int64 {
+	sorted := slices.Clone(items)
+	slices.SortFunc(sorted, func(a, b knapsack.Item) int {
+		if a.Weight == 0 || b.Weight == 0 {
+			return cmp.Compare(a.Weight, b.Weight) // zero weight first
+		}
+		return new(big.Rat).SetFrac64(b.Profit, b.Weight).Cmp(new(big.Rat).SetFrac64(a.Profit, a.Weight))
+	})
+	lp := new(big.Rat)
+	rem := capacity
+	for _, it := range sorted {
+		if it.Weight <= rem {
+			lp.Add(lp, new(big.Rat).SetInt64(it.Profit))
+			rem -= it.Weight
+			continue
+		}
+		lp.Add(lp, new(big.Rat).SetFrac64(it.Profit*rem, it.Weight))
+		break
+	}
+	return new(big.Int).Quo(lp.Num(), lp.Denom()).Int64()
 }
 
 // TestDantzigBoundDominatesOptimum property-checks pruning soundness at its
-// root: every candidate window's fractional bound must be at least the
-// window's true 0/1 optimum, for both the range and the explicit-set bound.
+// root: every candidate window's bound must be at least the window's true
+// 0/1 optimum, for both the range and the explicit-set bound, and it must
+// be exactly the floor of the window's LP optimum — the tightest bound
+// integer profits allow.
 func TestDantzigBoundDominatesOptimum(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	for trial := 0; trial < 60; trial++ {
@@ -205,6 +293,9 @@ func TestDantzigBoundDominatesOptimum(t *testing.T) {
 			if bound < opt {
 				t.Fatalf("window at %v: bound %d below optimum %d", alpha, bound, opt)
 			}
+			if lp := floorLP(items, capacity); bound != lp {
+				t.Fatalf("window at %v: bound %d != floor of the LP optimum %d", alpha, bound, lp)
+			}
 			return true
 		})
 	}
@@ -225,19 +316,72 @@ func TestEngineCachesSweeps(t *testing.T) {
 	}
 }
 
-// TestCeilFrac pins the integer ceiling arithmetic of the split item,
+// TestFloorFrac pins the integer floor arithmetic of the split item,
 // including the overflow fallback.
-func TestCeilFrac(t *testing.T) {
+func TestFloorFrac(t *testing.T) {
 	cases := []struct{ p, rem, w, want int64 }{
-		{10, 3, 4, 8},                        // ceil(30/4) = 8 > 7.5
+		{10, 3, 4, 7},                        // floor(30/4) = 7 < 7.5
 		{10, 4, 4, 10},                       // exact division
+		{7, 1, 8, 0},                         // a fraction below one rounds to 0
 		{0, 3, 4, 0},                         // zero profit
 		{10, 0, 4, 0},                        // no room
 		{1 << 62, 1 << 10, 1 << 20, 1 << 62}, // overflow: fall back to p
 	}
 	for _, c := range cases {
-		if got := ceilFrac(c.p, c.rem, c.w); got != c.want {
-			t.Errorf("ceilFrac(%d,%d,%d) = %d, want %d", c.p, c.rem, c.w, got, c.want)
+		if got := floorFrac(c.p, c.rem, c.w); got != c.want {
+			t.Errorf("floorFrac(%d,%d,%d) = %d, want %d", c.p, c.rem, c.w, got, c.want)
 		}
+	}
+}
+
+// TestBestWindowSolvesOnlyContenders pins the pruning gain: with the floor
+// bound and the top-bound candidate solved first, a best-window search
+// solves about one knapsack, not one per window that merely could tie.
+// Both instances run a greedy pass at 1 worker (capacity-descending
+// antennas, served customers deactivated): on a banded n=5000 instance
+// every call may solve at most 2 knapsacks, and on the 100k-churn tier
+// instance the whole pass at most 80 (a rounded-up bound visited in
+// descending-bound order with a strict prune solved 2,910 there).
+func TestBestWindowSolvesOnlyContenders(t *testing.T) {
+	prev := SetMaxWorkers(1)
+	defer SetMaxWorkers(prev)
+	greedyPass := func(in *model.Instance, perCall int64) int64 {
+		eng := NewEngine(in)
+		order := make([]int, in.M())
+		for j := range order {
+			order[j] = j
+		}
+		slices.SortStableFunc(order, func(a, b int) int {
+			return cmp.Compare(in.Antennas[b].Capacity, in.Antennas[a].Capacity)
+		})
+		active := make([]bool, in.N())
+		for i := range active {
+			active[i] = true
+		}
+		for _, j := range order {
+			before := eng.solves.Load()
+			w, err := eng.BestWindow(context.Background(), j, active, knapsack.Options{})
+			if err != nil {
+				t.Fatalf("%s antenna %d: %v", in.Name, j, err)
+			}
+			if got := eng.solves.Load() - before; perCall > 0 && got > perCall {
+				t.Errorf("%s antenna %d: %d knapsacks solved over %d candidates, want <= %d",
+					in.Name, j, got, len(eng.wins), perCall)
+			}
+			for _, i := range w.Customers {
+				active[i] = false
+			}
+		}
+		return eng.solves.Load()
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		greedyPass(bandedInstance(rand.New(rand.NewSource(seed)), 5000, 4), 2)
+	}
+	cfg, err := gen.Tier("100k-churn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := greedyPass(gen.MustGenerate(cfg), 0); got > 80 {
+		t.Errorf("100k-churn greedy pass solved %d knapsacks, want <= 80", got)
 	}
 }

@@ -1,7 +1,9 @@
 package angular
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"sectorpack/internal/cols"
@@ -9,32 +11,41 @@ import (
 )
 
 // Rebase retargets the engine at next — the instance produced by applying
-// delta d to the engine's current instance (model.ApplyDelta) — while
-// preserving every per-antenna sweep the delta provably cannot have
-// touched. It returns kept[j] == true iff antenna j's warm sweep (and
-// candidate list) survived; dropped or never-built sweeps rebuild lazily
-// against next on first use. Rebase is the incremental core of a delta
-// session: on localized churn most sweeps survive, so a re-solve skips the
-// dominant from-scratch cost of rebuilding them.
+// delta d to the engine's current instance (model.ApplyDelta) — carrying
+// every built per-antenna sweep over to next without re-sorting the
+// instance. It returns kept[j] == true iff antenna j's warm sweep (and
+// candidate list) survived untouched; a sweep the delta touched is rebuilt
+// here by a merge (kept[j] == false, as for a dropped sweep), and a
+// never-built sweep builds lazily against next on first use. Rebase is the
+// incremental core of a delta session: on localized churn most sweeps
+// survive and the rest merge in O(members + k log k), so a re-solve skips
+// the dominant from-scratch cost of sorting n customers.
 //
 // Soundness. A sweep's membership is the pure radial predicate
 // cols.InRadialRange (sweeps gather exactly the customers whose radius lies
 // in the antenna's RadialBounds interval), and its contents are a
 // deterministic function of (member geometry, member demand/profit, member
-// customer-index order). The delta's "touch radii" are the radii of every
-// customer it removes or re-prices (read from the OLD instance) and every
-// customer it adds. If no touch radius lies in antenna j's radial interval
-// (cols.TouchesRadially), then:
+// customer-index order): members in (theta, customer index) order, then
+// the density order over them. The delta's "touch radii" are the radii of
+// every customer it removes or re-prices (read from the OLD instance) and
+// every customer it adds. model.ApplyDelta renumbers survivors
+// order-preservingly (each id drops by its count of removed predecessors)
+// and appends the additions above every survivor id. Hence:
 //
-//   - no removed, re-priced, or added customer is a member of sweep j, so
-//     its member set, thetas, weights, profits, and density order are those
-//     a fresh build against next would produce;
-//   - removals renumber surviving customers order-preservingly
-//     (model.ApplyDelta), so the only stale state is the member customer
-//     indices, fixed here by subtracting each id's count of removed
-//     predecessors — after which the sweep is bit-identical to a fresh
-//     build (the rebase differential test enforces this);
-//   - candidate angles derive from sweep thetas only, so they survive too.
+//   - if no touch radius lies in antenna j's radial interval
+//     (cols.TouchesRadially), no removed, re-priced, or added customer is a
+//     member of sweep j: only its member ids are stale, and shifting them
+//     makes the sweep bit-identical to a fresh build;
+//   - otherwise the fresh sweep is the old members minus the removed ones
+//     (ids shifted, demand/profit read from next), merged in theta order
+//     with next's in-range additions sorted by (theta, id) — survivors
+//     first on theta ties, since every added id exceeds every survivor id —
+//     with the density order re-sorted (mergeSweep);
+//   - candidate angles derive from sweep thetas only, so they survive an
+//     untouched sweep and rebuild lazily from a merged one.
+//
+// The rebase differential tests enforce bit identity with a fresh
+// NewEngine(next) for kept, merged, and lazily built sweeps alike.
 //
 // Antenna capacity changes never invalidate a sweep: capacity is read from
 // the engine's instance at solve time, not stored in sweep state. Antenna
@@ -47,20 +58,11 @@ func (e *Engine) Rebase(next *model.Instance, d model.Delta) (kept []bool) {
 	m := len(next.Antennas)
 	kept = make([]bool, m)
 	e.in = next
+	e.view = nil // rebuilt from next only if a never-built sweep needs it
 	if len(old.Antennas) != m {
-		e.view = nil
 		e.sweeps = make([]*Sweep, m)
 		e.cands = make([][]float64, m)
 		return kept
-	}
-	if e.view != nil {
-		// The instance-wide columnar view survives every delta: cols.Rebase
-		// merges the churned customers into the old sort orders in
-		// O(n + k log k), so a dropped sweep's lazy rebuild never pays the
-		// O(n log n) from-scratch view sort. The result is bit-identical to
-		// cols.New(next) (differential-tested), so sweeps built from it
-		// match fresh builds exactly.
-		e.view = cols.Rebase(e.view, next, d.Remove, len(d.Add))
 	}
 	touch := make([]float64, 0, len(d.SetDemand)+len(d.Remove)+len(d.Add))
 	for _, ch := range d.SetDemand {
@@ -73,10 +75,36 @@ func (e *Engine) Rebase(next *model.Instance, d model.Delta) (kept []bool) {
 		touch = append(touch, c.R)
 	}
 	sort.Float64s(touch)
-	removed := append([]int(nil), d.Remove...)
-	sort.Ints(removed)
+
+	// shift[id] is the count of removed ids below old id, or −1 if id
+	// itself was removed; nil when nothing was removed.
+	var shift []int32
+	if len(d.Remove) > 0 {
+		shift = make([]int32, len(old.Customers))
+		for _, id := range d.Remove {
+			shift[id] = -1
+		}
+		cum := int32(0)
+		for id, sh := range shift {
+			if sh < 0 {
+				cum++
+			} else {
+				shift[id] = cum
+			}
+		}
+	}
+	// The additions' new ids in (theta, id) order, shared by every merge.
+	added := make([]int32, len(d.Add))
+	for t := range added {
+		added[t] = int32(len(next.Customers) - len(d.Add) + t)
+	}
+	slices.SortFunc(added, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(next.Customers[a].Theta, next.Customers[b].Theta), cmp.Compare(a, b))
+	})
+
 	for j := 0; j < m; j++ {
-		if e.sweeps[j] == nil {
+		s := e.sweeps[j]
+		if s == nil {
 			continue // never built; nothing to keep
 		}
 		oa, na := old.Antennas[j], next.Antennas[j]
@@ -88,21 +116,67 @@ func (e *Engine) Rebase(next *model.Instance, d model.Delta) (kept []bool) {
 			continue
 		}
 		if cols.TouchesRadially(na, touch) {
-			e.sweeps[j], e.cands[j] = nil, nil
+			e.sweeps[j], e.cands[j] = mergeSweep(s, next, na, shift, added), nil
 			continue
 		}
-		if len(removed) > 0 {
-			s := e.sweeps[j]
+		if shift != nil {
 			for t, id := range s.ids {
-				// id is not removed (its radius would be a touch radius in
-				// this antenna's interval), so SearchInts counts exactly the
-				// removed customers numbered below it.
-				s.ids[t] = id - int32(sort.SearchInts(removed, int(id)))
+				s.ids[t] = id - shift[id] // id was not removed: its radius would touch
 			}
 		}
 		kept[j] = true
 	}
 	return kept
+}
+
+// mergeSweep builds antenna a's sweep over next from its pre-delta sweep
+// s: the surviving members (ids shifted, demand and profit read from next)
+// merged in theta order with the in-range additions (new ids in (theta, id)
+// order), survivors first on theta ties, then the density order re-sorted.
+// See Rebase for why this equals a fresh build.
+func mergeSweep(s *Sweep, next *model.Instance, a model.Antenna, shift []int32, added []int32) *Sweep {
+	k := len(s.ids) + len(added)
+	ns := &Sweep{
+		rho:     s.rho,
+		thetas:  make([]float64, 0, k),
+		ids:     make([]int32, 0, k),
+		weights: make([]int64, 0, k),
+		profits: make([]int64, 0, k),
+		density: make([]int32, 0, k),
+	}
+	push := func(theta float64, id int32) {
+		c := &next.Customers[id]
+		ns.thetas = append(ns.thetas, theta)
+		ns.ids = append(ns.ids, id)
+		ns.weights = append(ns.weights, c.Demand)
+		ns.profits = append(ns.profits, c.Profit)
+	}
+	ai := 0
+	// pushAdds appends the in-range additions with theta below limit.
+	pushAdds := func(limit float64) {
+		for ; ai < len(added); ai++ {
+			c := &next.Customers[added[ai]]
+			if !(c.Theta < limit) {
+				return
+			}
+			if cols.InRadialRange(a, c.R) {
+				push(c.Theta, added[ai])
+			}
+		}
+	}
+	for t, id := range s.ids {
+		if shift != nil {
+			if shift[id] < 0 {
+				continue
+			}
+			id -= shift[id]
+		}
+		pushAdds(s.thetas[t])
+		push(s.thetas[t], id)
+	}
+	pushAdds(math.Inf(1))
+	ns.sortDensity()
+	return ns
 }
 
 // bitsEq is bit-level float equality (NaN == NaN, -0 != +0), the explicit

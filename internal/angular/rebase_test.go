@@ -2,8 +2,10 @@ package angular
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sectorpack/internal/knapsack"
@@ -70,47 +72,31 @@ func sweepsEqual(t *testing.T, tag string, got, want *Sweep) {
 	}
 }
 
-// TestRebaseBitIdentical is the rebase differential: after a delta confined
-// to one radial band, Rebase must keep exactly the untouched bands' sweeps,
-// and every sweep and candidate list — kept, dropped-and-rebuilt, or
-// lazily built — must be bit-identical to a fresh engine's.
-func TestRebaseBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(101))
-	in := bandedInstance(rng, 300, 4)
-	eng := NewEngine(in)
-	if err := eng.Prewarm(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
-	const hot = 1 // the band the delta churns
-	skip := map[int]bool{}
-	rm1 := bandCustomer(in, hot, skip)
-	skip[rm1] = true
-	rm2 := bandCustomer(in, hot, skip)
-	skip[rm2] = true
-	chg := bandCustomer(in, hot, skip)
-	d := model.Delta{
-		SetDemand:   []model.DemandChange{{Customer: chg, Demand: 5, Profit: 9}},
-		SetCapacity: []model.CapacityChange{{Antenna: 3, Capacity: 25}},
-		Remove:      []int{rm1, rm2},
-		Add: []model.Customer{
-			{Theta: 1.2, R: hot*3.0 + 1.1, Demand: 2, Profit: 3},
-			{Theta: 4.0, R: hot*3.0 + 2.2, Demand: 3},
-		},
-	}
-	next, err := model.ApplyDelta(in, d)
+// checkRebase rebases eng onto the delta d of its instance, which churns
+// radial band hot only, and checks the outcome against a fresh
+// NewEngine(next): kept[j] must be false exactly for the hot band (its
+// sweep is merged, which counts as dropped), every sweep — kept, merged,
+// or lazily built — must match the fresh build bit for bit, density order
+// included, and so must every candidate list and best window. It returns
+// next for chained deltas.
+func checkRebase(t *testing.T, tag string, eng *Engine, d model.Delta, hot int) *model.Instance {
+	t.Helper()
+	next, err := model.ApplyDelta(eng.Instance(), d)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", tag, err)
 	}
-
+	built := slices.Clone(eng.sweeps)
 	kept := eng.Rebase(next, d)
 	for j, k := range kept {
-		if want := j != hot; k != want {
-			t.Errorf("kept[%d] = %v, want %v", j, k, want)
+		if want := built[j] != nil && j != hot; k != want {
+			t.Errorf("%s: kept[%d] = %v, want %v", tag, j, k, want)
+		}
+		if built[j] != nil && eng.sweeps[j] == nil {
+			t.Errorf("%s: built sweep %d was dropped instead of kept or merged", tag, j)
 		}
 	}
 	if eng.Instance() != next {
-		t.Error("Rebase did not adopt the new instance")
+		t.Errorf("%s: Rebase did not adopt the new instance", tag)
 	}
 
 	fresh := NewEngine(next)
@@ -118,48 +104,116 @@ func TestRebaseBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j := range next.Antennas {
-		sweepsEqual(t, "antenna", eng.Sweep(j), fresh.Sweep(j))
+		sweepsEqual(t, fmt.Sprintf("%s antenna %d", tag, j), eng.Sweep(j), fresh.Sweep(j))
 		gc, fc := eng.Candidates(j), fresh.Candidates(j)
 		if len(gc) != len(fc) {
-			t.Fatalf("antenna %d: candidate count %d != %d", j, len(gc), len(fc))
+			t.Fatalf("%s antenna %d: candidate count %d != %d", tag, j, len(gc), len(fc))
 		}
 		for k := range fc {
 			if math.Float64bits(gc[k]) != math.Float64bits(fc[k]) {
-				t.Fatalf("antenna %d: candidate %d: %v != %v", j, k, gc[k], fc[k])
+				t.Fatalf("%s antenna %d: candidate %d: %v != %v", tag, j, k, gc[k], fc[k])
 			}
 		}
 	}
 
-	// Functional check: best windows agree everywhere, including the
+	// Functional check: best windows agree everywhere, including a
 	// capacity-changed antenna (capacity lives in the instance, not the
-	// sweep, so the kept sweep must still see the new value).
-	active := make([]bool, next.N())
-	for i := range active {
-		active[i] = true
-	}
+	// sweep, so a kept sweep must still see the new value).
 	for j := range next.Antennas {
-		got, err := eng.BestWindow(context.Background(), j, active, knapsack.Options{})
+		got, err := eng.BestWindow(context.Background(), j, nil, knapsack.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := fresh.BestWindow(context.Background(), j, active, knapsack.Options{})
+		want, err := fresh.BestWindow(context.Background(), j, nil, knapsack.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Float64bits(got.Alpha) != math.Float64bits(want.Alpha) ||
-			got.Profit != want.Profit || len(got.Customers) != len(want.Customers) {
-			t.Fatalf("antenna %d: window %+v != fresh %+v", j, got, want)
+		if !windowsEqual(got, want) {
+			t.Fatalf("%s antenna %d: window %+v != fresh %+v", tag, j, got, want)
 		}
-		for k := range want.Customers {
-			if got.Customers[k] != want.Customers[k] {
-				t.Fatalf("antenna %d: customer %d: %d != %d", j, k, got.Customers[k], want.Customers[k])
-			}
+	}
+	return next
+}
+
+// TestRebaseBitIdentical is the rebase differential: after a delta confined
+// to one radial band, Rebase must keep exactly the untouched bands' sweeps
+// and merge the touched one, and every sweep and candidate list must be
+// bit-identical to a fresh engine's. The deltas cover mixed churn, adds
+// that tie a surviving (or each other's) angle, removes alone, and
+// re-prices alone, each on a fresh engine and all chained on one.
+func TestRebaseBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(101))
+	in := bandedInstance(rng, 300, 4)
+	const hot = 1 // the band the deltas churn
+	skip := map[int]bool{}
+	pick := func() int {
+		i := bandCustomer(in, hot, skip)
+		skip[i] = true
+		return i
+	}
+	rm1, rm2, chg, tied, rm3 := pick(), pick(), pick(), pick(), pick()
+	r := func(off float64) float64 { return hot*3.0 + off }
+	deltas := []struct {
+		name string
+		d    model.Delta
+	}{
+		{"mixed", model.Delta{
+			SetDemand:   []model.DemandChange{{Customer: chg, Demand: 5, Profit: 9}},
+			SetCapacity: []model.CapacityChange{{Antenna: 3, Capacity: 25}},
+			Remove:      []int{rm1, rm2},
+			Add: []model.Customer{
+				{Theta: 1.2, R: r(1.1), Demand: 2, Profit: 3},
+				{Theta: 4.0, R: r(2.2), Demand: 3},
+			},
+		}},
+		{"theta-ties", model.Delta{
+			Remove: []int{rm3},
+			Add: []model.Customer{
+				{Theta: in.Customers[tied].Theta, R: r(1.5), Demand: 4, Profit: 30},
+				{Theta: 2.5, R: r(0.9), Demand: 1, Profit: 2},
+				{Theta: 2.5, R: r(1.9), Demand: 6, Profit: 2},
+				{Theta: in.Customers[tied].Theta, R: r(2.0), Demand: 2},
+				{Theta: in.Customers[rm3].Theta, R: r(1.0), Demand: 3, Profit: 7},
+			},
+		}},
+		{"removes", model.Delta{Remove: []int{rm3, rm1, chg}}},
+		{"reprices", model.Delta{SetDemand: []model.DemandChange{
+			{Customer: chg, Demand: 9, Profit: 1},
+			{Customer: tied, Demand: 1, Profit: 50},
+		}}},
+	}
+	prewarmed := func() *Engine {
+		eng := NewEngine(in)
+		if err := eng.Prewarm(context.Background()); err != nil {
+			t.Fatal(err)
 		}
+		return eng
+	}
+	for _, tc := range deltas {
+		checkRebase(t, tc.name, prewarmed(), tc.d, hot)
+	}
+
+	// Chained: every delta's ids refer to the state its predecessor left,
+	// so each later delta is rebuilt against the current instance.
+	eng := prewarmed()
+	cur := checkRebase(t, "chain mixed", eng, deltas[0].d, hot)
+	for k := 0; k < 3; k++ {
+		skip := map[int]bool{}
+		a := bandCustomer(cur, hot, skip)
+		skip[a] = true
+		b := bandCustomer(cur, hot, skip)
+		d := model.Delta{
+			SetDemand: []model.DemandChange{{Customer: b, Demand: 2 + int64(k), Profit: 11}},
+			Remove:    []int{a},
+			Add:       []model.Customer{{Theta: cur.Customers[b].Theta, R: r(1.3), Demand: 3, Profit: 5}},
+		}
+		cur = checkRebase(t, fmt.Sprintf("chain %d", k), eng, d, hot)
 	}
 }
 
 // TestRebaseLazySweeps: sweeps never built before the rebase stay nil (not
-// kept) and build correctly against the new instance on demand.
+// kept) and build correctly against the new instance on demand; a built
+// sweep the delta touches is merged at once, with no columnar view built.
 func TestRebaseLazySweeps(t *testing.T) {
 	rng := rand.New(rand.NewSource(102))
 	in := bandedInstance(rng, 120, 3)
@@ -178,6 +232,30 @@ func TestRebaseLazySweeps(t *testing.T) {
 	fresh := NewEngine(next)
 	for j := range next.Antennas {
 		sweepsEqual(t, "lazy", eng.Sweep(j), fresh.Sweep(j))
+	}
+
+	// Bands 0 and 2 built, band 1 not: a delta in band 2 merges its sweep
+	// at once, builds no view, and leaves band 1 to a lazy build.
+	eng = NewEngine(in)
+	_, _ = eng.Sweep(0), eng.Sweep(2)
+	d = model.Delta{
+		Remove: []int{bandCustomer(in, 2, nil)},
+		Add:    []model.Customer{{Theta: 1.0, R: 7.5, Demand: 2}},
+	}
+	if next, err = model.ApplyDelta(in, d); err != nil {
+		t.Fatal(err)
+	}
+	kept = eng.Rebase(next, d)
+	if !kept[0] || kept[1] || kept[2] {
+		t.Fatalf("merge: kept = %v, want [true false false]", kept)
+	}
+	if eng.sweeps[2] == nil || eng.sweeps[1] != nil || eng.view != nil {
+		t.Fatalf("merge: sweep 2 built %v, sweep 1 built %v, view built %v; want true false false",
+			eng.sweeps[2] != nil, eng.sweeps[1] != nil, eng.view != nil)
+	}
+	fresh = NewEngine(next)
+	for j := range next.Antennas {
+		sweepsEqual(t, "merge", eng.Sweep(j), fresh.Sweep(j))
 	}
 }
 

@@ -1,6 +1,8 @@
 package angular
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"sectorpack/internal/cols"
@@ -66,41 +68,42 @@ func newSweepFromView(v *cols.View, a model.Antenna) *Sweep {
 	s.ids = make([]int32, k)
 	s.weights = make([]int64, k)
 	s.profits = make([]int64, k)
-	s.density = make([]int32, k)
+	s.density = make([]int32, 0, k)
 	for t, p := range pos {
 		s.thetas[t] = v.Theta[p]
 		s.ids[t] = v.ID[p]
 		s.weights[t] = v.Demand[p]
 		s.profits[t] = v.Profit[p]
-		s.density[t] = int32(t)
 	}
-	// Dantzig order: profit/weight descending, zero-weight (infinite
-	// density) first, ties by higher profit then position — the same
-	// comparator as knapsack's byDensity, with an explicit final tie-break
-	// so the order (and therefore every computed bound) is deterministic.
-	sort.Slice(s.density, func(x, y int) bool {
-		a, b := s.density[x], s.density[y]
+	s.sortDensity()
+	return s
+}
+
+// sortDensity fills s.density with the Dantzig order of the sweep's
+// positions: profit/weight descending, zero-weight (infinite density)
+// first, ties by higher profit then position — the same comparator as
+// knapsack's byDensity, with an explicit final tie-break so the order
+// (and therefore every computed bound) is deterministic.
+func (s *Sweep) sortDensity() {
+	s.density = s.density[:0]
+	for t := range s.ids {
+		s.density = append(s.density, int32(t))
+	}
+	slices.SortFunc(s.density, func(a, b int32) int {
 		wa, wb := s.weights[a], s.weights[b]
 		pa, pb := s.profits[a], s.profits[b]
 		if wa == 0 || wb == 0 {
-			if wa == 0 && wb == 0 {
-				if pa != pb {
-					return pa > pb
-				}
-				return a < b
+			if wa != wb {
+				return cmp.Compare(wa, wb) // zero weight first
 			}
-			return wa == 0
-		}
-		lhs, rhs := pa*wb, pb*wa
-		if lhs != rhs {
-			return lhs > rhs
+		} else if lhs, rhs := pa*wb, pb*wa; lhs != rhs {
+			return cmp.Compare(rhs, lhs)
 		}
 		if pa != pb {
-			return pa > pb
+			return cmp.Compare(pb, pa)
 		}
-		return a < b
+		return cmp.Compare(a, b)
 	})
-	return s
 }
 
 // Len returns the number of in-range customers.

@@ -17,6 +17,8 @@
 package cols
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"sectorpack/internal/model"
@@ -25,8 +27,8 @@ import (
 // View is the columnar instance core. Position p (0 ≤ p < Len) describes
 // the p-th customer in ascending-angle order; ID[p] maps the position back
 // to the customer's index in Instance.Customers. Angle ties keep ascending
-// customer-index order (the sort is stable over the index-ordered input),
-// so the layout is a deterministic function of the instance.
+// customer-index order (the sort breaks ties by index), so the layout is a
+// deterministic function of the instance.
 type View struct {
 	Theta  []float64 // ascending angles
 	R      []float64 // radius per position
@@ -54,31 +56,51 @@ func New(in *model.Instance) *View {
 		byR:     make([]int32, n),
 		sortedR: make([]float64, n),
 	}
-	perm := make([]int32, n)
-	for i := range perm {
-		perm[i] = int32(i)
+	keys := make([]keyed, n)
+	for i := range in.Customers {
+		keys[i] = keyed{in.Customers[i].Theta, int32(i)}
 	}
-	sort.SliceStable(perm, func(x, y int) bool {
-		return in.Customers[perm[x]].Theta < in.Customers[perm[y]].Theta
-	})
-	for p, i := range perm {
-		c := &in.Customers[i]
+	sortKeyed(keys)
+	for p, k := range keys {
+		c := &in.Customers[k.idx]
 		v.Theta[p] = c.Theta
 		v.R[p] = c.R
 		v.Demand[p] = c.Demand
 		v.Profit[p] = c.Profit
-		v.ID[p] = i
+		v.ID[p] = k.idx
 	}
-	for p := range v.byR {
-		v.byR[p] = int32(p)
+	for p, r := range v.R {
+		keys[p] = keyed{r, int32(p)}
 	}
-	sort.SliceStable(v.byR, func(x, y int) bool {
-		return v.R[v.byR[x]] < v.R[v.byR[y]]
-	})
-	for k, p := range v.byR {
-		v.sortedR[k] = v.R[p]
+	sortKeyed(keys)
+	for k, kv := range keys {
+		v.byR[k] = kv.idx
+		v.sortedR[k] = kv.key
 	}
 	return v
+}
+
+// keyed is one sort record of the view's orders: a float key (angle or
+// radius) and the index it belongs to (customer index or position).
+type keyed struct {
+	key float64
+	idx int32
+}
+
+// sortKeyed sorts by (key, idx) ascending. The index tie-break makes the
+// order total, so it equals the stable sort by key of index-ordered input
+// that the layout contracts describe. Keys compare with < only, so no
+// exact float equality is needed.
+func sortKeyed(ks []keyed) {
+	slices.SortFunc(ks, func(a, b keyed) int {
+		if a.key < b.key {
+			return -1
+		}
+		if b.key < a.key {
+			return 1
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
 }
 
 // Len returns the number of customers in the view.
@@ -98,7 +120,7 @@ func (v *View) Len() int { return len(v.Theta) }
 //     remapping ids yields the survivors already sorted by (theta, new id);
 //   - added customers occupy ids nSurv..n-1, above every survivor id, so
 //     sorting just the k additions and merging (survivor first on theta
-//     ties) reproduces New's stable (theta, id) order;
+//     ties) reproduces New's (theta, id) order;
 //   - the radial order is rebuilt the same way: survivors filtered from
 //     old's byR stay sorted by (radius, position) because the merge
 //     preserves their relative positions, and the k additions are sorted
@@ -147,12 +169,15 @@ func Rebase(old *View, next *model.Instance, removed []int, added int) *View {
 		survIDs = append(survIDs, id-shiftOf[id])
 	}
 	addIDs := make([]int32, added)
-	for i := range addIDs {
-		addIDs[i] = int32(nSurv + i)
+	keys := make([]keyed, added)
+	for t := range keys {
+		id := int32(nSurv + t)
+		keys[t] = keyed{next.Customers[id].Theta, id}
 	}
-	sort.SliceStable(addIDs, func(x, y int) bool {
-		return next.Customers[addIDs[x]].Theta < next.Customers[addIDs[y]].Theta
-	})
+	sortKeyed(keys)
+	for t, k := range keys {
+		addIDs[t] = k.idx
+	}
 	i, j := 0, 0
 	for p := 0; p < n; p++ {
 		switch {
@@ -190,19 +215,14 @@ func Rebase(old *View, next *model.Instance, removed []int, added int) *View {
 		survR = append(survR, pos[id-shiftOf[id]])
 	}
 	addR := make([]int32, added)
-	for t := range addR {
-		addR[t] = pos[nSurv+t]
+	for t := range keys {
+		p := pos[nSurv+t]
+		keys[t] = keyed{v.R[p], p}
 	}
-	sort.Slice(addR, func(x, y int) bool {
-		rx, ry := v.R[addR[x]], v.R[addR[y]]
-		if rx < ry {
-			return true
-		}
-		if ry < rx {
-			return false
-		}
-		return addR[x] < addR[y]
-	})
+	sortKeyed(keys)
+	for t, k := range keys {
+		addR[t] = k.idx
+	}
 	i, j = 0, 0
 	for p := 0; p < n; p++ {
 		switch {
@@ -272,8 +292,7 @@ func (v *View) AppendEligible(a model.Antenna, out []int32) []int32 {
 	if prefilterWins(k, n) {
 		base := len(out)
 		out = append(out, v.byR[rlo:rhi]...)
-		seg := out[base:]
-		sort.Slice(seg, func(x, y int) bool { return seg[x] < seg[y] })
+		slices.Sort(out[base:])
 		return out
 	}
 	loR, hiR := a.RadialBounds()
