@@ -2,10 +2,9 @@
 // the module. The intra-procedural wave — ctxloop, anglenorm, floateq,
 // optcover, provenance — is joined by the interprocedural wave built on
 // cross-package facts and the module call graph: lockdiscipline (fields
-// annotated `// guarded by mu` are only touched holding the guard),
+// annotated `// guarded by mu` are only touched holding the guard) and
 // fsyncorder (durable write paths reach fsync; Journal/File/FS errors are
-// never statement-discarded), retryidem (retry loops only re-send
-// idempotent routes), and expvarmono (`// monotonic` counters never rewind).
+// never statement-discarded).
 //
 // Usage:
 //
@@ -13,19 +12,18 @@
 //	go run ./cmd/sectorlint -list
 //	go run ./cmd/sectorlint -only lockdiscipline,fsyncorder ./internal/daemon/...
 //	go run ./cmd/sectorlint -include-tests -only ctxloop,floateq ./...
-//	go run ./cmd/sectorlint -json ./...
-//	go run ./cmd/sectorlint -sarif ./... > sectorlint.sarif
 //
 // Findings are suppressed per line with a mandatory reason:
 //
 //	x := seam() //sectorlint:ignore anglenorm canonical-order sort needs the raw value
 //
 // -stale-ignores additionally reports suppression comments that no longer
-// suppress anything (CI runs with it on, so the ignore inventory cannot
-// rot). -json emits a flat findings array; -sarif emits a SARIF 2.1.0 log
-// for code-scanning consumers. Helpers whose contract is "caller must hold
-// the lock" declare it with a doc-comment annotation the call-graph pass
-// verifies at every call site:
+// suppress anything or that name an analyzer outside the suite (CI runs
+// with it on, so the ignore inventory cannot rot). Findings print one per
+// line as file:line:col: message (analyzer).
+//
+// Helpers whose contract is "caller must hold the lock" declare it with a
+// doc-comment annotation the call-graph pass verifies at every call site:
 //
 //	//sectorlint:locked Cache.mu
 //	func (c *Cache) putLocked(...) { ... }

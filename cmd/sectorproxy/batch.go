@@ -81,7 +81,7 @@ func (p *Proxy) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// Not a splittable batch: route the whole body by raw bytes and let
 		// the owning backend produce the decode/validation error the daemon
 		// would have produced directly.
-		b, resp, ferr := p.forward(r.Context(), "raw:"+string(body), http.MethodPost, pathWithQuery(r, "/solve/batch"), body, true)
+		b, resp, ferr := p.forward(r.Context(), "raw:"+string(body), http.MethodPost, pathWithQuery(r, "/solve/batch"), body)
 		if ferr != nil {
 			p.writeForwardError(w, "/solve/batch", ferr)
 			return
@@ -98,7 +98,7 @@ func (p *Proxy) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if len(subs) == 1 {
 		// Whole batch lives on one shard: plain passthrough, no re-assembly.
 		sub := subs[0]
-		resp, err := p.send(r.Context(), sub.b, http.MethodPost, pathWithQuery(r, "/solve/batch"), body, true)
+		resp, err := p.send(r.Context(), sub.b, http.MethodPost, pathWithQuery(r, "/solve/batch"), body)
 		if err != nil {
 			p.writeForwardError(w, "/solve/batch", err)
 			return
@@ -253,7 +253,7 @@ func (p *Proxy) solveSubBatch(ctx context.Context, path string, env batchEnvelop
 		return subResult{sub: sub, err: err}
 	}
 	p.splits.Add(1)
-	resp, err := p.send(ctx, sub.b, http.MethodPost, path, body, true)
+	resp, err := p.send(ctx, sub.b, http.MethodPost, path, body)
 	if err != nil {
 		return subResult{sub: sub, err: err}
 	}

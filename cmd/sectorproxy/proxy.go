@@ -19,8 +19,8 @@
 // answer is identical to a direct one.
 //
 // Transport is internal/sectorclient's raw Do hook, so capped-exponential
-// backoff, Retry-After floors, and idempotency discipline come from one
-// place; every backend request goes through one helper, send, which keeps
+// backoff, Retry-After floors, and which routes may be re-sent come from
+// one place; every backend request goes through one helper, send, which keeps
 // the backend's request, failure and routed counts. Health is passive:
 // consecutive transport-level failures eject a backend from the ring (its
 // keyspace arcs slide to the next healthy backend; everyone else's stay
@@ -31,7 +31,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"log/slog"
@@ -46,6 +45,7 @@ import (
 	"sectorpack/internal/cache"
 	"sectorpack/internal/core"
 	"sectorpack/internal/exact"
+	"sectorpack/internal/metric"
 	"sectorpack/internal/model"
 	"sectorpack/internal/sectorclient"
 )
@@ -101,9 +101,9 @@ type backend struct {
 	consecFails atomic.Int32
 	down        atomic.Bool
 
-	requests  expvar.Int // monotonic: requests routed here (incl. failover arrivals)
-	failures  expvar.Int // monotonic: transport-level failures observed
-	ejections expvar.Int // monotonic: times this backend was ejected
+	requests  metric.Counter // requests routed here (incl. failover arrivals)
+	failures  metric.Counter // transport-level failures observed
+	ejections metric.Counter // times this backend was ejected
 }
 
 // Proxy is the routing front. Build with NewProxy, then Start to launch
@@ -122,12 +122,12 @@ type Proxy struct {
 	probeDone chan struct{}
 	probeOnce sync.Once
 
-	requests  expvar.Int // monotonic: requests received
-	routed    expvar.Int // monotonic: requests that reached some backend
-	failovers expvar.Int // monotonic: ring walks past the owner after transport failure
-	noBackend expvar.Int // monotonic: requests refused because no backend was healthy
-	splits    expvar.Int // monotonic: batch sub-requests fanned out
-	pinMisses expvar.Int // monotonic: session requests with no pinned backend
+	requests  metric.Counter // requests received
+	routed    metric.Counter // requests that reached some backend
+	failovers metric.Counter // ring walks past the owner after transport failure
+	noBackend metric.Counter // requests refused because no backend was healthy
+	splits    metric.Counter // batch sub-requests fanned out
+	pinMisses metric.Counter // session requests with no pinned backend
 }
 
 // NewProxy builds the routing front over the backend URLs.
@@ -222,14 +222,15 @@ func (p *Proxy) Serve(ctx context.Context, ln net.Listener) error {
 
 // probeEjected GETs /healthz on every ejected backend and readmits the
 // ones that answer 200. The probe client is the backend's own (its
-// per-attempt timeout applies); a probe is one attempt, never retried.
+// per-attempt timeout applies); sectorclient never retries a /healthz
+// probe, so the next tick is its retry.
 func (p *Proxy) probeEjected() {
 	for _, b := range p.backends {
 		if !b.down.Load() {
 			continue
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), p.cfg.ReprobeInterval)
-		resp, err := b.client.Do(ctx, http.MethodGet, "/healthz", nil, false)
+		resp, err := b.client.Do(ctx, http.MethodGet, "/healthz", nil)
 		cancel()
 		if err == nil && resp.Status == http.StatusOK {
 			b.consecFails.Store(0)
@@ -368,9 +369,9 @@ func (p *Proxy) instanceRoutingKey(in *model.Instance, solver string, seed *int6
 // client that hung up says nothing about the backend's health — or marks
 // success and counts the request as routed. Any HTTP response, whatever
 // its status, is a success here: it is the backend's honest answer.
-func (p *Proxy) send(ctx context.Context, b *backend, method, path string, body []byte, retryable bool) (*sectorclient.RawResponse, error) {
+func (p *Proxy) send(ctx context.Context, b *backend, method, path string, body []byte) (*sectorclient.RawResponse, error) {
 	b.requests.Add(1)
-	resp, err := b.client.Do(ctx, method, path, body, retryable)
+	resp, err := b.client.Do(ctx, method, path, body)
 	if err != nil {
 		if ctx.Err() == nil {
 			p.markFailure(b, err)
@@ -385,9 +386,9 @@ func (p *Proxy) send(ctx context.Context, b *backend, method, path string, body 
 // forward sends the body to the key's backends in ring order: the owner
 // first, then — on transport-level failure only — each failover candidate.
 // HTTP responses of any status are terminal (they are the backend's honest
-// answer and pass through); retryable controls sectorclient's own
-// transient-status retry loop per backend.
-func (p *Proxy) forward(ctx context.Context, key, method, path string, body []byte, retryable bool) (*backend, *sectorclient.RawResponse, error) {
+// answer and pass through); sectorclient's route table decides whether
+// each backend also gets transient-status retries.
+func (p *Proxy) forward(ctx context.Context, key, method, path string, body []byte) (*backend, *sectorclient.RawResponse, error) {
 	candidates := p.pickBackends(key)
 	if len(candidates) == 0 {
 		return nil, nil, errNoBackend
@@ -397,7 +398,7 @@ func (p *Proxy) forward(ctx context.Context, key, method, path string, body []by
 		if i > 0 {
 			p.failovers.Add(1)
 		}
-		resp, err := p.send(ctx, b, method, path, body, retryable)
+		resp, err := p.send(ctx, b, method, path, body)
 		if err == nil {
 			return b, resp, nil
 		}
@@ -428,7 +429,7 @@ func (p *Proxy) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := p.solveRoutingKey(body)
-	b, resp, err := p.forward(r.Context(), key, http.MethodPost, pathWithQuery(r, "/solve"), body, true)
+	b, resp, err := p.forward(r.Context(), key, http.MethodPost, pathWithQuery(r, "/solve"), body)
 	if err != nil {
 		p.writeForwardError(w, "/solve", err)
 		return
@@ -465,7 +466,7 @@ func (p *Proxy) handleVars(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "%q: %s", "sectorproxy.requests", p.requests.String())
 	for _, kv := range []struct {
 		name string
-		v    *expvar.Int
+		v    *metric.Counter
 	}{
 		{"sectorproxy.routed", &p.routed},
 		{"sectorproxy.failovers", &p.failovers},

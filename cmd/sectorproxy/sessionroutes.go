@@ -34,10 +34,11 @@ func (p *Proxy) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := p.sessionCreateRoutingKey(body)
-	// Creation is NOT idempotent (two attempts make two sessions), so no
-	// transient-status retries: one attempt per backend, transport-level
-	// failover only. A failed create leaves no pin, so nothing leaks.
-	b, resp, err := p.forward(r.Context(), key, http.MethodPost, pathWithQuery(r, "/session"), body, false)
+	// Creation is not idempotent (two attempts make two sessions), so
+	// sectorclient makes one attempt per backend and forward fails over
+	// only on transport errors. A failed create leaves no pin, so nothing
+	// leaks.
+	b, resp, err := p.forward(r.Context(), key, http.MethodPost, pathWithQuery(r, "/session"), body)
 	if err != nil {
 		p.writeForwardError(w, "/session", err)
 		return
@@ -101,14 +102,7 @@ func (p *Proxy) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// A delta is retryable only when the client supplied an idempotency
-	// key — the daemon then dedupes replays; without one a retried delta
-	// would apply twice.
-	var probe struct {
-		IdempotencyKey string `json:"idempotency_key"`
-	}
-	retryable := json.Unmarshal(body, &probe) == nil && probe.IdempotencyKey != ""
-	resp, err := p.send(r.Context(), b, http.MethodPost, pathWithQuery(r, "/session/"+id+"/delta"), body, retryable)
+	resp, err := p.send(r.Context(), b, http.MethodPost, pathWithQuery(r, "/session/"+id+"/delta"), body)
 	if err != nil {
 		p.writeForwardError(w, "/session/delta", err)
 		return
@@ -129,9 +123,7 @@ func (p *Proxy) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// DELETE is idempotent on the daemon (a second delete is 404), so
-	// transient-status retries are safe.
-	resp, err := p.send(r.Context(), b, http.MethodDelete, "/session/"+id, nil, true)
+	resp, err := p.send(r.Context(), b, http.MethodDelete, "/session/"+id, nil)
 	if err != nil {
 		p.writeForwardError(w, "/session/delete", err)
 		return

@@ -4,9 +4,8 @@
 // package-level var, a struct field); when the same analyzer later runs on
 // a package that imports P, it can import that fact back and act on it —
 // that is how lockdiscipline knows a field of an imported struct is
-// mutex-guarded, how fsyncorder knows faultfs.WriteFileAtomic is a
-// complete fsync+rename sink, and how retryidem knows sectorclient's Do is
-// a retry loop gated by its fifth parameter.
+// mutex-guarded, and how fsyncorder knows faultfs.WriteFileAtomic is a
+// complete fsync+rename sink.
 //
 // Facts genuinely round-trip through bytes (encoding/gob), exactly as they
 // would through files in a distributed go/analysis driver: the loader

@@ -190,20 +190,28 @@ var b = 2
 
 //sectorlint:ignore skipped this analyzer did not run
 var c = 3
+
+//sectorlint:ignore retryidm this analyzer is not in the suite
+var d = 4
 `)
 	tf := fset.File(file.Pos())
 	in := []Diagnostic{{Pos: tf.LineStart(4), Analyzer: "demo", Message: "m"}}
 	ran := map[string]bool{"demo": true}
-	out := applySuppressions(fset, []*ast.File{file}, in, ran, true)
-	if len(out) != 1 {
-		t.Fatalf("diagnostics = %v, want exactly the one stale-suppression finding", out)
+	suite := map[string]bool{"demo": true, "skipped": true}
+	out := applySuppressions(fset, []*ast.File{file}, in, ran, suite)
+	if len(out) != 2 {
+		t.Fatalf("diagnostics = %v, want the stale and the unknown-analyzer findings", out)
 	}
 	if !strings.Contains(out[0].Message, "stale suppression") ||
 		fset.Position(out[0].Pos).Line != 6 {
 		t.Errorf("stale finding = %+v, want stale-suppression at line 6", out[0])
 	}
+	if !strings.Contains(out[1].Message, "unknown analyzer") ||
+		fset.Position(out[1].Pos).Line != 12 {
+		t.Errorf("unknown finding = %+v, want unknown-analyzer at line 12", out[1])
+	}
 	// Without the audit, the same input yields no findings at all.
-	if quiet := applySuppressions(fset, []*ast.File{file}, in, ran, false); len(quiet) != 0 {
+	if quiet := applySuppressions(fset, []*ast.File{file}, in, ran, nil); len(quiet) != 0 {
 		t.Errorf("audit off: diagnostics = %v, want none", quiet)
 	}
 }

@@ -107,10 +107,13 @@ type Package struct {
 
 // Options tunes a Run.
 type Options struct {
-	// StaleIgnores additionally reports every well-formed
-	// //sectorlint:ignore comment that suppressed nothing (for analyzers
-	// that actually ran), so suppressions cannot outlive their bugs.
-	StaleIgnores bool
+	// StaleIgnores, when non-nil, is the full analyzer suite that
+	// //sectorlint:ignore comments are audited against: an entry naming an
+	// analyzer outside the suite (mistyped or retired) is reported, and so
+	// is one naming an analyzer that ran but suppressed nothing, so
+	// suppressions cannot outlive their bugs. Suite analyzers that did not
+	// run are not audited.
+	StaleIgnores []*Analyzer
 }
 
 // Run executes the analyzers over the packages with default options.
@@ -191,7 +194,14 @@ func RunOpts(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, opts O
 	for _, a := range analyzers {
 		ran[a.Name] = true
 	}
-	diags = applySuppressions(fset, files, diags, ran, opts.StaleIgnores)
+	var suite map[string]bool
+	if opts.StaleIgnores != nil {
+		suite = map[string]bool{}
+		for _, a := range opts.StaleIgnores {
+			suite[a.Name] = true
+		}
+	}
+	diags = applySuppressions(fset, files, diags, ran, suite)
 	sort.SliceStable(diags, func(i, j int) bool {
 		pi, pj := fset.Position(diags[i].Pos), fset.Position(diags[j].Pos)
 		if pi.Filename != pj.Filename {

@@ -59,7 +59,7 @@ func parseSuppressions(fset *token.FileSet, files []*ast.File) []suppression {
 // no staleness audit; every analyzer named in a suppression is assumed to
 // have run.
 func ApplySuppressions(fset *token.FileSet, files []*ast.File, diags []Diagnostic) []Diagnostic {
-	return applySuppressions(fset, files, diags, nil, false)
+	return applySuppressions(fset, files, diags, nil, nil)
 }
 
 // applySuppressions filters diags through the files' ignore comments and
@@ -68,12 +68,12 @@ func ApplySuppressions(fset *token.FileSet, files []*ast.File, diags []Diagnosti
 // match diagnostics whose analyzer is listed and whose line equals the
 // comment's line or the line after it (the standalone-comment case).
 //
-// With staleCheck set, a well-formed suppression entry that suppressed
-// nothing is itself reported — but only for analyzer names present in ran
-// (nil means "all ran"): a run restricted with -only must not flag
-// suppressions for the analyzers it skipped, whose findings it simply
-// cannot see this run.
-func applySuppressions(fset *token.FileSet, files []*ast.File, diags []Diagnostic, ran map[string]bool, staleCheck bool) []Diagnostic {
+// With a non-nil suite, every well-formed suppression entry is audited:
+// one naming an analyzer outside the suite (mistyped, or retired) is
+// reported, and one naming an analyzer in ran that suppressed nothing is
+// reported as stale. Suite analyzers missing from ran are skipped: a run
+// restricted with -only cannot see their findings this run.
+func applySuppressions(fset *token.FileSet, files []*ast.File, diags []Diagnostic, ran, suite map[string]bool) []Diagnostic {
 	sups := parseSuppressions(fset, files)
 	if len(sups) == 0 {
 		return diags
@@ -128,7 +128,7 @@ func applySuppressions(fset *token.FileSet, files []*ast.File, diags []Diagnosti
 		}
 		out = append(out, d)
 	}
-	if staleCheck {
+	if suite != nil {
 		// Re-walk the well-formed suppressions in source order; each
 		// analyzer entry that ran but matched nothing is stale. A
 		// suppression fully shadowed by an earlier one on the same lines
@@ -139,7 +139,16 @@ func applySuppressions(fset *token.FileSet, files []*ast.File, diags []Diagnosti
 			}
 			pos := fset.Position(s.pos)
 			for _, name := range s.analyzers {
-				if ran != nil && !ran[name] {
+				if !suite[name] {
+					out = append(out, Diagnostic{
+						Pos:      s.pos,
+						Analyzer: "sectorlint",
+						Message: "unknown analyzer: //sectorlint:ignore " + name +
+							" names no analyzer in the suite; fix the name or delete the suppression",
+					})
+					continue
+				}
+				if !ran[name] {
 					continue
 				}
 				hits := 0

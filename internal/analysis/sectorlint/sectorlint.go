@@ -1,9 +1,8 @@
 // Package sectorlint is the driver for the repository's invariant
 // checkers: it loads type-checked packages, runs every registered
 // analyzer (sharing one facts store and one module call graph), applies
-// //sectorlint:ignore suppressions, and renders the surviving diagnostics
-// as text, JSON, or SARIF 2.1.0. cmd/sectorlint is a thin main around
-// Main.
+// //sectorlint:ignore suppressions, and prints the surviving diagnostics
+// one per line. cmd/sectorlint is a thin main around Main.
 package sectorlint
 
 import (
@@ -14,7 +13,6 @@ import (
 
 	"sectorpack/internal/analysis/anglenorm"
 	"sectorpack/internal/analysis/ctxloop"
-	"sectorpack/internal/analysis/expvarmono"
 	"sectorpack/internal/analysis/floateq"
 	"sectorpack/internal/analysis/framework"
 	"sectorpack/internal/analysis/fsyncorder"
@@ -22,7 +20,6 @@ import (
 	"sectorpack/internal/analysis/lockdiscipline"
 	"sectorpack/internal/analysis/optcover"
 	"sectorpack/internal/analysis/provenance"
-	"sectorpack/internal/analysis/retryidem"
 )
 
 // Analyzers returns the full sectorlint suite in deterministic order.
@@ -30,13 +27,11 @@ func Analyzers() []*framework.Analyzer {
 	return []*framework.Analyzer{
 		anglenorm.Analyzer,
 		ctxloop.Analyzer,
-		expvarmono.Analyzer,
 		floateq.Analyzer,
 		fsyncorder.Analyzer,
 		lockdiscipline.Analyzer,
 		optcover.Analyzer,
 		provenance.Analyzer,
-		retryidem.Analyzer,
 	}
 }
 
@@ -47,24 +42,18 @@ func Main(stdout, stderr io.Writer, args []string) int {
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list the analyzers and their invariants, then exit")
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array on stdout")
-	sarifOut := fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log on stdout")
 	staleIgnores := fs.Bool("stale-ignores", false,
-		"report //sectorlint:ignore comments that no longer suppress anything")
+		"report //sectorlint:ignore comments that no longer suppress anything or name no analyzer in the suite")
 	includeTests := fs.Bool("include-tests", false,
 		"also analyze _test.go files (in-package tests join their package; external test packages load as <pkg>_test)")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: sectorlint [-list] [-only a,b] [-json|-sarif] [-stale-ignores] [-include-tests] [packages]\n\n"+
+		fmt.Fprintf(stderr, "usage: sectorlint [-list] [-only a,b] [-stale-ignores] [-include-tests] [packages]\n\n"+
 			"Runs the repository's solver-invariant analyzers over the given\n"+
 			"package patterns (default ./...). Suppress a finding with\n"+
 			"//sectorlint:ignore <analyzer> <reason> on or above its line.\n\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(stderr, "sectorlint: -json and -sarif are mutually exclusive")
 		return 2
 	}
 
@@ -101,27 +90,18 @@ func Main(stdout, stderr io.Writer, args []string) int {
 		fmt.Fprintf(stderr, "sectorlint: %v\n", err)
 		return 2
 	}
-	diags, err := framework.RunOpts(fset, pkgs, analyzers, framework.Options{StaleIgnores: *staleIgnores})
+	var opts framework.Options
+	if *staleIgnores {
+		opts.StaleIgnores = Analyzers()
+	}
+	diags, err := framework.RunOpts(fset, pkgs, analyzers, opts)
 	if err != nil {
 		fmt.Fprintf(stderr, "sectorlint: %v\n", err)
 		return 2
 	}
 
-	switch {
-	case *sarifOut:
-		if err := renderSARIF(stdout, fset, diags, Analyzers(), dir); err != nil {
-			fmt.Fprintf(stderr, "sectorlint: rendering SARIF: %v\n", err)
-			return 2
-		}
-	case *jsonOut:
-		if err := renderJSON(stdout, fset, diags, dir); err != nil {
-			fmt.Fprintf(stderr, "sectorlint: rendering JSON: %v\n", err)
-			return 2
-		}
-	default:
-		for _, d := range diags {
-			fmt.Fprintf(stdout, "%s: %s (%s)\n", fset.Position(d.Pos), d.Message, d.Analyzer)
-		}
+	for _, d := range diags {
+		fmt.Fprintf(stdout, "%s: %s (%s)\n", fset.Position(d.Pos), d.Message, d.Analyzer)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "sectorlint: %d finding(s)\n", len(diags))

@@ -22,8 +22,8 @@ func TestAnalyzersWellFormed(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
-		"anglenorm", "ctxloop", "expvarmono", "floateq", "fsyncorder",
-		"lockdiscipline", "optcover", "provenance", "retryidem",
+		"anglenorm", "ctxloop", "floateq", "fsyncorder",
+		"lockdiscipline", "optcover", "provenance",
 	} {
 		if !seen[want] {
 			t.Errorf("suite is missing analyzer %q", want)

@@ -6,6 +6,7 @@ import (
 	"expvar"
 	"sync"
 
+	"sectorpack/internal/metric"
 	"sectorpack/internal/model"
 )
 
@@ -80,12 +81,12 @@ type Cache struct {
 	entries  map[string]*list.Element // guarded by mu
 	flights  map[string]*flight       // guarded by mu
 
-	hits      expvar.Int // monotonic: lookups answered from the map
-	misses    expvar.Int // monotonic: lookups that fell through to a solve
-	evictions expvar.Int // monotonic: entries dropped under byte pressure
-	collapsed expvar.Int // monotonic: callers that joined an in-flight solve
-	stores    expvar.Int // monotonic: live entries inserted
-	restored  expvar.Int // monotonic: entries warm-loaded from a snapshot (snapshot.go)
+	hits      metric.Counter // lookups answered from the map
+	misses    metric.Counter // lookups that fell through to a solve
+	evictions metric.Counter // entries dropped under byte pressure
+	collapsed metric.Counter // callers that joined an in-flight solve
+	stores    metric.Counter // live entries inserted
+	restored  metric.Counter // entries warm-loaded from a snapshot (snapshot.go)
 }
 
 // New returns a cache bounded to maxBytes of stored solutions; zero means
@@ -205,7 +206,7 @@ func (c *Cache) putLocked(key string, canon model.Solution) {
 }
 
 //sectorlint:locked Cache.mu
-func (c *Cache) putCountedLocked(key string, canon model.Solution, counter *expvar.Int) {
+func (c *Cache) putCountedLocked(key string, canon model.Solution, counter *metric.Counter) {
 	size := entrySize(key, canon)
 	if size > c.maxBytes {
 		return

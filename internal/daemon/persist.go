@@ -84,7 +84,7 @@ func (s *Server) Restore(ctx context.Context) error {
 			s.logger.Warn("cache snapshot rejected; cold start",
 				slog.String("path", s.cfg.SnapshotPath), slog.String("error", err.Error()))
 		default:
-			s.snapLoadSkipped.Add(rep.Skipped)
+			s.snapLoadSkipped.Add(uint64(rep.Skipped))
 			s.logger.Info("cache snapshot restored",
 				slog.Int64("entries", rep.Restored), slog.Int64("skipped", rep.Skipped))
 		}

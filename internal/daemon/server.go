@@ -56,6 +56,7 @@ import (
 	"sectorpack/internal/core"
 	"sectorpack/internal/exact"
 	"sectorpack/internal/faultfs"
+	"sectorpack/internal/metric"
 	"sectorpack/internal/model"
 )
 
@@ -150,32 +151,32 @@ type Server struct {
 	sessions *sessionStore // live delta-solve sessions (sessions.go)
 	sessSeq  atomic.Uint64 // session-ID sequence
 
-	sessCreated expvar.Int // monotonic: sessions opened via POST /session
-	sessClosed  expvar.Int // monotonic: sessions closed via DELETE
-	sessEvicted expvar.Int // monotonic: sessions reaped by the idle sweep
-	sessDeltas  expvar.Int // monotonic: deltas applied across all sessions
+	sessCreated metric.Counter // sessions opened via POST /session
+	sessClosed  metric.Counter // sessions closed via DELETE
+	sessEvicted metric.Counter // sessions reaped by the idle sweep
+	sessDeltas  metric.Counter // deltas applied across all sessions
 
-	snapSaves         expvar.Int // monotonic: cache snapshots written (periodic + drain)
-	snapSaveFailures  expvar.Int // monotonic: snapshot writes that failed
-	snapLoadSkipped   expvar.Int // monotonic: snapshot entries rejected at warm-load
-	snapLoadFailures  expvar.Int // monotonic: whole-snapshot loads rejected (bad header/version)
-	sessRecovered     expvar.Int // monotonic: sessions rebuilt from journals at Restore
-	sessRecoverFailed expvar.Int // monotonic: journals that could not be recovered
-	journalFailures   expvar.Int // monotonic: journal create/append failures (session dropped)
-	journalOrphans    expvar.Int // monotonic: journal removals that failed (file left on disk)
-	idemReplays       expvar.Int // monotonic: deltas answered from the idempotency check
+	snapSaves         metric.Counter // cache snapshots written (periodic + drain)
+	snapSaveFailures  metric.Counter // snapshot writes that failed
+	snapLoadSkipped   metric.Counter // snapshot entries rejected at warm-load
+	snapLoadFailures  metric.Counter // whole-snapshot loads rejected (bad header/version)
+	sessRecovered     metric.Counter // sessions rebuilt from journals at Restore
+	sessRecoverFailed metric.Counter // journals that could not be recovered
+	journalFailures   metric.Counter // journal create/append failures (session dropped)
+	journalOrphans    metric.Counter // journal removals that failed (file left on disk)
+	idemReplays       metric.Counter // deltas answered from the idempotency check
 
-	requests      expvar.Int // monotonic: total /solve requests
-	solved        expvar.Int // monotonic: completed successfully (incl. degraded)
-	cancellations expvar.Int // monotonic: ended by deadline or client disconnect
-	shed          expvar.Int // monotonic: rejected with 429
-	failures      expvar.Int // monotonic: bad requests and solver errors
-	panics        expvar.Int // monotonic: recovered solver/handler panics
-	fallbacks     expvar.Int // monotonic: degraded responses served by the safety net
-	hedgeWins     expvar.Int // monotonic: fallback already done when the primary failed
-	invalid       expvar.Int // monotonic: solver outputs rejected by the post-solve gate
-	batches       expvar.Int // monotonic: /solve/batch requests
-	batchItems    expvar.Int // monotonic: instances received across all batches
+	requests      metric.Counter // total /solve requests
+	solved        metric.Counter // completed successfully (incl. degraded)
+	cancellations metric.Counter // ended by deadline or client disconnect
+	shed          metric.Counter // rejected with 429
+	failures      metric.Counter // bad requests and solver errors
+	panics        metric.Counter // recovered solver/handler panics
+	fallbacks     metric.Counter // degraded responses served by the safety net
+	hedgeWins     metric.Counter // fallback already done when the primary failed
+	invalid       metric.Counter // solver outputs rejected by the post-solve gate
+	batches       metric.Counter // /solve/batch requests
+	batchItems    metric.Counter // instances received across all batches
 
 	latencyMu sync.Mutex
 	latency   map[string]*latencyHist // guarded by latencyMu (per-solver)
@@ -792,7 +793,7 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 		c.reject(http.StatusBadRequest, fmt.Sprintf("batch has %d instances (max %d)", len(req.Instances), maxBatchItems))
 		return
 	}
-	s.batchItems.Add(int64(len(req.Instances)))
+	s.batchItems.Add(uint64(len(req.Instances)))
 	name, solver, ok := c.resolve(req.Solver)
 	if !ok {
 		return

@@ -268,7 +268,7 @@ func (s *Server) sessionTTL() time.Duration {
 // session request of any kind.
 func (s *Server) sweepSessions() {
 	if n := s.sessions.evictIdle(s.sessionTTL(), s.journalRemoveFailed); n > 0 {
-		s.sessEvicted.Add(int64(n))
+		s.sessEvicted.Add(uint64(n))
 		s.logger.Info("sessions evicted", slog.Int("count", n))
 	}
 }

@@ -1,15 +1,16 @@
 // Package sectorclient is a retrying HTTP client for the sectord daemon.
 //
 // Retries follow the daemon's durability contract: only idempotent routes
-// are retried. /solve is a pure function of its body and DELETE /session is
-// naturally idempotent, so both retry freely on transient failures (network
-// errors, 429/502/503/504). POST /session/{id}/delta is made retry-safe by
-// attaching an automatically generated idempotency key — a retry that lands
-// after a crash-recovered daemon already applied the delta is answered from
-// current state instead of being applied twice. POST /session is the one
-// route that is never retried: without a server-side creation key, a retry
-// after an ambiguous failure could leak a duplicate session (and its
-// journal); callers see the error and decide.
+// are retried, and one route table, idempotent, decides which those are.
+// /solve and /solve/batch are pure functions of their bodies and DELETE
+// /session is naturally idempotent, so they retry freely on transient
+// failures (network errors, 429/502/503/504). POST /session/{id}/delta is
+// retried only when its body carries an idempotency key — ApplyDelta
+// always attaches one — so a retry that lands after a crash-recovered
+// daemon already applied the delta is answered from current state instead
+// of being applied twice. POST /session is never retried: without a
+// server-side creation key, a retry after an ambiguous failure could leak
+// a duplicate session (and its journal); callers see the error and decide.
 //
 // There is one retry loop, Do. It returns the daemon's final answer
 // verbatim, which is what cmd/sectorproxy forwards. The typed calls (Solve,
@@ -50,7 +51,7 @@ type Options struct {
 	// bound that with the context). Zero means 30s. Ignored when
 	// HTTPClient is set.
 	Timeout time.Duration
-	// MaxRetries is how many times a retryable request is re-sent after
+	// MaxRetries is how many times an idempotent request is re-sent after
 	// the first attempt. Zero means 4; negative disables retries.
 	MaxRetries int
 	// BaseDelay seeds the exponential backoff (delay before retry i is
@@ -170,7 +171,7 @@ func (c *Client) Solve(ctx context.Context, solver string, in *model.Instance, o
 	if opt.AllowDegraded {
 		path += "?degraded=allow"
 	}
-	return c.solve(ctx, http.MethodPost, path, body, true)
+	return c.solve(ctx, http.MethodPost, path, body)
 }
 
 // solveBody is the request envelope of /solve and POST /session.
@@ -187,15 +188,15 @@ type Session struct {
 	ID string
 }
 
-// CreateSession opens a delta-solve session. This is the one non-idempotent
-// route: it is never retried, so an ambiguous network failure surfaces as
-// an error rather than a potential duplicate session.
+// CreateSession opens a delta-solve session. The route is not idempotent,
+// so it is never retried: an ambiguous network failure surfaces as an
+// error rather than a potential duplicate session.
 func (c *Client) CreateSession(ctx context.Context, solver string, in *model.Instance, opt SolveOptions) (*Session, *SolveResult, error) {
 	body, err := solveBody(solver, in, opt)
 	if err != nil {
 		return nil, nil, err
 	}
-	resp, err := c.call(ctx, http.MethodPost, "/session", body, false)
+	resp, err := c.call(ctx, http.MethodPost, "/session", body)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -221,14 +222,14 @@ func (s *Session) ApplyDelta(ctx context.Context, d model.Delta) (*SolveResult, 
 	if err != nil {
 		return nil, err
 	}
-	return s.c.solve(ctx, http.MethodPost, "/session/"+s.ID+"/delta", body, true)
+	return s.c.solve(ctx, http.MethodPost, "/session/"+s.ID+"/delta", body)
 }
 
 // Close deletes the session on the daemon. Idempotent: a 404 (the retry of
 // a delete that already landed, or a session the daemon dropped) is
 // success.
 func (s *Session) Close(ctx context.Context) error {
-	_, err := s.c.call(ctx, http.MethodDelete, "/session/"+s.ID, nil, true)
+	_, err := s.c.call(ctx, http.MethodDelete, "/session/"+s.ID, nil)
 	if errors.Is(err, ErrNotFound) {
 		return nil
 	}
@@ -248,17 +249,19 @@ type RawResponse struct {
 // Do is the routing hook for proxies: it issues one logical request with
 // the client's retry policy and returns the daemon's response verbatim —
 // including non-2xx statuses — so shed (429), degraded, and error
-// semantics can be passed through unchanged. When retryable, transient
-// statuses (429/502/503/504) are retried with backoff and the Retry-After
-// floor; once the budget is exhausted the LAST such response is returned,
-// not an error, so the caller can forward the daemon's honest Retry-After
-// hint. Only network-level failures (no HTTP response at all) return an
-// error; the caller decides whether to fail over to another backend.
-func (c *Client) Do(ctx context.Context, method, path string, body []byte, retryable bool) (*RawResponse, error) {
+// semantics can be passed through unchanged. When the route table says
+// the request is idempotent (see idempotent), transient statuses
+// (429/502/503/504) and network failures are retried with backoff and the
+// Retry-After floor; any other request gets exactly one attempt. Once the
+// budget is exhausted the LAST transient response is returned, not an
+// error, so the caller can forward the daemon's honest Retry-After hint.
+// Only network-level failures (no HTTP response at all) return an error;
+// the caller decides whether to fail over to another backend.
+func (c *Client) Do(ctx context.Context, method, path string, body []byte) (*RawResponse, error) {
 	var lastErr error
 	var last *RawResponse
 	maxAttempts := 1
-	if retryable && c.opt.MaxRetries > 0 {
+	if c.opt.MaxRetries > 0 && idempotent(method, path, body) {
 		maxAttempts = 1 + c.opt.MaxRetries
 	}
 	for attempt := 0; attempt < maxAttempts; attempt++ {
@@ -318,8 +321,8 @@ func (c *Client) Do(ctx context.Context, method, path string, body []byte, retry
 // status into *APIError, a transient status Do gave up on into "giving up
 // after N attempts", and a cancellation during the retries into an error
 // wrapping ctx.Err().
-func (c *Client) call(ctx context.Context, method, path string, body []byte, retryable bool) (*RawResponse, error) {
-	resp, err := c.Do(ctx, method, path, body, retryable)
+func (c *Client) call(ctx context.Context, method, path string, body []byte) (*RawResponse, error) {
+	resp, err := c.Do(ctx, method, path, body)
 	if err != nil {
 		return nil, err
 	}
@@ -340,8 +343,8 @@ func (c *Client) call(ctx context.Context, method, path string, body []byte, ret
 }
 
 // solve runs call and decodes the solve-shaped answer.
-func (c *Client) solve(ctx context.Context, method, path string, body []byte, retryable bool) (*SolveResult, error) {
-	resp, err := c.call(ctx, method, path, body, retryable)
+func (c *Client) solve(ctx context.Context, method, path string, body []byte) (*SolveResult, error) {
+	resp, err := c.call(ctx, method, path, body)
 	if err != nil {
 		return nil, err
 	}
@@ -353,6 +356,43 @@ func (c *Client) solve(ctx context.Context, method, path string, body []byte, re
 	rep.Attempts = resp.Attempts
 	return &rep, nil
 }
+
+// idempotent is the retry route table: it reports whether re-sending the
+// request after a transient failure cannot apply it twice. The query
+// string (degraded=allow, cache=bypass, ...) does not change the answer.
+// GET /healthz is the exception among reads: the proxy's re-probe of an
+// ejected backend is one attempt, and its next tick is the retry.
+func idempotent(method, path string, body []byte) bool {
+	if i := strings.IndexByte(path, '?'); i >= 0 {
+		path = path[:i]
+	}
+	id, isSession := strings.CutPrefix(path, "/session/")
+	switch method {
+	case http.MethodGet, http.MethodHead:
+		return path != "/healthz"
+	case http.MethodDelete:
+		return isSession && validID(id)
+	case http.MethodPost:
+		if path == "/solve" || path == "/solve/batch" {
+			return true
+		}
+		id, isDelta := strings.CutSuffix(id, "/delta")
+		if !isSession || !isDelta || !validID(id) {
+			return false
+		}
+		// A delta is safe to re-send only under an idempotency key: the
+		// daemon then answers a replay from current state.
+		var probe struct {
+			IdempotencyKey string `json:"idempotency_key"`
+		}
+		return json.Unmarshal(body, &probe) == nil && probe.IdempotencyKey != ""
+	}
+	return false
+}
+
+// validID reports whether a session ID path segment is non-empty and a
+// single segment.
+func validID(id string) bool { return id != "" && !strings.Contains(id, "/") }
 
 // transientStatus reports whether a status is worth retrying: shed load,
 // gateway hiccups, and the daemon's own "try again" answers.

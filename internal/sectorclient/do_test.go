@@ -85,7 +85,7 @@ func TestDoReturnsNon2xxVerbatim(t *testing.T) {
 	}))
 	defer ts.Close()
 	c := New(ts.URL, Options{Rand: rand.New(rand.NewSource(1))})
-	resp, err := c.Do(context.Background(), http.MethodPost, "/solve", []byte("{}"), true)
+	resp, err := c.Do(context.Background(), http.MethodPost, "/solve", []byte("{}"))
 	if err != nil {
 		t.Fatalf("Do returned error for a 400: %v (the hook must pass statuses through)", err)
 	}
@@ -112,7 +112,7 @@ func TestDoRetriesTransientThenSucceeds(t *testing.T) {
 		BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond,
 		Rand: rand.New(rand.NewSource(1)),
 	})
-	resp, err := c.Do(context.Background(), http.MethodPost, "/solve", []byte("{}"), true)
+	resp, err := c.Do(context.Background(), http.MethodPost, "/solve", []byte("{}"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestDoExhaustionReturnsLastShedResponse(t *testing.T) {
 		MaxRetries: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond,
 		Rand: rand.New(rand.NewSource(1)),
 	})
-	resp, err := c.Do(context.Background(), http.MethodPost, "/solve", []byte("{}"), true)
+	resp, err := c.Do(context.Background(), http.MethodPost, "/solve", []byte("{}"))
 	if err != nil {
 		t.Fatalf("exhausted retries must return the last 429, not an error: %v", err)
 	}
@@ -155,7 +155,7 @@ func TestDoCancelMidBackoffReturnsLastResponse(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	resp, err := c.Do(ctx, http.MethodPost, "/solve", []byte("{}"), true)
+	resp, err := c.Do(ctx, http.MethodPost, "/solve", []byte("{}"))
 	if err != nil {
 		t.Fatalf("cancel mid-backoff must return the last response, got error: %v", err)
 	}
@@ -174,7 +174,7 @@ func TestDoNetworkFailureIsAnError(t *testing.T) {
 		MaxRetries: 1, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond,
 		Rand: rand.New(rand.NewSource(1)),
 	})
-	resp, err := c.Do(context.Background(), http.MethodPost, "/solve", []byte("{}"), true)
+	resp, err := c.Do(context.Background(), http.MethodPost, "/solve", []byte("{}"))
 	if err == nil {
 		t.Fatalf("transport failure returned a response (%+v); proxies key failover on the error", resp)
 	}
@@ -199,5 +199,42 @@ func TestTypedPathCancelMidRetry(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("Solve slept %v; cancellation must interrupt the Retry-After floor", elapsed)
+	}
+}
+
+func TestIdempotentRouteTable(t *testing.T) {
+	keyed := []byte(`{"format_version":1,"idempotency_key":"k1","delta":{}}`)
+	for _, tc := range []struct {
+		method, path string
+		body         []byte
+		want         bool
+	}{
+		{http.MethodPost, "/solve", []byte("{}"), true},
+		{http.MethodPost, "/solve?degraded=allow", []byte("{}"), true},
+		{http.MethodPost, "/solve/batch", []byte("{}"), true},
+		{http.MethodPost, "/solve/batch?cache=bypass", []byte("{}"), true},
+		{http.MethodDelete, "/session/s1", nil, true},
+		{http.MethodGet, "/debug/vars", nil, true},
+		{http.MethodHead, "/debug/vars", nil, true},
+		{http.MethodPost, "/session/s1/delta", keyed, true},
+		{http.MethodPost, "/session/s1/delta?x=1", keyed, true},
+		{http.MethodPost, "/session/s1/delta", []byte(`{"idempotency_key":"","delta":{}}`), false},
+		{http.MethodPost, "/session/s1/delta", []byte(`{"delta":{}}`), false},
+		{http.MethodPost, "/session/s1/delta", []byte(`{"idempotency_key":`), false},
+		{http.MethodPost, "/session/s1/delta", nil, false},
+		{http.MethodPost, "/session", []byte("{}"), false},
+		{http.MethodPost, "/session?degraded=allow", []byte("{}"), false},
+		{http.MethodGet, "/healthz", nil, false},
+		{http.MethodHead, "/healthz", nil, false},
+		{http.MethodPost, "/session//delta", keyed, false},
+		{http.MethodPost, "/session/a/b/delta", keyed, false},
+		{http.MethodDelete, "/session/", nil, false},
+		{http.MethodDelete, "/session/s1/delta", nil, false},
+		{http.MethodPut, "/solve", []byte("{}"), false},
+		{http.MethodPost, "/unknown", []byte("{}"), false},
+	} {
+		if got := idempotent(tc.method, tc.path, tc.body); got != tc.want {
+			t.Errorf("idempotent(%s %s, %q) = %v, want %v", tc.method, tc.path, tc.body, got, tc.want)
+		}
 	}
 }
