@@ -49,10 +49,12 @@ func Workers() int {
 // customers — and solves only the candidate windows whose knapsack can
 // still win:
 //
-//  1. For every candidate window the Dantzig bound ⌊LP⌋ is computed in
-//     O(window) from the sweep's density order with integer arithmetic.
-//     Profits are integers, so it never undershoots the window's 0/1
-//     optimum.
+//  1. For every candidate window the Dantzig bound ⌊LP⌋ is computed with
+//     integer arithmetic. BestWindow slides one Fenwick tree over density
+//     rank along the sweep (dantzigTree), so each window's bound costs
+//     O(log k); BestWindowAt walks the sweep's density order per window.
+//     Profits are integers, so the bound never undershoots the window's
+//     0/1 optimum.
 //  2. The candidate with the highest bound (the first one on ties) is
 //     solved first; it becomes the incumbent (profit, candidate index).
 //  3. The rest are visited in candidate order. A candidate is skipped when
@@ -82,6 +84,7 @@ type Engine struct {
 	outs   []outcome
 	posBuf []int32
 	posEnd []int32 // prefix ends of each candidate's segment in posBuf
+	tree   dantzigTree
 
 	// best is the running evaluation's incumbent: the index of the solved
 	// candidate that currently leads the fold, −1 before the first. Its
@@ -215,8 +218,9 @@ func (p prewarmer) build(j int) error {
 
 // BestWindow finds the most profitable placement of a single antenna over
 // the active customers: the cached sweep streams every candidate window,
-// the Dantzig bound prunes hopeless ones, and a knapsack selects within
-// each survivor. Results are identical to evaluating every candidate.
+// the Dantzig bound — read from one tree slid along the sweep — prunes
+// hopeless ones, and a knapsack selects within each survivor. Results are
+// identical to evaluating every candidate.
 //
 // With an exact inner solver the result is the true single-antenna optimum
 // (by the candidate-orientation lemma); with the FPTAS it is a (1−ε)
@@ -229,10 +233,12 @@ func (e *Engine) BestWindow(ctx context.Context, antenna int, active []bool, opt
 	s := e.Sweep(antenna)
 	capacity := e.in.Antennas[antenna].Capacity
 	e.wins = e.wins[:0]
+	e.tree.reset(s)
 	s.forEachRange(func(start, count int, alpha float64) bool {
+		e.tree.slide(start, start+count, active)
 		e.wins = append(e.wins, windowCand{
 			alpha: alpha,
-			bound: s.dantzigRange(start, count, active, capacity),
+			bound: e.tree.bound(capacity),
 			start: int32(start),
 			count: int32(count),
 		})
@@ -472,45 +478,12 @@ func (ew evalWorker) solve(k int) {
 	e.raise(k)
 }
 
-// dantzigRange computes the Dantzig bound of the window given as a circular
-// position range, over active members only: the floor of the fractional
-// (LP) optimum, from a walk of the sweep's density order in integer
-// arithmetic (floorFrac), so no float rounding can pull it below the
-// window's 0/1 optimum.
-func (s *Sweep) dantzigRange(start, count int, active []bool, capacity int64) int64 {
-	n := len(s.ids)
-	rem := capacity
-	var bound int64
-	for _, p32 := range s.density {
-		p := int(p32)
-		rel := p - start
-		if rel < 0 {
-			rel += n
-		}
-		if rel >= count {
-			continue
-		}
-		if active != nil && !active[s.ids[p]] {
-			continue
-		}
-		w := s.weights[p]
-		if w <= rem {
-			bound += s.profits[p]
-			rem -= w
-			if rem == 0 {
-				break
-			}
-		} else {
-			bound += floorFrac(s.profits[p], rem, w)
-			break
-		}
-	}
-	return bound
-}
-
-// dantzigSet is dantzigRange for an explicit member-position set; the set
-// must be sorted or not — only membership matters. It marks the members
-// and walks the density order, so cost is O(set + prefix of density walk).
+// dantzigSet computes the Dantzig bound of an explicit member-position set
+// over its active members: the floor of the fractional (LP) optimum, from a
+// walk of the sweep's density order in integer arithmetic (floorFrac), so
+// no float rounding can pull it below the set's 0/1 optimum. The set need
+// not be sorted — only membership matters. It marks the members and walks
+// the density order, so cost is O(set + prefix of density walk).
 func (s *Sweep) dantzigSet(set []int32, active []bool, capacity int64) int64 {
 	if len(set) == 0 {
 		return 0

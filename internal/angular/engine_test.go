@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"sectorpack/internal/gen"
+	"sectorpack/internal/geom"
 	"sectorpack/internal/knapsack"
 	"sectorpack/internal/model"
 )
@@ -253,51 +254,195 @@ func floorLP(items []knapsack.Item, capacity int64) int64 {
 	return new(big.Int).Quo(lp.Num(), lp.Denom()).Int64()
 }
 
+// dantzigRange is the reference of BestWindow's sliding bound: the Dantzig
+// bound ⌊LP⌋ of the window given as a circular position range, over its
+// active members, from a walk of the sweep's whole density order that
+// skips non-members, in integer arithmetic (floorFrac).
+func (s *Sweep) dantzigRange(start, count int, active []bool, capacity int64) int64 {
+	n := len(s.ids)
+	rem := capacity
+	var bound int64
+	for _, p32 := range s.density {
+		p := int(p32)
+		rel := p - start
+		if rel < 0 {
+			rel += n
+		}
+		if rel >= count {
+			continue
+		}
+		if active != nil && !active[s.ids[p]] {
+			continue
+		}
+		w := s.weights[p]
+		if w <= rem {
+			bound += s.profits[p]
+			rem -= w
+			if rem == 0 {
+				break
+			}
+		} else {
+			bound += floorFrac(s.profits[p], rem, w)
+			break
+		}
+	}
+	return bound
+}
+
 // TestDantzigBoundDominatesOptimum property-checks pruning soundness at its
-// root: every candidate window's bound must be at least the window's true
-// 0/1 optimum, for both the range and the explicit-set bound, and it must
-// be exactly the floor of the window's LP optimum — the tightest bound
-// integer profits allow.
+// root. Every bound BestWindow streams from its sliding tree must equal the
+// density walk over the same window (dantzigRange) and the explicit-set
+// bound, be at least the window's true 0/1 optimum, and be exactly the
+// floor of the window's LP optimum — the tightest bound integer profits
+// allow. The inputs cover random small instances (n=1 included), every gen
+// family, the tie-heavy family of TestBestWindowPruningInvariance, random
+// active masks, windows across the 2π seam, capacity 0 and capacity at
+// least every window's weight, several antennas sharing one engine's tree,
+// and demands near 2^62 whose window sums pass 2^64.
 func TestDantzigBoundDominatesOptimum(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
-	for trial := 0; trial < 60; trial++ {
-		in := randInstance(rng, 1+rng.Intn(14), 1, model.Sectors)
-		var active []bool
-		if trial%2 == 1 {
-			active = make([]bool, in.N())
-			for i := range active {
-				active[i] = rng.Intn(3) != 0
+	randMask := func(in *model.Instance) []bool {
+		active := make([]bool, in.N())
+		for i := range active {
+			active[i] = rng.Intn(3) != 0
+		}
+		return active
+	}
+	seam := 0
+	check := func(tag string, in *model.Instance, active []bool, oracles bool) {
+		t.Helper()
+		eng := NewEngine(in)
+		for j := range in.Antennas {
+			if _, err := eng.BestWindow(context.Background(), j, active, knapsack.Options{}); err != nil {
+				t.Fatalf("%s antenna %d: %v", tag, j, err)
+			}
+			s := eng.Sweep(j)
+			capacity := in.Antennas[j].Capacity
+			n := s.Len()
+			k := 0
+			s.forEachRange(func(start, count int, alpha float64) bool {
+				if k >= len(eng.wins) {
+					t.Fatalf("%s antenna %d: BestWindow streamed %d windows, the sweep has more", tag, j, len(eng.wins))
+				}
+				c := eng.wins[k]
+				k++
+				if int(c.start) != start || int(c.count) != count {
+					t.Fatalf("%s antenna %d window %d: streamed range (%d,%d), sweep range (%d,%d)", tag, j, k-1, c.start, c.count, start, count)
+				}
+				if start+count > n {
+					seam++
+				}
+				walk := s.dantzigRange(start, count, active, capacity)
+				if c.bound != walk {
+					t.Fatalf("%s antenna %d window at %v: tree bound %d != walk %d", tag, j, alpha, c.bound, walk)
+				}
+				var items []knapsack.Item
+				var set []int32
+				for q := start; q < start+count; q++ {
+					p := q % n
+					if i := s.ids[p]; active == nil || active[i] {
+						items = append(items, knapsack.Item{Weight: in.Customers[i].Demand, Profit: in.Customers[i].Profit})
+						set = append(set, int32(p))
+					}
+				}
+				if setBound := s.dantzigSet(set, active, capacity); setBound != walk {
+					t.Fatalf("%s antenna %d window at %v: dantzigSet %d != walk %d", tag, j, alpha, setBound, walk)
+				}
+				if !oracles {
+					return true
+				}
+				opt, err := knapsackExact(items, capacity)
+				if err != nil {
+					t.Fatalf("oracle: %v", err)
+				}
+				if walk < opt {
+					t.Fatalf("%s antenna %d window at %v: bound %d below optimum %d", tag, j, alpha, walk, opt)
+				}
+				if lp := floorLP(items, capacity); walk != lp {
+					t.Fatalf("%s antenna %d window at %v: bound %d != floor of the LP optimum %d", tag, j, alpha, walk, lp)
+				}
+				return true
+			})
+			if k != len(eng.wins) {
+				t.Fatalf("%s antenna %d: BestWindow streamed %d windows, the sweep has %d", tag, j, len(eng.wins), k)
 			}
 		}
-		s := NewSweep(in, 0)
-		capacity := in.Antennas[0].Capacity
-		n := s.Len()
-		s.forEachRange(func(start, count int, alpha float64) bool {
-			bound := s.dantzigRange(start, count, active, capacity)
-			var items []knapsack.Item
-			var set []int32
-			for k := start; k < start+count; k++ {
-				p := k % n
-				if i := s.ids[p]; active == nil || active[i] {
-					items = append(items, knapsack.Item{Weight: in.Customers[i].Demand, Profit: in.Customers[i].Profit})
-					set = append(set, int32(p))
+	}
+	// checkCapacities runs check at the instance's own capacities, at 0, and
+	// at its total demand, which no window's weight exceeds.
+	checkCapacities := func(tag string, in *model.Instance, active []bool) {
+		t.Helper()
+		check(tag, in, active, true)
+		own := make([]int64, in.M())
+		for j := range in.Antennas {
+			own[j] = in.Antennas[j].Capacity
+		}
+		for _, c := range []int64{0, in.TotalDemand()} {
+			for j := range in.Antennas {
+				in.Antennas[j].Capacity = c
+			}
+			check(fmt.Sprintf("%s/c%d", tag, c), in, active, true)
+		}
+		for j := range in.Antennas {
+			in.Antennas[j].Capacity = own[j]
+		}
+	}
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + rng.Intn(14)
+		if trial < 4 {
+			n = 1
+		}
+		in := randInstance(rng, n, 1+trial%2, model.Sectors)
+		var active []bool
+		if trial%2 == 1 {
+			active = randMask(in)
+		}
+		checkCapacities(fmt.Sprintf("random/%d", trial), in, active)
+	}
+	for _, fam := range gen.Families() {
+		for seed := int64(1); seed <= 2; seed++ {
+			in := gen.MustGenerate(gen.Config{Family: fam, Seed: seed, N: 24, M: 3})
+			checkCapacities(fmt.Sprintf("%s/%d", fam, seed), in, nil)
+			checkCapacities(fmt.Sprintf("%s/%d/masked", fam, seed), in, randMask(in))
+			for i := range in.Customers {
+				in.Customers[i].Demand, in.Customers[i].Profit = 2, 3
+			}
+			for c := int64(5); c <= 15; c += 2 {
+				for j := range in.Antennas {
+					in.Antennas[j].Capacity = c
 				}
+				check(fmt.Sprintf("ties/%s/%d/c%d", fam, seed, c), in, randMask(in), true)
 			}
-			if setBound := s.dantzigSet(set, active, capacity); setBound != bound {
-				t.Fatalf("window at %v: dantzigSet %d != dantzigRange %d", alpha, setBound, bound)
-			}
-			opt, err := knapsackExact(items, capacity)
-			if err != nil {
-				t.Fatalf("oracle: %v", err)
-			}
-			if bound < opt {
-				t.Fatalf("window at %v: bound %d below optimum %d", alpha, bound, opt)
-			}
-			if lp := floorLP(items, capacity); bound != lp {
-				t.Fatalf("window at %v: bound %d != floor of the LP optimum %d", alpha, bound, lp)
-			}
-			return true
-		})
+		}
+	}
+	// Customers on both sides of the seam: windows wrap past 2π, and the
+	// last one lies within Eps of the one at 0, so the sweep skips start 0
+	// and the tree's first window starts at position 1.
+	seamCustomers := make([]model.Customer, 11)
+	for i := range seamCustomers {
+		seamCustomers[i] = model.Customer{Theta: geom.NormAngle(float64(i-5) * 0.05), R: 1, Demand: 1 + int64(i%3), Profit: int64(7 - i%4)}
+	}
+	seamCustomers[10].Theta = geom.TwoPi - geom.Eps/2
+	in := instWith(seamCustomers, []model.Antenna{{Rho: 0.3, Range: 10, Capacity: 4}}, model.Sectors)
+	checkCapacities("seam", in, nil)
+	checkCapacities("seam/masked", in, randMask(in))
+	if seam == 0 {
+		t.Fatal("no window crossed the 2π seam")
+	}
+	// Two of every three demands near 2^62: a window holds enough of them
+	// for its weight to pass 2^64, while the small ones still fit. Only the
+	// walk is checked: densityCmp's profit·weight cross products overflow
+	// at these demands, so the density order, and with it the walk, is no
+	// longer the LP order the oracles use.
+	for i := range in.Customers {
+		if i%3 != 0 {
+			in.Customers[i].Demand = 1<<62 + int64(i)
+		}
+	}
+	for _, c := range []int64{0, 5, 1 << 40, 1 << 59} {
+		in.Antennas[0].Capacity = c
+		check(fmt.Sprintf("huge/c%d", c), in, nil, false)
+		check(fmt.Sprintf("huge/c%d/masked", c), in, randMask(in), false)
 	}
 }
 

@@ -132,8 +132,8 @@ func (e *Engine) Rebase(next *model.Instance, d model.Delta) (kept []bool) {
 // mergeSweep builds antenna a's sweep over next from its pre-delta sweep
 // s: the surviving members (ids shifted, demand and profit read from next)
 // merged in theta order with the in-range additions (new ids in (theta, id)
-// order), survivors first on theta ties, then the density order re-sorted.
-// See Rebase for why this equals a fresh build.
+// order), survivors first on theta ties, then the density order merged
+// (mergeDensity). See Rebase for why this equals a fresh build.
 func mergeSweep(s *Sweep, next *model.Instance, a model.Antenna, shift []int32, added []int32) *Sweep {
 	k := len(s.ids) + len(added)
 	ns := &Sweep{
@@ -164,19 +164,58 @@ func mergeSweep(s *Sweep, next *model.Instance, a model.Antenna, shift []int32, 
 			}
 		}
 	}
+	newPos := make([]int32, len(s.ids)) // old position → position in ns, −1 if removed
 	for t, id := range s.ids {
 		if shift != nil {
 			if shift[id] < 0 {
+				newPos[t] = -1
 				continue
 			}
 			id -= shift[id]
 		}
 		pushAdds(s.thetas[t])
+		newPos[t] = int32(len(ns.ids))
 		push(s.thetas[t], id)
 	}
 	pushAdds(math.Inf(1))
-	ns.sortDensity()
+	ns.mergeDensity(s, newPos)
 	return ns
+}
+
+// mergeDensity fills s.density from the pre-delta sweep old instead of
+// sorting all of it. A survivor whose weight and profit are unchanged
+// keeps its order relative to the other such survivors: densityCmp reads
+// only weight, profit and position, and mergeSweep keeps the survivors'
+// relative positions. So those survivors, read in old's density order, are
+// already sorted; only the additions and the re-priced survivors are
+// sorted, and the two runs are merged. The result equals sortDensity's.
+func (s *Sweep) mergeDensity(old *Sweep, newPos []int32) {
+	k := len(s.ids)
+	kept := make([]bool, k)
+	same := make([]int32, 0, k)
+	for _, t := range old.density {
+		if p := newPos[t]; p >= 0 && s.weights[p] == old.weights[t] && s.profits[p] == old.profits[t] {
+			same = append(same, p)
+			kept[p] = true
+		}
+	}
+	fresh := make([]int32, 0, k-len(same))
+	for p, ok := range kept {
+		if !ok {
+			fresh = append(fresh, int32(p))
+		}
+	}
+	slices.SortFunc(fresh, s.densityCmp)
+	i, j := 0, 0
+	for i < len(same) || j < len(fresh) {
+		if j == len(fresh) || (i < len(same) && s.densityCmp(same[i], fresh[j]) < 0) {
+			s.density = append(s.density, same[i])
+			i++
+		} else {
+			s.density = append(s.density, fresh[j])
+			j++
+		}
+	}
 }
 
 // bitsEq is bit-level float equality (NaN == NaN, -0 != +0), the explicit

@@ -89,21 +89,26 @@ func (s *Sweep) sortDensity() {
 	for t := range s.ids {
 		s.density = append(s.density, int32(t))
 	}
-	slices.SortFunc(s.density, func(a, b int32) int {
-		wa, wb := s.weights[a], s.weights[b]
-		pa, pb := s.profits[a], s.profits[b]
-		if wa == 0 || wb == 0 {
-			if wa != wb {
-				return cmp.Compare(wa, wb) // zero weight first
-			}
-		} else if lhs, rhs := pa*wb, pb*wa; lhs != rhs {
-			return cmp.Compare(rhs, lhs)
+	slices.SortFunc(s.density, s.densityCmp)
+}
+
+// densityCmp is the Dantzig order of positions a and b. It reads only
+// their weights, profits and positions, and is total: distinct positions
+// never compare equal.
+func (s *Sweep) densityCmp(a, b int32) int {
+	wa, wb := s.weights[a], s.weights[b]
+	pa, pb := s.profits[a], s.profits[b]
+	if wa == 0 || wb == 0 {
+		if wa != wb {
+			return cmp.Compare(wa, wb) // zero weight first
 		}
-		if pa != pb {
-			return cmp.Compare(pb, pa)
-		}
-		return cmp.Compare(a, b)
-	})
+	} else if lhs, rhs := pa*wb, pb*wa; lhs != rhs {
+		return cmp.Compare(rhs, lhs)
+	}
+	if pa != pb {
+		return cmp.Compare(pb, pa)
+	}
+	return cmp.Compare(a, b)
 }
 
 // Len returns the number of in-range customers.

@@ -10,6 +10,8 @@
 // that index (eligibility is a closed radius interval, model.RadialBounds),
 // so selective antennas locate their candidates with two binary searches
 // plus an O(k log k) position sort instead of scanning all n customers.
+// Both orders come from a stable LSD radix sort of an index permutation on
+// an order-preserving integer image of the float keys (radixOrder).
 //
 // A View is immutable after New and safe for concurrent readers; the
 // parallel sweep builders in internal/angular share one View across
@@ -17,7 +19,7 @@
 package cols
 
 import (
-	"cmp"
+	"math"
 	"slices"
 	"sort"
 
@@ -27,8 +29,8 @@ import (
 // View is the columnar instance core. Position p (0 ≤ p < Len) describes
 // the p-th customer in ascending-angle order; ID[p] maps the position back
 // to the customer's index in Instance.Customers. Angle ties keep ascending
-// customer-index order (the sort breaks ties by index), so the layout is a
-// deterministic function of the instance.
+// customer-index order (the sort is stable from index order), so the
+// layout is a deterministic function of the instance.
 type View struct {
 	Theta  []float64 // ascending angles
 	R      []float64 // radius per position
@@ -43,8 +45,8 @@ type View struct {
 	sortedR []float64
 }
 
-// New builds the view: one O(n log n) angular sort and one O(n log n)
-// radial sort per instance, amortized over every antenna's sweep.
+// New builds the view: one stable radix sort by angle and one by radius
+// per instance, each O(n), amortized over every antenna's sweep.
 func New(in *model.Instance) *View {
 	n := len(in.Customers)
 	v := &View{
@@ -56,59 +58,96 @@ func New(in *model.Instance) *View {
 		byR:     make([]int32, n),
 		sortedR: make([]float64, n),
 	}
-	keys := make([]keyed, n)
+	keys := make([]uint64, n)
+	tmp := make([]int32, n)
 	for i := range in.Customers {
-		keys[i] = keyed{in.Customers[i].Theta, int32(i)}
+		keys[i] = sortKey(in.Customers[i].Theta)
 	}
-	sortKeyed(keys)
-	for p, k := range keys {
-		c := &in.Customers[k.idx]
+	radixOrder(v.ID, tmp, keys)
+	for p, id := range v.ID {
+		c := &in.Customers[id]
 		v.Theta[p] = c.Theta
 		v.R[p] = c.R
 		v.Demand[p] = c.Demand
 		v.Profit[p] = c.Profit
-		v.ID[p] = k.idx
 	}
 	for p, r := range v.R {
-		keys[p] = keyed{r, int32(p)}
+		keys[p] = sortKey(r)
 	}
-	sortKeyed(keys)
-	for k, kv := range keys {
-		v.byR[k] = kv.idx
-		v.sortedR[k] = kv.key
+	radixOrder(v.byR, tmp, keys)
+	for k, p := range v.byR {
+		v.sortedR[k] = v.R[p]
 	}
 	return v
 }
 
-// keyed is one sort record of the view's orders: a float key (angle or
-// radius) and the index it belongs to (customer index or position).
-type keyed struct {
-	key float64
-	idx int32
+// sortKey maps a float to an integer whose unsigned order is the float's
+// order under <. Adding 0 turns −0 into +0 first, so the two zeros, which
+// < does not tell apart, stay a tie. Keys are never NaN: Validate rejects
+// NaN angles and radii.
+func sortKey(f float64) uint64 {
+	b := math.Float64bits(f + 0)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
 }
 
-// sortKeyed sorts by (key, idx) ascending. The index tie-break makes the
-// order total, so it equals the stable sort by key of index-ordered input
-// that the layout contracts describe. Keys compare with < only, so no
-// exact float equality is needed.
-func sortKeyed(ks []keyed) {
-	slices.SortFunc(ks, func(a, b keyed) int {
-		if a.key < b.key {
-			return -1
+// radixOrder fills order with the indices 0..len(keys)−1 sorted stably by
+// key: a least-significant-digit radix sort, eleven bits per pass (six
+// passes, one histogram pass for all of them), that skips each pass whose
+// digit is the same in every key. Sorting stably from index order yields
+// the (key, index) order the layout contracts describe. tmp is scratch of
+// the same length as keys.
+func radixOrder(order, tmp []int32, keys []uint64) {
+	const (
+		digitBits = 11
+		digits    = (64 + digitBits - 1) / digitBits
+		mask      = 1<<digitBits - 1
+	)
+	n := len(keys)
+	if n == 0 {
+		return
+	}
+	var counts [digits][1 << digitBits]int32
+	for _, k := range keys {
+		for d := range counts {
+			counts[d][k>>(digitBits*d)&mask]++
 		}
-		if b.key < a.key {
-			return 1
+	}
+	for i := range order {
+		order[i] = int32(i)
+	}
+	src, dst := order, tmp
+	for d := range counts {
+		c := &counts[d]
+		shift := digitBits * d
+		if c[keys[0]>>shift&mask] == int32(n) {
+			continue
 		}
-		return cmp.Compare(a.idx, b.idx)
-	})
+		var sum int32
+		for b, k := range c {
+			c[b], sum = sum, sum+k
+		}
+		for _, i := range src {
+			b := keys[i] >> shift & mask
+			dst[c[b]] = i
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &order[0] {
+		copy(order, src)
+	}
 }
 
 // Len returns the number of customers in the view.
 func (v *View) Len() int { return len(v.Theta) }
 
 // Rebase builds the view of next — the instance produced by applying a
-// delta to old's instance — in O(n + k log k) for k churned customers,
-// reusing old's two sort orders instead of re-sorting all n customers.
+// delta to old's instance — with linear merges that reuse old's two sort
+// orders for the survivors and a radix sort of only the k added customers,
+// instead of re-sorting all n customers.
 // removed lists the pre-delta ids the delta removed (any order), added how
 // many customers it appended. The result is identical to New(next); a
 // differential test enforces this bit for bit.
@@ -169,14 +208,14 @@ func Rebase(old *View, next *model.Instance, removed []int, added int) *View {
 		survIDs = append(survIDs, id-shiftOf[id])
 	}
 	addIDs := make([]int32, added)
-	keys := make([]keyed, added)
+	keys := make([]uint64, added)
+	tmp := make([]int32, added)
 	for t := range keys {
-		id := int32(nSurv + t)
-		keys[t] = keyed{next.Customers[id].Theta, id}
+		keys[t] = sortKey(next.Customers[nSurv+t].Theta)
 	}
-	sortKeyed(keys)
-	for t, k := range keys {
-		addIDs[t] = k.idx
+	radixOrder(addIDs, tmp, keys)
+	for t := range addIDs {
+		addIDs[t] += int32(nSurv)
 	}
 	i, j := 0, 0
 	for p := 0; p < n; p++ {
@@ -214,14 +253,15 @@ func Rebase(old *View, next *model.Instance, removed []int, added int) *View {
 		}
 		survR = append(survR, pos[id-shiftOf[id]])
 	}
+	// addIDs lists the additions in position order, so sorting them
+	// stably by radius breaks radius ties by position.
 	addR := make([]int32, added)
-	for t := range keys {
-		p := pos[nSurv+t]
-		keys[t] = keyed{v.R[p], p}
+	for t, id := range addIDs {
+		keys[t] = sortKey(v.R[pos[id]])
 	}
-	sortKeyed(keys)
-	for t, k := range keys {
-		addR[t] = k.idx
+	radixOrder(addR, tmp, keys)
+	for t, k := range addR {
+		addR[t] = pos[addIDs[k]]
 	}
 	i, j = 0, 0
 	for p := 0; p < n; p++ {

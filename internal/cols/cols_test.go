@@ -1,8 +1,10 @@
 package cols
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sectorpack/internal/gen"
@@ -177,9 +179,65 @@ func TestRadialBoundsMatchInRange(t *testing.T) {
 	}
 }
 
+// keyed is one record of the reference sort: a float key (angle or
+// radius) and the index it belongs to (customer index or position).
+type keyed struct {
+	key float64
+	idx int32
+}
+
+// sortKeyed is the reference order of the view's radix sorts: by (key, idx)
+// ascending, with keys compared by < only, so −0 and +0 tie and the index
+// breaks the tie.
+func sortKeyed(ks []keyed) {
+	slices.SortFunc(ks, func(a, b keyed) int {
+		if a.key < b.key {
+			return -1
+		}
+		if b.key < a.key {
+			return 1
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
+}
+
+// referenceView builds the view New documents with comparator sorts.
+func referenceView(in *model.Instance) *View {
+	n := len(in.Customers)
+	v := &View{
+		Theta:   make([]float64, n),
+		R:       make([]float64, n),
+		Demand:  make([]int64, n),
+		Profit:  make([]int64, n),
+		ID:      make([]int32, n),
+		byR:     make([]int32, n),
+		sortedR: make([]float64, n),
+	}
+	keys := make([]keyed, n)
+	for i := range in.Customers {
+		keys[i] = keyed{in.Customers[i].Theta, int32(i)}
+	}
+	sortKeyed(keys)
+	for p, k := range keys {
+		c := &in.Customers[k.idx]
+		v.Theta[p], v.R[p], v.Demand[p], v.Profit[p], v.ID[p] = c.Theta, c.R, c.Demand, c.Profit, k.idx
+	}
+	for p, r := range v.R {
+		keys[p] = keyed{r, int32(p)}
+	}
+	sortKeyed(keys)
+	for k, kv := range keys {
+		v.byR[k], v.sortedR[k] = kv.idx, kv.key
+	}
+	return v
+}
+
 // TestViewLayoutDeterministic checks the documented layout: ascending
 // angles with ties in ascending customer order, columns matching the
-// source customers, and a radius index that really is sorted.
+// source customers, and a radius index that really is sorted. Every column
+// of New must equal the comparator-sorted reference layout, on duplicate
+// angles and radii, −0 beside +0, angles at 0 and just under 2π, and at
+// n = 0, 1 and 100k.
 func TestViewLayoutDeterministic(t *testing.T) {
 	in := &model.Instance{Variant: model.Sectors}
 	// Duplicate angles on purpose: positions 2,3,4 share theta.
@@ -209,6 +267,47 @@ func TestViewLayoutDeterministic(t *testing.T) {
 		if v.sortedR[k] < v.sortedR[k-1] {
 			t.Fatalf("radius index not sorted at %d", k)
 		}
+	}
+	viewsIdentical(t, "fixture", v, referenceView(in))
+
+	// customers builds an instance from (theta, radius) pairs.
+	customers := func(pairs ...float64) *model.Instance {
+		in := &model.Instance{Variant: model.Sectors}
+		for i := 0; i+1 < len(pairs); i += 2 {
+			in.Customers = append(in.Customers, model.Customer{ID: i / 2, Theta: pairs[i], R: pairs[i+1], Demand: 1})
+		}
+		return in
+	}
+	negZero := math.Copysign(0, -1)
+	under2Pi := math.Nextafter(2*math.Pi, 0)
+	rnd := rand.New(rand.NewSource(12))
+	cfg, err := gen.Tier("100k-churn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tier := gen.MustGenerate(cfg)
+	// The same tier with every third angle and radius copied from its
+	// neighbour, so a large input has many ties too.
+	tied := tier.Clone()
+	for i := 1; i < len(tied.Customers); i += 3 {
+		tied.Customers[i].Theta, tied.Customers[i].R = tied.Customers[i-1].Theta, tied.Customers[i-1].R
+	}
+	rnd.Shuffle(len(tied.Customers), func(a, b int) {
+		tied.Customers[a], tied.Customers[b] = tied.Customers[b], tied.Customers[a]
+	})
+	for _, c := range []struct {
+		name string
+		in   *model.Instance
+	}{
+		{"empty", customers()},
+		{"one", customers(1.5, 2)},
+		{"duplicates", customers(2, 1, 1, 3, 2, 1, 2, 3, 1, 1, 0.5, 3, 2, 1)},
+		{"signed zeros", customers(0, 1, negZero, 0, 0, negZero, negZero, 1, 0, 0, 1, negZero)},
+		{"seam", customers(under2Pi, 2, 0, 2, math.Nextafter(under2Pi, 0), 1, 0, 1, under2Pi, 3, math.SmallestNonzeroFloat64, 2)},
+		{"100k-churn", tier},
+		{"100k-churn ties", tied},
+	} {
+		viewsIdentical(t, c.name, New(c.in), referenceView(c.in))
 	}
 }
 
@@ -311,3 +410,21 @@ func TestRebaseDegenerate(t *testing.T) {
 	}
 	viewsIdentical(t, "refill", Rebase(ev, next, nil, len(refill.Add)), New(next))
 }
+
+// BenchmarkNew measures the columnar build, the two radix sorts included,
+// on the 100k-churn tier instance.
+func BenchmarkNew(b *testing.B) {
+	cfg, err := gen.Tier("100k-churn")
+	if err != nil {
+		b.Fatal(err)
+	}
+	in := gen.MustGenerate(cfg)
+	b.Run("n100k", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchView = New(in)
+		}
+	})
+}
+
+var benchView *View

@@ -24,6 +24,15 @@ const Eps = 1e-9
 // [0, 2π). NaN is returned unchanged; ±Inf normalize to NaN, matching
 // math.Mod semantics.
 func NormAngle(theta float64) float64 {
+	if 0 <= theta && theta < TwoPi {
+		return theta // math.Mod returns an angle already in range unchanged
+	}
+	return normAngleMod(theta)
+}
+
+// normAngleMod is NormAngle's general case, kept out of line so the range
+// check inlines into callers.
+func normAngleMod(theta float64) float64 {
 	t := math.Mod(theta, TwoPi)
 	if t < 0 {
 		t += TwoPi

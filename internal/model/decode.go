@@ -245,15 +245,14 @@ type canon struct {
 	i int
 }
 
+// ws skips whitespace. It advances a local index and stores d.i once, so
+// long runs of indentation cost no store per byte.
 func (d *canon) ws() {
-	for d.i < len(d.b) {
-		switch d.b[d.i] {
-		case ' ', '\t', '\n', '\r':
-			d.i++
-		default:
-			return
-		}
+	b, i := d.b, d.i
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
 	}
+	d.i = i
 }
 
 // eat consumes c after optional whitespace.

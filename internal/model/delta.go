@@ -1,14 +1,14 @@
 package model
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
-
-	"sectorpack/internal/geom"
+	"slices"
 )
 
 // Delta is one incremental change to an instance, the unit a solve session
@@ -131,39 +131,50 @@ func ApplyDelta(in *Instance, d Delta) (*Instance, error) {
 	if err := d.Validate(in); err != nil {
 		return nil, fmt.Errorf("invalid delta: %w", err)
 	}
-	out := in.Clone()
-	for _, ch := range d.SetDemand {
-		c := &out.Customers[ch.Customer]
-		c.Demand = ch.Demand
-		c.Profit = ch.Profit
-		if c.Profit == 0 {
-			c.Profit = c.Demand
-		}
+	out := &Instance{Name: in.Name, Variant: in.Variant, Antennas: append([]Antenna(nil), in.Antennas...)}
+	for j := range out.Antennas {
+		out.Antennas[j].ID = j
 	}
 	for _, ch := range d.SetCapacity {
 		out.Antennas[ch.Antenna].Capacity = ch.Capacity
 	}
+	// One copy of the customers, compacted in place: survivors re-priced
+	// and normalized, then the additions appended. SetDemand addresses
+	// pre-delta positions, visited in ascending order; Remove addresses
+	// customer IDs (the same thing in a valid instance). Validate bounds
+	// both by N and rejects duplicates, so a customer whose ID lies outside
+	// [0, N) is never removed.
+	sets := slices.Clone(d.SetDemand)
+	slices.SortFunc(sets, func(a, b DemandChange) int { return cmp.Compare(a.Customer, b.Customer) })
+	var gone []bool
 	if len(d.Remove) > 0 {
-		gone := make(map[int]bool, len(d.Remove))
+		gone = make([]bool, in.N())
 		for _, id := range d.Remove {
 			gone[id] = true
 		}
-		kept := out.Customers[:0]
-		for _, c := range out.Customers {
-			if !gone[c.ID] {
-				kept = append(kept, c)
-			}
-		}
-		out.Customers = kept
 	}
-	for _, c := range d.Add {
-		c.Theta = geom.NormAngle(c.Theta)
-		if c.Profit == 0 {
-			c.Profit = c.Demand
+	cs := append([]Customer(nil), in.Customers...)
+	w := 0
+	for i := range cs {
+		c := &cs[i]
+		if len(sets) > 0 && sets[0].Customer == i {
+			c.Demand, c.Profit = sets[0].Demand, sets[0].Profit
+			sets = sets[1:]
 		}
-		out.Customers = append(out.Customers, c)
+		if c.ID >= 0 && c.ID < len(gone) && gone[c.ID] {
+			continue
+		}
+		if w < i {
+			cs[w] = *c
+		}
+		normalize(&cs[w], w)
+		w++
 	}
-	out.Normalize()
+	cs = append(cs[:w], d.Add...)
+	for ; w < len(cs); w++ {
+		normalize(&cs[w], w)
+	}
+	out.Customers = cs
 	return out, nil
 }
 

@@ -2,9 +2,13 @@ package model
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
+
+	"sectorpack/internal/geom"
 )
 
 func deltaBase() *Instance {
@@ -169,5 +173,113 @@ func TestReadTraceJSONRejectsBrokenReplay(t *testing.T) {
 	}
 	if _, err := ReadTraceJSON(&buf); err == nil || !strings.Contains(err.Error(), "delta 1") {
 		t.Fatalf("ReadTraceJSON err = %v, want replay failure naming delta 1", err)
+	}
+}
+
+// applyDeltaReference is the reference definition of ApplyDelta: clone,
+// re-price by position, re-capacitate, drop the removed IDs, append the
+// additions, and normalize the whole result.
+func applyDeltaReference(in *Instance, d Delta) *Instance {
+	out := in.Clone()
+	for _, ch := range d.SetDemand {
+		c := &out.Customers[ch.Customer]
+		c.Demand = ch.Demand
+		c.Profit = ch.Profit
+		if c.Profit == 0 {
+			c.Profit = c.Demand
+		}
+	}
+	for _, ch := range d.SetCapacity {
+		out.Antennas[ch.Antenna].Capacity = ch.Capacity
+	}
+	gone := make(map[int]bool, len(d.Remove))
+	for _, id := range d.Remove {
+		gone[id] = true
+	}
+	kept := out.Customers[:0]
+	for _, c := range out.Customers {
+		if !gone[c.ID] {
+			kept = append(kept, c)
+		}
+	}
+	out.Customers = kept
+	for _, c := range d.Add {
+		c.Theta = geom.NormAngle(c.Theta)
+		if c.Profit == 0 {
+			c.Profit = c.Demand
+		}
+		out.Customers = append(out.Customers, c)
+	}
+	return out.Normalize()
+}
+
+// TestApplyDeltaMatchesReference pins the one-pass ApplyDelta to the
+// reference bit for bit (floats compared through their JSON text, which
+// tells −0 from +0) on random deltas over random instances, including
+// instances that were never normalized: angles outside [0, 2π), −0, zero
+// profits, antenna IDs and customer IDs that differ from their positions.
+func TestApplyDeltaMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	angle := func() float64 {
+		switch rng.Intn(6) {
+		case 0:
+			return math.Copysign(0, -1)
+		case 1:
+			return (rng.Float64() - 0.5) * 40
+		}
+		return rng.Float64() * 2 * math.Pi
+	}
+	for trial := 0; trial < 500; trial++ {
+		n := rng.Intn(30)
+		in := &Instance{Name: "ref", Variant: Sectors}
+		for i := 0; i < n; i++ {
+			in.Customers = append(in.Customers, Customer{ID: i, Theta: angle(), R: rng.Float64() * 5, Demand: 1 + rng.Int63n(9), Profit: rng.Int63n(3) * rng.Int63n(9)})
+		}
+		for j := 0; j < 1+rng.Intn(3); j++ {
+			in.Antennas = append(in.Antennas, Antenna{ID: j, Rho: 1, Capacity: rng.Int63n(20)})
+		}
+		if trial%3 == 0 {
+			for i := range in.Customers {
+				in.Customers[i].ID = rng.Intn(n+4) - 2
+			}
+			in.Antennas[0].ID = 7
+		}
+		var d Delta
+		for _, i := range rng.Perm(n)[:rng.Intn(n+1)] {
+			d.SetDemand = append(d.SetDemand, DemandChange{Customer: i, Demand: 1 + rng.Int63n(9), Profit: rng.Int63n(3) * rng.Int63n(9)})
+		}
+		d.Remove = rng.Perm(n)[:rng.Intn(n+1)]
+		for _, j := range rng.Perm(in.M())[:rng.Intn(in.M()+1)] {
+			d.SetCapacity = append(d.SetCapacity, CapacityChange{Antenna: j, Capacity: rng.Int63n(30)})
+		}
+		for k := rng.Intn(4); k > 0; k-- {
+			d.Add = append(d.Add, Customer{Theta: angle(), R: rng.Float64() * 5, Demand: 1 + rng.Int63n(9), Profit: rng.Int63n(2) * rng.Int63n(9)})
+		}
+		before, err := json.Marshal(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ApplyDelta(in, d)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		after, err := json.Marshal(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Fatalf("trial %d: ApplyDelta modified its input", trial)
+		}
+		gotJSON, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantJSON, err := json.Marshal(applyDeltaReference(in, d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotJSON, wantJSON) {
+			t.Fatalf("trial %d: ApplyDelta\n%s\nreference\n%s", trial, gotJSON, wantJSON)
+		}
 	}
 }

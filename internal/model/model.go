@@ -265,16 +265,21 @@ func (in *Instance) Clone() *Instance {
 	return out
 }
 
+// normalize puts c in the form Normalize leaves it in at position id.
+func normalize(c *Customer, id int) {
+	c.ID = id
+	c.Theta = geom.NormAngle(c.Theta)
+	if c.Profit == 0 {
+		c.Profit = c.Demand
+	}
+}
+
 // Normalize fills default profits (Profit = Demand where Profit is zero)
 // and renumbers IDs to slice positions. It returns the receiver for
 // chaining.
 func (in *Instance) Normalize() *Instance {
 	for i := range in.Customers {
-		in.Customers[i].ID = i
-		in.Customers[i].Theta = geom.NormAngle(in.Customers[i].Theta)
-		if in.Customers[i].Profit == 0 {
-			in.Customers[i].Profit = in.Customers[i].Demand
-		}
+		normalize(&in.Customers[i], i)
 	}
 	for j := range in.Antennas {
 		in.Antennas[j].ID = j
