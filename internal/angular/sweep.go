@@ -7,6 +7,7 @@ import (
 
 	"sectorpack/internal/cols"
 	"sectorpack/internal/geom"
+	"sectorpack/internal/knapsack"
 	"sectorpack/internal/model"
 )
 
@@ -102,8 +103,8 @@ func (s *Sweep) densityCmp(a, b int32) int {
 		if wa != wb {
 			return cmp.Compare(wa, wb) // zero weight first
 		}
-	} else if lhs, rhs := pa*wb, pb*wa; lhs != rhs {
-		return cmp.Compare(rhs, lhs)
+	} else if c := knapsack.CrossCmp(pb, wa, pa, wb); c != 0 {
+		return c
 	}
 	if pa != pb {
 		return cmp.Compare(pb, pa)

@@ -24,7 +24,10 @@
 package knapsack
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -80,13 +83,34 @@ func validate(items []Item, capacity int64) error {
 	return nil
 }
 
-// totalProfit sums profits of all items.
+// totalProfit sums profits of all items, saturating at math.MaxInt64
+// rather than wrapping.
 func totalProfit(items []Item) int64 {
 	var s int64
 	for _, it := range items {
+		if it.Profit > math.MaxInt64-s {
+			return math.MaxInt64
+		}
 		s += it.Profit
 	}
 	return s
+}
+
+// CrossCmp compares a·b with c·d for non-negative operands, as
+// cmp.Compare does, without overflow: the int64 products when every
+// operand is below 2^31, so both products fit, and the 128-bit products
+// otherwise. Density orders compare p_a/w_a with p_b/w_b as
+// CrossCmp(p_a, w_b, p_b, w_a).
+func CrossCmp(a, b, c, d int64) int {
+	if (a|b|c|d)>>31 == 0 {
+		return cmp.Compare(a*b, c*d)
+	}
+	hi1, lo1 := bits.Mul64(uint64(a), uint64(b))
+	hi2, lo2 := bits.Mul64(uint64(c), uint64(d))
+	if hi1 != hi2 {
+		return cmp.Compare(hi1, hi2)
+	}
+	return cmp.Compare(lo1, lo2)
 }
 
 // byDensity returns item indices sorted by profit density (profit/weight)
@@ -107,10 +131,8 @@ func byDensity(items []Item) []int {
 			}
 			return ia.Weight == 0
 		}
-		lhs := ia.Profit * ib.Weight
-		rhs := ib.Profit * ia.Weight
-		if lhs != rhs {
-			return lhs > rhs
+		if c := CrossCmp(ia.Profit, ib.Weight, ib.Profit, ia.Weight); c != 0 {
+			return c > 0
 		}
 		return ia.Profit > ib.Profit
 	})

@@ -37,7 +37,7 @@ func Solve(items []Item, capacity int64, opt Options) (Result, bool, error) {
 		return Result{Take: []bool{}}, true, nil
 	}
 	if !opt.ForceApprox {
-		if int64(n+1)*(capacity+1) <= MaxDPCells/16 {
+		if tableFits(n+1, capacity, MaxDPCells/16) {
 			res, err := DPByWeight(items, capacity)
 			if err == nil {
 				return res, true, nil

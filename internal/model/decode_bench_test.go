@@ -3,6 +3,8 @@ package model_test
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"sectorpack/internal/gen"
@@ -12,8 +14,9 @@ import (
 // BenchmarkDecodeInstance decodes the two body shapes the benchmark's
 // workloads send: a /solve body the size of a solve-hot request (n=95,
 // m=6) through DecodeSolveRequest, and the 100k-churn tier file through
-// ReadJSON. Each also runs the encoding/json decode it replaces, which
-// canonical bodies no longer reach.
+// ReadJSON and, as sectorpack loads it, through LoadFile. Each also runs
+// the encoding/json decode it replaces, which canonical bodies no longer
+// reach.
 func BenchmarkDecodeInstance(b *testing.B) {
 	hot, err := gen.Generate(gen.Config{Family: gen.Uniform, Seed: 1, N: 95, M: 6})
 	if err != nil {
@@ -61,6 +64,14 @@ func BenchmarkDecodeInstance(b *testing.B) {
 	run("solve-hot/encoding-json", hotBody, encodingJSON(new(model.SolveRequest)))
 	run("100k-churn/canonical", tierBody.Bytes(), func(body []byte) error {
 		_, err := model.ReadJSON(bytes.NewReader(body))
+		return err
+	})
+	path := filepath.Join(b.TempDir(), "100k-churn.json")
+	if err := os.WriteFile(path, tierBody.Bytes(), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	run("100k-churn/file", tierBody.Bytes(), func([]byte) error {
+		_, err := model.LoadFile(path)
 		return err
 	})
 	run("100k-churn/encoding-json", tierBody.Bytes(), func(body []byte) error {

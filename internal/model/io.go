@@ -1,10 +1,10 @@
 package model
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 
 	"sectorpack/internal/faultfs"
 )
@@ -31,21 +31,17 @@ func WriteJSON(w io.Writer, in *Instance) error {
 }
 
 // ReadJSON parses an instance previously written by WriteJSON and validates
-// it. It reads r to its end.
+// it. It reads r to its end, through a fixed-size window when r is an
+// io.Seeker (the fall-back to encoding/json rewinds it).
 func ReadJSON(r io.Reader) (*Instance, error) {
-	var body bytes.Buffer
-	_, err := body.ReadFrom(r)
-	return readInstance(body.Bytes(), err)
+	return readInstance(newCanon(r, window))
 }
 
-// readInstance decodes an instance envelope from the bytes read and the
-// error that ended the read.
-func readInstance(body []byte, readErr error) (*Instance, error) {
+// readInstance decodes an instance envelope from d.
+func readInstance(d *canon) (*Instance, error) {
 	var env instanceJSON
-	err := decode(body, readErr, &env, func(body []byte) bool {
-		fast, ok := decodeEnvelope(body, fileFields)
+	err := decode(d, &env, fileFields, func(fast envelope) {
 		env = instanceJSON{FormatVersion: fast.version, Instance: fast.instance}
-		return ok
 	})
 	if err != nil {
 		return nil, fmt.Errorf("decode instance: %w", err)
@@ -84,11 +80,12 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 
 // LoadFile reads an instance from path.
 func LoadFile(path string) (*Instance, error) {
-	body, readErr, err := readFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	return readInstance(body, readErr)
+	defer f.Close()
+	return ReadJSON(f)
 }
 
 // batchJSON is the multi-instance wire form used by `sectorpack -batch`,
@@ -108,20 +105,16 @@ func WriteBatchJSON(w io.Writer, ins []*Instance) error {
 
 // ReadBatchJSON parses a batch envelope written by WriteBatchJSON,
 // normalizing and validating every instance. Item errors name the failing
-// index. It reads r to its end.
+// index. It reads r as ReadJSON does.
 func ReadBatchJSON(r io.Reader) ([]*Instance, error) {
-	var body bytes.Buffer
-	_, err := body.ReadFrom(r)
-	return readBatch(body.Bytes(), err)
+	return readBatch(newCanon(r, window))
 }
 
 // readBatch is readInstance for a batch envelope.
-func readBatch(body []byte, readErr error) ([]*Instance, error) {
+func readBatch(d *canon) ([]*Instance, error) {
 	var env batchJSON
-	err := decode(body, readErr, &env, func(body []byte) bool {
-		fast, ok := decodeEnvelope(body, batchFileFields)
+	err := decode(d, &env, batchFileFields, func(fast envelope) {
 		env = batchJSON{FormatVersion: fast.version, Instances: fast.instances}
-		return ok
 	})
 	if err != nil {
 		return nil, fmt.Errorf("decode batch: %w", err)
@@ -152,9 +145,10 @@ func SaveBatchFile(path string, ins []*Instance) error {
 
 // LoadBatchFile reads a batch of instances from path.
 func LoadBatchFile(path string) ([]*Instance, error) {
-	body, readErr, err := readFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	return readBatch(body, readErr)
+	defer f.Close()
+	return ReadBatchJSON(f)
 }
