@@ -124,7 +124,6 @@ func microBenchmarks(big bool) []microBench {
 	if err != nil {
 		panic(err)
 	}
-	//sectorlint:ignore provenance sol comes from a plain non-hedged Solve above, which can never return a degraded solution
 	c.Put(fp, sol)
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()

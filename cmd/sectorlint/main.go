@@ -1,10 +1,10 @@
 // Command sectorlint runs the repository's solver-invariant analyzers over
-// the module. The intra-procedural wave — ctxloop, anglenorm, floateq,
-// optcover, provenance — is joined by the interprocedural wave built on
-// cross-package facts and the module call graph: lockdiscipline (fields
-// annotated `// guarded by mu` are only touched holding the guard) and
-// fsyncorder (durable write paths reach fsync; Journal/File/FS errors are
-// never statement-discarded).
+// the module. The intra-procedural wave — ctxloop, anglenorm, floateq — is
+// joined by the interprocedural wave built on cross-package facts and the
+// module call graph: lockdiscipline (fields annotated `// guarded by mu`
+// are only touched holding the guard) and fsyncorder (durable write paths
+// reach fsync and make no raw os writes; Journal/File/FS errors are never
+// statement-discarded).
 //
 // Usage:
 //

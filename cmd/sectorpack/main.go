@@ -179,7 +179,7 @@ func printSolution(out io.Writer, in *model.Instance, sol model.Solution, reques
 	fmt.Fprintf(out, "instance   %s (%s, n=%d, m=%d, tightness=%.2f)\n",
 		in.Name, in.Variant, in.N(), in.M(), in.Tightness())
 	fmt.Fprintf(out, "solution   %s\n", sol)
-	if sol.Degraded {
+	if sol.Degraded() {
 		fmt.Fprintf(out, "degraded   requested %q fell back to %q (%s)\n",
 			requested, sol.SolverUsed, sol.FallbackReason)
 	}
@@ -202,7 +202,7 @@ func printSolution(out io.Writer, in *model.Instance, sol model.Solution, reques
 	if vizFlag {
 		fmt.Fprint(out, viz.Render(in, sol.Assignment, viz.Options{Rays: true}))
 	}
-	if sol.Degraded {
+	if sol.Degraded() {
 		return &degradedError{solverUsed: sol.SolverUsed, reason: sol.FallbackReason, detail: sol.FallbackDetail}
 	}
 	return nil
@@ -245,16 +245,16 @@ func runRemote(ctx context.Context, out io.Writer, cfg remoteConfig) error {
 	if got := as.Profit(in); got != res.Profit {
 		return fmt.Errorf("daemon profit claim %d does not match the assignment's %d", res.Profit, got)
 	}
-	sol := model.Solution{
-		Assignment: as,
-		Profit:     res.Profit,
-		Algorithm:  res.Algorithm,
-		UpperBound: res.UpperBound,
-		Degraded:   res.Degraded,
-		SolverUsed: res.SolverUsed,
+	if res.Degraded != (res.FallbackReason != "") {
+		return fmt.Errorf("malformed daemon answer: degraded=%v with fallback reason %q", res.Degraded, res.FallbackReason)
 	}
-	if res.Degraded {
-		sol.FallbackReason = res.FallbackReason
+	sol := model.Solution{
+		Assignment:     as,
+		Profit:         res.Profit,
+		Algorithm:      res.Algorithm,
+		UpperBound:     res.UpperBound,
+		SolverUsed:     res.SolverUsed,
+		FallbackReason: res.FallbackReason,
 	}
 	if res.Attempts > 1 || res.CacheStatus == "hit" {
 		fmt.Fprintf(out, "remote     %s (attempts=%d cache=%s)\n", cfg.server, res.Attempts, res.CacheStatus)
@@ -313,7 +313,7 @@ func runBatch(ctx context.Context, out io.Writer, cfg batchConfig) error {
 		sol := res.Solution
 		total += sol.Profit
 		status := ""
-		if sol.Degraded {
+		if sol.Degraded() {
 			degraded++
 			status = fmt.Sprintf(" DEGRADED(%s→%s)", sol.FallbackReason, sol.SolverUsed)
 		}

@@ -251,7 +251,7 @@ func TestRunErrors(t *testing.T) {
 // fakeDaemon solves /solve requests in-process with the greedy solver,
 // speaking sectord's wire format. profitSkew shifts the claimed profit to
 // simulate a lying daemon; failFirst makes the first request shed with 503.
-func fakeDaemon(t *testing.T, profitSkew int64, failFirst bool) *httptest.Server {
+func fakeDaemon(t *testing.T, profitSkew int64, failFirst bool, provenance map[string]any) *httptest.Server {
 	t.Helper()
 	var calls atomic.Int64
 	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -288,19 +288,23 @@ func fakeDaemon(t *testing.T, profitSkew int64, failFirst bool) *httptest.Server
 			http.Error(w, `{"error":"solve failed"}`, http.StatusInternalServerError)
 			return
 		}
-		json.NewEncoder(w).Encode(map[string]any{
+		resp := map[string]any{
 			"solver": req.Solver, "algorithm": sol.Algorithm,
 			"profit":      sol.Profit + profitSkew,
 			"orientation": sol.Assignment.Orientation,
 			"owner":       sol.Assignment.Owner,
 			"elapsed_ms":  0.1,
-		})
+		}
+		for k, v := range provenance {
+			resp[k] = v
+		}
+		json.NewEncoder(w).Encode(resp)
 	}))
 }
 
 func TestRunServerSolvesRemotely(t *testing.T) {
 	path := writeTestInstance(t)
-	ts := fakeDaemon(t, 0, true)
+	ts := fakeDaemon(t, 0, true, nil)
 	defer ts.Close()
 	var out bytes.Buffer
 	if err := run(context.Background(), []string{"-in", path, "-server", ts.URL, "-v"}, &out); err != nil {
@@ -318,12 +322,56 @@ func TestRunServerSolvesRemotely(t *testing.T) {
 // never a printed report.
 func TestRunServerRejectsTamperedAnswer(t *testing.T) {
 	path := writeTestInstance(t)
-	ts := fakeDaemon(t, 1, false)
+	ts := fakeDaemon(t, 1, false, nil)
 	defer ts.Close()
 	var out bytes.Buffer
 	err := run(context.Background(), []string{"-in", path, "-server", ts.URL}, &out)
 	if err == nil || !strings.Contains(err.Error(), "does not match") {
 		t.Fatalf("tampered profit must fail local verification, got %v", err)
+	}
+}
+
+// TestRunServerDegradedProvenance pins how a daemon's degraded flag
+// reaches the exit code: a degraded answer with its reason prints the
+// degraded line and exits 3, and a flag that disagrees with the reason is
+// a malformed answer, never a healthy report.
+func TestRunServerDegradedProvenance(t *testing.T) {
+	path := writeTestInstance(t)
+	cases := []struct {
+		name       string
+		provenance map[string]any
+		wantLine   string // the degraded line, or "" for a healthy report
+		wantErr    string // substring of a plain (non-degraded) error
+	}{
+		{"healthy", nil, "", ""},
+		{"degraded", map[string]any{"degraded": true, "solver_used": "greedy", "fallback_reason": "deadline"},
+			`degraded   requested "greedy" fell back to "greedy" (deadline)`, ""},
+		{"degraded-no-reason", map[string]any{"degraded": true, "solver_used": "greedy"}, "", "malformed"},
+		{"reason-not-degraded", map[string]any{"fallback_reason": "deadline"}, "", "malformed"},
+	}
+	for _, c := range cases {
+		ts := fakeDaemon(t, 0, false, c.provenance)
+		var out bytes.Buffer
+		err := run(context.Background(), []string{"-in", path, "-server", ts.URL}, &out)
+		ts.Close()
+		var de *degradedError
+		switch {
+		case c.wantErr != "":
+			if err == nil || errors.As(err, &de) || !strings.Contains(err.Error(), c.wantErr) {
+				t.Errorf("%s: err = %v, want a malformed-answer error containing %q", c.name, err, c.wantErr)
+			}
+		case c.wantLine != "":
+			if !errors.As(err, &de) {
+				t.Errorf("%s: err = %v, want *degradedError (exit code %d)", c.name, err, exitDegraded)
+			}
+			if !strings.Contains(out.String(), c.wantLine+"\n") {
+				t.Errorf("%s: output missing %q:\n%s", c.name, c.wantLine, out.String())
+			}
+		default:
+			if err != nil || strings.Contains(out.String(), "degraded") {
+				t.Errorf("%s: err = %v, output:\n%s\nwant a healthy report", c.name, err, out.String())
+			}
+		}
 	}
 }
 

@@ -87,9 +87,9 @@ func (g *CallGraph) NodesOf(path string) []*CallNode {
 	return out
 }
 
-// Callees returns the sorted keys key's node may call (including keys of
+// callees returns the sorted keys key's node may call (including keys of
 // functions outside the module, which have no node).
-func (g *CallGraph) Callees(key string) []string {
+func (g *CallGraph) callees(key string) []string {
 	n := g.nodes[key]
 	if n == nil {
 		return nil

@@ -40,11 +40,11 @@ func f() {
 `})
 	graph := BuildCallGraph(pkgs)
 
-	if !contains(graph.Callees("p.o:f"), "p.o:g") {
-		t.Errorf("f's callees = %v, want direct call edge to p.o:g", graph.Callees("p.o:f"))
+	if !contains(graph.callees("p.o:f"), "p.o:g") {
+		t.Errorf("f's callees = %v, want direct call edge to p.o:g", graph.callees("p.o:f"))
 	}
-	if !contains(graph.Callees("p.o:f"), "p.m:T.M") {
-		t.Errorf("f's callees = %v, want method-value edge to p.m:T.M", graph.Callees("p.o:f"))
+	if !contains(graph.callees("p.o:f"), "p.m:T.M") {
+		t.Errorf("f's callees = %v, want method-value edge to p.m:T.M", graph.callees("p.o:f"))
 	}
 	if !contains(keys(graph.Callers("p.o:g")), "p.o:f") {
 		t.Errorf("g's callers = %v, want p.o:f", keys(graph.Callers("p.o:g")))
@@ -69,8 +69,8 @@ func drive(d Doer) { d.Do() }
 	graph := BuildCallGraph(pkgs)
 
 	// The interface-method node is abstract (no body) and drive calls it.
-	if !contains(graph.Callees("p.o:drive"), "p.m:Doer.Do") {
-		t.Fatalf("drive's callees = %v, want p.m:Doer.Do", graph.Callees("p.o:drive"))
+	if !contains(graph.callees("p.o:drive"), "p.m:Doer.Do") {
+		t.Fatalf("drive's callees = %v, want p.m:Doer.Do", graph.callees("p.o:drive"))
 	}
 	// Callers of both implementations walk back through the abstract node
 	// to the dynamic call site.
@@ -98,11 +98,11 @@ func parent() {
 	if graph.Node(lit) == nil {
 		t.Fatalf("no node for the literal %s; nodes of p = %v", lit, keys(graph.NodesOf("p")))
 	}
-	if !contains(graph.Callees("p.o:parent"), lit) {
-		t.Errorf("parent's callees = %v, want the literal %s", graph.Callees("p.o:parent"), lit)
+	if !contains(graph.callees("p.o:parent"), lit) {
+		t.Errorf("parent's callees = %v, want the literal %s", graph.callees("p.o:parent"), lit)
 	}
-	if !contains(graph.Callees(lit), "p.o:leaf") {
-		t.Errorf("literal's callees = %v, want p.o:leaf", graph.Callees(lit))
+	if !contains(graph.callees(lit), "p.o:leaf") {
+		t.Errorf("literal's callees = %v, want p.o:leaf", graph.callees(lit))
 	}
 	reach := graph.ReachableFrom("p.o:parent")
 	if !reach["p.o:leaf"] {

@@ -1,5 +1,5 @@
 // Facts: the cross-package channel between analyzer passes, mirroring
-// go/analysis's ObjectFact/PackageFact machinery. An analyzer running on
+// go/analysis's ObjectFact machinery. An analyzer running on
 // package P may export a fact about one of P's objects (a function, a
 // package-level var, a struct field); when the same analyzer later runs on
 // a package that imports P, it can import that fact back and act on it —
@@ -36,10 +36,6 @@ type Fact interface {
 	// AFact marks the type as a fact; it has no behavior.
 	AFact()
 }
-
-// packageFactKey is the pseudo-object key under which package-level facts
-// are stored.
-const packageFactKey = "pkg:"
 
 // ObjectFactKey returns the stable cross-package key for obj, or "" when
 // obj is not addressable by facts (locals, struct fields — use
@@ -163,12 +159,6 @@ func DecodeFacts(raw []byte) ([]wireFact, error) {
 	return blob.Facts, nil
 }
 
-// NewWireFact builds one serializable fact entry; exported for tests.
-func NewWireFact(key string, f Fact) wireFact { return wireFact{Key: key, Fact: f} }
-
-// WireFactParts exposes a wire entry's fields; exported for tests.
-func WireFactParts(wf wireFact) (string, Fact) { return wf.Key, wf.Fact }
-
 // registerFactTypes tells gob about an analyzer's concrete fact types.
 // gob.Register is idempotent for a stable name→type mapping, so repeated
 // Runs are fine.
@@ -265,12 +255,4 @@ func (p *Pass) ImportFieldFact(ownerType types.Type, field string, f Fact) bool 
 		return false
 	}
 	return p.importFact(named.Obj().Pkg().Path(), FieldFactKey(named, field), f)
-}
-
-// ExportPackageFact publishes a fact about the current package as a whole.
-func (p *Pass) ExportPackageFact(f Fact) { p.exportFact(packageFactKey, f) }
-
-// ImportPackageFact loads the package-level fact of the package at path.
-func (p *Pass) ImportPackageFact(path string, f Fact) bool {
-	return p.importFact(path, packageFactKey, f)
 }

@@ -65,8 +65,8 @@ func (*testFact) AFact() {}
 func TestFactsWireRoundTrip(t *testing.T) {
 	registerFactTypes(&Analyzer{FactTypes: []Fact{(*testFact)(nil)}})
 	in := []wireFact{
-		NewWireFact("o:F", &testFact{Payload: "hello"}),
-		NewWireFact("m:T.M", &testFact{Payload: "method"}),
+		{Key: "o:F", Fact: &testFact{Payload: "hello"}},
+		{Key: "m:T.M", Fact: &testFact{Payload: "method"}},
 	}
 	raw, err := EncodeFacts(in)
 	if err != nil {
@@ -80,8 +80,8 @@ func TestFactsWireRoundTrip(t *testing.T) {
 		t.Fatalf("round-trip length = %d, want %d", len(out), len(in))
 	}
 	for i := range in {
-		wantKey, wantFact := WireFactParts(in[i])
-		gotKey, gotFact := WireFactParts(out[i])
+		wantKey, wantFact := in[i].Key, in[i].Fact
+		gotKey, gotFact := out[i].Key, out[i].Fact
 		if gotKey != wantKey {
 			t.Errorf("fact %d key = %q, want %q", i, gotKey, wantKey)
 		}
@@ -99,7 +99,7 @@ func TestDecodeFactsRejectsGarbage(t *testing.T) {
 }
 
 // TestFactsCrossPackage drives the real Run path: the pass over package a
-// exports object and package facts, the pass over dependent package b
+// exports an object fact, the pass over dependent package b
 // imports them back through the serialized store.
 func TestFactsCrossPackage(t *testing.T) {
 	fset, loaded := checkPkgs(t,
@@ -113,7 +113,7 @@ var _ = a.F
 	)
 	// Hand Run the dependent first: topoOrder must fix it.
 	pkgs := []*Package{loaded[1], loaded[0]}
-	var gotObj, gotPkgFact string
+	var gotObj string
 	a := &Analyzer{
 		Name:      "factdemo",
 		FactTypes: []Fact{(*testFact)(nil)},
@@ -122,7 +122,6 @@ var _ = a.F
 			case "a":
 				fobj, _ := p.Pkg.Scope().Lookup("F").(*types.Func)
 				p.ExportObjectFact(fobj, &testFact{Payload: "obj-from-a"})
-				p.ExportPackageFact(&testFact{Payload: "pkg-from-a"})
 				// Same-package import sees the pending export.
 				var pending testFact
 				if !p.ImportObjectFact(fobj, &pending) || pending.Payload != "obj-from-a" {
@@ -139,10 +138,6 @@ var _ = a.F
 						gotObj = f.Payload
 					}
 				}
-				var pf testFact
-				if p.ImportPackageFact("a", &pf) {
-					gotPkgFact = pf.Payload
-				}
 			}
 			return nil
 		},
@@ -152,9 +147,6 @@ var _ = a.F
 	}
 	if gotObj != "obj-from-a" {
 		t.Errorf("cross-package object fact = %q, want obj-from-a", gotObj)
-	}
-	if gotPkgFact != "pkg-from-a" {
-		t.Errorf("cross-package package fact = %q, want pkg-from-a", gotPkgFact)
 	}
 }
 

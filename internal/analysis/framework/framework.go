@@ -6,11 +6,8 @@
 // deliberately close to the upstream API so the analyzers would port to a
 // real multichecker by changing imports.
 //
-// Three capabilities beyond single-package AST passes exist:
+// Two capabilities beyond single-package AST passes exist:
 //
-//   - Module passes: an analyzer implementing RunModule sees every package
-//     of the module at once — what lets optcover cross-check core.Options
-//     against the cache fingerprint, a property no single package exhibits.
 //   - Facts: per-package analyzers run in dependency order; a pass may
 //     export facts about its package's objects (serialized through gob, see
 //     facts.go) which passes over dependent packages import back.
@@ -28,8 +25,7 @@ import (
 	"strconv"
 )
 
-// Analyzer is one named invariant checker. Exactly one of Run and
-// RunModule must be set.
+// Analyzer is one named invariant checker.
 type Analyzer struct {
 	// Name is the identifier used in diagnostics and in
 	// //sectorlint:ignore comments.
@@ -41,8 +37,6 @@ type Analyzer struct {
 	// order (imports before importers), so facts exported by a dependency
 	// are importable here.
 	Run func(*Pass) error
-	// RunModule analyzes every package of the module together.
-	RunModule func(*ModulePass) error
 	// FactTypes lists the concrete fact types this analyzer exports, for
 	// gob registration. Required when the analyzer uses Export*Fact.
 	FactTypes []Fact
@@ -65,19 +59,6 @@ type Pass struct {
 	diags    *[]Diagnostic
 	facts    *factDB
 	exported *[]wireFact
-}
-
-// ModulePass carries the whole module into a module-scope analyzer.
-type ModulePass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	// Graph is the module call graph; non-nil iff the analyzer set
-	// NeedsCallGraph.
-	Graph *CallGraph
-	// Packages holds one Pass per module package, in deterministic
-	// (import-path-sorted) order. Their Analyzer fields alias the module
-	// analyzer so Reportf attributes diagnostics correctly.
-	Packages []*Pass
 }
 
 // Diagnostic is one reported violation.
@@ -139,44 +120,26 @@ func RunOpts(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, opts O
 	}
 
 	facts := newFactDB()
-	newPass := func(a *Analyzer, pkg *Package) *Pass {
-		p := &Pass{
-			Analyzer:  a,
-			Fset:      fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Pkg,
-			TypesInfo: pkg.TypesInfo,
-			diags:     &diags,
-			facts:     facts,
-		}
-		if a.NeedsCallGraph {
-			p.Graph = graph
-		}
-		return p
-	}
-
 	for _, a := range analyzers {
-		if (a.Run == nil) == (a.RunModule == nil) {
-			return nil, fmt.Errorf("analyzer %s: exactly one of Run and RunModule must be set", a.Name)
+		if a.Run == nil {
+			return nil, fmt.Errorf("analyzer %s has no Run", a.Name)
 		}
 		registerFactTypes(a)
-		if a.RunModule != nil {
-			mp := &ModulePass{Analyzer: a, Fset: fset}
-			if a.NeedsCallGraph {
-				mp.Graph = graph
-			}
-			for _, pkg := range pkgs {
-				mp.Packages = append(mp.Packages, newPass(a, pkg))
-			}
-			if err := a.RunModule(mp); err != nil {
-				return nil, fmt.Errorf("analyzer %s: %w", a.Name, err)
-			}
-			continue
-		}
 		for _, pkg := range ordered {
-			p := newPass(a, pkg)
 			var exported []wireFact
-			p.exported = &exported
+			p := &Pass{
+				Analyzer:  a,
+				Fset:      fset,
+				Files:     pkg.Files,
+				Pkg:       pkg.Pkg,
+				TypesInfo: pkg.TypesInfo,
+				diags:     &diags,
+				facts:     facts,
+				exported:  &exported,
+			}
+			if a.NeedsCallGraph {
+				p.Graph = graph
+			}
 			if err := a.Run(p); err != nil {
 				return nil, fmt.Errorf("analyzer %s on %s: %w", a.Name, p.Pkg.Path(), err)
 			}
@@ -269,13 +232,4 @@ func topoOrder(pkgs []*Package) []*Package {
 		visit(path)
 	}
 	return out
-}
-
-// Named returns the *types.Named behind t, unwrapping one pointer.
-func Named(t types.Type) *types.Named {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, _ := t.(*types.Named)
-	return named
 }

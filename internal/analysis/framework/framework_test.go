@@ -42,7 +42,7 @@ func TestApplySuppressions(t *testing.T) {
 		mk(4, "other"), // different analyzer: survives
 		mk(10, "demo"), // no well-formed comment near line 10: survives
 	}
-	out := ApplySuppressions(fset, []*ast.File{file}, in)
+	out := applySuppressions(fset, []*ast.File{file}, in, nil, nil)
 
 	var sectorlint, survived []Diagnostic
 	for _, d := range out {
@@ -75,7 +75,7 @@ func TestApplySuppressionsNoComments(t *testing.T) {
 	fset, file := parseSrc(t, "package p\n\nvar a = 1\n")
 	tf := fset.File(file.Pos())
 	in := []Diagnostic{{Pos: tf.LineStart(3), Analyzer: "demo", Message: "m"}}
-	out := ApplySuppressions(fset, []*ast.File{file}, in)
+	out := applySuppressions(fset, []*ast.File{file}, in, nil, nil)
 	if len(out) != 1 {
 		t.Fatalf("no suppressions present, diagnostics must pass through; got %v", out)
 	}
@@ -84,13 +84,8 @@ func TestApplySuppressionsNoComments(t *testing.T) {
 func TestRunValidatesAnalyzerShape(t *testing.T) {
 	fset, file := parseSrc(t, "package p\n")
 	pkgs := []*Package{{ImportPath: "p", Fset: fset, Files: []*ast.File{file}}}
-	for _, a := range []*Analyzer{
-		{Name: "neither"},
-		{Name: "both", Run: func(*Pass) error { return nil }, RunModule: func(*ModulePass) error { return nil }},
-	} {
-		if _, err := Run(fset, pkgs, []*Analyzer{a}); err == nil {
-			t.Errorf("analyzer %s: Run accepted an invalid Run/RunModule combination", a.Name)
-		}
+	if _, err := Run(fset, pkgs, []*Analyzer{{Name: "norun"}}); err == nil {
+		t.Error("Run accepted an analyzer with no Run function")
 	}
 }
 
@@ -112,35 +107,5 @@ func TestRunSortsDiagnostics(t *testing.T) {
 	}
 	if len(diags) != 2 || diags[0].Message != "first" || diags[1].Message != "second" {
 		t.Fatalf("diagnostics not sorted by position: %v", diags)
-	}
-}
-
-func TestRunModulePassSeesEveryPackage(t *testing.T) {
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range []string{"a", "b"} {
-		f, err := parser.ParseFile(fset, name+".go", "package "+name+"\n", parser.ParseComments)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files = append(files, f)
-	}
-	pkgs := []*Package{
-		{ImportPath: "a", Fset: fset, Files: files[:1]},
-		{ImportPath: "b", Fset: fset, Files: files[1:]},
-	}
-	seen := 0
-	a := &Analyzer{
-		Name: "mod",
-		RunModule: func(mp *ModulePass) error {
-			seen = len(mp.Packages)
-			return nil
-		},
-	}
-	if _, err := Run(fset, pkgs, []*Analyzer{a}); err != nil {
-		t.Fatal(err)
-	}
-	if seen != 2 {
-		t.Fatalf("module pass saw %d packages, want 2", seen)
 	}
 }

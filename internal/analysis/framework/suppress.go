@@ -55,13 +55,6 @@ func parseSuppressions(fset *token.FileSet, files []*ast.File) []suppression {
 	return out
 }
 
-// ApplySuppressions filters diags through the files' ignore comments with
-// no staleness audit; every analyzer named in a suppression is assumed to
-// have run.
-func ApplySuppressions(fset *token.FileSet, files []*ast.File, diags []Diagnostic) []Diagnostic {
-	return applySuppressions(fset, files, diags, nil, nil)
-}
-
 // applySuppressions filters diags through the files' ignore comments and
 // appends a "sectorlint" diagnostic for every malformed suppression (one
 // naming no analyzer, or one without a reason). Well-formed suppressions

@@ -1,6 +1,7 @@
 // Package fsyncorder checks the durability discipline around faultfs: a
 // write path either goes through a proven fsync+rename sink or carries its
-// own Sync, and errors from journal/file mutations are never discarded.
+// own Sync, errors from journal/file mutations are never discarded, and
+// durable packages never write through raw os calls.
 //
 // Invariant (DESIGN.md, "Durable sectord"): crash safety rests on exactly
 // two mechanics — atomic replace (write temp, fsync file, rename, fsync
@@ -11,7 +12,7 @@
 // write), and a journal append error that was dropped left the in-memory
 // session ahead of its durable log, so recovery silently lost deltas.
 //
-// Two rules:
+// Three rules:
 //
 //   - Reach-sync (durable packages: cache, session, model): a function
 //     that opens a writable faultfs file (Create / CreateTemp / OpenFile)
@@ -28,6 +29,13 @@
 //     away. Journal errors must poison; file errors must propagate.
 //     `defer f.Close()` on read paths is idiomatic and exempt — the rule
 //     binds plain statements only.
+//   - No raw os writes (durable packages): os.Create, os.OpenFile,
+//     os.WriteFile, os.Rename, os.Remove, os.MkdirAll and the other
+//     filesystem-mutating os calls bypass faultfs, so the crash-consistency
+//     suite can neither observe nor fail them and the atomic-replace
+//     discipline is silently skipped. Read-only calls (os.Open,
+//     os.ReadFile, os.Stat) are allowed: they can miss durable state, not
+//     corrupt it.
 package fsyncorder
 
 import (
@@ -52,13 +60,21 @@ var durablePackages = map[string]bool{"cache": true, "session": true, "model": t
 // writableOpens are the FS methods that hand back a writable File.
 var writableOpens = map[string]bool{"Create": true, "CreateTemp": true, "OpenFile": true}
 
+// rawOSWrites are the os package's filesystem-mutating entry points.
+var rawOSWrites = map[string]bool{
+	"Create": true, "CreateTemp": true, "OpenFile": true, "WriteFile": true,
+	"Rename": true, "Remove": true, "RemoveAll": true, "Mkdir": true,
+	"MkdirAll": true, "Truncate": true,
+}
+
 // Analyzer is the fsyncorder checker.
 var Analyzer = &framework.Analyzer{
 	Name: "fsyncorder",
 	Doc: "durable write paths must reach fsync: a faultfs writable open in cache/session/model " +
-		"must lead to .Sync() or an fsync-safe callee (faultfs.WriteFileAtomic), and " +
+		"must lead to .Sync() or an fsync-safe callee (faultfs.WriteFileAtomic); " +
 		"error-returning Journal/File/FS mutations must not be statement-discarded " +
-		"(the PR-8 torn-write and lost-delta classes)",
+		"(the torn-write and lost-delta classes); and durable packages must not " +
+		"write through raw os calls the crash suite cannot see",
 	Run:            run,
 	FactTypes:      []framework.Fact{(*FsyncSafe)(nil)},
 	NeedsCallGraph: true,
@@ -69,6 +85,7 @@ func run(pass *framework.Pass) error {
 	exportFsyncSafe(pass, nodes)
 	if durablePackages[pass.Pkg.Name()] {
 		checkReachSync(pass, nodes)
+		checkRawOSWrites(pass)
 	}
 	if pass.Pkg.Name() != "faultfs" {
 		checkDiscardedErrors(pass)
@@ -138,6 +155,31 @@ func checkReachSync(pass *framework.Pass, nodes []*framework.CallNode) {
 			"writable faultfs open with no reachable Sync: route the write through "+
 				"faultfs.WriteFileAtomic or fsync the handle before rename/close, "+
 				"or a crash here tears the durable state")
+	}
+}
+
+// checkRawOSWrites flags filesystem-mutating os calls, which bypass the
+// faultfs seam.
+func checkRawOSWrites(pass *framework.Pass) {
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+			if !ok || !rawOSWrites[sel.Sel.Name] {
+				return true
+			}
+			id, ok := sel.X.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			if pn, ok := pass.TypesInfo.Uses[id].(*types.PkgName); ok && pn.Imported().Path() == "os" {
+				pass.Reportf(call.Pos(), "raw os.%s in durable-state package %s; persistence must go through faultfs so the crash-consistency suite can see every write", sel.Sel.Name, pass.Pkg.Name())
+			}
+			return true
+		})
 	}
 }
 

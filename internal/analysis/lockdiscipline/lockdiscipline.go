@@ -37,6 +37,7 @@ import (
 	"go/types"
 	"strings"
 
+	"sectorpack/internal/analysis/astx"
 	"sectorpack/internal/analysis/framework"
 )
 
@@ -230,7 +231,7 @@ func (c *checker) checkNode(node *framework.CallNode) {
 		if !ok || selection.Kind() != types.FieldVal {
 			return true
 		}
-		owner := framework.Named(selection.Recv())
+		owner := astx.NamedType(selection.Recv())
 		if owner == nil || owner.Obj().Pkg() == nil {
 			return true
 		}
@@ -377,7 +378,7 @@ func selfLocks(info *types.Info, body *ast.BlockStmt, guard guardKey) bool {
 		if !ok {
 			return true
 		}
-		owner := framework.Named(recv.Type)
+		owner := astx.NamedType(recv.Type)
 		if owner == nil || owner.Obj().Pkg() == nil {
 			return true
 		}

@@ -18,8 +18,6 @@ import (
 	"sectorpack/internal/analysis/fsyncorder"
 	"sectorpack/internal/analysis/load"
 	"sectorpack/internal/analysis/lockdiscipline"
-	"sectorpack/internal/analysis/optcover"
-	"sectorpack/internal/analysis/provenance"
 )
 
 // Analyzers returns the full sectorlint suite in deterministic order.
@@ -30,8 +28,6 @@ func Analyzers() []*framework.Analyzer {
 		floateq.Analyzer,
 		fsyncorder.Analyzer,
 		lockdiscipline.Analyzer,
-		optcover.Analyzer,
-		provenance.Analyzer,
 	}
 }
 

@@ -17,17 +17,15 @@ func TestAnalyzersWellFormed(t *testing.T) {
 			t.Errorf("duplicate analyzer name %q", a.Name)
 		}
 		seen[a.Name] = true
-		if (a.Run == nil) == (a.RunModule == nil) {
-			t.Errorf("analyzer %s: exactly one of Run and RunModule must be set", a.Name)
+	}
+	want := []string{"anglenorm", "ctxloop", "floateq", "fsyncorder", "lockdiscipline"}
+	for _, name := range want {
+		if !seen[name] {
+			t.Errorf("suite is missing analyzer %q", name)
 		}
 	}
-	for _, want := range []string{
-		"anglenorm", "ctxloop", "floateq", "fsyncorder",
-		"lockdiscipline", "optcover", "provenance",
-	} {
-		if !seen[want] {
-			t.Errorf("suite is missing analyzer %q", want)
-		}
+	if len(seen) != len(want) {
+		t.Errorf("suite has %d analyzers, want exactly %v", len(seen), want)
 	}
 }
 
@@ -64,7 +62,7 @@ func TestMainBadFlag(t *testing.T) {
 // (which must itself be lint-clean) from the package directory.
 func TestMainCleanPackage(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	code := Main(&stdout, &stderr, []string{"-only", "floateq,provenance", "."})
+	code := Main(&stdout, &stderr, []string{"-only", "floateq,fsyncorder", "."})
 	if code != 0 {
 		t.Fatalf("exit = %d\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
 	}

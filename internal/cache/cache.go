@@ -176,7 +176,7 @@ func (c *Cache) Get(fp *Fingerprint) (model.Solution, bool) {
 // Degraded solutions are rejected: they are artifacts of one request's
 // failure, not properties of the instance, and must never be replayed.
 func (c *Cache) Put(fp *Fingerprint, sol model.Solution) {
-	if sol.Degraded || sol.Assignment == nil {
+	if sol.Degraded() || sol.Assignment == nil {
 		return
 	}
 	canon := fp.toCanonical(sol)
@@ -275,7 +275,7 @@ func (c *Cache) GetOrSolve(ctx context.Context, fp *Fingerprint, solve func(ctx 
 	c.mu.Unlock()
 
 	sol, err := solve(ctx)
-	store := err == nil && !sol.Degraded && sol.Assignment != nil
+	store := err == nil && !sol.Degraded() && sol.Assignment != nil
 	var canon model.Solution
 	if store {
 		canon = fp.toCanonical(sol)

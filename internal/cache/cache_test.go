@@ -18,7 +18,7 @@ import (
 // orientations, or owners shows up as a string diff.
 func solutionString(sol model.Solution) string {
 	return fmt.Sprintf("profit=%d alg=%s degraded=%v orient=%v owner=%v",
-		sol.Profit, sol.Algorithm, sol.Degraded,
+		sol.Profit, sol.Algorithm, sol.Degraded(),
 		fmt.Sprintf("%.17g", sol.Assignment.Orientation), sol.Assignment.Owner)
 }
 
@@ -75,7 +75,7 @@ func TestCacheDegradedSolutionsNotStored(t *testing.T) {
 	in := testInstance(11)
 	opt := core.Options{Seed: 1}
 	sol := greedySolve(t, in, opt)
-	sol.Degraded = true
+	sol.FallbackReason = core.FallbackDeadline
 	c := New(0)
 	fp := mustFingerprint(t, in, opt, "greedy")
 	c.Put(fp, sol)

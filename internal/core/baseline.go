@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"sectorpack/internal/geom"
+	"sectorpack/internal/knapsack"
 	"sectorpack/internal/model"
 )
 
@@ -52,7 +53,7 @@ func SolveBaseline(ctx context.Context, in *model.Instance, opt Options) (model.
 	}
 	sort.SliceStable(order, func(a, b int) bool {
 		ca, cb := in.Customers[order[a]], in.Customers[order[b]]
-		return ca.Profit*cb.Demand > cb.Profit*ca.Demand
+		return knapsack.CrossCmp(ca.Profit, cb.Demand, cb.Profit, ca.Demand) > 0
 	})
 	load := make([]int64, m)
 	for _, i := range order {

@@ -23,7 +23,7 @@ type BatchOptions struct {
 	// ctx; zero means no per-item deadline.
 	ItemTimeout time.Duration
 	// Hedged routes each item through SolveHedged: a failing item degrades
-	// to the greedy safety net (Solution.Degraded set) instead of erroring.
+	// to the greedy safety net (Solution.Degraded reports true) instead of erroring.
 	Hedged bool
 }
 

@@ -115,9 +115,9 @@ func TestSolveBatchHedgedDegrades(t *testing.T) {
 			t.Errorf("hedged item %d errored: %v", i, r.Err)
 			continue
 		}
-		if !r.Solution.Degraded || r.Solution.SolverUsed != "greedy" {
+		if !r.Solution.Degraded() || r.Solution.SolverUsed != "greedy" {
 			t.Errorf("item %d: degraded=%v solver_used=%q, want greedy fallback",
-				i, r.Solution.Degraded, r.Solution.SolverUsed)
+				i, r.Solution.Degraded(), r.Solution.SolverUsed)
 		}
 		if err := r.Solution.Assignment.Check(ins[i]); err != nil {
 			t.Errorf("item %d fallback infeasible: %v", i, err)

@@ -212,6 +212,38 @@ func TestBaselineFeasibleAllVariants(t *testing.T) {
 	}
 }
 
+// TestBaselineTakesDensestFirst pins the baseline's profit-density order:
+// one antenna has room for only one of two customers and must take the
+// denser, including at demands near 2^62 where the profit×demand cross
+// products wrap int64.
+func TestBaselineTakesDensestFirst(t *testing.T) {
+	cases := []struct {
+		name          string
+		dense, sparse model.Customer
+		capacity      int64
+	}{
+		{"small", model.Customer{Demand: 3, Profit: 2}, model.Customer{Demand: 4, Profit: 1}, 4},
+		{"huge", model.Customer{Demand: 1<<62 - 1, Profit: 2}, model.Customer{Demand: 1 << 62, Profit: 1}, 1 << 62},
+	}
+	for _, c := range cases {
+		c.sparse.ID, c.sparse.Theta, c.sparse.R = 0, 0.5, 1
+		c.dense.ID, c.dense.Theta, c.dense.R = 1, 1, 1
+		in := (&model.Instance{
+			Variant:   model.Angles,
+			Customers: []model.Customer{c.sparse, c.dense},
+			Antennas:  []model.Antenna{{Rho: geom.TwoPi / 2, Capacity: c.capacity}},
+		}).Normalize()
+		sol, err := SolveBaseline(context.Background(), in, Options{SkipBound: true})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		checkSolution(t, in, sol)
+		if sol.Profit != c.dense.Profit {
+			t.Errorf("%s: profit %d, want %d from the denser customer", c.name, sol.Profit, c.dense.Profit)
+		}
+	}
+}
+
 func TestGreedyUsuallyBeatsBaseline(t *testing.T) {
 	rng := rand.New(rand.NewSource(182))
 	winsGreedy, winsBaseline := 0, 0

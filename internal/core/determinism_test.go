@@ -145,7 +145,7 @@ func TestHedgedSolveMatchesGoldensWhenHealthy(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 			continue
 		}
-		if sol.Degraded {
+		if sol.Degraded() {
 			t.Errorf("%s: healthy hedged solve marked Degraded (%s: %s)", name, sol.FallbackReason, sol.FallbackDetail)
 		}
 		if got := solveFingerprint(sol); got != want {

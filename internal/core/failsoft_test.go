@@ -204,7 +204,7 @@ func TestSolveHedgedPrimarySuccessBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hedged.Degraded {
+	if hedged.Degraded() {
 		t.Fatal("healthy primary marked Degraded")
 	}
 	if hedged.SolverUsed != "localsearch" {
@@ -228,7 +228,7 @@ func hedgeFailureCase(t *testing.T, primary Solver, ctx context.Context, wantRea
 	if err != nil {
 		t.Fatalf("SolveHedged: %v", err)
 	}
-	if !sol.Degraded {
+	if !sol.Degraded() {
 		t.Fatal("expected a degraded solution")
 	}
 	if sol.SolverUsed != "greedy" {
@@ -315,8 +315,8 @@ func TestSolveHedgedCustomFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sol.Degraded || sol.SolverUsed != "baseline" {
-		t.Errorf("Degraded=%v SolverUsed=%q, want degraded baseline", sol.Degraded, sol.SolverUsed)
+	if !sol.Degraded() || sol.SolverUsed != "baseline" {
+		t.Errorf("Degraded=%v SolverUsed=%q, want degraded baseline", sol.Degraded(), sol.SolverUsed)
 	}
 	if sol.Algorithm != "baseline" {
 		t.Errorf("Algorithm = %q, want baseline", sol.Algorithm)
@@ -358,8 +358,8 @@ func TestSolveHedgedFallbackDetachedFromDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sol.Degraded || sol.HedgeWin {
-		t.Errorf("Degraded=%v HedgeWin=%v, want degraded non-win (fallback outlived the deadline)", sol.Degraded, sol.HedgeWin)
+	if !sol.Degraded() || sol.HedgeWin {
+		t.Errorf("Degraded=%v HedgeWin=%v, want degraded non-win (fallback outlived the deadline)", sol.Degraded(), sol.HedgeWin)
 	}
 	if live := <-sawLiveCtx; !live {
 		t.Error("fallback context was dead after the request deadline; the leg is not detached")

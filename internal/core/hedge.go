@@ -77,7 +77,8 @@ type hedgeResult struct {
 // SolveHedged races the primary solver against a fallback safety net and
 // degrades instead of failing: when the primary times out, errors,
 // panics, or returns an invalid assignment, the fallback's solution is
-// returned annotated with Degraded/SolverUsed/FallbackReason provenance.
+// returned annotated with SolverUsed/FallbackReason provenance (which
+// makes Solution.Degraded report true).
 //
 // Both legs run under SafeSolve (panics become errors) and behind the
 // VerifySolution gate (invalid output is a failure, never an answer). The
@@ -151,7 +152,6 @@ func SolveHedged(ctx context.Context, in *model.Instance, primary Solver, hopt H
 		)
 	}
 	sol := fres.sol
-	sol.Degraded = true
 	sol.SolverUsed = fallbackName
 	sol.FallbackReason = reason
 	sol.FallbackDetail = pres.err.Error()

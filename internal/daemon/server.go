@@ -620,7 +620,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			PrimaryName: name,
 		})
 		cacheOutcome = cacheBypass
-		if err == nil && !sol.Degraded {
+		if err == nil && !sol.Degraded() {
 			pmu.Lock()
 			cacheOutcome = pout
 			pmu.Unlock()
@@ -633,7 +633,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		c.solveFailed(err)
 		return
 	}
-	if sol.Degraded {
+	if sol.Degraded() {
 		s.fallbacks.Add(1)
 		if sol.FallbackReason == core.FallbackPanic {
 			s.panics.Add(1)
@@ -644,8 +644,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	s.solved.Add(1)
 	s.observeLatency(name, elapsed)
-	c.profit, c.degraded, c.outcome = sol.Profit, sol.Degraded, "ok"
-	if sol.Degraded {
+	c.profit, c.degraded, c.outcome = sol.Profit, sol.Degraded(), "ok"
+	if sol.Degraded() {
 		c.outcome = "degraded"
 	}
 	w.Header().Set(cacheHeader, cacheOutcome)
@@ -671,7 +671,7 @@ func newSolveResponse(name string, sol model.Solution, elapsed time.Duration) *s
 		Orientation:    sol.Assignment.Orientation,
 		Owner:          sol.Assignment.Owner,
 		ElapsedMS:      float64(elapsed) / float64(time.Millisecond),
-		Degraded:       sol.Degraded,
+		Degraded:       sol.Degraded(),
 		SolverUsed:     sol.SolverUsed,
 		FallbackReason: sol.FallbackReason,
 		FallbackDetail: sol.FallbackDetail,
@@ -849,7 +849,7 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 			sol := results[i].Solution
 			item.solveResponse = newSolveResponse(name, sol, results[i].Elapsed)
 			item.Cache = cacheBypass
-			if !sol.Degraded {
+			if !sol.Degraded() {
 				if out, ok := outcomes.Load(req.Instances[i]); ok {
 					item.Cache = out.(string)
 				}
@@ -857,7 +857,7 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 			s.solved.Add(1)
 			s.observeLatency(name, results[i].Elapsed)
 			resp.OK++
-			if sol.Degraded {
+			if sol.Degraded() {
 				s.fallbacks.Add(1)
 				if sol.HedgeWin {
 					s.hedgeWins.Add(1)

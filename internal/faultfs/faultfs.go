@@ -10,10 +10,11 @@
 // simulated kill at exactly that point and assert the recovery invariants
 // on whatever the directory was left holding.
 //
-// The sectorlint provenance analyzer enforces the seam: raw os.Create /
-// os.OpenFile / os.WriteFile / os.Rename calls inside internal/cache and
-// internal/session are findings, so no persistence write can bypass the
-// injection hooks (or the durability discipline they pin down).
+// The sectorlint fsyncorder analyzer enforces the seam: raw os.Create /
+// os.OpenFile / os.WriteFile / os.Rename calls inside internal/cache,
+// internal/session and internal/model are findings, so no persistence
+// write can bypass the injection hooks (or the durability discipline they
+// pin down).
 //
 // What the injector can and cannot simulate: torn writes (a prefix of the
 // buffer reaches the file), failed syncs/renames/creates, and a process

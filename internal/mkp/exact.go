@@ -33,7 +33,7 @@ func Exact(p *Problem, maxNodes int64) (res Result, ok bool, err error) {
 	for a := 1; a < n; a++ {
 		for b := a; b > 0; b-- {
 			ib, ip := p.Items[order[b]], p.Items[order[b-1]]
-			if ib.Profit*maxI64(ip.Weight, 1) > ip.Profit*maxI64(ib.Weight, 1) {
+			if knapsack.CrossCmp(ib.Profit, maxI64(ip.Weight, 1), ip.Profit, maxI64(ib.Weight, 1)) > 0 {
 				order[b], order[b-1] = order[b-1], order[b]
 			} else {
 				break

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"sectorpack/internal/knapsack"
 	"sectorpack/internal/lp"
 )
 
@@ -137,7 +138,7 @@ func RoundLP(p *Problem, x [][]float64, rng *rand.Rand, trials int) (Result, err
 			sort.Slice(members, func(a, b int) bool {
 				ia, ib := p.Items[members[a]], p.Items[members[b]]
 				// ascending density: evict the least valuable per unit first
-				return ia.Profit*ib.Weight < ib.Profit*ia.Weight
+				return knapsack.CrossCmp(ia.Profit, ib.Weight, ib.Profit, ia.Weight) < 0
 			})
 			for _, i := range members {
 				if load[j] <= p.Capacities[j] {

@@ -284,6 +284,60 @@ func TestExactBudget(t *testing.T) {
 	}
 }
 
+// TestExactDensityOrder pins Exact's density-descending search order: with
+// the denser item first, a 3-node budget takes it and proves the optimum.
+// The huge row's weights near 2^62 make profit×weight cross products wrap
+// int64.
+func TestExactDensityOrder(t *testing.T) {
+	cases := []struct {
+		name          string
+		dense, sparse knapsack.Item
+		capacity      int64
+	}{
+		{"small", knapsack.Item{Weight: 3, Profit: 2}, knapsack.Item{Weight: 4, Profit: 1}, 4},
+		{"huge", knapsack.Item{Weight: 1<<62 - 1, Profit: 2}, knapsack.Item{Weight: 1 << 62, Profit: 1}, 1 << 62},
+	}
+	for _, c := range cases {
+		p := &Problem{Items: []knapsack.Item{c.sparse, c.dense}, Capacities: []int64{c.capacity}}
+		res, ok, err := Exact(p, 3)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !ok || res.Profit != c.dense.Profit {
+			t.Errorf("%s: profit %d ok=%v, want %d proven within 3 nodes", c.name, res.Profit, ok, c.dense.Profit)
+		}
+	}
+}
+
+// TestRoundLPRepairEvictsSparsestFirst pins the repair step's eviction
+// order: every item rounds into the one bin, and evicting the two sparse
+// items keeps the dense one, which no single swap could restore. The huge
+// row's weights near 2^62 make profit×weight cross products wrap int64.
+func TestRoundLPRepairEvictsSparsestFirst(t *testing.T) {
+	cases := []struct {
+		name          string
+		dense, sparse knapsack.Item
+		capacity      int64
+	}{
+		{"small", knapsack.Item{Weight: 6, Profit: 4}, knapsack.Item{Weight: 4, Profit: 1}, 8},
+		{"huge", knapsack.Item{Weight: 1<<62 - 2, Profit: 4}, knapsack.Item{Weight: 1 << 61, Profit: 1}, 1 << 62},
+	}
+	for _, c := range cases {
+		p := &Problem{Items: []knapsack.Item{c.sparse, c.dense, c.sparse}, Capacities: []int64{c.capacity}}
+		x := [][]float64{{1}, {1}, {1}}
+		res, err := RoundLP(p, x, rand.New(rand.NewSource(1)), 1)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if err := p.Check(res); err != nil {
+			t.Fatalf("%s: infeasible: %v", c.name, err)
+		}
+		if res.Profit != c.dense.Profit {
+			t.Errorf("%s: profit %d, want %d from keeping the dense item", c.name, res.Profit, c.dense.Profit)
+		}
+	}
+}
+
 func TestEmptyProblem(t *testing.T) {
 	p := &Problem{}
 	res, ok, err := Exact(p, 100)

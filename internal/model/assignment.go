@@ -155,25 +155,29 @@ type Solution struct {
 	// produced alongside the solution (e.g. an LP relaxation value).
 	UpperBound float64
 
-	// Degraded reports that the requested solver did not produce this
-	// solution: it timed out, panicked, errored, or returned an invalid
-	// assignment, and a hedged fallback answered instead (core.SolveHedged).
-	Degraded bool
 	// SolverUsed names the registry solver that actually produced the
 	// assignment when the solve went through a hedged pipeline; empty for
 	// plain solves.
 	SolverUsed string
-	// FallbackReason is the machine-readable cause of degradation when
-	// Degraded is set: one of core.FallbackDeadline, core.FallbackPanic,
-	// core.FallbackError, core.FallbackInvalid.
+	// FallbackReason is the machine-readable cause of degradation, empty
+	// for a solution the requested solver produced: one of
+	// core.FallbackDeadline, core.FallbackPanic, core.FallbackError,
+	// core.FallbackInvalid.
 	FallbackReason string
-	// FallbackDetail is the primary solver's error text when Degraded is
-	// set, for logs and diagnostics.
+	// FallbackDetail is the primary solver's error text when the solution
+	// is degraded, for logs and diagnostics.
 	FallbackDetail string
 	// HedgeWin reports that the fallback leg had already finished when the
 	// primary failed, so the degraded answer added no latency.
 	HedgeWin bool
 }
+
+// Degraded reports that the requested solver did not produce this
+// solution: it timed out, panicked, errored, or returned an invalid
+// assignment, and a hedged fallback answered instead (core.SolveHedged).
+// It is derived from FallbackReason, so a degraded solution always
+// carries its cause.
+func (s Solution) Degraded() bool { return s.FallbackReason != "" }
 
 // Ratio returns Profit / UpperBound when an upper bound is available, else 0.
 func (s Solution) Ratio() float64 {

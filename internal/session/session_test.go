@@ -17,7 +17,7 @@ import (
 // incremental and from-scratch paths shows up as a string diff.
 func solutionString(sol model.Solution) string {
 	return fmt.Sprintf("profit=%d alg=%s degraded=%v ub=%.17g orient=%v owner=%v",
-		sol.Profit, sol.Algorithm, sol.Degraded, sol.UpperBound,
+		sol.Profit, sol.Algorithm, sol.Degraded(), sol.UpperBound,
 		fmt.Sprintf("%.17g", sol.Assignment.Orientation), sol.Assignment.Owner)
 }
 

@@ -167,8 +167,10 @@ type (
 // SolveHedged dispatches to the named solver hedged by the greedy safety
 // net: when the primary times out, errors, panics, or returns an invalid
 // assignment, the greedy solution is returned instead, annotated with
-// Degraded/SolverUsed/FallbackReason provenance. A healthy primary's
-// solution is bit-identical to Solve. See internal/core.SolveHedged for
+// SolverUsed/FallbackReason provenance. Solution.Degraded is a method
+// derived from FallbackReason (it was a field before), so a degraded
+// answer always names its cause. A healthy primary's solution is
+// bit-identical to Solve. See internal/core.SolveHedged for
 // the full contract (custom fallbacks, grace tuning).
 func SolveHedged(ctx context.Context, name string, in *Instance, opt Options) (Solution, error) {
 	s, err := core.Get(name)

@@ -104,8 +104,8 @@ func TestPublicSolveHedged(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SolveHedged: %v", err)
 	}
-	if hedged.Degraded || hedged.SolverUsed != "greedy" {
-		t.Fatalf("healthy hedge mislabelled: degraded=%v used=%q", hedged.Degraded, hedged.SolverUsed)
+	if hedged.Degraded() || hedged.SolverUsed != "greedy" {
+		t.Fatalf("healthy hedge mislabelled: degraded=%v used=%q", hedged.Degraded(), hedged.SolverUsed)
 	}
 	if hedged.Profit != direct.Profit {
 		t.Fatalf("hedged profit %d != direct %d", hedged.Profit, direct.Profit)
@@ -117,8 +117,8 @@ func TestPublicSolveHedged(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SolveHedged degraded: %v", err)
 	}
-	if !deg.Degraded || deg.SolverUsed != "greedy" {
-		t.Fatalf("degraded hedge mislabelled: degraded=%v used=%q", deg.Degraded, deg.SolverUsed)
+	if !deg.Degraded() || deg.SolverUsed != "greedy" {
+		t.Fatalf("degraded hedge mislabelled: degraded=%v used=%q", deg.Degraded(), deg.SolverUsed)
 	}
 	if err := deg.Assignment.Check(in); err != nil {
 		t.Fatalf("degraded solution infeasible: %v", err)
