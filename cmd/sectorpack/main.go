@@ -93,7 +93,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	batch := fs.Bool("batch", false, "treat -in as a multi-instance batch envelope (sectorgen -count)")
 	server := fs.String("server", "", "solve remotely on a sectord daemon at this base URL (e.g. http://localhost:8377) instead of in-process")
 	workers := fs.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
-	bound := fs.Bool("bound", true, "compute the fractional upper bound and optimality gap (quadratic in the per-antenna eligible count; use -bound=false at n=100k and above)")
+	bound := fs.Bool("bound", true, "compute the fractional upper bound and optimality gap (every candidate angle of every antenna scans all n customers; use -bound=false at n=100k and above)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

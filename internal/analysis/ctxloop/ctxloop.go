@@ -25,8 +25,8 @@
 // this invariant.
 //
 // A second rule extends the contract to parallel fan-outs (sweep.Each,
-// the one worker pool, which the columnar engine's Prewarm, best-window
-// evaluation and CandidatesAll, sweep.Run and SolveBatch share): inside
+// the one worker pool, which the columnar engine's Prewarm and best-window
+// evaluation, sweep.Run and SolveBatch share): inside
 // ANY function whose first parameter is a context.Context — solver-shaped
 // or not — a goroutine launched as `go func() { ... }()` must consult a
 // context in every working loop, typically once per claimed work batch.

@@ -51,7 +51,7 @@ func BenchmarkBestWindow(b *testing.B) {
 }
 
 // BenchmarkBestWindowCold includes the sweep construction, as paid by a
-// one-shot caller that does not reuse an Engine.
+// one-shot caller that builds a new Engine per search.
 func BenchmarkBestWindowCold(b *testing.B) {
 	in := gen.MustGenerate(gen.Config{
 		Family: gen.Uniform, Variant: model.Sectors,
@@ -59,7 +59,7 @@ func BenchmarkBestWindowCold(b *testing.B) {
 	})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := BestWindow(context.Background(), in, 0, nil, knapsack.Options{}); err != nil {
+		if _, err := NewEngine(in).BestWindow(context.Background(), 0, nil, knapsack.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -22,7 +22,7 @@ func knapsackExact(items []knapsack.Item, capacity int64) (int64, error) {
 func singleAntennaOracle(in *model.Instance) int64 {
 	n := in.N()
 	a := in.Antennas[0]
-	cands := Candidates(in, 0)
+	cands := scanCandidates(in, 0)
 	var best int64
 	for mask := 0; mask < 1<<n; mask++ {
 		var demand, profit int64
@@ -62,7 +62,7 @@ func TestBestWindowMatchesOracle(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		in := randInstance(rng, 1+rng.Intn(9), 1, model.Sectors)
 		want := singleAntennaOracle(in)
-		win, err := BestWindow(context.Background(), in, 0, nil, knapsack.Options{})
+		win, err := NewEngine(in).BestWindow(context.Background(), 0, nil, knapsack.Options{})
 		if err != nil {
 			t.Fatalf("BestWindow: %v", err)
 		}
@@ -91,14 +91,14 @@ func TestBestWindowParallelMatchesSequential(t *testing.T) {
 	// identical to the sequential oracle because evaluation is pure.
 	rng := rand.New(rand.NewSource(33))
 	in := randInstance(rng, 60, 1, model.Sectors)
-	win, err := BestWindow(context.Background(), in, 0, nil, knapsack.Options{})
+	win, err := NewEngine(in).BestWindow(context.Background(), 0, nil, knapsack.Options{})
 	if err != nil {
 		t.Fatalf("BestWindow: %v", err)
 	}
 	// sequential re-evaluation
 	var best int64
-	for _, alpha := range Candidates(in, 0) {
-		items, _ := WindowItems(in, 0, alpha, nil)
+	for _, alpha := range scanCandidates(in, 0) {
+		items, _ := scanWindowItems(in, 0, alpha, nil)
 		if len(items) == 0 {
 			continue
 		}
@@ -125,7 +125,7 @@ func TestBestWindowRespectsActiveMask(t *testing.T) {
 		model.Sectors,
 	)
 	active := []bool{false, true}
-	win, err := BestWindow(context.Background(), in, 0, active, knapsack.Options{})
+	win, err := NewEngine(in).BestWindow(context.Background(), 0, active, knapsack.Options{})
 	if err != nil {
 		t.Fatalf("BestWindow: %v", err)
 	}
@@ -136,7 +136,7 @@ func TestBestWindowRespectsActiveMask(t *testing.T) {
 
 func TestBestWindowEmptyInstance(t *testing.T) {
 	in := instWith(nil, []model.Antenna{{Rho: 1, Range: 10, Capacity: 10}}, model.Sectors)
-	win, err := BestWindow(context.Background(), in, 0, nil, knapsack.Options{})
+	win, err := NewEngine(in).BestWindow(context.Background(), 0, nil, knapsack.Options{})
 	if err != nil {
 		t.Fatalf("BestWindow: %v", err)
 	}
@@ -151,7 +151,7 @@ func TestBestWindowZeroCapacity(t *testing.T) {
 		[]model.Antenna{{Rho: 1, Range: 10, Capacity: 0}},
 		model.Sectors,
 	)
-	win, err := BestWindow(context.Background(), in, 0, nil, knapsack.Options{})
+	win, err := NewEngine(in).BestWindow(context.Background(), 0, nil, knapsack.Options{})
 	if err != nil {
 		t.Fatalf("BestWindow: %v", err)
 	}

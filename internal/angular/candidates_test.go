@@ -24,7 +24,7 @@ func TestCandidatesFilterAndDedup(t *testing.T) {
 		[]model.Antenna{{Rho: 1, Range: 10, Capacity: 5}},
 		model.Sectors,
 	)
-	c := Candidates(in, 0)
+	c := NewEngine(in).Candidates(0)
 	if len(c) != 2 {
 		t.Fatalf("candidates = %v, want [1.0 3.0] (dedup + range filter)", c)
 	}
@@ -40,7 +40,7 @@ func TestCandidatesUnboundedRange(t *testing.T) {
 		[]model.Antenna{{Rho: 1, Range: 0, Capacity: 5}}, // unbounded
 		model.Angles,
 	)
-	if c := Candidates(in, 0); len(c) != 1 {
+	if c := NewEngine(in).Candidates(0); len(c) != 1 {
 		t.Fatalf("unbounded antenna should see every customer, got %v", c)
 	}
 }
@@ -55,14 +55,15 @@ func TestCoveredRespectsActiveMask(t *testing.T) {
 		[]model.Antenna{{Rho: 1, Range: 10, Capacity: 5}},
 		model.Sectors,
 	)
-	got := Covered(in, 0, 0, nil)
+	eng := NewEngine(in)
+	got := eng.AppendMembers(nil, 0, 0, nil)
 	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("Covered = %v, want [0 1]", got)
+		t.Fatalf("AppendMembers = %v, want [0 1]", got)
 	}
 	active := []bool{false, true, true}
-	got = Covered(in, 0, 0, active)
+	got = eng.AppendMembers(nil, 0, 0, active)
 	if len(got) != 1 || got[0] != 1 {
-		t.Fatalf("Covered with mask = %v, want [1]", got)
+		t.Fatalf("AppendMembers with mask = %v, want [1]", got)
 	}
 }
 
@@ -75,7 +76,7 @@ func TestWindowItemsAlignment(t *testing.T) {
 		[]model.Antenna{{Rho: 1, Range: 10, Capacity: 5}},
 		model.Sectors,
 	)
-	items, ids := WindowItems(in, 0, 0, nil)
+	items, ids := scanWindowItems(in, 0, 0, nil)
 	if len(items) != 2 || len(ids) != 2 {
 		t.Fatalf("items=%v ids=%v", items, ids)
 	}
@@ -117,7 +118,7 @@ func TestCandidateOrientationLemma(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 50; trial++ {
 		in := randInstance(rng, 1+rng.Intn(10), 1, model.Sectors)
-		bestCand := coveredMaxProfit(in, Candidates(in, 0))
+		bestCand := coveredMaxProfit(in, NewEngine(in).Candidates(0))
 		var randomAlphas []float64
 		for k := 0; k < 200; k++ {
 			randomAlphas = append(randomAlphas, rng.Float64()*geom.TwoPi)
@@ -134,7 +135,7 @@ func TestCandidateOrientationLemma(t *testing.T) {
 func coveredMaxProfit(in *model.Instance, alphas []float64) int64 {
 	var best int64
 	for _, alpha := range alphas {
-		items, _ := WindowItems(in, 0, alpha, nil)
+		items, _ := scanWindowItems(in, 0, alpha, nil)
 		if len(items) == 0 {
 			continue
 		}

@@ -126,7 +126,7 @@ func TestSolveDisjointSingleAntennaMatchesBestWindow(t *testing.T) {
 		if got := sol.Assignment.Profit(in); got != sol.Profit {
 			t.Fatalf("reported profit %d != assignment profit %d", sol.Profit, got)
 		}
-		win, err := BestWindow(context.Background(), in, 0, nil, knapsack.Options{})
+		win, err := NewEngine(in).BestWindow(context.Background(), 0, nil, knapsack.Options{})
 		if err != nil {
 			t.Fatalf("BestWindow: %v", err)
 		}

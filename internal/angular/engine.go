@@ -15,8 +15,8 @@ import (
 )
 
 // maxWorkersVar caps the worker count of every parallel path in this
-// package (candidate-window evaluation, Prewarm's per-antenna sweep
-// builds, CandidatesAll); 0 means GOMAXPROCS. Results are bit-identical at
+// package (candidate-window evaluation and Prewarm's per-antenna sweep
+// builds); 0 means GOMAXPROCS. Results are bit-identical at
 // any setting — the knob exists so the scalar-vs-parallel differential
 // tests and sectorbench can pin each path explicitly.
 var maxWorkersVar atomic.Int32
@@ -82,8 +82,7 @@ type Engine struct {
 	// allocation-free.
 	wins   []windowCand
 	outs   []outcome
-	posBuf []int32
-	posEnd []int32 // prefix ends of each candidate's segment in posBuf
+	posBuf []int32 // BestWindowAt's member positions of one candidate
 	tree   dantzigTree
 
 	// best is the running evaluation's incumbent: the index of the solved
@@ -96,8 +95,8 @@ type Engine struct {
 }
 
 // windowCand is one candidate window awaiting evaluation: either a circular
-// position range of the sweep (count >= 0, the streaming enumeration) or a
-// segment of Engine.posBuf (count < 0, arbitrary-angle candidates).
+// position range of the sweep (count >= 0, the streaming enumeration) or
+// the window at an arbitrary angle alpha (count < 0, BestWindowAt).
 type windowCand struct {
 	alpha float64
 	bound int64
@@ -152,6 +151,15 @@ func (e *Engine) Candidates(antenna int) []float64 {
 		e.cands[antenna] = candidatesFromSweep(e.Sweep(antenna))
 	}
 	return e.cands[antenna]
+}
+
+// AppendMembers appends to dst the active customers (active == nil: all)
+// that the antenna covers when oriented at alpha, in ascending customer
+// index, and returns the extended slice. alpha may be any angle, not only a
+// candidate; membership follows model.Antenna.Covers' tolerance. Cost is
+// O(log n + k log k) for a window of k members, once the sweep is built.
+func (e *Engine) AppendMembers(dst []int, antenna int, alpha float64, active []bool) []int {
+	return e.Sweep(antenna).appendMembers(dst, alpha, active)
 }
 
 // candidatesFromSweep derives an antenna's deduplicated candidate angles
@@ -254,7 +262,7 @@ func (e *Engine) BestWindow(ctx context.Context, antenna int, active []bool, opt
 // need not be customer angles (placed-sector ends, grid points) — with the
 // same pruned, parallel machinery as BestWindow. Window membership follows
 // Covers' tolerance semantics and knapsack items are ordered by ascending
-// customer index, matching the Covered/WindowItems scan it replaces.
+// customer index (AppendMembers), the order of a scan over all customers.
 // Candidates whose window has no active member are skipped entirely (they
 // never become the incumbent), mirroring the historical constrained-search
 // behavior; if every candidate is empty the zero Window is returned.
@@ -262,17 +270,12 @@ func (e *Engine) BestWindowAt(ctx context.Context, antenna int, alphas []float64
 	s := e.Sweep(antenna)
 	capacity := e.in.Antennas[antenna].Capacity
 	e.wins = e.wins[:0]
-	e.posBuf = e.posBuf[:0]
-	e.posEnd = e.posEnd[:0]
 	for _, alpha := range alphas {
-		off := len(e.posBuf)
-		e.posBuf = s.appendCovered(alpha, e.posBuf)
-		seg := e.posBuf[off:]
-		e.posEnd = append(e.posEnd, int32(len(e.posBuf)))
+		e.posBuf = e.posBuf[:0]
+		s.eachCovered(alpha, func(p int) { e.posBuf = append(e.posBuf, int32(p)) })
 		e.wins = append(e.wins, windowCand{
 			alpha: alpha,
-			bound: s.dantzigSet(seg, active, capacity),
-			start: int32(off),
+			bound: s.dantzigSet(e.posBuf, active, capacity),
 			count: -1,
 		})
 	}
@@ -441,13 +444,7 @@ func (ew evalWorker) solve(k int) {
 			}
 		}
 	} else {
-		for _, p := range e.posBuf[c.start:e.posEnd[k]] {
-			i := int(s.ids[p])
-			if active == nil || active[i] {
-				ids = append(ids, i)
-			}
-		}
-		slices.Sort(ids) // Covered() order: ascending customer index
+		ids = s.appendMembers(ids, c.alpha, active)
 	}
 	sc.ids = ids
 	if len(ids) == 0 {

@@ -22,8 +22,7 @@ import (
 // exactly the historical evaluation the Engine replaced. The metamorphic
 // tests below demand bit-identical results from the pruned path.
 func unprunedBestWindow(in *model.Instance, antenna int, active []bool, opt knapsack.Options) (Window, error) {
-	s := NewSweep(in, antenna)
-	alphas, members := s.windowSets(active)
+	alphas, members := windowSets(NewEngine(in).Sweep(antenna), active)
 	if len(alphas) == 0 {
 		return Window{Exact: true}, nil
 	}
@@ -163,14 +162,14 @@ func TestBestWindowPruningInvariance(t *testing.T) {
 }
 
 // TestBestWindowAtMatchesScanReference checks the explicit-angle evaluation
-// (the constrained solvers' entry point) against a direct Covered/
-// WindowItems scan, including non-customer angles and empty windows, which
+// (the constrained solvers' entry point) against a direct scanCovered/
+// scanWindowItems scan, including non-customer angles and empty windows, which
 // the constrained fold must skip.
 func TestBestWindowAtMatchesScanReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	for trial := 0; trial < 40; trial++ {
 		in := randInstance(rng, 1+rng.Intn(25), 1, model.Sectors)
-		alphas := append([]float64{}, Candidates(in, 0)...)
+		alphas := append([]float64{}, scanCandidates(in, 0)...)
 		for k := 0; k < 4; k++ {
 			alphas = append(alphas, rng.Float64()*6.283)
 		}
@@ -184,7 +183,7 @@ func TestBestWindowAtMatchesScanReference(t *testing.T) {
 		capacity := in.Antennas[0].Capacity
 		want := Window{Profit: -1, Exact: true}
 		for _, alpha := range alphas {
-			items, ids := WindowItems(in, 0, alpha, active)
+			items, ids := scanWindowItems(in, 0, alpha, active)
 			if len(ids) == 0 {
 				continue
 			}

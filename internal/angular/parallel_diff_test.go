@@ -9,9 +9,8 @@ import (
 	"sectorpack/internal/model"
 )
 
-// largeDiffInstance is big enough (n*m >= prewarmParallelMin) that
-// CandidatesAll and Prewarm take their worker-pool paths when more than one
-// worker is allowed.
+// largeDiffInstance is big enough (n*m >= prewarmParallelMin) that Prewarm
+// takes its worker-pool path when more than one worker is allowed.
 func largeDiffInstance(t *testing.T) *model.Instance {
 	t.Helper()
 	in := gen.MustGenerate(gen.Config{Family: gen.Hotspot, Seed: 9, N: 3000, M: 6, MinRange: 2})
@@ -19,41 +18,6 @@ func largeDiffInstance(t *testing.T) *model.Instance {
 		t.Fatalf("instance too small to cross the parallel gate: %d < %d", in.N()*in.M(), prewarmParallelMin)
 	}
 	return in
-}
-
-// TestCandidatesAllScalarVsParallel pins CandidatesAll's determinism claim:
-// the worker-pool path must return exactly the per-antenna Candidates
-// slices, element for element, that the scalar path (and the one-antenna
-// reference implementation) produce.
-func TestCandidatesAllScalarVsParallel(t *testing.T) {
-	in := largeDiffInstance(t)
-	run := func(workers int) [][]float64 {
-		prev := SetMaxWorkers(workers)
-		defer SetMaxWorkers(prev)
-		out, err := CandidatesAll(context.Background(), in)
-		if err != nil {
-			t.Fatalf("CandidatesAll at %d workers: %v", workers, err)
-		}
-		return out
-	}
-	scalar := run(1)
-	parallel := run(8)
-	if len(scalar) != in.M() || len(parallel) != in.M() {
-		t.Fatalf("got %d/%d antenna slices, want %d", len(scalar), len(parallel), in.M())
-	}
-	for j := 0; j < in.M(); j++ {
-		ref := Candidates(in, j)
-		for path, got := range map[string][]float64{"scalar": scalar[j], "parallel": parallel[j]} {
-			if len(got) != len(ref) {
-				t.Fatalf("antenna %d %s path: %d candidates, reference has %d", j, path, len(got), len(ref))
-			}
-			for k := range ref {
-				if math.Float64bits(got[k]) != math.Float64bits(ref[k]) {
-					t.Fatalf("antenna %d %s path candidate %d: got %v, reference %v", j, path, k, got[k], ref[k])
-				}
-			}
-		}
-	}
 }
 
 // TestPrewarmScalarVsParallel checks that a parallel-prewarmed engine holds

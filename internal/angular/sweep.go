@@ -39,18 +39,8 @@ type Sweep struct {
 	profits []int64 // profit per sorted position
 	density []int32 // positions in Dantzig order (profit density descending)
 
-	buf []int // reusable member buffer for ForEach
-
 	markBuf   []int32 // epoch marks for membership tests in dantzigSet
 	markEpoch int32
-}
-
-// NewSweep prepares the sweep for one antenna through a one-off columnar
-// view. Callers building sweeps for several antennas of the same instance
-// should share one view (Engine does; see Engine.Prewarm) so the instance
-// is sorted once, not per antenna.
-func NewSweep(in *model.Instance, antenna int) *Sweep {
-	return newSweepFromView(cols.New(in), in.Antennas[antenna])
 }
 
 // newSweepFromView gathers the antenna's in-range customers from the
@@ -154,40 +144,19 @@ func (s *Sweep) forEachRange(fn func(start, count int, alpha float64) bool) {
 	}
 }
 
-// ForEach calls fn for every distinct candidate window (start angle =
-// some customer angle, deduplicated within geom.Eps, across the 2π seam
-// too) with the customer indices inside [alpha, alpha+rho]. The ids slice
-// is reused between calls — callers must copy if they retain it. Returning
-// false stops the enumeration early.
-func (s *Sweep) ForEach(fn func(alpha float64, ids []int) bool) {
-	n := len(s.ids)
-	if cap(s.buf) < n {
-		s.buf = make([]int, 0, n)
-	}
-	s.forEachRange(func(start, count int, alpha float64) bool {
-		buf := s.buf[:0]
-		for k := start; k < start+count; k++ {
-			buf = append(buf, int(s.ids[k%n]))
-		}
-		return fn(alpha, buf)
-	})
-}
-
-// appendCovered appends to out the sweep positions of customers covered by
-// a window starting at alpha, using the same tolerance semantics as
+// eachCovered calls fn with the sweep position of every customer covered
+// by a window starting at alpha, using the same tolerance semantics as
 // model.Antenna.Covers (geom.AngleBetween: Eps slack on both boundaries).
 // Unlike forEachRange, alpha may be any angle — placed-sector ends, grid
-// points — not just a customer angle. Cost is O(log n + window size).
-func (s *Sweep) appendCovered(alpha float64, out []int32) []int32 {
+// points — not just a customer angle. Positions come in circular sweep
+// order from the window's start. Cost is O(log n + window size).
+func (s *Sweep) eachCovered(alpha float64, fn func(p int)) {
 	n := len(s.ids)
-	if n == 0 {
-		return out
-	}
 	if s.rho >= geom.TwoPi-geom.Eps {
 		for p := 0; p < n; p++ {
-			out = append(out, int32(p))
+			fn(p)
 		}
-		return out
+		return
 	}
 	// The members form one contiguous circular run of sorted positions.
 	// Over-approximate the run with a slightly widened arc located by
@@ -204,26 +173,21 @@ func (s *Sweep) appendCovered(alpha float64, out []int32) []int32 {
 			break
 		}
 		if geom.AngleBetween(s.thetas[p], alpha, s.rho) {
-			out = append(out, int32(p))
+			fn(p)
 		}
 	}
-	return out
 }
 
-// windowSets returns every candidate window as (alpha, member ids) pairs
-// with the active mask applied; kept as the reference materialization for
-// the pruning-equivalence tests (the Engine streams windows instead).
-func (s *Sweep) windowSets(active []bool) (alphas []float64, members [][]int) {
-	s.ForEach(func(alpha float64, ids []int) bool {
-		kept := make([]int, 0, len(ids))
-		for _, i := range ids {
-			if active == nil || active[i] {
-				kept = append(kept, i)
-			}
+// appendMembers appends to dst the active customers (active == nil: all)
+// of the window starting at alpha, in ascending customer index: the order
+// of a scan over every customer, which the knapsack item order follows.
+func (s *Sweep) appendMembers(dst []int, alpha float64, active []bool) []int {
+	off := len(dst)
+	s.eachCovered(alpha, func(p int) {
+		if i := int(s.ids[p]); active == nil || active[i] {
+			dst = append(dst, i)
 		}
-		alphas = append(alphas, alpha)
-		members = append(members, kept)
-		return true
 	})
-	return alphas, members
+	slices.Sort(dst[off:])
+	return dst
 }

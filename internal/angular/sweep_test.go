@@ -9,17 +9,49 @@ import (
 	"sectorpack/internal/model"
 )
 
+// forEachWindow calls fn for every distinct candidate window of the sweep
+// with the customer indices inside [alpha, alpha+rho], in sweep order.
+// Returning false stops the enumeration early.
+func forEachWindow(s *Sweep, fn func(alpha float64, ids []int) bool) {
+	n := s.Len()
+	s.forEachRange(func(start, count int, alpha float64) bool {
+		ids := make([]int, 0, count)
+		for k := start; k < start+count; k++ {
+			ids = append(ids, int(s.ids[k%n]))
+		}
+		return fn(alpha, ids)
+	})
+}
+
+// windowSets returns every candidate window as (alpha, member ids) pairs
+// with the active mask applied: the materialized reference of the windows
+// BestWindow streams.
+func windowSets(s *Sweep, active []bool) (alphas []float64, members [][]int) {
+	forEachWindow(s, func(alpha float64, ids []int) bool {
+		kept := make([]int, 0, len(ids))
+		for _, i := range ids {
+			if active == nil || active[i] {
+				kept = append(kept, i)
+			}
+		}
+		alphas = append(alphas, alpha)
+		members = append(members, kept)
+		return true
+	})
+	return alphas, members
+}
+
 // TestSweepMatchesCoveredScan cross-checks the rotating sweep against the
 // naive per-candidate scan on random general-position instances.
 func TestSweepMatchesCoveredScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	for trial := 0; trial < 60; trial++ {
 		in := randInstance(rng, 1+rng.Intn(30), 1, model.Sectors)
-		sw := NewSweep(in, 0)
+		sw := NewEngine(in).Sweep(0)
 		seen := 0
-		sw.ForEach(func(alpha float64, ids []int) bool {
+		forEachWindow(sw, func(alpha float64, ids []int) bool {
 			seen++
-			want := Covered(in, 0, alpha, nil)
+			want := scanCovered(in, 0, alpha, nil)
 			got := append([]int(nil), ids...)
 			sort.Ints(got)
 			sort.Ints(want)
@@ -33,7 +65,7 @@ func TestSweepMatchesCoveredScan(t *testing.T) {
 			}
 			return true
 		})
-		wantCands := len(Candidates(in, 0))
+		wantCands := len(scanCandidates(in, 0))
 		if seen != wantCands {
 			t.Fatalf("sweep enumerated %d windows, candidates say %d", seen, wantCands)
 		}
@@ -44,8 +76,8 @@ func TestSweepFullCircleWidth(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	in := randInstance(rng, 12, 1, model.Angles)
 	in.Antennas[0].Rho = 6.28318 // ~2π: every window covers everyone
-	sw := NewSweep(in, 0)
-	sw.ForEach(func(alpha float64, ids []int) bool {
+	sw := NewEngine(in).Sweep(0)
+	forEachWindow(sw, func(alpha float64, ids []int) bool {
 		if len(ids) != in.N() {
 			t.Fatalf("full-circle window covers %d/%d", len(ids), in.N())
 		}
@@ -70,7 +102,7 @@ func TestSweepSeamDedup(t *testing.T) {
 	)
 	var alphas []float64
 	var sizes []int
-	NewSweep(in, 0).ForEach(func(alpha float64, ids []int) bool {
+	forEachWindow(NewEngine(in).Sweep(0), func(alpha float64, ids []int) bool {
 		alphas = append(alphas, alpha)
 		sizes = append(sizes, len(ids))
 		return true
@@ -94,7 +126,7 @@ func TestSweepRangeFilter(t *testing.T) {
 		[]model.Antenna{{Rho: 1, Range: 5, Capacity: 5}},
 		model.Sectors,
 	)
-	sw := NewSweep(in, 0)
+	sw := NewEngine(in).Sweep(0)
 	if sw.Len() != 1 {
 		t.Fatalf("sweep kept %d customers, want 1", sw.Len())
 	}
@@ -104,7 +136,7 @@ func TestSweepEarlyStop(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
 	in := randInstance(rng, 10, 1, model.Sectors)
 	calls := 0
-	NewSweep(in, 0).ForEach(func(float64, []int) bool {
+	forEachWindow(NewEngine(in).Sweep(0), func(float64, []int) bool {
 		calls++
 		return false
 	})
@@ -115,7 +147,7 @@ func TestSweepEarlyStop(t *testing.T) {
 
 func TestSweepEmpty(t *testing.T) {
 	in := instWith(nil, []model.Antenna{{Rho: 1, Range: 5, Capacity: 5}}, model.Sectors)
-	NewSweep(in, 0).ForEach(func(float64, []int) bool {
+	forEachWindow(NewEngine(in).Sweep(0), func(float64, []int) bool {
 		t.Fatal("no windows expected")
 		return true
 	})
@@ -130,7 +162,7 @@ func TestSweepActiveMaskInWindowSets(t *testing.T) {
 		[]model.Antenna{{Rho: 1, Range: 5, Capacity: 5}},
 		model.Sectors,
 	)
-	alphas, members := NewSweep(in, 0).windowSets([]bool{true, false})
+	alphas, members := windowSets(NewEngine(in).Sweep(0), []bool{true, false})
 	if len(alphas) != 2 {
 		t.Fatalf("windows = %d, want 2", len(alphas))
 	}

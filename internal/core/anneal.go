@@ -31,10 +31,20 @@ const AnnealSteps = 20_000
 // DisjointAngles: reorientation candidates that would overlap another
 // serving sector are rejected, preserving feasibility throughout.
 //
+// The greedy seed, the candidate orientations and the reorientation
+// windows all come from one prewarmed angular.Engine.
+//
 // Cancellation: ctx is checked once per Metropolis step; a cancelled solve
 // returns ctx.Err() and discards the annealing state.
 func SolveAnneal(ctx context.Context, in *model.Instance, opt Options) (model.Solution, error) {
-	sol, err := SolveGreedy(ctx, in, opt)
+	if err := validateForSolve(in); err != nil {
+		return model.Solution{}, err
+	}
+	eng := angular.NewEngine(in)
+	if err := eng.Prewarm(ctx); err != nil {
+		return model.Solution{}, err
+	}
+	sol, err := solveGreedyWithEngine(ctx, in, opt, nil, eng)
 	if err != nil {
 		return model.Solution{}, err
 	}
@@ -50,13 +60,8 @@ func SolveAnneal(ctx context.Context, in *model.Instance, opt Options) (model.So
 	best := cur.Clone()
 	bestProfit := curProfit
 	load := cur.Load(in)
-
-	// Candidate orientations per antenna, shared across steps, built over
-	// one columnar view with the per-antenna work fanned out.
-	cands, err := angular.CandidatesAll(ctx, in)
-	if err != nil {
-		return model.Solution{}, err
-	}
+	var ids []int
+	var items []knapsack.Item
 
 	temp := initialTemp(in)
 	cooling := math.Pow(1e-3, 1.0/float64(AnnealSteps)) // temp decays to 0.1% over the run
@@ -116,10 +121,11 @@ func SolveAnneal(ctx context.Context, in *model.Instance, opt Options) (model.So
 			}
 		} else {
 			j := rng.Intn(m)
-			if len(cands[j]) == 0 {
+			cands := eng.Candidates(j)
+			if len(cands) == 0 {
 				continue
 			}
-			alpha := cands[j][rng.Intn(len(cands[j]))]
+			alpha := cands[rng.Intn(len(cands))]
 			if in.Variant == model.DisjointAngles && overlapsServing(in, cur, j, alpha) {
 				continue
 			}
@@ -134,7 +140,11 @@ func SolveAnneal(ctx context.Context, in *model.Instance, opt Options) (model.So
 					}
 				}
 			}
-			items, ids := angular.WindowItems(in, j, alpha, active)
+			ids = eng.AppendMembers(ids[:0], j, alpha, active)
+			items = items[:0]
+			for _, i := range ids {
+				items = append(items, knapsack.Item{Weight: in.Customers[i].Demand, Profit: in.Customers[i].Profit})
+			}
 			var take []int
 			var gained int64
 			if len(items) > 0 {

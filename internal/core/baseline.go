@@ -30,7 +30,7 @@ func SolveBaseline(ctx context.Context, in *model.Instance, opt Options) (model.
 	as := model.NewAssignment(n, m)
 	sol := model.Solution{Algorithm: "baseline", Assignment: as}
 	if n == 0 || m == 0 {
-		return withBound(ctx, in, opt, sol)
+		return withBound(ctx, in, nil, opt, sol)
 	}
 	if in.Variant == model.DisjointAngles {
 		var acc float64
@@ -70,5 +70,5 @@ func SolveBaseline(ctx context.Context, in *model.Instance, opt Options) (model.
 			}
 		}
 	}
-	return withBound(ctx, in, opt, sol)
+	return withBound(ctx, in, nil, opt, sol)
 }

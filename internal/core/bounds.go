@@ -18,40 +18,55 @@ import (
 // summing over j gives the bound. Disjointness constraints only shrink the
 // optimum, so the bound also holds for DisjointAngles.
 func UpperBound(in *model.Instance) float64 {
-	b, _ := UpperBoundContext(context.Background(), in)
+	b, _ := UpperBoundContext(context.Background(), angular.NewEngine(in))
 	return b
 }
 
 // withBound sets sol.UpperBound unless opt.SkipBound says not to; the
-// solvers that compute their own bound end with it.
-func withBound(ctx context.Context, in *model.Instance, opt Options, sol model.Solution) (model.Solution, error) {
-	if !opt.SkipBound {
-		var err error
-		if sol.UpperBound, err = UpperBoundContext(ctx, in); err != nil {
-			return model.Solution{}, err
-		}
+// solvers that compute their own bound end with it, passing their engine
+// for in, or nil if they hold none (one is then built for the bound).
+func withBound(ctx context.Context, in *model.Instance, eng *angular.Engine, opt Options, sol model.Solution) (model.Solution, error) {
+	if opt.SkipBound {
+		return sol, nil
+	}
+	if eng == nil {
+		eng = angular.NewEngine(in)
+	}
+	var err error
+	if sol.UpperBound, err = UpperBoundContext(ctx, eng); err != nil {
+		return model.Solution{}, err
 	}
 	return sol, nil
 }
 
-// UpperBoundContext is UpperBound for callers with a deadline: it consults
-// ctx once per antenna and returns ctx.Err() once it is cancelled. An
-// uncancelled call returns exactly UpperBound's value. The solvers and the
-// session cascade end with it, so a deadline can interrupt the bound.
-func UpperBoundContext(ctx context.Context, in *model.Instance) (float64, error) {
+// UpperBoundContext is UpperBound of the engine's instance for callers
+// with a deadline and an engine: the candidate angles come from the
+// engine's cache. It consults ctx once per antenna and returns ctx.Err()
+// once it is cancelled. An uncancelled call returns exactly UpperBound's
+// value. The solvers and the session cascade end with it, so a deadline
+// can interrupt the bound.
+func UpperBoundContext(ctx context.Context, eng *angular.Engine) (float64, error) {
+	in := eng.Instance()
 	total := float64(in.TotalProfit())
 	var sum float64
-	for j := range in.Antennas {
+	var items []knapsack.Item
+	for j, a := range in.Antennas {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
 		best := 0.0
-		for _, alpha := range angular.Candidates(in, j) {
-			items, _ := angular.WindowItems(in, j, alpha, nil)
+		for _, alpha := range eng.Candidates(j) {
+			// A full scan, not eng.AppendMembers: a faster bound runs session-churn out of deltas (ROADMAP item 2).
+			items = items[:0]
+			for _, c := range in.Customers {
+				if a.Covers(alpha, c) {
+					items = append(items, knapsack.Item{Weight: c.Demand, Profit: c.Profit})
+				}
+			}
 			if len(items) == 0 {
 				continue
 			}
-			if b := knapsack.FractionalBound(items, in.Antennas[j].Capacity); b > best {
+			if b := knapsack.FractionalBound(items, a.Capacity); b > best {
 				best = b
 			}
 		}

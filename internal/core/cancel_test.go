@@ -3,13 +3,17 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"sectorpack/internal/angular"
+	"sectorpack/internal/gen"
+	"sectorpack/internal/geom"
 	"sectorpack/internal/knapsack"
 	"sectorpack/internal/model"
 )
@@ -98,15 +102,51 @@ func TestUncancelledBackgroundUnchanged(t *testing.T) {
 	}
 }
 
-// refUpperBound is UpperBound as it was before it consulted a context, the
-// reference the bound must stay bit-identical to.
+// scanCandidates is the scan reference of an engine's candidate angles: the
+// angles of every customer radially within the antenna's reach, sorted
+// ascending and deduplicated within geom.Eps.
+func scanCandidates(in *model.Instance, antenna int) []float64 {
+	a := in.Antennas[antenna]
+	var thetas []float64
+	for _, c := range in.Customers {
+		if a.InRange(c) {
+			thetas = append(thetas, c.Theta)
+		}
+	}
+	sort.Float64s(thetas)
+	var out []float64
+	for _, th := range thetas {
+		if len(out) == 0 || th-out[len(out)-1] > geom.Eps {
+			out = append(out, th)
+		}
+	}
+	return out
+}
+
+// scanWindowItems is the scan reference of a window's members: the
+// knapsack items of the active customers (active == nil: all) that the
+// antenna covers at alpha, with their indices, in ascending index.
+func scanWindowItems(in *model.Instance, antenna int, alpha float64, active []bool) ([]knapsack.Item, []int) {
+	var items []knapsack.Item
+	var ids []int
+	for i, c := range in.Customers {
+		if (active == nil || active[i]) && in.Antennas[antenna].Covers(alpha, c) {
+			items = append(items, knapsack.Item{Weight: c.Demand, Profit: c.Profit})
+			ids = append(ids, i)
+		}
+	}
+	return items, ids
+}
+
+// refUpperBound is UpperBound as it was before it consulted a context or
+// an engine, the reference the bound must stay bit-identical to.
 func refUpperBound(in *model.Instance) float64 {
 	total := float64(in.TotalProfit())
 	var sum float64
 	for j := range in.Antennas {
 		best := 0.0
-		for _, alpha := range angular.Candidates(in, j) {
-			items, _ := angular.WindowItems(in, j, alpha, nil)
+		for _, alpha := range scanCandidates(in, j) {
+			items, _ := scanWindowItems(in, j, alpha, nil)
 			if len(items) == 0 {
 				continue
 			}
@@ -139,30 +179,40 @@ func (c *errAfter) Err() error {
 
 // TestUpperBoundContext checks that the bound the solvers end with honours
 // cancellation between antennas, and that uncancelled it is bit-identical
-// to the bound before it consulted a context.
+// to the scan reference, on random instances and on a banded n=3000
+// instance of the 100k-churn tier's shape.
 func TestUpperBoundContext(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	for trial := 0; trial < 30; trial++ {
-		in := randInstance(rng, 1+rng.Intn(40), 1+rng.Intn(4), model.Variant(trial%3))
+	check := func(tag string, in *model.Instance) {
+		t.Helper()
 		want := math.Float64bits(refUpperBound(in))
-		got, err := UpperBoundContext(context.Background(), in)
+		got, err := UpperBoundContext(context.Background(), angular.NewEngine(in))
 		if err != nil || math.Float64bits(got) != want {
-			t.Fatalf("trial %d: UpperBoundContext = %v, %v; want %v", trial, got, err, refUpperBound(in))
+			t.Fatalf("%s: UpperBoundContext = %v, %v; want %v", tag, got, err, refUpperBound(in))
 		}
 		sol, err := SolveGreedy(context.Background(), in, Options{})
 		if err != nil || math.Float64bits(sol.UpperBound) != want {
-			t.Fatalf("trial %d: greedy bound %v (err %v), want %v", trial, sol.UpperBound, err, refUpperBound(in))
+			t.Fatalf("%s: greedy bound %v (err %v), want %v", tag, sol.UpperBound, err, refUpperBound(in))
 		}
 	}
+	for trial := 0; trial < 30; trial++ {
+		check(fmt.Sprintf("trial %d", trial), randInstance(rng, 1+rng.Intn(40), 1+rng.Intn(4), model.Variant(trial%3)))
+	}
+	cfg, err := gen.Tier("100k-churn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.N = 3000
+	check("banded n=3000", gen.MustGenerate(cfg))
 
-	in := randInstance(rng, 30, 3, model.Sectors)
+	eng := angular.NewEngine(randInstance(rng, 30, 3, model.Sectors))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := UpperBoundContext(ctx, in); !errors.Is(err, context.Canceled) {
+	if _, err := UpperBoundContext(ctx, eng); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled ctx: err = %v, want context.Canceled", err)
 	}
 	// Cancelled after the first antenna: the second check must see it.
-	if _, err := UpperBoundContext(&errAfter{Context: context.Background(), n: 1}, in); !errors.Is(err, context.Canceled) {
+	if _, err := UpperBoundContext(&errAfter{Context: context.Background(), n: 1}, eng); !errors.Is(err, context.Canceled) {
 		t.Fatalf("ctx cancelled mid-bound: err = %v, want context.Canceled", err)
 	}
 }

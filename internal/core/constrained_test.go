@@ -90,7 +90,7 @@ func TestBestWindowConstrainedMatchesBruteForce(t *testing.T) {
 		}
 
 		// Brute force, duplicates and all.
-		cands := append([]float64{}, angular.Candidates(in, 0)...)
+		cands := scanCandidates(in, 0)
 		for _, iv := range placed {
 			cands = append(cands, iv.End())
 		}
@@ -107,7 +107,7 @@ func TestBestWindowConstrainedMatchesBruteForce(t *testing.T) {
 			if blocked {
 				continue
 			}
-			items, ids := angular.WindowItems(in, 0, alpha, active)
+			items, ids := scanWindowItems(in, 0, alpha, active)
 			if len(ids) == 0 {
 				continue
 			}

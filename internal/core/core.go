@@ -49,9 +49,9 @@ type Options struct {
 	// LocalSearchRounds caps local-search sweeps; zero means
 	// DefaultLocalSearchRounds.
 	LocalSearchRounds int
-	// SkipBound suppresses the upper-bound computation (which costs one
-	// fractional-knapsack pass per candidate orientation) when the caller
-	// does not need ratios.
+	// SkipBound suppresses the upper-bound computation (which scans all n
+	// customers and solves one fractional knapsack at every candidate
+	// orientation of every antenna) when the caller does not need ratios.
 	SkipBound bool
 }
 

@@ -100,7 +100,7 @@ func solveGreedyWithEngine(ctx context.Context, in *model.Instance, opt Options,
 			placed = append(placed, geom.NewInterval(win.Alpha, in.Antennas[j].Rho))
 		}
 	}
-	return withBound(ctx, in, opt, sol)
+	return withBound(ctx, in, eng, opt, sol)
 }
 
 // bestWindowConstrained is Engine.BestWindow extended with the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"sectorpack/internal/angular"
@@ -26,6 +27,10 @@ const MaxConfigLPVars = 20_000
 // LP may split antennas across orientations fractionally, which is the
 // relaxation. (The y ≤ x coupling rows are deliberately dropped: that
 // only loosens the bound slightly and keeps the tableau small.)
+//
+// The variable count is checked against MaxConfigLPVars while the windows
+// are enumerated, so an oversized instance is refused before its LP is
+// built.
 func ConfigLPBound(in *model.Instance) (float64, error) {
 	if err := in.Validate(); err != nil {
 		return 0, fmt.Errorf("core: ConfigLPBound: %w", err)
@@ -34,40 +39,31 @@ func ConfigLPBound(in *model.Instance) (float64, error) {
 	if n == 0 || m == 0 {
 		return 0, nil
 	}
+	// Orientation o is variable x_o = o. The members of every window
+	// follow in orientation order: members[k] is variable y = len(orients)+k.
 	type orient struct {
-		j     int
-		alpha float64
-		xVar  int
+		j          int
+		start, end int // the window's members are members[start:end]
 	}
 	var orients []orient
-	type triple struct {
-		i, oIdx int // customer, orientation index into orients
-		yVar    int
-	}
-	var triples []triple
-
-	nextVar := 0
+	var members []int
+	eng := angular.NewEngine(in)
 	for j := 0; j < m; j++ {
-		for _, alpha := range angular.Candidates(in, j) {
-			orients = append(orients, orient{j: j, alpha: alpha, xVar: nextVar})
-			nextVar++
-		}
-	}
-	for oIdx, o := range orients {
-		for i, c := range in.Customers {
-			if in.Antennas[o.j].Covers(o.alpha, c) {
-				triples = append(triples, triple{i: i, oIdx: oIdx, yVar: nextVar})
-				nextVar++
+		for _, alpha := range eng.Candidates(j) {
+			start := len(members)
+			members = eng.AppendMembers(members, j, alpha, nil)
+			orients = append(orients, orient{j: j, start: start, end: len(members)})
+			if len(orients)+len(members) > MaxConfigLPVars {
+				return 0, fmt.Errorf("core: ConfigLPBound: more than %d variables", MaxConfigLPVars)
 			}
 		}
 	}
-	if nextVar > MaxConfigLPVars {
-		return 0, fmt.Errorf("core: ConfigLPBound: %d variables exceeds cap %d", nextVar, MaxConfigLPVars)
-	}
+	y0 := len(orients)
+	nextVar := y0 + len(members)
 
 	c := make([]float64, nextVar)
-	for _, t := range triples {
-		c[t.yVar] = float64(in.Customers[t.i].Profit)
+	for k, i := range members {
+		c[y0+k] = float64(in.Customers[i].Profit)
 	}
 	var a [][]float64
 	var b []float64
@@ -78,8 +74,8 @@ func ConfigLPBound(in *model.Instance) (float64, error) {
 	for j := range perAntenna {
 		perAntenna[j] = row()
 	}
-	for _, o := range orients {
-		perAntenna[o.j][o.xVar] = 1
+	for oIdx, o := range orients {
+		perAntenna[o.j][oIdx] = 1
 	}
 	for j := 0; j < m; j++ {
 		a = append(a, perAntenna[j])
@@ -90,8 +86,8 @@ func ConfigLPBound(in *model.Instance) (float64, error) {
 	for i := range perCustomer {
 		perCustomer[i] = row()
 	}
-	for _, t := range triples {
-		perCustomer[t.i][t.yVar] = 1
+	for k, i := range members {
+		perCustomer[i][y0+k] = 1
 	}
 	for i := 0; i < n; i++ {
 		a = append(a, perCustomer[i])
@@ -101,10 +97,10 @@ func ConfigLPBound(in *model.Instance) (float64, error) {
 	perOrient := make([][]float64, len(orients))
 	for oIdx := range perOrient {
 		perOrient[oIdx] = row()
-		perOrient[oIdx][orients[oIdx].xVar] = -float64(in.Antennas[orients[oIdx].j].Capacity)
-	}
-	for _, t := range triples {
-		perOrient[t.oIdx][t.yVar] = float64(in.Customers[t.i].Demand)
+		perOrient[oIdx][oIdx] = -float64(in.Antennas[orients[oIdx].j].Capacity)
+		for k := orients[oIdx].start; k < orients[oIdx].end; k++ {
+			perOrient[oIdx][y0+k] = float64(in.Customers[members[k]].Demand)
+		}
 	}
 	for oIdx := range orients {
 		a = append(a, perOrient[oIdx])
@@ -119,7 +115,7 @@ func ConfigLPBound(in *model.Instance) (float64, error) {
 		return 0, fmt.Errorf("core: ConfigLPBound: LP %v", sol.Status)
 	}
 	// The simple bound still applies; return the tighter of the two.
-	if simple := UpperBound(in); simple < sol.Value {
+	if simple, _ := UpperBoundContext(context.Background(), eng); simple < sol.Value {
 		return simple, nil
 	}
 	return sol.Value, nil

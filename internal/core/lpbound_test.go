@@ -2,10 +2,15 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
 	"sectorpack/internal/exact"
+	"sectorpack/internal/gen"
 	"sectorpack/internal/model"
 )
 
@@ -71,6 +76,10 @@ func TestConfigLPBoundTighterWhenAntennasCompete(t *testing.T) {
 	if cfg < 12-1e-6 {
 		t.Fatalf("config bound %v below the achievable optimum 12", cfg)
 	}
+	// The value computed before the LP read its windows from an engine.
+	if got, want := math.Float64bits(cfg), uint64(0x4028000000000000); got != want {
+		t.Fatalf("config bound bits %#x, want %#x", got, want)
+	}
 }
 
 func TestConfigLPBoundCapacitySplit(t *testing.T) {
@@ -96,6 +105,28 @@ func TestConfigLPBoundCapacitySplit(t *testing.T) {
 	}
 	if cfg > 10+1e-6 {
 		t.Fatalf("config bound %v should respect the capacity cap 10", cfg)
+	}
+	// The value computed before the LP read its windows from an engine.
+	if got, want := math.Float64bits(cfg), uint64(0x4024000000000000); got != want {
+		t.Fatalf("config bound bits %#x, want %#x", got, want)
+	}
+}
+
+// TestConfigLPBoundRefusesOversizedEarly pins that the variable cap is
+// checked while the windows are enumerated: an instance whose LP would
+// have about 2.5 million variables is refused without materializing them
+// (enumerating them all first allocated over 300 MB here).
+func TestConfigLPBoundRefusesOversizedEarly(t *testing.T) {
+	in := gen.MustGenerate(gen.Config{Family: gen.Uniform, Seed: 1, N: 3000, M: 4})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ConfigLPBound(in)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(MaxConfigLPVars)) {
+		t.Fatalf("err = %v, want the %d-variable cap error", err, MaxConfigLPVars)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 32<<20 {
+		t.Fatalf("refusing the instance allocated %d bytes, want <= %d", grew, 32<<20)
 	}
 }
 

@@ -129,16 +129,17 @@ func SolveSplittableExact(ctx context.Context, in *model.Instance) (SplitSolutio
 	if n == 0 || m == 0 {
 		return SplitSolution{Orientation: make([]float64, m), Frac: make([][]float64, n), Exact: true}, nil
 	}
-	cands, err := angular.CandidatesAll(ctx, in)
-	if err != nil {
+	eng := angular.NewEngine(in)
+	if err := eng.Prewarm(ctx); err != nil {
 		return SplitSolution{}, err
 	}
+	cands := make([][]float64, m)
 	total := int64(1)
 	for j := 0; j < m; j++ {
 		if err := ctx.Err(); err != nil {
 			return SplitSolution{}, err
 		}
-		if len(cands[j]) == 0 {
+		if cands[j] = eng.Candidates(j); len(cands[j]) == 0 {
 			cands[j] = []float64{0}
 		}
 		total *= int64(len(cands[j]))

@@ -44,9 +44,10 @@ func SolveUnitFlow(ctx context.Context, in *model.Instance, opt Options) (model.
 
 	if m == 1 {
 		// Exact: sweep every candidate orientation.
+		eng := angular.NewEngine(in)
 		best := model.NewAssignment(n, m)
 		var bestProfit int64 = -1
-		for _, alpha := range angular.Candidates(in, 0) {
+		for _, alpha := range eng.Candidates(0) {
 			if err := ctx.Err(); err != nil {
 				return model.Solution{}, err
 			}
@@ -64,7 +65,7 @@ func SolveUnitFlow(ctx context.Context, in *model.Instance, opt Options) (model.
 		}
 		sol.Assignment = best
 		sol.Profit = bestProfit
-		return withBound(ctx, in, opt, sol)
+		return withBound(ctx, in, eng, opt, sol)
 	}
 
 	greedy, err := SolveGreedy(ctx, in, opt)

@@ -101,8 +101,8 @@ func Greedy(ctx context.Context, customers []model.Customer, typ AntennaType) (R
 		return Result{}, err
 	}
 	res := Result{Algorithm: "greedy-cover"}
-	// Wrap into an instance with one antenna; BestWindow does the heavy
-	// lifting each round over the still-active customers.
+	// Wrap into an instance with one antenna; one engine's BestWindow does
+	// the heavy lifting each round over the still-active customers.
 	in := &model.Instance{
 		Variant:   model.Sectors,
 		Customers: append([]model.Customer(nil), customers...),
@@ -117,8 +117,9 @@ func Greedy(ctx context.Context, customers []model.Customer, typ AntennaType) (R
 	for i := range active {
 		active[i] = true
 	}
+	eng := angular.NewEngine(in)
 	for remaining > 0 {
-		win, err := angular.BestWindow(ctx, in, 0, active, knapsack.Options{})
+		win, err := eng.BestWindow(ctx, 0, active, knapsack.Options{})
 		if err != nil {
 			return Result{}, err
 		}

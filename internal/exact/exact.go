@@ -184,25 +184,26 @@ func disjointOK(in *model.Instance, alphas []float64) bool {
 }
 
 // candidateSets builds the per-antenna orientation candidates. Outside the
-// DisjointAngles variant they come from angular.CandidatesAll — one shared
-// columnar view, radial pre-filter, per-antenna fan-out — instead of an
-// O(n log n) scan-and-sort per antenna; ctx is consulted per antenna in
-// either branch so a daemon deadline can interrupt the chain enumeration.
+// DisjointAngles variant they are a prewarmed angular.Engine's candidate
+// angles — one shared columnar view, radial pre-filter, per-antenna
+// fan-out — instead of an O(n log n) scan-and-sort per antenna; ctx is
+// consulted per antenna in either branch so a daemon deadline can
+// interrupt the chain enumeration. The slices are read-only.
 func candidateSets(ctx context.Context, in *model.Instance) ([][]float64, error) {
 	m := in.M()
+	out := make([][]float64, m)
 	if in.Variant != model.DisjointAngles {
-		out, err := angular.CandidatesAll(ctx, in)
-		if err != nil {
+		eng := angular.NewEngine(in)
+		if err := eng.Prewarm(ctx); err != nil {
 			return nil, err
 		}
 		for j := range out {
-			if len(out[j]) == 0 {
+			if out[j] = eng.Candidates(j); len(out[j]) == 0 {
 				out[j] = []float64{0}
 			}
 		}
 		return out, nil
 	}
-	out := make([][]float64, m)
 	for j := 0; j < m; j++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err

@@ -132,7 +132,7 @@ func TestSolveMatchesBestWindowSingleAntenna(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Solve: %v", err)
 		}
-		win, err := angular.BestWindow(context.Background(), in, 0, nil, knapsack.Options{})
+		win, err := angular.NewEngine(in).BestWindow(context.Background(), 0, nil, knapsack.Options{})
 		if err != nil {
 			t.Fatalf("BestWindow: %v", err)
 		}

@@ -36,23 +36,13 @@ func init() {
 
 // gridBestWindow is the ablated single-antenna solver: k orientations on a
 // uniform grid instead of the candidate set.
-func gridBestWindow(in *model.Instance, k int) (int64, error) {
-	var best int64
-	for g := 0; g < k; g++ {
-		alpha := geom.TwoPi * float64(g) / float64(k)
-		items, _ := angular.WindowItems(in, 0, alpha, nil)
-		if len(items) == 0 {
-			continue
-		}
-		res, _, err := knapsack.Solve(items, in.Antennas[0].Capacity, knapsack.Options{})
-		if err != nil {
-			return 0, err
-		}
-		if res.Profit > best {
-			best = res.Profit
-		}
+func gridBestWindow(eng *angular.Engine, k int) (int64, error) {
+	grid := make([]float64, k)
+	for g := range grid {
+		grid[g] = geom.TwoPi * float64(g) / float64(k)
 	}
-	return best, nil
+	win, err := eng.BestWindowAt(context.Background(), 0, grid, nil, knapsack.Options{})
+	return win.Profit, err
 }
 
 func runE11(opt Options) (Report, error) {
@@ -81,11 +71,12 @@ func runE11(opt Options) (Report, error) {
 		if err != nil {
 			return pair{}, err
 		}
-		win, err := angular.BestWindow(context.Background(), in, 0, nil, knapsack.Options{})
+		eng := angular.NewEngine(in)
+		win, err := eng.BestWindow(context.Background(), 0, nil, knapsack.Options{})
 		if err != nil {
 			return pair{}, err
 		}
-		gridProfit, err := gridBestWindow(in, len(angular.Candidates(in, 0)))
+		gridProfit, err := gridBestWindow(eng, len(eng.Candidates(0)))
 		if err != nil {
 			return pair{}, err
 		}

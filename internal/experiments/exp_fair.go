@@ -50,12 +50,13 @@ func runE18(opt Options) (Report, error) {
 		// Fairness-aware orientations: antenna j aims at class j's best
 		// window (profit-greedy orientations can strand a whole class).
 		orient := make([]float64, m)
+		eng := angular.NewEngine(in)
 		for j := 0; j < m; j++ {
 			active := make([]bool, in.N())
 			for i := range active {
 				active[i] = classes[i] == j%numClasses
 			}
-			win, err := angular.BestWindow(context.Background(), in, j, active, knapsack.Options{})
+			win, err := eng.BestWindow(context.Background(), j, active, knapsack.Options{})
 			if err != nil {
 				return out{}, err
 			}

@@ -210,7 +210,7 @@ func SolveGreedy(ctx context.Context, in *Instance, kopt knapsack.Options) (*Ass
 		for v, i := range keep {
 			viewActive[v] = active[i]
 		}
-		win, err := angular.BestWindow(ctx, view, pr.j, viewActive, kopt)
+		win, err := angular.NewEngine(view).BestWindow(ctx, pr.j, viewActive, kopt)
 		if err != nil {
 			return nil, 0, err
 		}

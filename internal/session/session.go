@@ -303,7 +303,7 @@ func (s *Session) cascade(ctx context.Context, prev []stepRec, ru *reuseInfo) (m
 	}
 	if !s.opt.Core.SkipBound {
 		var err error
-		if sol.UpperBound, err = core.UpperBoundContext(ctx, in); err != nil {
+		if sol.UpperBound, err = core.UpperBoundContext(ctx, s.eng); err != nil {
 			return model.Solution{}, err
 		}
 	}
