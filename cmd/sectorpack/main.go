@@ -44,7 +44,6 @@ import (
 
 	"sectorpack/internal/core"
 	"sectorpack/internal/geom"
-	"sectorpack/internal/knapsack"
 	"sectorpack/internal/model"
 	"sectorpack/internal/sectorclient"
 	"sectorpack/internal/viz"
@@ -145,7 +144,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	opt := core.Options{Seed: *seed, SkipBound: !*bound}
 	if *eps > 0 {
-		opt.Knapsack = knapsack.Options{ForceApprox: true, Eps: *eps}
+		opt.Knapsack.Eps = *eps
 	}
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -289,7 +288,7 @@ func runBatch(ctx context.Context, out io.Writer, cfg batchConfig) error {
 	}
 	opt := core.Options{Seed: cfg.seed, SkipBound: !cfg.bound}
 	if cfg.eps > 0 {
-		opt.Knapsack = knapsack.Options{ForceApprox: true, Eps: cfg.eps}
+		opt.Knapsack.Eps = cfg.eps
 	}
 	start := time.Now()
 	results := core.SolveBatch(ctx, ins, solver, core.BatchOptions{

@@ -5,7 +5,6 @@ import (
 
 	"sectorpack/internal/core"
 	"sectorpack/internal/cover"
-	"sectorpack/internal/exact"
 	"sectorpack/internal/fair"
 	"sectorpack/internal/geom"
 	"sectorpack/internal/knapsack"
@@ -99,7 +98,7 @@ func SolveMultiGreedy(ctx context.Context, in *MultiInstance, opt Options) (*Mul
 // ensure the Options knapsack field stays structurally compatible.
 var _ knapsack.Options = Options{}.Knapsack
 
-// --- preprocessing and parallel exact ---
+// --- preprocessing ---
 
 // Reduction is the outcome of instance preprocessing: the shrunken
 // instance plus the lift back to the original.
@@ -109,13 +108,6 @@ type Reduction = reduce.Result
 // zero-profit customers, tighten capacities, GCD-scale demands). Solve the
 // Reduced instance, then Lift the assignment back.
 func Reduce(in *Instance) (*Reduction, error) { return reduce.Apply(in) }
-
-// SolveExactParallel is SolveExact with the orientation search fanned out
-// over a worker pool (workers <= 0 means GOMAXPROCS). Same result, less
-// wall clock on multi-antenna instances.
-func SolveExactParallel(ctx context.Context, in *Instance, workers int) (Solution, error) {
-	return exact.SolveParallel(ctx, in, exact.Limits{}, workers)
-}
 
 // --- splittable demands ---
 

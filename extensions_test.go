@@ -2,11 +2,14 @@ package sectorpack_test
 
 import (
 	"context"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"sectorpack"
+	"sectorpack/internal/angular"
 )
 
 func TestCoverFacade(t *testing.T) {
@@ -88,21 +91,33 @@ func TestReduceFacade(t *testing.T) {
 	}
 }
 
+// TestSolveExactParallelFacade checks that the façade's exact solver
+// returns the same answer whether its orientation search runs inline or
+// fanned out over workers.
 func TestSolveExactParallelFacade(t *testing.T) {
 	in := sectorpack.MustGenerate(sectorpack.GenConfig{
 		Family: sectorpack.Uniform, Variant: sectorpack.Sectors,
 		Seed: 12, N: 8, M: 2,
 	})
-	seq, err := sectorpack.SolveExact(context.Background(), in)
-	if err != nil {
-		t.Fatal(err)
+	solveAt := func(workers int) sectorpack.Solution {
+		defer angular.SetMaxWorkers(angular.SetMaxWorkers(workers))
+		sol, err := sectorpack.SolveExact(context.Background(), in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sol
 	}
-	par, err := sectorpack.SolveExactParallel(context.Background(), in, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq, par := solveAt(1), solveAt(4)
 	if seq.Profit != par.Profit {
 		t.Fatalf("parallel exact %d != sequential %d", par.Profit, seq.Profit)
+	}
+	for k := range seq.Assignment.Orientation {
+		if math.Float64bits(par.Assignment.Orientation[k]) != math.Float64bits(seq.Assignment.Orientation[k]) {
+			t.Fatalf("antenna %d: parallel orientation %v != sequential %v", k, par.Assignment.Orientation[k], seq.Assignment.Orientation[k])
+		}
+	}
+	if !slices.Equal(par.Assignment.Owner, seq.Assignment.Owner) {
+		t.Fatalf("parallel owners %v != sequential %v", par.Assignment.Owner, seq.Assignment.Owner)
 	}
 }
 

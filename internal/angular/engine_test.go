@@ -75,7 +75,7 @@ func checkPruningInvariance(t *testing.T, tag string, in *model.Instance, active
 	defer SetMaxWorkers(SetMaxWorkers(0))
 	eng := NewEngine(in)
 	for j := range in.Antennas {
-		for _, opt := range []knapsack.Options{{}, {ForceApprox: true, Eps: 0.3}} {
+		for _, opt := range []knapsack.Options{{}, {Eps: 0.3}} {
 			want, err := unprunedBestWindow(in, j, active, opt)
 			if err != nil {
 				t.Fatalf("%s antenna %d reference: %v", tag, j, err)

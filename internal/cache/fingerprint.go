@@ -40,7 +40,7 @@ import (
 
 // fingerprintVersion is bumped whenever the canonical document changes
 // shape, so stale keys from older builds can never alias new ones.
-const fingerprintVersion = 1
+const fingerprintVersion = 2
 
 // Fingerprint identifies one (instance, options, solver) solve and carries
 // the canonicalization permutations needed to move solutions between the
@@ -106,13 +106,8 @@ func (w *hasher) key() string {
 // reflection and fails when a field does not move the key.
 func (w *hasher) options(opt core.Options) {
 	w.float(opt.Knapsack.Eps)
-	w.i64(opt.Knapsack.MaxBBNodes)
-	w.bool(opt.Knapsack.ForceApprox)
 	w.i64(opt.ExactLimits.MaxTuples)
-	w.i64(opt.ExactLimits.MKPNodes)
 	w.i64(opt.Seed)
-	w.i64(int64(opt.RoundTrials))
-	w.i64(int64(opt.LocalSearchRounds))
 	w.bool(opt.SkipBound)
 }
 

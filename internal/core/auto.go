@@ -48,7 +48,7 @@ func dispatchAuto(ctx context.Context, in *model.Instance, opt Options) (model.S
 		return SolveLocalSearch(ctx, in, opt)
 	}
 	if n <= autoExactLimit && n <= mkp.MaxExactItems && m <= 2 {
-		return exact.SolveParallel(ctx, in, opt.ExactLimits, 0)
+		return exact.Solve(ctx, in, opt.ExactLimits)
 	}
 	if in.UnitDemand() && n > 0 {
 		return SolveUnitFlow(ctx, in, opt)

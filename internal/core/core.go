@@ -36,44 +36,24 @@ type Options struct {
 	Knapsack knapsack.Options
 	// ExactLimits bounds the exhaustive exact solver when it is reached
 	// through the registry or SolveAuto dispatch; the zero value keeps the
-	// solver's own defaults (exact.DefaultMaxTuples etc.). Callers serving
+	// solver's own default (exact.DefaultMaxTuples). Callers serving
 	// untrusted instances — the sectord daemon in particular — use it to
 	// cap the orientation-tuple budget per request.
 	ExactLimits exact.Limits
 	// Seed drives all randomized components (LP rounding); solvers are
 	// deterministic functions of (instance, Options).
 	Seed int64
-	// RoundTrials is the number of independent LP roundings to take the
-	// best of; zero means DefaultRoundTrials.
-	RoundTrials int
-	// LocalSearchRounds caps local-search sweeps; zero means
-	// DefaultLocalSearchRounds.
-	LocalSearchRounds int
 	// SkipBound suppresses the upper-bound computation (which scans all n
 	// customers and solves one fractional knapsack at every candidate
 	// orientation of every antenna) when the caller does not need ratios.
 	SkipBound bool
 }
 
-// DefaultRoundTrials is the LP-rounding repetition count.
-const DefaultRoundTrials = 8
+// roundTrials is the LP-rounding repetition count.
+const roundTrials = 8
 
-// DefaultLocalSearchRounds caps local-search sweeps.
-const DefaultLocalSearchRounds = 60
-
-func (o Options) roundTrials() int {
-	if o.RoundTrials <= 0 {
-		return DefaultRoundTrials
-	}
-	return o.RoundTrials
-}
-
-func (o Options) lsRounds() int {
-	if o.LocalSearchRounds <= 0 {
-		return DefaultLocalSearchRounds
-	}
-	return o.LocalSearchRounds
-}
+// localSearchRounds caps local-search sweeps.
+const localSearchRounds = 60
 
 func (o Options) rng() *rand.Rand { return rand.New(rand.NewSource(o.Seed)) }
 

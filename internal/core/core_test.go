@@ -318,20 +318,6 @@ func TestSolveAutoExactOnTiny(t *testing.T) {
 	}
 }
 
-func TestOptionsDefaults(t *testing.T) {
-	var o Options
-	if o.roundTrials() != DefaultRoundTrials {
-		t.Errorf("roundTrials default = %d", o.roundTrials())
-	}
-	if o.lsRounds() != DefaultLocalSearchRounds {
-		t.Errorf("lsRounds default = %d", o.lsRounds())
-	}
-	o = Options{RoundTrials: 3, LocalSearchRounds: 5}
-	if o.roundTrials() != 3 || o.lsRounds() != 5 {
-		t.Error("explicit options ignored")
-	}
-}
-
 func TestSolversRejectInvalidInstance(t *testing.T) {
 	bad := &model.Instance{
 		Variant:   model.Sectors,
@@ -343,14 +329,4 @@ func TestSolversRejectInvalidInstance(t *testing.T) {
 			t.Errorf("%s accepted an invalid instance", name)
 		}
 	}
-}
-
-func TestLocalSearchCustomRounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(185))
-	in := randInstance(rng, 15, 2, model.Sectors)
-	sol, err := SolveLocalSearch(context.Background(), in, Options{LocalSearchRounds: 1, SkipBound: true})
-	if err != nil {
-		t.Fatalf("localsearch: %v", err)
-	}
-	checkSolution(t, in, sol)
 }

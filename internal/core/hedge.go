@@ -24,9 +24,11 @@ const (
 	FallbackError = "error"
 )
 
-// DefaultFallbackGrace bounds how long SolveHedged waits for the fallback
-// leg after the primary has failed, when HedgeOptions leaves it zero.
-const DefaultFallbackGrace = time.Second
+// fallbackGrace bounds how long SolveHedged waits for a still-running
+// fallback leg after the primary has failed. It matters only when the
+// fallback is slower than the primary's failure — the common case is the
+// fallback finishing long before.
+const fallbackGrace = time.Second
 
 // HedgeOptions tunes SolveHedged.
 type HedgeOptions struct {
@@ -40,11 +42,6 @@ type HedgeOptions struct {
 	// FallbackName labels the fallback; empty means "greedy" when Fallback
 	// is nil, "fallback" otherwise.
 	FallbackName string
-	// FallbackGrace bounds the wait for a still-running fallback after the
-	// primary has already failed; zero means DefaultFallbackGrace. The
-	// grace matters only when the fallback is slower than the primary's
-	// failure — the common case is the fallback finishing long before.
-	FallbackGrace time.Duration
 }
 
 func (h HedgeOptions) fallback() (Solver, string) {
@@ -59,13 +56,6 @@ func (h HedgeOptions) fallback() (Solver, string) {
 		name = "fallback"
 	}
 	return s, name
-}
-
-func (h HedgeOptions) grace() time.Duration {
-	if h.FallbackGrace <= 0 {
-		return DefaultFallbackGrace
-	}
-	return h.FallbackGrace
 }
 
 // hedgeResult carries one leg's outcome across its goroutine boundary.
@@ -85,7 +75,7 @@ type hedgeResult struct {
 // fallback leg is detached from ctx's cancellation — a primary deadline
 // must not kill the safety net — but is cancelled as soon as SolveHedged
 // returns, and its wait after a primary failure is bounded by
-// FallbackGrace.
+// fallbackGrace.
 //
 // When the primary succeeds, its solution is returned with only SolverUsed
 // stamped: value and assignment are bit-identical to calling the primary
@@ -144,7 +134,7 @@ func SolveHedged(ctx context.Context, in *model.Instance, primary Solver, hopt H
 	// added latency. Otherwise wait out the grace, then cancel it and give
 	// it one more grace period to unwind (every well-behaved solver
 	// returns promptly on cancellation).
-	fres, win := awaitFallback(fallbackCh, fcancel, hopt.grace())
+	fres, win := awaitFallback(fallbackCh, fcancel, fallbackGrace)
 	if fres.err != nil {
 		return model.Solution{}, errors.Join(
 			fmt.Errorf("hedged solve: primary %q failed: %w", primaryName, pres.err),

@@ -11,7 +11,7 @@ import (
 )
 
 // SolveLocalSearch runs greedy, then alternates two improvement moves to a
-// local optimum (or Options.LocalSearchRounds sweeps):
+// local optimum (or localSearchRounds sweeps):
 //
 //  1. assignment polish: mkp.LocalSearch at the current orientations
 //     (insert unserved customers, profitable swaps, relocations);
@@ -52,7 +52,7 @@ func solveLocalSearchWithEngine(ctx context.Context, in *model.Instance, opt Opt
 	if n == 0 || m == 0 {
 		return sol, nil
 	}
-	for round := 0; round < opt.lsRounds(); round++ {
+	for round := 0; round < localSearchRounds; round++ {
 		improved := false
 
 		// Move 2 first: reorientation tends to unlock more.
@@ -106,7 +106,7 @@ func solveLocalSearchWithEngine(ctx context.Context, in *model.Instance, opt Opt
 				start.Bin[i] = owner
 			}
 		}
-		polished, err := mkp.LocalSearch(p, start, opt.lsRounds())
+		polished, err := mkp.LocalSearch(p, start, localSearchRounds)
 		if err != nil {
 			return model.Solution{}, err
 		}

@@ -11,7 +11,7 @@ import (
 // SolveLPRound fixes orientations with a greedy pass, then re-optimizes the
 // customer-to-antenna assignment globally: it solves the fractional
 // assignment LP at those orientations, rounds randomly (best of
-// Options.RoundTrials), and repairs with local search. It strictly
+// roundTrials), and repairs with local search. It strictly
 // dominates plain greedy at the same orientations whenever rounding finds
 // a better global assignment; the returned UpperBound is the instance-wide
 // bound from UpperBound (the per-orientation LP value is NOT a bound on the
@@ -70,7 +70,7 @@ func SolveLPRound(ctx context.Context, in *model.Instance, opt Options) (model.S
 	if err := ctx.Err(); err != nil {
 		return model.Solution{}, err
 	}
-	rounded, err := mkp.RoundLP(p, x, opt.rng(), opt.roundTrials())
+	rounded, err := mkp.RoundLP(p, x, opt.rng(), roundTrials)
 	if err != nil {
 		return model.Solution{}, err
 	}

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 
+	"sectorpack/internal/angular"
+	"sectorpack/internal/exact"
 	"sectorpack/internal/gen"
 	"sectorpack/internal/knapsack"
 	"sectorpack/internal/model"
@@ -33,12 +35,10 @@ func TestRegistryHonorsEveryOptionsField(t *testing.T) {
 		// MaxTuples = 1 is exceeded by any non-trivial instance, so the
 		// solve must fail with the budget error instead of running under
 		// the 5M-tuple default.
-		"ExactLimits":       {"exact", tiny, func(o *Options) { o.ExactLimits.MaxTuples = 1 }, "budget"},
-		"Knapsack":          {"greedy", contended, func(o *Options) { o.Knapsack = knapsack.Options{ForceApprox: true, Eps: 0.9} }, ""},
-		"Seed":              {"anneal", contended, func(o *Options) { o.Seed = 7 }, ""},
-		"RoundTrials":       {"lpround", contended, func(o *Options) { o.RoundTrials = 1 }, ""},
-		"LocalSearchRounds": {"localsearch", contended, func(o *Options) { o.LocalSearchRounds = 1 }, ""},
-		"SkipBound":         {"greedy", contended, func(o *Options) { o.SkipBound = true }, " ub=0 "},
+		"ExactLimits": {"exact", tiny, func(o *Options) { o.ExactLimits.MaxTuples = 1 }, "budget"},
+		"Knapsack":    {"greedy", contended, func(o *Options) { o.Knapsack = knapsack.Options{Eps: 0.9} }, ""},
+		"Seed":        {"anneal", contended, func(o *Options) { o.Seed = 7 }, ""},
+		"SkipBound":   {"greedy", contended, func(o *Options) { o.SkipBound = true }, " ub=0 "},
 	}
 	outcome := func(name string, in *model.Instance, opt Options) (string, error) {
 		solver, err := Get(name)
@@ -100,5 +100,40 @@ func TestAutoInheritsExactLimits(t *testing.T) {
 	}
 	if !strings.HasPrefix(sol.Algorithm, "auto/exact") {
 		t.Fatalf("algorithm %q: expected auto to dispatch to exact on a tiny instance", sol.Algorithm)
+	}
+}
+
+// TestExactBudgetParity pins that Options.ExactLimits.MaxTuples bounds the
+// whole orientation-tuple space on every path into the exact search, at
+// every worker count: the instance has 5×5 candidate tuples, so a budget
+// of 24 must refuse and 25 must solve, whether the search is reached
+// directly, through the registry, or through SolveAuto's dispatch.
+func TestExactBudgetParity(t *testing.T) {
+	defer angular.SetMaxWorkers(angular.SetMaxWorkers(0))
+	in := gen.MustGenerate(gen.Config{Family: gen.Uniform, Variant: model.Sectors, Seed: 3, N: 8, M: 2})
+	registryExact, err := Get("exact")
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := map[string]Solver{
+		"exact.Solve": func(ctx context.Context, in *model.Instance, opt Options) (model.Solution, error) {
+			return exact.Solve(ctx, in, opt.ExactLimits)
+		},
+		"registry exact": registryExact,
+		"SolveAuto":      SolveAuto,
+	}
+	for _, workers := range []int{1, 4} {
+		angular.SetMaxWorkers(workers)
+		for name, solve := range paths {
+			opt := Options{SkipBound: true}
+			opt.ExactLimits.MaxTuples = 24
+			if _, err := solve(context.Background(), in, opt); err == nil || !strings.Contains(err.Error(), "exceeds budget 24") {
+				t.Errorf("%s, %d workers, MaxTuples 24: err = %v, want the tuple-budget error", name, workers, err)
+			}
+			opt.ExactLimits.MaxTuples = 25
+			if _, err := solve(context.Background(), in, opt); err != nil {
+				t.Errorf("%s, %d workers, MaxTuples 25: %v", name, workers, err)
+			}
+		}
 	}
 }

@@ -186,6 +186,65 @@ func TestPanickingSolverWithDegradedAllowFallsBack(t *testing.T) {
 	assertDaemonAlive(t, ts)
 }
 
+// TestDegradedPanicCountedOnEveryEndpoint pins that /solve and
+// /solve/batch keep the same answer accounting: a panicking primary whose
+// fallback answered counts one solve, one fallback and one panic on both.
+func TestDegradedPanicCountedOnEveryEndpoint(t *testing.T) {
+	const solver = "test-fault-panic-count"
+	registerPanickingSolver(solver)
+	defer core.Unregister(solver)
+	rows := []struct {
+		name string
+		post func(t *testing.T, ts *httptest.Server) (status int, degraded bool, reason string)
+	}{
+		{"solve", func(t *testing.T, ts *httptest.Server) (int, bool, string) {
+			resp, body := postSolveQuery(t, ts, "?degraded=allow", solveBody(t, solver, sectorsInstance(), nil))
+			var sr solveResponse
+			if err := json.Unmarshal(body, &sr); err != nil {
+				t.Fatalf("solve response not JSON: %v\n%s", err, body)
+			}
+			return resp.StatusCode, sr.Degraded, sr.FallbackReason
+		}},
+		{"batch", func(t *testing.T, ts *httptest.Server) (int, bool, string) {
+			resp, br, raw := postBatch(t, ts.Client(), ts.URL, "?degraded=allow", batchBody(t, solver, []any{sectorsInstance()}, nil))
+			if len(br.Items) != 1 {
+				t.Fatalf("batch: %d items, want 1\n%s", len(br.Items), raw)
+			}
+			return resp.StatusCode, br.Items[0].Degraded, br.Items[0].FallbackReason
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			ts := httptest.NewServer(NewServer(Config{}).Handler())
+			defer ts.Close()
+			status, degraded, reason := row.post(t, ts)
+			if status != http.StatusOK || !degraded || reason != core.FallbackPanic {
+				t.Fatalf("status %d degraded %v reason %q, want 200/true/panic", status, degraded, reason)
+			}
+			for _, v := range []string{"sectord.solved", "sectord.fallbacks", "sectord.panics"} {
+				if got := varsInt(t, ts, v); got != 1 {
+					t.Errorf("%s = %d, want 1", v, got)
+				}
+			}
+		})
+	}
+}
+
+// postSolveQuery POSTs body to /solve with the given query string.
+func postSolveQuery(t *testing.T, ts *httptest.Server, query string, body []byte) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := ts.Client().Post(ts.URL+"/solve"+query, "application/json", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, raw
+}
+
 func TestInvalidSolverOutputRejectedNotServed(t *testing.T) {
 	registerInvalidSolver("test-fault-invalid")
 	ts := httptest.NewServer(NewServer(Config{}).Handler())

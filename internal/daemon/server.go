@@ -633,23 +633,31 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		c.solveFailed(err)
 		return
 	}
-	if sol.Degraded() {
-		s.fallbacks.Add(1)
-		if sol.FallbackReason == core.FallbackPanic {
-			s.panics.Add(1)
-		}
-		if sol.HedgeWin {
-			s.hedgeWins.Add(1)
-		}
-	}
-	s.solved.Add(1)
-	s.observeLatency(name, elapsed)
+	s.countAnswer(name, sol, elapsed)
 	c.profit, c.degraded, c.outcome = sol.Profit, sol.Degraded(), "ok"
 	if sol.Degraded() {
 		c.outcome = "degraded"
 	}
 	w.Header().Set(cacheHeader, cacheOutcome)
 	c.succeed(sol.FallbackDetail, newSolveResponse(name, sol, elapsed))
+}
+
+// countAnswer records one answered solve, single or batch item: the
+// solved count, the solver's latency and, for a degraded answer, the
+// fallback, a panicking primary and a hedge win.
+func (s *Server) countAnswer(name string, sol model.Solution, elapsed time.Duration) {
+	s.solved.Add(1)
+	s.observeLatency(name, elapsed)
+	if !sol.Degraded() {
+		return
+	}
+	s.fallbacks.Add(1)
+	if sol.FallbackReason == core.FallbackPanic {
+		s.panics.Add(1)
+	}
+	if sol.HedgeWin {
+		s.hedgeWins.Add(1)
+	}
 }
 
 // cacheHeader reports how the cache treated a request: hit, miss,
@@ -854,14 +862,9 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 					item.Cache = out.(string)
 				}
 			}
-			s.solved.Add(1)
-			s.observeLatency(name, results[i].Elapsed)
+			s.countAnswer(name, sol, results[i].Elapsed)
 			resp.OK++
 			if sol.Degraded() {
-				s.fallbacks.Add(1)
-				if sol.HedgeWin {
-					s.hedgeWins.Add(1)
-				}
 				resp.Degraded++
 			}
 		}

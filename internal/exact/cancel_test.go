@@ -6,23 +6,29 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"sectorpack/internal/angular"
 )
 
 // TestSolveParallelCancelled is the regression test for the hardcoded
-// context.Background() bug: SolveParallel must abort promptly when the
-// caller's context ends, instead of grinding through the full
-// orientation-tuple space.
+// context.Background() bug: Solve's fan-out must abort promptly when the
+// caller's context ends, at any worker count, instead of grinding through
+// the full orientation-tuple space.
 func TestSolveParallelCancelled(t *testing.T) {
+	defer angular.SetMaxWorkers(angular.SetMaxWorkers(0))
 	in := randInstance(rand.New(rand.NewSource(7)), 12, 2, 0)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // already cancelled: not a single tuple should be solved
-	start := time.Now()
-	_, err := SolveParallel(ctx, in, Limits{}, 0)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("cancelled solve took %v, want prompt return", elapsed)
+	for _, workers := range []int{1, 4} {
+		angular.SetMaxWorkers(workers)
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel() // already cancelled: not a single tuple should be solved
+		start := time.Now()
+		_, err := Solve(ctx, in, Limits{})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%d workers: err = %v, want context.Canceled", workers, err)
+		}
+		if elapsed := time.Since(start); elapsed > 2*time.Second {
+			t.Errorf("%d workers: cancelled solve took %v, want prompt return", workers, elapsed)
+		}
 	}
 }
 

@@ -5,6 +5,9 @@
 // count and (through the MKP) the customer count, it exists to calibrate
 // the approximation algorithms in experiments E1/E6/E7/E8, not to scale.
 //
+// Solve is the one entry point; it fans the search out over the worker
+// pool itself, with the same answer at every worker count.
+//
 // Candidate sets: for the Sectors and Angles variants the customer angles
 // suffice (candidate-orientation lemma). For DisjointAngles the optimal
 // sectors may be packed flush in chains, so the candidate set per antenna
@@ -23,6 +26,7 @@ import (
 	"sectorpack/internal/knapsack"
 	"sectorpack/internal/mkp"
 	"sectorpack/internal/model"
+	"sectorpack/internal/sweep"
 )
 
 // Limits bounds the search so a misplaced call cannot hang a test run.
@@ -30,38 +34,36 @@ type Limits struct {
 	// MaxTuples caps the number of orientation tuples examined; zero
 	// means DefaultMaxTuples.
 	MaxTuples int64
-	// MKPNodes caps each per-tuple MKP search; zero means a generous
-	// default.
-	MKPNodes int64
 }
 
 // DefaultMaxTuples is the orientation-tuple budget when none is given.
 const DefaultMaxTuples = 5_000_000
 
+// mkpNodes caps each per-tuple MKP search; it is generous enough that the
+// item-count guard (mkp.MaxExactItems) binds first in practice.
+const mkpNodes = 1 << 40
+
 // Solve computes the optimal solution of the instance, or an error when a
 // budget or size guard trips. The returned Solution carries
 // Algorithm = "exact" and UpperBound equal to its own profit.
+//
+// The candidate sets are built once and the budget is checked over the
+// whole tuple space. The first antenna's candidates are then fanned out
+// over angular.Workers() workers (inline at 1), each running the
+// remaining antennas' recursion, and the branches are merged in candidate
+// order: ties between equal-profit tuples break exactly as in a single
+// scalar recursion, so the answer does not depend on the worker count.
 //
 // Cancellation: ctx is checked before every orientation tuple's MKP solve;
 // a cancelled search discards all partial work and returns ctx.Err()
 // promptly rather than finishing the sweep.
 func Solve(ctx context.Context, in *model.Instance, lim Limits) (model.Solution, error) {
-	return solve(ctx, in, lim, nil)
-}
-
-// solve is Solve with an optional restriction of the first antenna's
-// candidate set (used by SolveParallel to partition the search).
-func solve(ctx context.Context, in *model.Instance, lim Limits, firstOverride []float64) (model.Solution, error) {
 	if err := in.Validate(); err != nil {
 		return model.Solution{}, fmt.Errorf("exact: %w", err)
 	}
 	maxTuples := lim.MaxTuples
 	if maxTuples == 0 {
 		maxTuples = DefaultMaxTuples
-	}
-	mkpNodes := lim.MKPNodes
-	if mkpNodes == 0 {
-		mkpNodes = 1 << 40
 	}
 	if in.N() > mkp.MaxExactItems {
 		return model.Solution{}, fmt.Errorf("exact: %d customers exceeds limit %d", in.N(), mkp.MaxExactItems)
@@ -76,9 +78,6 @@ func solve(ctx context.Context, in *model.Instance, lim Limits, firstOverride []
 	if err != nil {
 		return model.Solution{}, err
 	}
-	if firstOverride != nil {
-		cands[0] = firstOverride
-	}
 	var total int64 = 1
 	for _, cs := range cands {
 		if err := ctx.Err(); err != nil {
@@ -90,22 +89,67 @@ func solve(ctx context.Context, in *model.Instance, lim Limits, firstOverride []
 		}
 	}
 
-	items := make([]knapsack.Item, n)
+	s := &search{in: in, cands: cands, items: make([]knapsack.Item, n), capacities: make([]int64, m)}
 	for i, c := range in.Customers {
-		items[i] = knapsack.Item{Weight: c.Demand, Profit: c.Profit}
+		s.items[i] = knapsack.Item{Weight: c.Demand, Profit: c.Profit}
 	}
-	capacities := make([]int64, m)
 	for j, a := range in.Antennas {
-		capacities[j] = a.Capacity
+		s.capacities[j] = a.Capacity
 	}
+	jobs := make([]sweep.Job[branch], len(cands[0]))
+	for k, alpha := range cands[0] {
+		jobs[k] = func(jctx context.Context) (branch, error) { return s.branch(jctx, alpha) }
+	}
+	results, err := sweep.Run(ctx, jobs, sweep.Options{Workers: angular.Workers()})
+	if err != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			return model.Solution{}, cerr // the caller's deadline, unwrapped
+		}
+		return model.Solution{}, err
+	}
+	best := branch{profit: -1}
+	for _, r := range results {
+		if r.profit > best.profit {
+			best = r
+		}
+	}
+	if best.profit >= 0 {
+		sol.Assignment = best.assign
+		sol.Profit = best.profit
+	}
+	sol.UpperBound = float64(sol.Profit)
+	return sol, nil
+}
 
-	best := int64(-1)
-	bestAssign := model.NewAssignment(n, m)
+// search holds one Solve's read-only inputs, shared by its branches.
+type search struct {
+	in         *model.Instance
+	cands      [][]float64
+	items      []knapsack.Item
+	capacities []int64
+}
+
+// branch is the best tuple of one first-antenna candidate's subtree;
+// profit is -1 when no tuple of the subtree was feasible.
+type branch struct {
+	profit int64
+	assign *model.Assignment
+}
+
+// branch enumerates every tuple whose first orientation is alpha0, in
+// candidate order, solving the restricted MKP at each and keeping the
+// first strictly best one.
+func (s *search) branch(ctx context.Context, alpha0 float64) (branch, error) {
+	in := s.in
+	n, m := in.N(), in.M()
+	best := branch{profit: -1}
 	alphas := make([]float64, m)
+	alphas[0] = alpha0
 	eligible := make([][]bool, n)
 	for i := range eligible {
 		eligible[i] = make([]bool, m)
 	}
+	p := &mkp.Problem{Items: s.items, Capacities: s.capacities, Eligible: eligible}
 
 	var rec func(j int) error
 	rec = func(j int) error {
@@ -121,7 +165,6 @@ func solve(ctx context.Context, in *model.Instance, lim Limits, firstOverride []
 					eligible[i][k] = in.Antennas[k].Covers(alphas[k], c)
 				}
 			}
-			p := &mkp.Problem{Items: items, Capacities: capacities, Eligible: eligible}
 			res, ok, err := mkp.Exact(p, mkpNodes)
 			if err != nil {
 				return err
@@ -129,25 +172,28 @@ func solve(ctx context.Context, in *model.Instance, lim Limits, firstOverride []
 			if !ok {
 				return fmt.Errorf("exact: per-tuple MKP node budget exhausted")
 			}
-			if res.Profit > best {
-				best = res.Profit
+			if res.Profit > best.profit {
+				if best.assign == nil {
+					best.assign = model.NewAssignment(n, m)
+				}
+				best.profit = res.Profit
 				for k, a := range alphas {
 					if math.IsNaN(a) {
 						a = 0 // idle sentinel: park at 0, serves nobody
 					}
-					bestAssign.Orientation[k] = a
+					best.assign.Orientation[k] = a
 				}
 				for i, b := range res.Bin {
 					if b == mkp.Unassigned {
-						bestAssign.Owner[i] = model.Unassigned
+						best.assign.Owner[i] = model.Unassigned
 					} else {
-						bestAssign.Owner[i] = b
+						best.assign.Owner[i] = b
 					}
 				}
 			}
 			return nil
 		}
-		for _, alpha := range cands[j] {
+		for _, alpha := range s.cands[j] {
 			alphas[j] = alpha
 			if err := rec(j + 1); err != nil {
 				return err
@@ -155,16 +201,10 @@ func solve(ctx context.Context, in *model.Instance, lim Limits, firstOverride []
 		}
 		return nil
 	}
-	if err := rec(0); err != nil {
-		return model.Solution{}, err
+	if err := rec(1); err != nil {
+		return branch{}, err
 	}
-	if best < 0 {
-		best = 0
-	}
-	sol.Assignment = bestAssign
-	sol.Profit = best
-	sol.UpperBound = float64(best)
-	return sol, nil
+	return best, nil
 }
 
 // disjointOK checks interior-disjointness of the placed sectors, skipping

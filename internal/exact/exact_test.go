@@ -2,6 +2,7 @@ package exact
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -226,21 +227,53 @@ func TestSubsetSums(t *testing.T) {
 	}
 }
 
-func TestSolveParallelMatchesSequential(t *testing.T) {
+// solveAt runs Solve with the first-antenna fan-out capped at workers.
+func solveAt(t *testing.T, workers int, in *model.Instance, lim Limits) (model.Solution, error) {
+	t.Helper()
+	defer angular.SetMaxWorkers(angular.SetMaxWorkers(workers))
+	return Solve(context.Background(), in, lim)
+}
+
+// requireBitIdentical fails unless par equals seq bit for bit: profit,
+// bound, every orientation's float bits and every owner.
+func requireBitIdentical(t *testing.T, seq, par model.Solution) {
+	t.Helper()
+	if par.Profit != seq.Profit || math.Float64bits(par.UpperBound) != math.Float64bits(seq.UpperBound) {
+		t.Fatalf("parallel profit %d ub %v != sequential %d ub %v", par.Profit, par.UpperBound, seq.Profit, seq.UpperBound)
+	}
+	for k := range seq.Assignment.Orientation {
+		if math.Float64bits(par.Assignment.Orientation[k]) != math.Float64bits(seq.Assignment.Orientation[k]) {
+			t.Fatalf("antenna %d: parallel orientation %v != sequential %v", k, par.Assignment.Orientation[k], seq.Assignment.Orientation[k])
+		}
+	}
+	for i := range seq.Assignment.Owner {
+		if par.Assignment.Owner[i] != seq.Assignment.Owner[i] {
+			t.Fatalf("customer %d: parallel owner %d != sequential %d", i, par.Assignment.Owner[i], seq.Assignment.Owner[i])
+		}
+	}
+}
+
+// TestSolveScalarVsParallel checks that the fanned-out search returns the
+// scalar recursion's answer bit for bit, tie-breaks included, on every
+// variant.
+func TestSolveScalarVsParallel(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
-	for trial := 0; trial < 12; trial++ {
+	for trial := 0; trial < 15; trial++ {
 		variant := model.Sectors
-		if trial%3 == 0 {
+		switch {
+		case trial >= 12:
+			variant = model.DisjointAngles
+		case trial%3 == 0:
 			variant = model.Angles
 		}
 		in := randInstance(rng, 3+rng.Intn(8), 1+rng.Intn(2), variant)
-		seq, err := Solve(context.Background(), in, Limits{})
+		seq, err := solveAt(t, 1, in, Limits{})
 		if err != nil {
-			t.Fatalf("Solve: %v", err)
+			t.Fatalf("Solve at 1 worker: %v", err)
 		}
-		par, err := SolveParallel(context.Background(), in, Limits{}, 4)
+		par, err := solveAt(t, 4, in, Limits{})
 		if err != nil {
-			t.Fatalf("SolveParallel: %v", err)
+			t.Fatalf("Solve at 4 workers: %v", err)
 		}
 		if par.Profit != seq.Profit {
 			t.Fatalf("parallel %d != sequential %d", par.Profit, seq.Profit)
@@ -248,21 +281,23 @@ func TestSolveParallelMatchesSequential(t *testing.T) {
 		if err := par.Assignment.Check(in); err != nil {
 			t.Fatalf("parallel result infeasible: %v", err)
 		}
+		requireBitIdentical(t, seq, par)
 	}
 }
 
 func TestSolveParallelSingleAntenna(t *testing.T) {
 	rng := rand.New(rand.NewSource(56))
 	in := randInstance(rng, 8, 1, model.Sectors)
-	seq, err := Solve(context.Background(), in, Limits{})
+	seq, err := solveAt(t, 1, in, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := SolveParallel(context.Background(), in, Limits{}, 2)
+	par, err := solveAt(t, 2, in, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if par.Profit != seq.Profit {
 		t.Fatalf("m=1 fallback mismatch: %d vs %d", par.Profit, seq.Profit)
 	}
+	requireBitIdentical(t, seq, par)
 }

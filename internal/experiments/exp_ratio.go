@@ -206,7 +206,7 @@ func runE10(opt Options) (Report, error) {
 			}
 			g, err := runSolver("greedy", in, core.Options{
 				SkipBound: true,
-				Knapsack:  knapsack.Options{ForceApprox: true, Eps: eps},
+				Knapsack:  knapsack.Options{Eps: eps},
 			})
 			if err != nil {
 				return 0, err

@@ -85,7 +85,7 @@ func TestExactSolversAgreeWithBruteForce(t *testing.T) {
 			t.Fatalf("DPByProfit = %d, want %d", dp.Profit, want)
 		}
 
-		bb, ok, err := BranchBound(items, capacity, DefaultMaxBBNodes)
+		bb, ok, err := BranchBound(items, capacity, maxBBNodes)
 		if err != nil || !ok {
 			t.Fatalf("BranchBound: ok=%v err=%v", ok, err)
 		}
@@ -209,12 +209,12 @@ func TestSolveForceApprox(t *testing.T) {
 	items := randomItems(rng, 15, 20, 500)
 	capacity := int64(100)
 	want := bruteForce(items, capacity)
-	res, exact, err := Solve(items, capacity, Options{ForceApprox: true, Eps: 0.1})
+	res, exact, err := Solve(items, capacity, Options{Eps: 0.1})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
 	if exact {
-		t.Error("ForceApprox must not report exactness")
+		t.Error("Eps > 0 must not report exactness")
 	}
 	if float64(res.Profit) < 0.9*float64(want) {
 		t.Errorf("forced FPTAS %d < 0.9·OPT (%d)", res.Profit, want)

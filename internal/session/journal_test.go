@@ -2,13 +2,19 @@ package session
 
 import (
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"sectorpack/internal/core"
+	"sectorpack/internal/exact"
 	"sectorpack/internal/faultfs"
 	"sectorpack/internal/gen"
 	"sectorpack/internal/model"
@@ -364,5 +370,72 @@ func TestJournalAppendFailurePoisons(t *testing.T) {
 	}
 	if err := j.Sync(); !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("sync after poison error %v, want the original ErrInjected", err)
+	}
+}
+
+// TestJournalParentFormatReplays pins that a journal whose create record
+// carries the earlier, wider core.Options field set (the since-removed
+// search budgets, at zero, beside today's fields) still reads and replays:
+// json.Unmarshal ignores the unknown keys, and the replayed session equals
+// New + Apply under today's Options bit for bit.
+func TestJournalParentFormatReplays(t *testing.T) {
+	tr := journalTrace()
+	const oldCore = `{"Knapsack":{"Eps":0,"MaxBBNodes":0,"ForceApprox":false},` +
+		`"ExactLimits":{"MaxTuples":200000,"MKPNodes":0},` +
+		`"Seed":1,"RoundTrials":0,"LocalSearchRounds":0,"SkipBound":false}`
+	inst, err := json.Marshal(tr.Instance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	create := []byte(`{"kind":"create","solver":"greedy","core":` + oldCore + `,"instance":` + string(inst) + `}`)
+	raw := append([]byte(journalMagic), binary.LittleEndian.AppendUint64(nil, journalVersion)...)
+	raw = binary.LittleEndian.AppendUint32(raw, uint32(len(create)))
+	raw = binary.LittleEndian.AppendUint32(raw, crc32.ChecksumIEEE(create))
+	raw = append(raw, create...)
+	for i := range tr.Deltas {
+		frame, err := encodeFrame(journalRecord{Kind: "delta", Delta: &tr.Deltas[i], IdemKey: fmt.Sprintf("idem-%d", i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw = append(raw, frame...)
+	}
+	path := filepath.Join(t.TempDir(), "parent.journal")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rec, err := ReadJournal(faultfs.OS, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := core.Options{Seed: 1, ExactLimits: exact.Limits{MaxTuples: 200000}}
+	if rec.Solver != "greedy" || rec.Core != want || len(rec.Deltas) != len(tr.Deltas) || rec.TruncatedBytes != 0 {
+		t.Fatalf("recovered %q %+v, %d deltas, %d truncated bytes; want greedy %+v, %d deltas, none truncated",
+			rec.Solver, rec.Core, len(rec.Deltas), rec.TruncatedBytes, want, len(tr.Deltas))
+	}
+	replayed, err := rec.Replay(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	live, err := New(context.Background(), tr.Instance, Options{Solver: "greedy", Core: want})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range tr.Deltas {
+		if _, err := live.Apply(context.Background(), d); err != nil {
+			t.Fatalf("delta %d: %v", i, err)
+		}
+	}
+	got, exp := replayed.Solution(), live.Solution()
+	if got.Profit != exp.Profit || math.Float64bits(got.UpperBound) != math.Float64bits(exp.UpperBound) ||
+		got.Algorithm != exp.Algorithm || !slices.Equal(got.Assignment.Owner, exp.Assignment.Owner) ||
+		len(got.Assignment.Orientation) != len(exp.Assignment.Orientation) {
+		t.Fatalf("replayed %s\n want    %s", solutionString(got), solutionString(exp))
+	}
+	for k, a := range exp.Assignment.Orientation {
+		if math.Float64bits(got.Assignment.Orientation[k]) != math.Float64bits(a) {
+			t.Fatalf("antenna %d: replayed orientation %v, want %v", k, got.Assignment.Orientation[k], a)
+		}
 	}
 }

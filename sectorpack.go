@@ -120,7 +120,8 @@ func SolveAuto(ctx context.Context, in *Instance, opt Options) (Solution, error)
 }
 
 // SolveExact computes the optimum of a small instance by exhaustive
-// candidate-orientation enumeration; use only for calibration.
+// candidate-orientation enumeration, fanned out over the worker pool with
+// the same answer at any worker count; use only for calibration.
 func SolveExact(ctx context.Context, in *Instance) (Solution, error) {
 	return exact.Solve(ctx, in, exact.Limits{})
 }
