@@ -44,6 +44,7 @@ import (
 
 	"sectorpack/internal/core"
 	"sectorpack/internal/geom"
+	"sectorpack/internal/knapsack"
 	"sectorpack/internal/model"
 	"sectorpack/internal/sectorclient"
 	"sectorpack/internal/viz"
@@ -84,7 +85,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	inPath := fs.String("in", "", "instance JSON file (required)")
 	solverName := fs.String("solver", "greedy", "solver: "+strings.Join(core.Names(), ", "))
 	seed := fs.Int64("seed", 1, "seed for randomized components")
-	eps := fs.Float64("eps", 0, "force the FPTAS inner knapsack with this epsilon (0 = auto exact/approx)")
+	eps := fs.Float64("eps", 0, "force the FPTAS inner knapsack with this epsilon in (0,1) (0 = auto exact/approx)")
 	timeout := fs.Duration("timeout", 0, "abort the solve after this long (0 = no deadline; Ctrl-C always cancels)")
 	fallback := fs.Bool("fallback", true, "with -timeout: serve a greedy fallback result when the deadline expires (exit code 3) instead of failing")
 	verbose := fs.Bool("v", false, "print the per-antenna breakdown")
@@ -99,6 +100,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *inPath == "" {
 		fs.Usage()
 		return fmt.Errorf("missing -in")
+	}
+	if *eps != 0 && !knapsack.ValidEps(*eps) {
+		return fmt.Errorf("-eps %v: want 0 (automatic) or a value in (0,1)", *eps)
 	}
 	if *server != "" {
 		if *batch {

@@ -246,6 +246,14 @@ func TestRunErrors(t *testing.T) {
 	if err := run(context.Background(), []string{"-bogusflag"}, &out); err == nil {
 		t.Error("unknown flag must error")
 	}
+	// An -eps outside [0,1) is a flag error, raised before the instance
+	// is read: the missing file must not be what fails.
+	for _, args := range [][]string{{"-eps", "1.5"}, {"-eps", "-0.5"}, {"-eps", "NaN"}, {"-eps", "1"}, {"-batch", "-eps", "1.5"}} {
+		err := run(context.Background(), append([]string{"-in", "/nonexistent.json"}, args...), &out)
+		if err == nil || !strings.Contains(err.Error(), "-eps") {
+			t.Errorf("%v: got %v, want an -eps error", args, err)
+		}
+	}
 }
 
 // fakeDaemon solves /solve requests in-process with the greedy solver,

@@ -138,7 +138,7 @@ func (e *Engine) View() *cols.View {
 // Sweep returns the antenna's cached sweep, building it on first use.
 func (e *Engine) Sweep(antenna int) *Sweep {
 	if e.sweeps[antenna] == nil {
-		e.sweeps[antenna] = newSweepFromView(e.View(), e.in.Antennas[antenna])
+		e.sweeps[antenna] = newSweepFromView(e.View(), e.in.Antennas[antenna], new(buildScratch))
 	}
 	return e.sweeps[antenna]
 }
@@ -202,13 +202,14 @@ func (e *Engine) Prewarm(ctx context.Context) error {
 	if len(e.in.Customers)*m < prewarmParallelMin {
 		workers = 1
 	}
-	return sweep.Each(ctx, m, workers, func() prewarmer { return prewarmer{e, view} }, prewarmer.build)
+	return sweep.Each(ctx, m, workers, func() prewarmer { return prewarmer{e, view, new(buildScratch)} }, prewarmer.build)
 }
 
-// prewarmer is a Prewarm worker.
+// prewarmer is a Prewarm worker, with the scratch its sweep builds reuse.
 type prewarmer struct {
-	e *Engine
-	v *cols.View
+	e  *Engine
+	v  *cols.View
+	sc *buildScratch
 }
 
 // build fills antenna j's sweep and candidate slots if still empty.
@@ -216,7 +217,7 @@ type prewarmer struct {
 func (p prewarmer) build(j int) error {
 	e := p.e
 	if e.sweeps[j] == nil {
-		e.sweeps[j] = newSweepFromView(p.v, e.in.Antennas[j])
+		e.sweeps[j] = newSweepFromView(p.v, e.in.Antennas[j], p.sc)
 	}
 	if e.cands[j] == nil {
 		e.cands[j] = candidatesFromSweep(e.sweeps[j])

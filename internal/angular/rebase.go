@@ -1,10 +1,7 @@
 package angular
 
 import (
-	"cmp"
 	"math"
-	"slices"
-	"sort"
 
 	"sectorpack/internal/cols"
 	"sectorpack/internal/model"
@@ -64,17 +61,20 @@ func (e *Engine) Rebase(next *model.Instance, d model.Delta) (kept []bool) {
 		e.cands = make([][]float64, m)
 		return kept
 	}
-	touch := make([]float64, 0, len(d.SetDemand)+len(d.Remove)+len(d.Add))
+	radii := make([]float64, 0, len(d.SetDemand)+len(d.Remove)+len(d.Add))
 	for _, ch := range d.SetDemand {
-		touch = append(touch, old.Customers[ch.Customer].R)
+		radii = append(radii, old.Customers[ch.Customer].R)
 	}
 	for _, id := range d.Remove {
-		touch = append(touch, old.Customers[id].R)
+		radii = append(radii, old.Customers[id].R)
 	}
 	for _, c := range d.Add {
-		touch = append(touch, c.R)
+		radii = append(radii, c.R)
 	}
-	sort.Float64s(touch)
+	touch := make([]float64, len(radii))
+	for t, i := range floatOrder(radii) {
+		touch[t] = radii[i]
+	}
 
 	// shift[id] is the count of removed ids below old id, or −1 if id
 	// itself was removed; nil when nothing was removed.
@@ -94,13 +94,16 @@ func (e *Engine) Rebase(next *model.Instance, d model.Delta) (kept []bool) {
 		}
 	}
 	// The additions' new ids in (theta, id) order, shared by every merge.
-	added := make([]int32, len(d.Add))
-	for t := range added {
-		added[t] = int32(len(next.Customers) - len(d.Add) + t)
+	base := len(next.Customers) - len(d.Add)
+	thetas := make([]float64, len(d.Add))
+	for t := range thetas {
+		thetas[t] = next.Customers[base+t].Theta
 	}
-	slices.SortFunc(added, func(a, b int32) int {
-		return cmp.Or(cmp.Compare(next.Customers[a].Theta, next.Customers[b].Theta), cmp.Compare(a, b))
-	})
+	added := floatOrder(thetas)
+	for t := range added {
+		added[t] += int32(base)
+	}
+	sc := new(buildScratch)
 
 	for j := 0; j < m; j++ {
 		s := e.sweeps[j]
@@ -116,7 +119,7 @@ func (e *Engine) Rebase(next *model.Instance, d model.Delta) (kept []bool) {
 			continue
 		}
 		if cols.TouchesRadially(na, touch) {
-			e.sweeps[j], e.cands[j] = mergeSweep(s, next, na, shift, added), nil
+			e.sweeps[j], e.cands[j] = mergeSweep(s, next, na, shift, added, sc), nil
 			continue
 		}
 		if shift != nil {
@@ -134,7 +137,7 @@ func (e *Engine) Rebase(next *model.Instance, d model.Delta) (kept []bool) {
 // merged in theta order with the in-range additions (new ids in (theta, id)
 // order), survivors first on theta ties, then the density order merged
 // (mergeDensity). See Rebase for why this equals a fresh build.
-func mergeSweep(s *Sweep, next *model.Instance, a model.Antenna, shift []int32, added []int32) *Sweep {
+func mergeSweep(s *Sweep, next *model.Instance, a model.Antenna, shift []int32, added []int32, sc *buildScratch) *Sweep {
 	k := len(s.ids) + len(added)
 	ns := &Sweep{
 		rho:     s.rho,
@@ -152,6 +155,7 @@ func mergeSweep(s *Sweep, next *model.Instance, a model.Antenna, shift []int32, 
 		ns.profits = append(ns.profits, c.Profit)
 	}
 	ai := 0
+	lo, hi := a.RadialBounds() // cols.InRadialRange, with the bounds worked out once
 	// pushAdds appends the in-range additions with theta below limit.
 	pushAdds := func(limit float64) {
 		for ; ai < len(added); ai++ {
@@ -159,7 +163,7 @@ func mergeSweep(s *Sweep, next *model.Instance, a model.Antenna, shift []int32, 
 			if !(c.Theta < limit) {
 				return
 			}
-			if cols.InRadialRange(a, c.R) {
+			if lo <= c.R && c.R <= hi {
 				push(c.Theta, added[ai])
 			}
 		}
@@ -178,8 +182,20 @@ func mergeSweep(s *Sweep, next *model.Instance, a model.Antenna, shift []int32, 
 		push(s.thetas[t], id)
 	}
 	pushAdds(math.Inf(1))
-	ns.mergeDensity(s, newPos)
+	ns.mergeDensity(s, newPos, sc)
 	return ns
+}
+
+// floatOrder returns the indices of x in ascending order of x, ties by
+// index: a radix sort of the order-preserving integer images of x.
+func floatOrder(x []float64) []int32 {
+	keys := make([]uint64, len(x))
+	for i, f := range x {
+		keys[i] = cols.SortKey(f)
+	}
+	order := make([]int32, len(x))
+	cols.Order(order, make([]int32, len(x)), keys)
+	return order
 }
 
 // mergeDensity fills s.density from the pre-delta sweep old instead of
@@ -188,8 +204,9 @@ func mergeSweep(s *Sweep, next *model.Instance, a model.Antenna, shift []int32, 
 // only weight, profit and position, and mergeSweep keeps the survivors'
 // relative positions. So those survivors, read in old's density order, are
 // already sorted; only the additions and the re-priced survivors are
-// sorted, and the two runs are merged. The result equals sortDensity's.
-func (s *Sweep) mergeDensity(old *Sweep, newPos []int32) {
+// sorted (dantzigOrder), and the two runs are merged. The result equals
+// sortDensity's.
+func (s *Sweep) mergeDensity(old *Sweep, newPos []int32, sc *buildScratch) {
 	k := len(s.ids)
 	kept := make([]bool, k)
 	same := make([]int32, 0, k)
@@ -205,7 +222,7 @@ func (s *Sweep) mergeDensity(old *Sweep, newPos []int32) {
 			fresh = append(fresh, int32(p))
 		}
 	}
-	slices.SortFunc(fresh, s.densityCmp)
+	s.dantzigOrder(fresh, sc)
 	i, j := 0, 0
 	for i < len(same) || j < len(fresh) {
 		if j == len(fresh) || (i < len(same) && s.densityCmp(same[i], fresh[j]) < 0) {

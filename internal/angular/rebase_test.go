@@ -280,3 +280,54 @@ func TestRebaseAntennaSetChange(t *testing.T) {
 		sweepsEqual(t, "reset", eng.Sweep(j), fresh.Sweep(j))
 	}
 }
+
+// TestRebaseLargeChurnBitIdentical is TestRebaseBitIdentical at a churn
+// large enough for the radix paths of the merge: hundreds of re-priced
+// survivors and additions in the hot band (so mergeDensity orders them
+// with dantzigOrder's radix sort), additions that tie one another's angle
+// (the (theta, id) order of the additions), and removes. Each delta runs
+// on a fresh engine and all are chained on one.
+func TestRebaseLargeChurnBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(103))
+	in := bandedInstance(rng, 4000, 4)
+	const hot = 2
+	delta := func(cur *model.Instance) model.Delta {
+		var d model.Delta
+		lo, hi := float64(hot)*3.0, float64(hot+1)*3.0
+		for i, c := range cur.Customers {
+			if c.R <= lo || c.R >= hi {
+				continue
+			}
+			switch rng.Intn(5) {
+			case 0:
+				d.Remove = append(d.Remove, i)
+			case 1, 2:
+				d.SetDemand = append(d.SetDemand, model.DemandChange{Customer: i, Demand: 1 + rng.Int63n(9), Profit: 1 + rng.Int63n(20)})
+			}
+		}
+		for k := 0; k < 400; k++ {
+			theta := rng.Float64() * 2 * math.Pi
+			if k%4 == 1 {
+				theta = d.Add[k-1].Theta // a tie with the previous addition
+			}
+			d.Add = append(d.Add, model.Customer{Theta: theta, R: lo + 0.5 + 2*rng.Float64(), Demand: 1 + rng.Int63n(9), Profit: 1 + rng.Int63n(20)})
+		}
+		if len(d.SetDemand) < radixMin {
+			t.Fatalf("only %d re-priced survivors: the merge would not take the radix sort", len(d.SetDemand))
+		}
+		return d
+	}
+	prewarmed := func() *Engine {
+		eng := NewEngine(in)
+		if err := eng.Prewarm(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	checkRebase(t, "large churn", prewarmed(), delta(in), hot)
+	eng := prewarmed()
+	cur := in
+	for k := 0; k < 3; k++ {
+		cur = checkRebase(t, fmt.Sprintf("large chain %d", k), eng, delta(cur), hot)
+	}
+}

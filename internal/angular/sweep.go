@@ -2,6 +2,8 @@ package angular
 
 import (
 	"cmp"
+	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -50,37 +52,131 @@ type Sweep struct {
 // Angle ties inherit the view's deterministic (theta, customer index)
 // order; the previous per-antenna sort agreed with it on every input with
 // distinct angles, and on the small tied fixtures in the tests, so sweep
-// layouts — and everything downstream — are unchanged.
-func newSweepFromView(v *cols.View, a model.Antenna) *Sweep {
+// layouts — and everything downstream — are unchanged. sc is the caller's
+// scratch; the sweep keeps none of it.
+func newSweepFromView(v *cols.View, a model.Antenna, sc *buildScratch) *Sweep {
 	s := &Sweep{rho: a.Rho}
-	pos := v.AppendEligible(a, nil)
-	k := len(pos)
+	sc.pos = v.AppendEligible(a, sc.pos[:0])
+	k := len(sc.pos)
 	s.thetas = make([]float64, k)
 	s.ids = make([]int32, k)
 	s.weights = make([]int64, k)
 	s.profits = make([]int64, k)
-	s.density = make([]int32, 0, k)
-	for t, p := range pos {
+	s.density = make([]int32, k)
+	for t, p := range sc.pos {
 		s.thetas[t] = v.Theta[p]
 		s.ids[t] = v.ID[p]
 		s.weights[t] = v.Demand[p]
 		s.profits[t] = v.Profit[p]
 	}
-	s.sortDensity()
+	s.sortDensity(sc)
 	return s
 }
 
+// buildScratch is the working memory sweep builds and merges reuse from
+// one sweep to the next. Each Prewarm worker, and each Rebase, holds its
+// own.
+type buildScratch struct {
+	pos  []int32  // eligible view positions
+	keys []uint64 // radix keys, one per sweep position
+	tmp  []int32  // radix scratch
+}
+
+// radixMax bounds the weights and profits dantzigOrder radix-sorts: every
+// value up to 2^53 is an exact float64, so a quotient of two of them is
+// correctly rounded.
+const radixMax = 1 << 53
+
+// radixMin is the list length below which dantzigOrder sorts with densityCmp:
+// under it the radix sort's fixed histogram work (about 15 µs) costs more
+// than the comparisons it saves; the two measured even near 256 positions.
+// The choice never changes the order.
+const radixMin = 256
+
 // sortDensity fills s.density with the Dantzig order of the sweep's
 // positions: profit/weight descending, zero-weight (infinite density)
-// first, ties by higher profit then position — the same comparator as
-// knapsack's byDensity, with an explicit final tie-break so the order
-// (and therefore every computed bound) is deterministic.
-func (s *Sweep) sortDensity() {
-	s.density = s.density[:0]
-	for t := range s.ids {
-		s.density = append(s.density, int32(t))
+// first, ties by higher profit then position — densityCmp's order, the
+// comparator of knapsack's byDensity with an explicit final tie-break, so
+// the order (and therefore every computed bound) is deterministic.
+func (s *Sweep) sortDensity(sc *buildScratch) {
+	for t := range s.density {
+		s.density[t] = int32(t)
 	}
-	slices.SortFunc(s.density, s.densityCmp)
+	s.dantzigOrder(s.density, sc)
+}
+
+// dantzigOrder sorts order, positions of the sweep in ascending order,
+// into densityCmp's order.
+//
+// When every weight and profit among them lies in [0, 2^53] the order is
+// built without comparisons: a stable radix sort (cols.SortByKey) by
+// profit descending, then by the float64 density p/w descending. Each
+// quotient of two exact operands is correctly rounded, so equal ratios give
+// equal keys and a larger ratio never gets a smaller key: the keys order
+// positions as densityCmp does, except that distinct ratios may share a
+// key. A run of equal keys whose exact densities differ is sorted again
+// with densityCmp. Larger values, and short lists, take the comparator
+// sort.
+func (s *Sweep) dantzigOrder(order []int32, sc *buildScratch) {
+	k := len(order)
+	top, ok := s.maxProfit(order)
+	if k < radixMin || !ok {
+		slices.SortFunc(order, s.densityCmp)
+		return
+	}
+	sc.keys = slices.Grow(sc.keys[:0], len(s.ids))[:len(s.ids)]
+	sc.tmp = slices.Grow(sc.tmp[:0], k)[:k]
+	keys := sc.keys
+	for _, t := range order {
+		keys[t] = uint64(top - s.profits[t])
+	}
+	cols.SortByKey(order, sc.tmp, keys, bits.Len64(uint64(top)))
+	for _, t := range order {
+		d := math.Inf(1)
+		if w := s.weights[t]; w != 0 {
+			d = float64(s.profits[t]) / float64(w)
+		}
+		keys[t] = infBits - math.Float64bits(d) // d ≥ 0: its bits order as its value
+	}
+	cols.SortByKey(order, sc.tmp, keys, bits.Len64(infBits))
+	for lo := 0; lo < k; {
+		hi, first := lo+1, order[lo]
+		mixed := false
+		for ; hi < k && keys[order[hi]] == keys[first]; hi++ {
+			mixed = mixed || !s.sameDensity(first, order[hi])
+		}
+		if mixed {
+			slices.SortFunc(order[lo:hi], s.densityCmp)
+		}
+		lo = hi
+	}
+}
+
+// infBits is the bit pattern of +Inf, the largest of any non-negative
+// float64.
+const infBits = 0x7ff0000000000000
+
+// maxProfit returns the largest profit at the positions in order, and
+// whether every weight and profit there lies in [0, 2^53].
+func (s *Sweep) maxProfit(order []int32) (int64, bool) {
+	var top int64
+	for _, t := range order {
+		if uint64(s.weights[t]) > radixMax || uint64(s.profits[t]) > radixMax {
+			return 0, false
+		}
+		top = max(top, s.profits[t])
+	}
+	return top, true
+}
+
+// sameDensity reports whether positions a and b have equal exact
+// densities, zero weight counting as infinite.
+func (s *Sweep) sameDensity(a, b int32) bool {
+	wa, wb := s.weights[a], s.weights[b]
+	if wa == 0 || wb == 0 {
+		return wa == wb
+	}
+	return knapsack.CrossCmp(s.profits[b], wa, s.profits[a], wb) == 0
 }
 
 // densityCmp is the Dantzig order of positions a and b. It reads only

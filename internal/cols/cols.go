@@ -9,9 +9,10 @@
 // pre-filter: an antenna's eligible customers occupy one contiguous run of
 // that index (eligibility is a closed radius interval, model.RadialBounds),
 // so selective antennas locate their candidates with two binary searches
-// plus an O(k log k) position sort instead of scanning all n customers.
+// plus an O(k) radix sort of their positions instead of scanning all n
+// customers.
 // Both orders come from a stable LSD radix sort of an index permutation on
-// an order-preserving integer image of the float keys (radixOrder).
+// an order-preserving integer image of the float keys (Order).
 //
 // A View is immutable after New and safe for concurrent readers; the
 // parallel sweep builders in internal/angular share one View across
@@ -20,6 +21,7 @@ package cols
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -61,9 +63,9 @@ func New(in *model.Instance) *View {
 	keys := make([]uint64, n)
 	tmp := make([]int32, n)
 	for i := range in.Customers {
-		keys[i] = sortKey(in.Customers[i].Theta)
+		keys[i] = SortKey(in.Customers[i].Theta)
 	}
-	radixOrder(v.ID, tmp, keys)
+	Order(v.ID, tmp, keys)
 	for p, id := range v.ID {
 		c := &in.Customers[id]
 		v.Theta[p] = c.Theta
@@ -72,20 +74,20 @@ func New(in *model.Instance) *View {
 		v.Profit[p] = c.Profit
 	}
 	for p, r := range v.R {
-		keys[p] = sortKey(r)
+		keys[p] = SortKey(r)
 	}
-	radixOrder(v.byR, tmp, keys)
+	Order(v.byR, tmp, keys)
 	for k, p := range v.byR {
 		v.sortedR[k] = v.R[p]
 	}
 	return v
 }
 
-// sortKey maps a float to an integer whose unsigned order is the float's
+// SortKey maps a float to an integer whose unsigned order is the float's
 // order under <. Adding 0 turns −0 into +0 first, so the two zeros, which
 // < does not tell apart, stay a tie. Keys are never NaN: Validate rejects
 // NaN angles and radii.
-func sortKey(f float64) uint64 {
+func SortKey(f float64) uint64 {
 	b := math.Float64bits(f + 0)
 	if b>>63 != 0 {
 		return ^b
@@ -93,36 +95,44 @@ func sortKey(f float64) uint64 {
 	return b | 1<<63
 }
 
-// radixOrder fills order with the indices 0..len(keys)−1 sorted stably by
-// key: a least-significant-digit radix sort, eleven bits per pass (six
-// passes, one histogram pass for all of them), that skips each pass whose
-// digit is the same in every key. Sorting stably from index order yields
-// the (key, index) order the layout contracts describe. tmp is scratch of
-// the same length as keys.
-func radixOrder(order, tmp []int32, keys []uint64) {
-	const (
-		digitBits = 11
-		digits    = (64 + digitBits - 1) / digitBits
-		mask      = 1<<digitBits - 1
-	)
-	n := len(keys)
-	if n == 0 {
-		return
-	}
-	var counts [digits][1 << digitBits]int32
-	for _, k := range keys {
-		for d := range counts {
-			counts[d][k>>(digitBits*d)&mask]++
-		}
-	}
+// Order fills order with the indices 0..len(keys)−1 sorted stably by
+// key. Sorting stably from index order yields the (key, index) order the
+// layout contracts describe. tmp is scratch of the same length as keys.
+func Order(order, tmp []int32, keys []uint64) {
 	for i := range order {
 		order[i] = int32(i)
 	}
-	src, dst := order, tmp
-	for d := range counts {
-		c := &counts[d]
+	SortByKey(order, tmp, keys, 64)
+}
+
+// SortByKey sorts order, a list of indices into keys, stably by
+// keys[order[i]] ascending, where every key is below 2^width: a
+// least-significant-digit radix sort, eleven bits per pass (one histogram
+// pass for all of them), that skips each pass whose digit is the same in
+// every key. Sorting by one key and then stably by another orders by the
+// second key, ties by the first. tmp is scratch at least as long as order.
+func SortByKey(order, tmp []int32, keys []uint64, width int) {
+	const (
+		digitBits = 11
+		mask      = 1<<digitBits - 1
+	)
+	n := len(order)
+	if n == 0 {
+		return
+	}
+	var counts [(64 + digitBits - 1) / digitBits][1 << digitBits]int32
+	digits := counts[:(width+digitBits-1)/digitBits]
+	for _, i := range order {
+		k := keys[i]
+		for d := range digits {
+			digits[d][k>>(digitBits*d)&mask]++
+		}
+	}
+	src, dst := order, tmp[:n]
+	for d := range digits {
+		c := &digits[d]
 		shift := digitBits * d
-		if c[keys[0]>>shift&mask] == int32(n) {
+		if c[keys[order[0]]>>shift&mask] == int32(n) {
 			continue
 		}
 		var sum int32
@@ -138,6 +148,38 @@ func radixOrder(order, tmp []int32, keys []uint64) {
 	}
 	if &src[0] != &order[0] {
 		copy(order, src)
+	}
+}
+
+// sortPositions sorts p, whose values lie in [0, n), ascending with an LSD
+// radix sort on the values themselves. The passes are as few as digits of
+// at most eleven bits allow, and the digits as narrow as that many passes
+// allow: two passes of nine bits at n = 100k. tmp is scratch as long as p.
+func sortPositions(p, tmp []int32, n int) {
+	width := bits.Len(uint(n - 1))
+	passes := max(1, (width+10)/11)
+	digit := (width + passes - 1) / passes
+	mask := int32(1)<<digit - 1
+	var c [1 << 11]int32
+	src, dst := p, tmp[:len(p)]
+	for shift := 0; shift < width; shift += digit {
+		clear(c[:mask+1])
+		for _, q := range src {
+			c[q>>shift&mask]++
+		}
+		var sum int32
+		for b, k := range c[:mask+1] {
+			c[b], sum = sum, sum+k
+		}
+		for _, q := range src {
+			b := q >> shift & mask
+			dst[c[b]] = q
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	if len(p) > 0 && &src[0] != &p[0] {
+		copy(p, src)
 	}
 }
 
@@ -211,9 +253,9 @@ func Rebase(old *View, next *model.Instance, removed []int, added int) *View {
 	keys := make([]uint64, added)
 	tmp := make([]int32, added)
 	for t := range keys {
-		keys[t] = sortKey(next.Customers[nSurv+t].Theta)
+		keys[t] = SortKey(next.Customers[nSurv+t].Theta)
 	}
-	radixOrder(addIDs, tmp, keys)
+	Order(addIDs, tmp, keys)
 	for t := range addIDs {
 		addIDs[t] += int32(nSurv)
 	}
@@ -257,9 +299,9 @@ func Rebase(old *View, next *model.Instance, removed []int, added int) *View {
 	// stably by radius breaks radius ties by position.
 	addR := make([]int32, added)
 	for t, id := range addIDs {
-		keys[t] = sortKey(v.R[pos[id]])
+		keys[t] = SortKey(v.R[pos[id]])
 	}
-	radixOrder(addR, tmp, keys)
+	Order(addR, tmp, keys)
 	for t, k := range addR {
 		addR[t] = pos[addIDs[k]]
 	}
@@ -313,8 +355,10 @@ func (v *View) RadialRun(a model.Antenna) (lo, hi int) {
 // model.Antenna.InRange, which both express through RadialBounds:
 //
 //   - pre-filter: when the eligible count k is small relative to n, the
-//     positions are read off the radius-sorted run and sorted back into
-//     angular order, O(log n + k log k);
+//     positions are read off the radius-sorted run and radix-sorted back
+//     into angular order (sortPositions), O(log n + k) with two passes up
+//     to n = 2^22; the sort's scratch is out's spare capacity, so a
+//     caller that reuses out allocates nothing;
 //   - scan: otherwise a single sequential pass over the radius column,
 //     O(n) with no sort (positions come out already ordered).
 //
@@ -331,8 +375,8 @@ func (v *View) AppendEligible(a model.Antenna, out []int32) []int32 {
 	}
 	if prefilterWins(k, n) {
 		base := len(out)
-		out = append(out, v.byR[rlo:rhi]...)
-		slices.Sort(out[base:])
+		out = append(slices.Grow(out, 2*k), v.byR[rlo:rhi]...)
+		sortPositions(out[base:], out[base+k:base+2*k], n)
 		return out
 	}
 	loR, hiR := a.RadialBounds()
@@ -368,9 +412,12 @@ func TouchesRadially(a model.Antenna, sortedR []float64) bool {
 	return i < len(sortedR) && sortedR[i] <= hi
 }
 
-// prefilterWins decides whether the binary-search path (k log₂ k work) is
-// cheaper than the full scan (n work), with a bias toward the scan near the
-// break-even point since its sequential pass is friendlier to the cache.
+// prefilterWins decides whether the binary-search path is cheaper than the
+// full scan (n work), with a bias toward the scan near the break-even
+// point since its sequential pass is friendlier to the cache. The
+// pre-filter's cost is modelled as k log₂ k, the comparison sort it used
+// before sortPositions; its radix sort costs less, so the model leans
+// toward the scan.
 func prefilterWins(k, n int) bool {
 	bits := 0
 	for v := k; v > 0; v >>= 1 {

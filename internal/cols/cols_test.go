@@ -428,3 +428,56 @@ func BenchmarkNew(b *testing.B) {
 }
 
 var benchView *View
+
+// TestSortPositions pins the pre-filter's radix sort to slices.Sort on
+// distinct positions drawn below n, at sizes that take one, two and three
+// passes, each with digits narrower than eleven bits and at eleven.
+func TestSortPositions(t *testing.T) {
+	rnd := rand.New(rand.NewSource(7))
+	for _, n := range []int{1, 2, 300, 2048, 2049, 1 << 17, 100_000, 1 << 22, 1<<22 + 1, math.MaxInt32} {
+		for _, k := range []int{0, 1, 2, 17, 3000} {
+			k = min(k, n)
+			seen := make(map[int32]bool, k)
+			p := make([]int32, 0, k)
+			for len(p) < k {
+				if q := int32(rnd.Int63n(int64(n))); !seen[q] {
+					seen[q] = true
+					p = append(p, q)
+				}
+			}
+			if k > 0 && n > 1 {
+				p[0] = int32(n - 1) // the top digit in use
+			}
+			want := slices.Clone(p)
+			slices.Sort(want)
+			sortPositions(p, make([]int32, k), n)
+			if !slices.Equal(p, want) {
+				t.Fatalf("n=%d k=%d: radix order differs from slices.Sort", n, k)
+			}
+		}
+	}
+}
+
+// TestAppendEligibleAppends checks both selection paths append after what
+// out already holds, with and without spare capacity, on an instance large
+// enough (n > 2^11) that the pre-filter sorts in two radix passes.
+func TestAppendEligibleAppends(t *testing.T) {
+	in := gen.MustGenerate(gen.Config{Family: gen.Uniform, Seed: 5, N: 5000, M: 1})
+	v := New(in)
+	prefix := []int32{-1, -2, -3}
+	for _, a := range []model.Antenna{
+		{Rho: 1, Range: 9.9, MinRange: 9.8, Capacity: 1}, // a thin annulus: the pre-filter
+		{Rho: 1, Capacity: 1},                            // unbounded: the scan
+	} {
+		lo, hi := v.RadialRun(a)
+		if hi == lo || prefilterWins(hi-lo, v.Len()) != (a.Range != 0) {
+			t.Fatalf("antenna %+v: %d eligible of %d take the other path", a, hi-lo, v.Len())
+		}
+		want := append(slices.Clone(prefix), bruteEligible(v, in, a)...)
+		for _, out := range [][]int32{slices.Clone(prefix), append(make([]int32, 0, 20000), prefix...)} {
+			if got := v.AppendEligible(a, out); !slices.Equal(got, want) {
+				t.Fatalf("antenna %+v: AppendEligible after %v differs from the brute-force scan", a, prefix)
+			}
+		}
+	}
+}

@@ -165,12 +165,16 @@ func DPByProfit(items []Item, capacity int64) (Result, error) {
 // scaledPool recycles the FPTAS's scaled-item slice.
 var scaledPool = sync.Pool{New: func() any { return new([]Item) }}
 
+// ValidEps reports whether eps is an approximation parameter the FPTAS
+// accepts: a number in (0, 1), so not NaN.
+func ValidEps(eps float64) bool { return eps > 0 && eps < 1 }
+
 // FPTAS returns a (1−eps)-approximate solution by scaling profits down to
 // make the profit-indexed DP polynomial: classical Ibarra–Kim. eps must lie
 // in (0, 1). The returned Result reports the true (unscaled) profit of the
 // chosen subset.
 func FPTAS(items []Item, capacity int64, eps float64) (Result, error) {
-	if eps <= 0 || eps >= 1 {
+	if !ValidEps(eps) {
 		return Result{}, fmt.Errorf("knapsack: FPTAS eps %v outside (0,1)", eps)
 	}
 	if err := validate(items, capacity); err != nil {

@@ -271,6 +271,9 @@ func TestValidationErrors(t *testing.T) {
 	if _, err := FPTAS([]Item{{1, 1}}, 10, 1); err == nil {
 		t.Error("eps=1 must be rejected")
 	}
+	if _, err := FPTAS([]Item{{1, 1}}, 10, math.NaN()); err == nil {
+		t.Error("eps=NaN must be rejected")
+	}
 	if _, err := MeetInMiddle(make([]Item, MaxMeetInMiddle+1), 1); err == nil {
 		t.Error("oversized MeetInMiddle input must be rejected")
 	}

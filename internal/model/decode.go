@@ -2,9 +2,11 @@ package model
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"math"
+	"math/bits"
 	"slices"
 	"strconv"
 	"sync"
@@ -368,7 +370,9 @@ func countElems(b []byte) (n, span int, done bool) {
 }
 
 // ws skips whitespace. It advances a local index and stores d.i once per
-// window, so long runs of indentation cost no store per byte.
+// window, so long runs of indentation cost no store per byte. A byte loop
+// beats eight-byte tests here: on the indentation WriteJSON emits (runs
+// of 1, 7 and 9 bytes) it is the loop's exit, not its length, that costs.
 func (d *canon) ws() {
 	i := d.i
 	for {
@@ -581,10 +585,7 @@ func scanNumber(n *num, b []byte, i int) (end int, ok bool) {
 	if i < len(b) && b[i] == '.' {
 		i++
 		from = i
-		for ; i < len(b) && b[i]-'0' <= 9; i++ {
-			n.mant = n.mant*10 + uint64(b[i]-'0')
-		}
-		if i == from {
+		if i = n.fraction(b, i); i == from {
 			return i, false
 		}
 		n.digits += i - from
@@ -615,35 +616,133 @@ func scanNumber(n *num, b []byte, i int) (end int, ok bool) {
 	return i, true
 }
 
+// fraction accumulates the digits of a fraction, the run at b[i:], into
+// n.mant and returns the index past it. Inside b it takes eight digits a
+// step while there are eight; the rest, and the last bytes of b, go
+// through the byte loop. Fractions are where long runs are: encoding/json
+// writes 15 to 17 significant digits, nearly all after the dot, while
+// integer parts and integers are short enough that the eight-byte test
+// costs more than it saves. Past 19 digits mant wraps around, as the byte
+// loop's does, and is not used.
+func (n *num) fraction(b []byte, i int) int {
+	for i+8 <= len(b) {
+		x := binary.LittleEndian.Uint64(b[i:])
+		if !eightDigits(x) {
+			break
+		}
+		n.mant = n.mant*1e8 + parseEight(x)
+		i += 8
+	}
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		n.mant = n.mant*10 + uint64(b[i]-'0')
+	}
+	return i
+}
+
+// lanes repeats a byte in each of the eight bytes of a word.
+const lanes = 0x0101010101010101
+
+// eightDigits reports whether all eight bytes of the little-endian word x
+// are ASCII digits: each has high nibble 3, and a low nibble that stays
+// below 16 when 6 is added. A byte whose sum carries into the next has
+// high nibble f, so the carry never turns a false answer true.
+func eightDigits(x uint64) bool {
+	return x&(0xf0*lanes)|(x+0x06*lanes)&(0xf0*lanes)>>4 == 0x33*lanes
+}
+
+// parseEight returns the value of the eight ASCII digits of the
+// little-endian word x, the first byte the most significant: pairs of
+// digits, then the two halves of four pairs (Lemire, "Number Parsing at a
+// Gigabyte per Second", 2021).
+func parseEight(x uint64) uint64 {
+	x -= '0' * lanes
+	x = x*10 + x>>8
+	return (x&0x000000ff000000ff*(100+1000000<<32) + x>>16&0x000000ff000000ff*(1+10000<<32)) >> 32
+}
+
+// pow10u holds the powers of ten a uint64 holds.
+var pow10u = [...]uint64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
 // pow10 holds the powers of ten a float64 represents exactly.
 var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
 	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
 
 // float reads a number into a float64 the way encoding/json does; literals
-// strconv rejects (out of range) are declined. A mantissa of at most 2^53
-// scaled by at most 10^±22 is one IEEE multiply or divide of two exact
-// operands, so it is correctly rounded, which is what strconv.ParseFloat
-// returns (Clinger, "How to Read Floating Point Numbers Accurately",
-// 1990); every other literal goes to strconv.
+// strconv rejects (out of range) are declined. Two kinds of literal are
+// converted here, to the correctly rounded value strconv.ParseFloat
+// returns:
+//
+//   - a mantissa of at most 2^53 scaled by at most 10^±22: one IEEE
+//     multiply or divide of two exact operands, so correctly rounded
+//     (Clinger, "How to Read Floating Point Numbers Accurately", 1990);
+//   - any other mantissa of at most 19 digits with a decimal exponent in
+//     [−19, 0], the 17-digit fractions encoding/json writes among them:
+//     one exact integer division (divPow10).
+//
+// Every other literal goes to strconv.
 func (d *canon) float() (float64, bool) {
 	var n num
 	if !d.number(&n) {
 		return 0, false
 	}
-	if n.digits <= 19 && n.mant <= 1<<53 && -len(pow10) < n.exp && n.exp < len(pow10) {
-		f := float64(n.mant)
+	var f float64
+	switch {
+	case n.digits > 19:
+		return d.parseFloat(&n)
+	case n.mant <= 1<<53 && -len(pow10) < n.exp && n.exp < len(pow10):
+		f = float64(n.mant)
 		if n.exp < 0 {
 			f /= pow10[-n.exp]
 		} else {
 			f *= pow10[n.exp]
 		}
-		if n.neg {
-			f = -f
-		}
-		return f, true
+	case -len(pow10u) < n.exp && n.exp <= 0:
+		f = divPow10(n.mant, -n.exp)
+	default:
+		return d.parseFloat(&n)
 	}
+	if n.neg {
+		f = -f
+	}
+	return f, true
+}
+
+// parseFloat reads the literal n that ends at b[d.i] with strconv.
+func (d *canon) parseFloat(n *num) (float64, bool) {
 	f, err := strconv.ParseFloat(string(d.b[d.i-n.size:d.i]), 64)
 	return f, err == nil
+}
+
+// divPow10 returns mant/10^k rounded to the nearest float64, ties to even,
+// for mant > 0 and k < len(pow10u). Both operands are shifted up to 64
+// significant bits, and the numerator is halved if it is the larger, so
+// the 128-by-64-bit quotient has exactly 64 significant bits. The top 53
+// are the result's mantissa, the next bit is the rounding bit, and the
+// bits below it and the remainder are the sticky bits. The quotient is at
+// least 10^-19, far above the subnormals.
+func divPow10(mant uint64, k int) float64 {
+	den := pow10u[k]
+	sn, sd := bits.LeadingZeros64(mant), bits.LeadingZeros64(den)
+	top, den := mant<<sn, den<<sd
+	e := sd - sn - 64 // mant/10^k = (top<<64 / den) · 2^e
+	hi, lo := top, uint64(0)
+	if top >= den {
+		hi, lo = top>>1, top<<63
+		e++
+	}
+	q, rem := bits.Div64(hi, lo, den)
+	const drop = 64 - 53
+	m := q >> drop
+	if low := q & (1<<drop - 1); low > 1<<(drop-1) || low == 1<<(drop-1) && (rem != 0 || m&1 != 0) {
+		m++
+	}
+	e += drop
+	if m == 1<<53 {
+		m >>= 1
+		e++
+	}
+	return math.Float64frombits(uint64(e+52+1023)<<52 | m&(1<<52-1))
 }
 
 // int64 reads a number into an int64 the way encoding/json does; literals

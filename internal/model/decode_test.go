@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/big"
 	"math/rand"
 	"net/http"
 	"os"
@@ -274,6 +275,7 @@ func TestFloatLiteralsBitIdentical(t *testing.T) {
 		// Exponent spellings.
 		"1E5", "1e+5", "1e-05", "1E+005", "1e0", "1e-0", "1E-000", "1e0000000000000000000000005",
 		"1e99999999999999999999", "1e-99999999999999999999"}
+	lits = append(lits, exactDivisionLiterals(rng)...)
 	for k := 0; k < 20000; k++ {
 		f := math.Float64frombits(rng.Uint64())
 		if k%2 == 0 {
@@ -292,6 +294,85 @@ func TestFloatLiteralsBitIdentical(t *testing.T) {
 		got, ok := d.float()
 		if ok != (werr == nil) || (ok && math.Float64bits(got) != math.Float64bits(want)) {
 			t.Fatalf("%s: canonical read %v (ok %v), ParseFloat %v (err %v)", lit, got, ok, want, werr)
+		}
+	}
+}
+
+// exactDivisionLiterals spells the literals the exact-division path reads
+// (a mantissa above 2^53 of at most 19 digits, decimal exponent in
+// [−19, 0]) and its edges: random 17- to 19-digit mantissas at every
+// exponent from −1 to −19, with a dot and with an exponent; the mantissas
+// 2^53+1 and 10^19−1 at every exponent from 0 to −19; and values exactly
+// halfway between two adjacent float64s, with their neighbours one unit
+// in the last digit away.
+func exactDivisionLiterals(rng *rand.Rand) []string {
+	var lits []string
+	spell := func(mant string, k int) {
+		lits = append(lits, mant+"e-"+strconv.Itoa(k), "-"+mant+"e-"+strconv.Itoa(k))
+		if d := len(mant) - k; k == 0 {
+			lits = append(lits, mant)
+		} else if d > 0 {
+			lits = append(lits, mant[:d]+"."+mant[d:])
+		} else {
+			lits = append(lits, "0."+strings.Repeat("0", -d)+mant)
+		}
+	}
+	for digits := 17; digits <= 19; digits++ {
+		for k := 1; k <= 19; k++ {
+			for range 20 {
+				mant := strconv.Itoa(1 + rng.Intn(9))
+				for len(mant) < digits {
+					mant += strconv.Itoa(rng.Intn(10))
+				}
+				spell(mant, k)
+			}
+		}
+	}
+	for k := 0; k <= 19; k++ {
+		spell("9007199254740993", k)
+		spell("9999999999999999999", k)
+	}
+	// Between 2^50 and 2^63 a float64's halfway points have at most 19
+	// significant digits: an integer part of 16 to 19 digits and at most
+	// three binary, so decimal, fraction digits.
+	for e := 50; e < 63; e++ {
+		for range 20 {
+			f := math.Ldexp(1+rng.Float64(), e)
+			half := new(big.Float).SetPrec(128).SetFloat64(f)
+			half.Add(half, new(big.Float).SetFloat64(math.Ldexp(1, e-53)))
+			text := strings.TrimRight(strings.TrimRight(half.Text('f', 3), "0"), ".")
+			mant, k := strings.Replace(text, ".", "", 1), 0
+			if dot := strings.IndexByte(text, '.'); dot >= 0 {
+				k = len(text) - dot - 1
+			}
+			v, _ := strconv.ParseUint(mant, 10, 64)
+			for _, m := range []uint64{v - 1, v, v + 1} {
+				spell(strconv.FormatUint(m, 10), k)
+				spell(strconv.FormatUint(m, 10)+"000"[:min(3, 19-len(mant))], k+min(3, 19-len(mant)))
+			}
+		}
+	}
+	return lits
+}
+
+// TestFractionEndsAtFirstNonDigit puts every byte that is not a digit at
+// every place of an eight-byte fraction word: the reader must stop there,
+// with the value of the digits before it, or decline when there are none.
+// Exponent marks, which continue the literal, are left out.
+func TestFractionEndsAtFirstNonDigit(t *testing.T) {
+	const digits = "9876543210987654"
+	for c := 0; c < 256; c++ {
+		if '0' <= c && c <= '9' || c|0x20 == 'e' {
+			continue
+		}
+		for at := 0; at < 8; at++ {
+			lit := "0." + digits[:at] + string([]byte{byte(c)}) + digits[at:]
+			d := canon{b: []byte(lit)}
+			got, ok := d.float()
+			want, werr := strconv.ParseFloat(lit[:2+at], 64)
+			if ok != (at > 0) || ok && (d.i != 2+at || math.Float64bits(got) != math.Float64bits(want) || werr != nil) {
+				t.Fatalf("%q: read %v (ok %v) to byte %d, want %v to byte %d", lit, got, ok, d.i, want, 2+at)
+			}
 		}
 	}
 }
@@ -343,7 +424,11 @@ func TestIntLiteralsMatchParseInt(t *testing.T) {
 // bit for bit: a literal is read when it is a JSON number strconv accepts,
 // and then to strconv's value.
 func FuzzNumberLiterals(f *testing.F) {
-	for _, s := range []string{"0", "-0.0", "9007199254740993", "1e22", "1e23", "0.000123", "12345678901234567890", "-9223372036854775808", "1E+05"} {
+	for _, s := range []string{"0", "-0.0", "9007199254740993", "1e22", "1e23", "0.000123", "12345678901234567890", "-9223372036854775808", "1E+05",
+		// The exact-division path: long mantissas, small negative exponents,
+		// a halfway case, and digit runs of more than eight bytes.
+		"2.6680760824756913", "1234567890123456789e-19", "9999999999999999999e-7", "-9007199254740993e-3",
+		"4503599627370497.5", "0.12345678901234567", "123456789012.3456789"} {
 		f.Add(s)
 	}
 	const alphabet = "0123456789-+.eE0123456789"
@@ -394,7 +479,33 @@ func TestStreamedDecodeMatchesEncodingJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	canonical := []string{file, batch, string(compact)}
+	// Literals longer than eight bytes, some read by exact division and
+	// some by strconv, and whitespace runs of every length up to 19 bytes,
+	// so that word-at-a-time scans meet the end of the small window at
+	// every offset.
+	lits := []string{"2.6680760824756913", "1234567890123456789e-18", "9007199254740993e-16", "3.14159265358979323846",
+		"0.1234567890123456789", "4503599627370497.5e-15", "1e-19", "6.2831853071795", "12345678.87654321"}
+	blank := func(k int) string {
+		var b strings.Builder
+		for j := range k % 20 {
+			b.WriteByte(" \t\n\r  "[(k+j)%6])
+		}
+		return b.String()
+	}
+	var long strings.Builder
+	long.WriteString(`{"format_version":1,"instance":{"name":"long","customers":[`)
+	for i := range 60 {
+		if i > 0 {
+			long.WriteString("," + blank(i+1))
+		}
+		fmt.Fprintf(&long, `{%s"id":%d,"theta":%s%s,%s"r":%s,"demand":%d}`,
+			blank(i), i, blank(i+2), lits[i%(len(lits)-1)], blank(i+3), lits[(i+4)%len(lits)], 1+i%7)
+	}
+	long.WriteString(`],` + blank(19) + `"antennas":[{"id":0,"rho":1.0471975511965976,"range":8,"capacity":5}]}}` + blank(17))
+	if _, err := refReadJSON([]byte(long.String())); err != nil {
+		t.Fatal(err)
+	}
+	canonical := []string{file, batch, string(compact), long.String()}
 	bodies := append(append(slices.Clone(canonical), canonicalSeeds...), declinedSeeds...)
 	bodies = append(bodies, file[:len(file)/2], file+" x", batch[:len(batch)-3], `{"format_version":1`,
 		`{"format_version":1,"instance":{"customers":[{"id":0,"theta":0.5`, `{"format_version":1,"instance":{"name":"ab`,
