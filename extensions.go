@@ -11,7 +11,6 @@ import (
 	"sectorpack/internal/model"
 	"sectorpack/internal/multistation"
 	"sectorpack/internal/online"
-	"sectorpack/internal/reduce"
 	"sectorpack/internal/viz"
 )
 
@@ -97,17 +96,6 @@ func SolveMultiGreedy(ctx context.Context, in *MultiInstance, opt Options) (*Mul
 
 // ensure the Options knapsack field stays structurally compatible.
 var _ knapsack.Options = Options{}.Knapsack
-
-// --- preprocessing ---
-
-// Reduction is the outcome of instance preprocessing: the shrunken
-// instance plus the lift back to the original.
-type Reduction = reduce.Result
-
-// Reduce applies the optimum-preserving reductions (drop unreachable and
-// zero-profit customers, tighten capacities, GCD-scale demands). Solve the
-// Reduced instance, then Lift the assignment back.
-func Reduce(in *Instance) (*Reduction, error) { return reduce.Apply(in) }
 
 // --- splittable demands ---
 

@@ -72,25 +72,6 @@ func TestRenderASCIIFacade(t *testing.T) {
 	}
 }
 
-func TestReduceFacade(t *testing.T) {
-	in := sectorpack.MustGenerate(sectorpack.GenConfig{
-		Family: sectorpack.Uniform, Variant: sectorpack.Sectors,
-		Seed: 11, N: 30, M: 2, Range: 5,
-	})
-	r, err := sectorpack.Reduce(in)
-	if err != nil {
-		t.Fatalf("Reduce: %v", err)
-	}
-	sol, err := sectorpack.SolveGreedy(context.Background(), r.Reduced, sectorpack.Options{SkipBound: true})
-	if err != nil {
-		t.Fatalf("greedy on reduced: %v", err)
-	}
-	lifted := r.Lift(sol.Assignment)
-	if err := lifted.Check(in); err != nil {
-		t.Fatalf("lifted infeasible: %v", err)
-	}
-}
-
 // TestSolveExactParallelFacade checks that the façade's exact solver
 // returns the same answer whether its orientation search runs inline or
 // fanned out over workers.

@@ -44,7 +44,7 @@ func SolveAnneal(ctx context.Context, in *model.Instance, opt Options) (model.So
 	if err := eng.Prewarm(ctx); err != nil {
 		return model.Solution{}, err
 	}
-	sol, err := solveGreedyWithEngine(ctx, in, opt, nil, eng)
+	sol, err := solveGreedyWithEngine(ctx, in, opt, nil, eng, nil)
 	if err != nil {
 		return model.Solution{}, err
 	}

@@ -43,8 +43,7 @@ func withBound(ctx context.Context, in *model.Instance, eng *angular.Engine, opt
 // with a deadline and an engine: the candidate angles come from the
 // engine's cache. It consults ctx once per antenna and returns ctx.Err()
 // once it is cancelled. An uncancelled call returns exactly UpperBound's
-// value. The solvers and the session cascade end with it, so a deadline
-// can interrupt the bound.
+// value. The solvers end with it, so a deadline can interrupt the bound.
 func UpperBoundContext(ctx context.Context, eng *angular.Engine) (float64, error) {
 	in := eng.Instance()
 	total := float64(in.TotalProfit())

@@ -48,15 +48,27 @@ func SolveGreedyOrdered(ctx context.Context, in *model.Instance, opt Options, or
 	if err := eng.Prewarm(ctx); err != nil {
 		return model.Solution{}, err
 	}
-	return solveGreedyWithEngine(ctx, in, opt, order, eng)
+	return solveGreedyWithEngine(ctx, in, opt, order, eng, nil)
+}
+
+// GreedyHook lets a caller replay recorded steps of the greedy loop instead
+// of searching them. Step p of the capacity order processes antenna j.
+// Replay runs before the step's search and must not modify active: ok ==
+// true makes win the step's window and skips the search. Searched runs after each search with the
+// window it found. The loop keeps the capacity order, the active mask, the
+// DisjointAngles placement, the assignment and the profit fold, so a hook
+// that replays only windows a search would find cannot change the answer.
+type GreedyHook interface {
+	Replay(p, j int, active []bool) (win angular.Window, ok bool)
+	Searched(p, j int, win angular.Window)
 }
 
 // solveGreedyWithEngine is the greedy loop over a caller-supplied engine,
 // so SolveLocalSearch can run its greedy seed and its reorientation moves
 // on one shared set of sweeps instead of building them twice. The engine
 // caches only instance geometry (sweeps and candidate angles), never
-// assignment state, so sharing cannot change results.
-func solveGreedyWithEngine(ctx context.Context, in *model.Instance, opt Options, order []int, eng *angular.Engine) (model.Solution, error) {
+// assignment state, so sharing cannot change results. hook may be nil.
+func solveGreedyWithEngine(ctx context.Context, in *model.Instance, opt Options, order []int, eng *angular.Engine, hook GreedyHook) (model.Solution, error) {
 	n, m := in.N(), in.M()
 	as := model.NewAssignment(n, m)
 	sol := model.Solution{Algorithm: "greedy", Assignment: as}
@@ -79,13 +91,23 @@ func solveGreedyWithEngine(ctx context.Context, in *model.Instance, opt Options,
 	}
 	var placed []geom.Interval // serving sectors placed so far (DisjointAngles)
 
-	for _, j := range order {
+	for p, j := range order {
 		if err := ctx.Err(); err != nil {
 			return model.Solution{}, err
 		}
-		win, err := bestWindowConstrained(ctx, eng, j, active, placed, opt.Knapsack)
-		if err != nil {
-			return model.Solution{}, err
+		var win angular.Window
+		replayed := false
+		if hook != nil {
+			win, replayed = hook.Replay(p, j, active)
+		}
+		if !replayed {
+			var err error
+			if win, err = bestWindowConstrained(ctx, eng, j, active, placed, opt.Knapsack); err != nil {
+				return model.Solution{}, err
+			}
+			if hook != nil {
+				hook.Searched(p, j, win)
+			}
 		}
 		if len(win.Customers) == 0 {
 			continue

@@ -43,7 +43,7 @@ func SolveLocalSearch(ctx context.Context, in *model.Instance, opt Options) (mod
 // engine; SolveLocalSearchWarm hands it a delta session's long-lived engine
 // so re-solves skip the sweep rebuild.
 func solveLocalSearchWithEngine(ctx context.Context, in *model.Instance, opt Options, eng *angular.Engine) (model.Solution, error) {
-	sol, err := solveGreedyWithEngine(ctx, in, opt, nil, eng)
+	sol, err := solveGreedyWithEngine(ctx, in, opt, nil, eng, nil)
 	if err != nil {
 		return model.Solution{}, err
 	}

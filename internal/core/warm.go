@@ -26,7 +26,18 @@ func SolveGreedyWarm(ctx context.Context, in *model.Instance, opt Options, eng *
 	if err := validateForSolve(in); err != nil {
 		return model.Solution{}, err
 	}
-	return solveGreedyWithEngine(ctx, in, opt, nil, eng)
+	return solveGreedyWithEngine(ctx, in, opt, nil, eng, nil)
+}
+
+// SolveGreedyHooked is SolveGreedyWarm with a step hook, for a delta
+// session that replays the steps a delta provably left unchanged. It skips
+// SolveGreedyWarm's Instance.Validate: the session validated the instance
+// when it was created and model.ApplyDelta validates every delta.
+func SolveGreedyHooked(ctx context.Context, in *model.Instance, opt Options, eng *angular.Engine, hook GreedyHook) (model.Solution, error) {
+	if err := checkWarmEngine(in, eng); err != nil {
+		return model.Solution{}, err
+	}
+	return solveGreedyWithEngine(ctx, in, opt, nil, eng, hook)
 }
 
 // SolveLocalSearchWarm is SolveLocalSearch on a caller-maintained engine,

@@ -87,40 +87,5 @@ func AngleBetween(theta, start, width float64) bool {
 	return TwoPi-d <= Eps
 }
 
-// MinAngularGap returns the smallest pairwise clockwise gap between any two
-// distinct angles in the slice, or 2π if fewer than two angles are given.
-// Generators use it to certify that instances keep customers separated by
-// much more than Eps.
-func MinAngularGap(angles []float64) float64 {
-	if len(angles) < 2 {
-		return TwoPi
-	}
-	sorted := make([]float64, len(angles))
-	for i, a := range angles {
-		sorted[i] = NormAngle(a)
-	}
-	insertionSort(sorted)
-	best := TwoPi - sorted[len(sorted)-1] + sorted[0]
-	for i := 1; i < len(sorted); i++ {
-		if g := sorted[i] - sorted[i-1]; g < best {
-			best = g
-		}
-	}
-	return best
-}
-
-// insertionSort keeps geom free of a sort dependency for the tiny slices it
-// handles; callers with large inputs sort themselves.
-func insertionSort(a []float64) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
 // Degrees converts radians to degrees; handy for human-readable output.
 func Degrees(rad float64) float64 { return rad * 180 / math.Pi }
-
-// Radians converts degrees to radians.
-func Radians(deg float64) float64 { return deg * math.Pi / 180 }

@@ -124,29 +124,12 @@ func TestAngleBetweenStartBoundaryFromBelow(t *testing.T) {
 	}
 }
 
-func TestMinAngularGap(t *testing.T) {
-	if g := MinAngularGap(nil); g != TwoPi {
-		t.Errorf("empty gap = %v, want 2π", g)
-	}
-	if g := MinAngularGap([]float64{1}); g != TwoPi {
-		t.Errorf("single gap = %v, want 2π", g)
-	}
-	got := MinAngularGap([]float64{0, 1, 2.5, 6})
-	if !almostEqual(got, TwoPi-6, 1e-12) {
-		t.Errorf("gap = %v, want %v (wrap-around gap)", got, TwoPi-6)
-	}
-	got = MinAngularGap([]float64{0.2, 0.1, 3})
-	if !almostEqual(got, 0.1, 1e-12) {
-		t.Errorf("gap = %v, want 0.1", got)
-	}
-}
-
 func TestDegreesRadiansRoundTrip(t *testing.T) {
 	f := func(deg float64) bool {
 		if math.IsNaN(deg) || math.Abs(deg) > 1e12 {
 			return true
 		}
-		return almostEqual(Degrees(Radians(deg)), deg, math.Abs(deg)*1e-12+1e-12)
+		return almostEqual(Degrees(deg*math.Pi/180), deg, math.Abs(deg)*1e-12+1e-12)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -6,17 +6,17 @@ import (
 )
 
 func TestAnnulusSectorContains(t *testing.T) {
-	s := NewAnnulusSector(0, 1, 2, 8)
+	s := Sector{Alpha: 0, Rho: 1, Range: 8, Inner: 2}
 	cases := []struct {
 		p    Polar
 		want bool
 	}{
-		{NewPolar(0.5, 5), true},
-		{NewPolar(0.5, 2), true},  // inner boundary counts
-		{NewPolar(0.5, 8), true},  // outer boundary counts
-		{NewPolar(0.5, 1), false}, // inside the dead zone
-		{NewPolar(0.5, 9), false}, // beyond reach
-		{NewPolar(2.0, 5), false}, // wrong angle
+		{Polar{0.5, 5}, true},
+		{Polar{0.5, 2}, true},  // inner boundary counts
+		{Polar{0.5, 8}, true},  // outer boundary counts
+		{Polar{0.5, 1}, false}, // inside the dead zone
+		{Polar{0.5, 9}, false}, // beyond reach
+		{Polar{2.0, 5}, false}, // wrong angle
 	}
 	for _, c := range cases {
 		if got := s.Contains(c.p); got != c.want {
@@ -25,36 +25,12 @@ func TestAnnulusSectorContains(t *testing.T) {
 	}
 }
 
-func TestAnnulusSectorClamping(t *testing.T) {
-	s := NewAnnulusSector(0, 1, -3, 8)
-	if s.Inner != 0 {
-		t.Errorf("negative inner should clamp to 0, got %v", s.Inner)
-	}
-	s = NewAnnulusSector(0, 1, 10, 8)
-	if s.Inner != 8 {
-		t.Errorf("inner above range should clamp to range, got %v", s.Inner)
-	}
-}
-
-func TestAnnulusArea(t *testing.T) {
-	s := NewAnnulusSector(0, math.Pi, 1, 3)
-	want := 0.5 * math.Pi * (9 - 1)
-	if math.Abs(s.Area()-want) > 1e-12 {
-		t.Errorf("Area = %v, want %v", s.Area(), want)
-	}
-	// plain sector unchanged
-	plain := NewSector(0, math.Pi, 3)
-	if math.Abs(plain.Area()-0.5*math.Pi*9) > 1e-12 {
-		t.Errorf("plain Area = %v", plain.Area())
-	}
-}
-
 func TestUnboundedAnnulus(t *testing.T) {
 	s := Sector{Alpha: 0, Rho: 1, Range: math.Inf(1), Inner: 3}
-	if s.Contains(NewPolar(0.5, 2)) {
+	if s.Contains(Polar{0.5, 2}) {
 		t.Error("dead zone applies even with unbounded outer range")
 	}
-	if !s.Contains(NewPolar(0.5, 1e9)) {
+	if !s.Contains(Polar{0.5, 1e9}) {
 		t.Error("unbounded outer range should admit distant points")
 	}
 }

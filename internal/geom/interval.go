@@ -24,42 +24,13 @@ func NewInterval(start, width float64) Interval {
 	return Interval{Start: NormAngle(start), Width: width}
 }
 
-// FullCircle returns the interval covering every angle.
-func FullCircle() Interval { return Interval{Start: 0, Width: TwoPi} }
-
 // End returns the normalized end angle of the interval (Start + Width).
 func (iv Interval) End() float64 { return NormAngle(iv.Start + iv.Width) }
-
-// IsFull reports whether the interval covers the whole circle (up to Eps).
-func (iv Interval) IsFull() bool { return iv.Width >= TwoPi-Eps }
 
 // Contains reports whether angle theta lies inside the interval, with Eps
 // tolerance at both boundaries.
 func (iv Interval) Contains(theta float64) bool {
 	return AngleBetween(theta, iv.Start, iv.Width)
-}
-
-// Overlaps reports whether the two intervals share any angle. Boundary
-// touching within Eps counts as overlap, which is the conservative choice
-// for disjointness constraints: DISJOINT solutions must keep sectors
-// separated by strictly more than Eps.
-func (iv Interval) Overlaps(other Interval) bool {
-	if iv.Width <= 0 || other.Width <= 0 {
-		// A degenerate interval is a single point; it overlaps iff that
-		// point is inside the other interval.
-		if iv.Width <= 0 && other.Width <= 0 {
-			return AngleDist(iv.Start, other.Start) <= Eps ||
-				AngleDist(other.Start, iv.Start) <= Eps
-		}
-		if iv.Width <= 0 {
-			return other.Contains(iv.Start)
-		}
-		return iv.Contains(other.Start)
-	}
-	if iv.IsFull() || other.IsFull() {
-		return true
-	}
-	return iv.Contains(other.Start) || other.Contains(iv.Start)
 }
 
 // InteriorsOverlap reports whether the open interiors of the two intervals
@@ -78,30 +49,6 @@ func (iv Interval) InteriorsOverlap(other Interval) bool {
 	return !(gapA >= iv.Width-Eps && gapB >= other.Width-Eps)
 }
 
-// ContainsInterval reports whether the entire other interval lies within iv.
-func (iv Interval) ContainsInterval(other Interval) bool {
-	if iv.IsFull() {
-		return true
-	}
-	if other.Width > iv.Width+Eps {
-		return false
-	}
-	d := AngleDist(iv.Start, other.Start)
-	if d > iv.Width+Eps && TwoPi-d > Eps {
-		return false
-	}
-	if TwoPi-d <= Eps {
-		d = 0
-	}
-	return d+other.Width <= iv.Width+Eps
-}
-
-// ClockwiseGapTo returns the clockwise angular gap from the end of iv to the
-// start of other; 0 means other begins exactly where iv ends.
-func (iv Interval) ClockwiseGapTo(other Interval) float64 {
-	return AngleDist(iv.End(), other.Start)
-}
-
 // String renders the interval in degrees for diagnostics.
 func (iv Interval) String() string {
 	return fmt.Sprintf("[%.2f°+%.2f°]", Degrees(iv.Start), Degrees(iv.Width))
@@ -118,14 +65,4 @@ func Disjoint(ivs []Interval) bool {
 		}
 	}
 	return true
-}
-
-// TotalWidth sums the widths of the intervals; for a disjoint family this
-// never exceeds 2π (a fact the DISJOINT feasibility checker exploits).
-func TotalWidth(ivs []Interval) float64 {
-	var w float64
-	for _, iv := range ivs {
-		w += iv.Width
-	}
-	return w
 }

@@ -42,94 +42,6 @@ func TestIntervalEnd(t *testing.T) {
 	}
 }
 
-func TestIntervalOverlaps(t *testing.T) {
-	a := NewInterval(0, 1)
-	b := NewInterval(0.5, 1)
-	c := NewInterval(2, 1)
-	d := NewInterval(6, 0.5) // wraps into a
-	if !a.Overlaps(b) || !b.Overlaps(a) {
-		t.Error("a and b overlap")
-	}
-	if a.Overlaps(c) || c.Overlaps(a) {
-		t.Error("a and c are disjoint")
-	}
-	if !a.Overlaps(d) || !d.Overlaps(a) {
-		t.Error("a and d overlap across the wrap")
-	}
-	if !FullCircle().Overlaps(c) {
-		t.Error("full circle overlaps everything")
-	}
-}
-
-func TestDegenerateIntervalOverlap(t *testing.T) {
-	pt := NewInterval(1.0, 0)
-	host := NewInterval(0.5, 1.0)
-	if !pt.Overlaps(host) || !host.Overlaps(pt) {
-		t.Error("point interval inside a host interval should overlap it")
-	}
-	far := NewInterval(3.0, 0.2)
-	if pt.Overlaps(far) || far.Overlaps(pt) {
-		t.Error("point interval outside should not overlap")
-	}
-	pt2 := NewInterval(1.0, 0)
-	if !pt.Overlaps(pt2) {
-		t.Error("identical point intervals overlap")
-	}
-	pt3 := NewInterval(1.1, 0)
-	if pt.Overlaps(pt3) {
-		t.Error("distinct point intervals do not overlap")
-	}
-}
-
-func TestContainsInterval(t *testing.T) {
-	outer := NewInterval(1, 2)
-	inner := NewInterval(1.5, 1)
-	if !outer.ContainsInterval(inner) {
-		t.Error("outer should contain inner")
-	}
-	if inner.ContainsInterval(outer) {
-		t.Error("inner cannot contain a wider outer")
-	}
-	if !outer.ContainsInterval(outer) {
-		t.Error("interval contains itself")
-	}
-	if !FullCircle().ContainsInterval(outer) {
-		t.Error("full circle contains everything")
-	}
-	wrap := NewInterval(6, 1.5)
-	sub := NewInterval(0.1, 0.5)
-	if !wrap.ContainsInterval(sub) {
-		t.Error("wrap-around interval should contain its tail segment")
-	}
-	outside := NewInterval(3, 0.5)
-	if wrap.ContainsInterval(outside) {
-		t.Error("wrap-around interval should not contain a far segment")
-	}
-}
-
-func TestContainsIntervalStartAtOwnStart(t *testing.T) {
-	outer := NewInterval(2, 1)
-	sub := NewInterval(2, 0.5)
-	if !outer.ContainsInterval(sub) {
-		t.Error("sub starting at outer.Start should be contained")
-	}
-	over := NewInterval(2.8, 0.5) // sticks out past the end
-	if outer.ContainsInterval(over) {
-		t.Error("interval protruding past the end must not be contained")
-	}
-}
-
-func TestClockwiseGapTo(t *testing.T) {
-	a := NewInterval(0, 1)
-	b := NewInterval(2, 1)
-	if g := a.ClockwiseGapTo(b); !almostEqual(g, 1, 1e-12) {
-		t.Errorf("gap = %v, want 1", g)
-	}
-	if g := b.ClockwiseGapTo(a); !almostEqual(g, TwoPi-3, 1e-12) {
-		t.Errorf("reverse gap = %v, want %v", g, TwoPi-3)
-	}
-}
-
 func TestInteriorsOverlap(t *testing.T) {
 	a := NewInterval(0, 1)
 	flush := NewInterval(1, 1)
@@ -144,7 +56,7 @@ func TestInteriorsOverlap(t *testing.T) {
 	if a.InteriorsOverlap(point) || point.InteriorsOverlap(a) {
 		t.Error("zero-width interval has empty interior")
 	}
-	full := FullCircle()
+	full := Interval{Start: 0, Width: TwoPi}
 	if !full.InteriorsOverlap(a) || !a.InteriorsOverlap(full) {
 		t.Error("full circle interior overlaps any positive-width interval")
 	}
@@ -178,13 +90,6 @@ func TestDisjointFamily(t *testing.T) {
 	ivs = append(ivs, NewInterval(0.5, 0.2))
 	if Disjoint(ivs) {
 		t.Error("family with an embedded interval is not disjoint")
-	}
-}
-
-func TestTotalWidth(t *testing.T) {
-	ivs := []Interval{NewInterval(0, 1), NewInterval(2, 0.5)}
-	if w := TotalWidth(ivs); !almostEqual(w, 1.5, 1e-12) {
-		t.Errorf("TotalWidth = %v, want 1.5", w)
 	}
 }
 
@@ -236,8 +141,12 @@ func TestDisjointWidthBound(t *testing.T) {
 		for i := range ivs {
 			ivs[i] = NewInterval(rng.Float64()*TwoPi, rng.Float64())
 		}
-		if Disjoint(ivs) && TotalWidth(ivs) > TwoPi+1e-6 {
-			t.Fatalf("disjoint family with total width %v > 2π: %v", TotalWidth(ivs), ivs)
+		var width float64
+		for _, iv := range ivs {
+			width += iv.Width
+		}
+		if Disjoint(ivs) && width > TwoPi+1e-6 {
+			t.Fatalf("disjoint family with total width %v > 2π: %v", width, ivs)
 		}
 	}
 }

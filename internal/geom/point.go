@@ -12,17 +12,6 @@ type Polar struct {
 	R     float64
 }
 
-// NewPolar normalizes the angle and rejects negative radii by reflecting
-// them through the origin (r < 0 means the point at angle θ+π, radius |r|),
-// matching the usual polar-coordinate convention.
-func NewPolar(theta, r float64) Polar {
-	if r < 0 {
-		r = -r
-		theta += math.Pi
-	}
-	return Polar{Theta: NormAngle(theta), R: r}
-}
-
 // XY is a point in Cartesian coordinates.
 type XY struct {
 	X float64
@@ -42,16 +31,6 @@ func FromXY(pt XY) Polar {
 		return Polar{}
 	}
 	return Polar{Theta: NormAngle(math.Atan2(pt.Y, pt.X)), R: r}
-}
-
-// Dist returns the Euclidean distance between two polar points, computed
-// via the law of cosines to avoid an intermediate Cartesian conversion.
-func Dist(a, b Polar) float64 {
-	d2 := a.R*a.R + b.R*b.R - 2*a.R*b.R*math.Cos(a.Theta-b.Theta)
-	if d2 < 0 { // rounding can push the tiny-distance case below zero
-		return 0
-	}
-	return math.Sqrt(d2)
 }
 
 func (p Polar) String() string {

@@ -9,7 +9,7 @@ import (
 func TestPolarXYRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 2000; i++ {
-		p := NewPolar(rng.Float64()*TwoPi, rng.Float64()*100)
+		p := Polar{rng.Float64() * TwoPi, rng.Float64() * 100}
 		q := FromXY(p.ToXY())
 		if !almostEqual(q.R, p.R, 1e-9*(1+p.R)) {
 			t.Fatalf("radius round trip: %v -> %v", p, q)
@@ -23,44 +23,9 @@ func TestPolarXYRoundTrip(t *testing.T) {
 	}
 }
 
-func TestNewPolarNegativeRadius(t *testing.T) {
-	p := NewPolar(0, -2)
-	if p.R != 2 {
-		t.Errorf("radius = %v, want 2", p.R)
-	}
-	if !almostEqual(p.Theta, math.Pi, 1e-12) {
-		t.Errorf("theta = %v, want π", p.Theta)
-	}
-}
-
 func TestFromXYOrigin(t *testing.T) {
 	p := FromXY(XY{0, 0})
 	if p.R != 0 || p.Theta != 0 {
 		t.Errorf("origin should map to zero polar, got %v", p)
-	}
-}
-
-func TestDistMatchesCartesian(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 2000; i++ {
-		a := NewPolar(rng.Float64()*TwoPi, rng.Float64()*50)
-		b := NewPolar(rng.Float64()*TwoPi, rng.Float64()*50)
-		pa, pb := a.ToXY(), b.ToXY()
-		want := math.Hypot(pa.X-pb.X, pa.Y-pb.Y)
-		got := Dist(a, b)
-		if !almostEqual(got, want, 1e-7*(1+want)) {
-			t.Fatalf("Dist(%v,%v) = %v, want %v", a, b, got, want)
-		}
-	}
-}
-
-func TestDistSymmetricAndZero(t *testing.T) {
-	a := NewPolar(1, 3)
-	b := NewPolar(2, 4)
-	if !almostEqual(Dist(a, b), Dist(b, a), 1e-12) {
-		t.Error("Dist should be symmetric")
-	}
-	if Dist(a, a) != 0 {
-		t.Error("Dist(a,a) should be exactly 0")
 	}
 }

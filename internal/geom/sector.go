@@ -30,27 +30,8 @@ func NewSector(alpha, rho, rng float64) Sector {
 	return Sector{Alpha: iv.Start, Rho: iv.Width, Range: rng}
 }
 
-// UnboundedSector is a sector with infinite radial reach.
-func UnboundedSector(alpha, rho float64) Sector {
-	return NewSector(alpha, rho, math.Inf(1))
-}
-
 // Interval returns the sector's angular footprint.
 func (s Sector) Interval() Interval { return Interval{Start: s.Alpha, Width: s.Rho} }
-
-// NewAnnulusSector builds a sector with a near-field exclusion radius.
-// Inner is clamped to [0, Range].
-func NewAnnulusSector(alpha, rho, inner, rng float64) Sector {
-	s := NewSector(alpha, rho, rng)
-	if inner < 0 {
-		inner = 0
-	}
-	if inner > s.Range {
-		inner = s.Range
-	}
-	s.Inner = inner
-	return s
-}
 
 // Contains reports whether the polar point lies inside the sector. The
 // radial tests use a relative tolerance so points generated exactly at a
@@ -65,25 +46,6 @@ func (s Sector) Contains(p Polar) bool {
 		return false
 	}
 	return AngleBetween(p.Theta, s.Alpha, s.Rho)
-}
-
-// Reoriented returns a copy of the sector rotated so its leading boundary
-// sits at alpha.
-func (s Sector) Reoriented(alpha float64) Sector {
-	s.Alpha = NormAngle(alpha)
-	return s
-}
-
-// Area returns the area of the sector footprint (annular when Inner > 0);
-// infinite for unbounded sectors of positive width.
-func (s Sector) Area() float64 {
-	if math.IsInf(s.Range, 1) {
-		if s.Rho == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return 0.5 * s.Rho * (s.Range*s.Range - s.Inner*s.Inner)
 }
 
 func (s Sector) String() string {

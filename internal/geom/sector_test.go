@@ -12,12 +12,12 @@ func TestSectorContains(t *testing.T) {
 		p    Polar
 		want bool
 	}{
-		{NewPolar(math.Pi/4, 5), true},
-		{NewPolar(math.Pi/4, 10), true}, // boundary radius
-		{NewPolar(math.Pi/4, 10.1), false},
-		{NewPolar(math.Pi, 5), false},  // wrong angle
-		{NewPolar(0, 0), true},         // origin angle boundary
-		{NewPolar(math.Pi/2, 3), true}, // angular end boundary
+		{Polar{math.Pi / 4, 5}, true},
+		{Polar{math.Pi / 4, 10}, true}, // boundary radius
+		{Polar{math.Pi / 4, 10.1}, false},
+		{Polar{math.Pi, 5}, false},    // wrong angle
+		{Polar{0, 0}, true},           // origin angle boundary
+		{Polar{math.Pi / 2, 3}, true}, // angular end boundary
 	}
 	for _, c := range cases {
 		if got := s.Contains(c.p); got != c.want {
@@ -27,37 +27,12 @@ func TestSectorContains(t *testing.T) {
 }
 
 func TestUnboundedSector(t *testing.T) {
-	s := UnboundedSector(1, 1)
-	if !s.Contains(NewPolar(1.5, 1e12)) {
+	s := NewSector(1, 1, math.Inf(1))
+	if !s.Contains(Polar{1.5, 1e12}) {
 		t.Error("unbounded sector should contain arbitrarily distant points in its arc")
 	}
-	if s.Contains(NewPolar(4, 1)) {
+	if s.Contains(Polar{4, 1}) {
 		t.Error("unbounded sector still restricts angle")
-	}
-}
-
-func TestSectorReoriented(t *testing.T) {
-	s := NewSector(0, 1, 5)
-	r := s.Reoriented(3)
-	if r.Alpha != 3 || r.Rho != 1 || r.Range != 5 {
-		t.Errorf("Reoriented = %+v", r)
-	}
-	if s.Alpha != 0 {
-		t.Error("Reoriented must not mutate the receiver")
-	}
-}
-
-func TestSectorArea(t *testing.T) {
-	s := NewSector(0, math.Pi, 2)
-	want := 0.5 * math.Pi * 4
-	if !almostEqual(s.Area(), want, 1e-12) {
-		t.Errorf("Area = %v, want %v", s.Area(), want)
-	}
-	if !math.IsInf(UnboundedSector(0, 1).Area(), 1) {
-		t.Error("unbounded sector with positive width has infinite area")
-	}
-	if UnboundedSector(0, 0).Area() != 0 {
-		t.Error("zero-width sector has zero area")
 	}
 }
 
@@ -77,14 +52,14 @@ func TestSectorRotationInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 2000; i++ {
 		s := NewSector(rng.Float64()*TwoPi, rng.Float64()*TwoPi, 1+rng.Float64()*10)
-		p := NewPolar(rng.Float64()*TwoPi, rng.Float64()*12)
+		p := Polar{rng.Float64() * TwoPi, rng.Float64() * 12}
 		d := AngleDist(s.Alpha, p.Theta)
 		if math.Abs(d-s.Rho) < 1e-6 || d < 1e-6 || TwoPi-d < 1e-6 || math.Abs(p.R-s.Range) < 1e-6 {
 			continue
 		}
 		shift := rng.Float64() * TwoPi
-		s2 := s.Reoriented(s.Alpha + shift)
-		p2 := NewPolar(p.Theta+shift, p.R)
+		s2 := NewSector(s.Alpha+shift, s.Rho, s.Range)
+		p2 := Polar{NormAngle(p.Theta + shift), p.R}
 		if s.Contains(p) != s2.Contains(p2) {
 			t.Fatalf("rotation changed containment: %v %v shift=%v", s, p, shift)
 		}
@@ -92,7 +67,7 @@ func TestSectorRotationInvariance(t *testing.T) {
 }
 
 func TestSectorString(t *testing.T) {
-	if s := UnboundedSector(0, 1).String(); s == "" {
+	if s := NewSector(0, 1, math.Inf(1)).String(); s == "" {
 		t.Error("String should be non-empty")
 	}
 	if s := NewSector(0, 1, 2).String(); s == "" {

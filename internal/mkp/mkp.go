@@ -6,9 +6,10 @@
 // optimization is exactly this problem.
 //
 // Restricted MKP generalizes 0/1 knapsack (one bin, all eligible), so it is
-// NP-hard; the package provides the greedy successive-knapsack heuristic,
-// an LP relaxation with randomized rounding, local-search improvement, and
-// an exact branch-and-bound for small instances.
+// NP-hard; the package provides an LP relaxation with randomized rounding,
+// local-search improvement, and an exact branch-and-bound for small
+// instances. The successive-knapsack greedy lives in core.SolveGreedy, which
+// chooses each bin's orientation along with its contents.
 package mkp
 
 import (

@@ -84,46 +84,6 @@ func TestExactAgainstBruteForce(t *testing.T) {
 	}
 }
 
-func TestGreedyFeasibleAndHalfOPT(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	for trial := 0; trial < 120; trial++ {
-		n := 1 + rng.Intn(8)
-		m := 1 + rng.Intn(3)
-		p := randomProblem(rng, n, m, trial%2 == 1)
-		want := bruteForce(p)
-		res, err := GreedySuccessive(p, GreedyOptions{})
-		if err != nil {
-			t.Fatalf("Greedy: %v", err)
-		}
-		if err := p.Check(res); err != nil {
-			t.Fatalf("Greedy result infeasible: %v", err)
-		}
-		// The exact-inner-solver successive greedy is a 1/2-approximation.
-		if 2*res.Profit < want {
-			t.Fatalf("Greedy %d < OPT/2 (OPT=%d)", res.Profit, want)
-		}
-	}
-}
-
-func TestGreedyBinOrder(t *testing.T) {
-	// One high-profit item eligible everywhere; filling the small bin
-	// first (explicit order) must still yield a feasible result.
-	p := &Problem{
-		Items:      []knapsack.Item{{Weight: 10, Profit: 100}, {Weight: 2, Profit: 1}},
-		Capacities: []int64{3, 12},
-	}
-	res, err := GreedySuccessive(p, GreedyOptions{BinOrder: []int{0, 1}})
-	if err != nil {
-		t.Fatalf("Greedy: %v", err)
-	}
-	if err := p.Check(res); err != nil {
-		t.Fatalf("infeasible: %v", err)
-	}
-	if res.Profit != 101 {
-		t.Errorf("profit = %d, want 101", res.Profit)
-	}
-}
-
 func TestLPRelaxUpperBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 60; trial++ {
@@ -343,10 +303,6 @@ func TestEmptyProblem(t *testing.T) {
 	res, ok, err := Exact(p, 100)
 	if err != nil || !ok || res.Profit != 0 {
 		t.Fatalf("empty Exact: %+v ok=%v err=%v", res, ok, err)
-	}
-	g, err := GreedySuccessive(p, GreedyOptions{})
-	if err != nil || g.Profit != 0 {
-		t.Fatalf("empty Greedy: %+v err=%v", g, err)
 	}
 	bound, _, err := LPRelax(p)
 	if err != nil || bound != 0 {

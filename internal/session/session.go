@@ -10,15 +10,17 @@
 //     delta provably cannot touch — the radial pre-filter from
 //     internal/cols decides which, because sweep membership is a pure
 //     radial predicate. On localized churn most sweeps survive.
-//   - Greedy steps. For the default "greedy" solver (outside the
-//     DisjointAngles variant) the session records the per-antenna step
-//     trace of the previous solve and replays every prefix step whose
-//     inputs are provably unchanged: same antenna in the same position of
-//     the capacity order, sweep kept, capacity unchanged, and no customer
-//     whose availability may differ ("dirty") radially eligible for the
-//     antenna. Re-solved steps mark the symmetric difference of their old
-//     and new served sets dirty, so invalidation cascades exactly as far
-//     as the churn reaches and no further.
+//   - Greedy steps. The default "greedy" solver runs core's greedy loop
+//     (core.SolveGreedyHooked) with the session's cascade as its step
+//     hook. The cascade records the per-antenna step trace of each solve
+//     and replays every prefix step whose inputs are provably unchanged:
+//     same antenna in the same position of the capacity order, sweep kept,
+//     capacity unchanged, and no customer whose availability may differ
+//     ("dirty") radially eligible for the antenna. Re-solved steps mark
+//     the symmetric difference of their old and new served sets dirty, so
+//     invalidation cascades exactly as far as the churn reaches and no
+//     further. Under DisjointAngles every step is searched, since each
+//     depends on the sectors placed before it.
 //
 // Determinism contract: every registered solver is a deterministic function
 // of (instance, Options), and the warm state a session maintains is
@@ -47,8 +49,7 @@ import (
 
 // Options configures a session. Every field is consumed by the solve path:
 // Solver selects the strategy re-run after each delta, Core is handed to
-// that solver verbatim (and its Knapsack options drive the cascade's
-// best-window searches).
+// that solver verbatim.
 type Options struct {
 	// Solver is the registry name of the solver to run after every delta;
 	// empty means "greedy", the solver with the full incremental fast
@@ -73,19 +74,19 @@ type Stats struct {
 	StepsResolved int64 // greedy steps re-solved against the engine
 }
 
-// stepRec is one recorded greedy step: antenna processed (in capacity
-// order), the window it chose, and the customers it served (instance
-// indices at the time of the solve; empty means the step served nobody and
-// left the orientation untouched).
+// stepRec is one recorded greedy step: the antenna processed (in capacity
+// order) and the window it chose, its customers numbered as at the time of
+// the solve (no customers means the step served nobody and left the
+// orientation untouched).
 type stepRec struct {
-	antenna   int
-	alpha     float64
-	profit    int64
-	customers []int32
+	antenna int
+	win     angular.Window
 }
 
-// reuseInfo is what one delta changed, in the form the cascade consumes.
+// reuseInfo is the previous solve's trace plus what one delta changed, in
+// the form the cascade consumes.
 type reuseInfo struct {
+	prev       []stepRec
 	kept       []bool // sweep j survived the rebase
 	capChanged []bool // antenna j's capacity was changed by the delta
 	removed    []int  // sorted pre-delta ids of removed customers
@@ -100,7 +101,7 @@ type Session struct {
 	sol model.Solution
 
 	trace   []stepRec // greedy step trace of the last committed solve
-	traceOK bool      // trace matches (cur, opt); false after errors or non-cascade solves
+	traceOK bool      // trace matches (cur, opt); false after errors or non-greedy solves
 
 	stats Stats
 }
@@ -126,7 +127,7 @@ func New(ctx context.Context, in *model.Instance, opt Options) (*Session, error)
 	if err := s.eng.Prewarm(ctx); err != nil {
 		return nil, err
 	}
-	sol, err := s.solve(ctx, nil, nil)
+	sol, err := s.solve(ctx, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -155,9 +156,9 @@ func (s *Session) Apply(ctx context.Context, d model.Delta) (model.Solution, err
 		}
 	}
 	var ru *reuseInfo
-	var prev []stepRec
 	if s.traceOK {
 		ru = &reuseInfo{
+			prev:       s.trace,
 			kept:       kept,
 			capChanged: make([]bool, next.M()),
 			removed:    append([]int(nil), d.Remove...),
@@ -166,10 +167,9 @@ func (s *Session) Apply(ctx context.Context, d model.Delta) (model.Solution, err
 			ru.capChanged[ch.Antenna] = true
 		}
 		sort.Ints(ru.removed)
-		prev = s.trace
 	}
 	s.traceOK = false
-	sol, err := s.solve(ctx, prev, ru)
+	sol, err := s.solve(ctx, ru)
 	if err != nil {
 		return model.Solution{}, err
 	}
@@ -188,32 +188,32 @@ func (s *Session) Instance() *model.Instance { return s.cur }
 // Stats returns a snapshot of the session's reuse counters.
 func (s *Session) Stats() Stats { return s.stats }
 
-// solve dispatches one re-solve. prev/ru feed the greedy cascade and are
-// nil for fresh solves and non-cascade solvers.
-func (s *Session) solve(ctx context.Context, prev []stepRec, ru *reuseInfo) (model.Solution, error) {
+// solve dispatches one re-solve. ru feeds the greedy cascade and is nil
+// for fresh solves and after a failed one.
+func (s *Session) solve(ctx context.Context, ru *reuseInfo) (model.Solution, error) {
 	s.stats.Solves++
-	switch {
-	case s.opt.Solver == "greedy" && s.cur.Variant != model.DisjointAngles:
-		// The full incremental path. Safe-wrapped like every registry
+	switch s.opt.Solver {
+	case "greedy":
+		// The incremental path: core's greedy loop with the cascade as its
+		// step hook. It runs under core.SafeSolve like every registry
 		// solve, so a panic comes back as a typed error instead of killing
 		// the daemon's request goroutine.
-		run := core.Safe("greedy", func(ctx context.Context, in *model.Instance, _ core.Options) (model.Solution, error) {
-			return s.cascade(ctx, prev, ru)
-		})
-		return run(ctx, s.cur, s.opt.Core)
-	case s.opt.Solver == "greedy":
-		// DisjointAngles couples every step to all previously placed
-		// sectors, so steps cannot be replayed independently; the warm
-		// sweeps still carry the solve.
-		run := core.Safe("greedy", func(ctx context.Context, in *model.Instance, opt core.Options) (model.Solution, error) {
-			return core.SolveGreedyWarm(ctx, in, opt, s.eng)
-		})
-		return run(ctx, s.cur, s.opt.Core)
-	case s.opt.Solver == "localsearch":
-		run := core.Safe("localsearch", func(ctx context.Context, in *model.Instance, opt core.Options) (model.Solution, error) {
+		c := &cascade{s: s, ru: ru, trace: make([]stepRec, 0, s.cur.M()),
+			// DisjointAngles couples every step to all previously placed
+			// sectors, so no step can replay on its own.
+			aligned: ru != nil && s.cur.Variant != model.DisjointAngles}
+		sol, err := core.SafeSolve(ctx, s.cur, s.opt.Core, func(ctx context.Context, in *model.Instance, opt core.Options) (model.Solution, error) {
+			return core.SolveGreedyHooked(ctx, in, opt, s.eng, c)
+		}, "greedy")
+		if err == nil {
+			s.trace, s.traceOK = c.trace, true
+		}
+		return sol, err
+	case "localsearch":
+		// Warm sweeps survive; steps do not.
+		return core.SafeSolve(ctx, s.cur, s.opt.Core, func(ctx context.Context, in *model.Instance, opt core.Options) (model.Solution, error) {
 			return core.SolveLocalSearchWarm(ctx, in, opt, s.eng)
-		})
-		return run(ctx, s.cur, s.opt.Core)
+		}, "localsearch")
 	default:
 		fn, err := core.Get(s.opt.Solver)
 		if err != nil {
@@ -223,135 +223,96 @@ func (s *Session) solve(ctx context.Context, prev []stepRec, ru *reuseInfo) (mod
 	}
 }
 
-// cascade is the incremental greedy: the same successive best-window loop
-// as core.SolveGreedy (same capacity order, same windows, same folds — the
-// differential suite pins bit-identity), except that steps whose inputs
-// provably match the previous solve replay from the trace instead of
-// re-running their candidate evaluation.
-func (s *Session) cascade(ctx context.Context, prev []stepRec, ru *reuseInfo) (model.Solution, error) {
-	in := s.cur
-	n, m := in.N(), in.M()
-	as := model.NewAssignment(n, m)
-	sol := model.Solution{Algorithm: "greedy", Assignment: as}
-
-	order := make([]int, m)
-	for j := range order {
-		order[j] = j
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return in.Antennas[order[a]].Capacity > in.Antennas[order[b]].Capacity
-	})
-
-	active := make([]bool, n)
-	for i := range active {
-		active[i] = true
-	}
-	trace := make([]stepRec, 0, m)
-	var dirty dirtySet
-	// aligned: the prefix of the new capacity order processed so far
-	// matches the previous trace antenna-for-antenna. Once it breaks, no
-	// later step may replay (its old active-state context is gone).
-	aligned := ru != nil && prev != nil
-
-	for p, j := range order {
-		if err := ctx.Err(); err != nil {
-			return model.Solution{}, err
-		}
-		if aligned && (p >= len(prev) || prev[p].antenna != j) {
-			aligned = false
-		}
-		if aligned && ru.kept[j] && !ru.capChanged[j] &&
-			!dirty.anyEligible(in, in.Antennas[j]) {
-			if rec, ok := replay(prev[p], ru.removed, n, active); ok {
-				if len(rec.customers) > 0 {
-					as.Orientation[j] = rec.alpha
-					for _, i := range rec.customers {
-						as.Owner[i] = j
-						active[i] = false
-					}
-					sol.Profit += rec.profit
-				}
-				trace = append(trace, rec)
-				s.stats.StepsReused++
-				continue
-			}
-		}
-		win, err := s.eng.BestWindow(ctx, j, active, s.opt.Core.Knapsack)
-		if err != nil {
-			return model.Solution{}, err
-		}
-		rec := stepRec{antenna: j, alpha: win.Alpha}
-		if len(win.Customers) > 0 {
-			rec.profit = win.Profit
-			rec.customers = make([]int32, len(win.Customers))
-			as.Orientation[j] = win.Alpha
-			for t, i := range win.Customers {
-				rec.customers[t] = int32(i)
-				as.Owner[i] = j
-				active[i] = false
-			}
-			sol.Profit += win.Profit
-		}
-		if aligned {
-			// The old step served a (possibly different) set; customers in
-			// exactly one of the two sets have diverging availability from
-			// here on.
-			dirty.addSymDiff(remapSurvivors(prev[p].customers, ru.removed), rec.customers)
-		}
-		trace = append(trace, rec)
-		s.stats.StepsResolved++
-	}
-	if !s.opt.Core.SkipBound {
-		var err error
-		if sol.UpperBound, err = core.UpperBoundContext(ctx, s.eng); err != nil {
-			return model.Solution{}, err
-		}
-	}
-	s.trace = trace
-	s.traceOK = true
-	return sol, nil
+// cascade is the session's core.GreedyHook for one solve: core's greedy
+// loop runs unchanged, and a step whose inputs provably match the previous
+// solve replays its recorded window instead of re-running its candidate
+// evaluation. A step replays when it is aligned (every earlier step of the
+// capacity order processed the same antenna as in the previous trace), its
+// sweep was kept, its capacity is unchanged, and no dirty customer is
+// radially eligible for it. Every step's window is recorded as the next
+// trace.
+type cascade struct {
+	s       *Session
+	ru      *reuseInfo // nil: nothing to replay
+	aligned bool       // the capacity order so far matches ru.prev antenna-for-antenna
+	dirty   dirtySet
+	trace   []stepRec
 }
 
-// replay remaps one recorded step onto the post-delta customer numbering.
-// The reuse conditions guarantee none of its customers were removed or
-// re-priced and all are still active; ok == false reports a violation (a
-// bug elsewhere would have to cause it), in which case the caller re-solves
-// the step — degrading to correctness instead of corrupting the
+// Replay implements core.GreedyHook.
+func (c *cascade) Replay(p, j int, active []bool) (angular.Window, bool) {
+	if c.aligned && (p >= len(c.ru.prev) || c.ru.prev[p].antenna != j) {
+		// Once the order diverges, no later step may replay: its old
+		// active-state context is gone.
+		c.aligned = false
+	}
+	in := c.s.cur
+	if !c.aligned || !c.ru.kept[j] || c.ru.capChanged[j] || c.dirty.anyEligible(in, in.Antennas[j]) {
+		return angular.Window{}, false
+	}
+	win, ok := replay(c.ru.prev[p].win, c.ru.removed, active)
+	if !ok {
+		return angular.Window{}, false
+	}
+	c.trace = append(c.trace, stepRec{antenna: j, win: win})
+	c.s.stats.StepsReused++
+	return win, true
+}
+
+// Searched implements core.GreedyHook.
+func (c *cascade) Searched(p, j int, win angular.Window) {
+	if c.aligned {
+		// The old step served a (possibly different) set; customers in
+		// exactly one of the two sets have diverging availability from
+		// here on.
+		c.dirty.addSymDiff(remapSurvivors(c.ru.prev[p].win.Customers, c.ru.removed), win.Customers)
+	}
+	c.trace = append(c.trace, stepRec{antenna: j, win: win})
+	c.s.stats.StepsResolved++
+}
+
+// replay remaps one recorded window onto the post-delta customer
+// numbering. The reuse conditions guarantee none of its customers were
+// removed or re-priced and all are still active; ok == false reports a
+// violation (a bug elsewhere would have to cause it), in which case the
+// step is searched — degrading to correctness instead of corrupting the
 // assignment.
-func replay(old stepRec, removed []int, n int, active []bool) (stepRec, bool) {
-	rec := stepRec{antenna: old.antenna, alpha: old.alpha, profit: old.profit}
-	if len(old.customers) == 0 {
-		return rec, true
+func replay(old angular.Window, removed []int, active []bool) (angular.Window, bool) {
+	win := old
+	if len(old.Customers) == 0 {
+		return win, true
 	}
-	rec.customers = make([]int32, len(old.customers))
-	for t, c := range old.customers {
-		k := sort.SearchInts(removed, int(c))
-		if k < len(removed) && removed[k] == int(c) {
-			return stepRec{}, false // served customer was removed: not reusable
+	win.Customers = make([]int, len(old.Customers))
+	for t, c := range old.Customers {
+		nc, kept := remap(c, removed)
+		if !kept || nc < 0 || nc >= len(active) || !active[nc] {
+			return angular.Window{}, false
 		}
-		nc := int(c) - k
-		if nc < 0 || nc >= n || !active[nc] {
-			return stepRec{}, false
-		}
-		rec.customers[t] = int32(nc)
+		win.Customers[t] = nc
 	}
-	return rec, true
+	return win, true
 }
 
-// remapSurvivors maps pre-delta customer ids onto the post-delta numbering,
-// dropping removed ones (a removed customer exists for no downstream step,
-// so it cannot carry dirtiness).
-func remapSurvivors(ids []int32, removed []int) []int32 {
+// remap maps a pre-delta customer id onto the post-delta numbering, in
+// which each survivor's id drops by its count of removed predecessors;
+// kept is false for a removed customer.
+func remap(c int, removed []int) (nc int, kept bool) {
+	k := sort.SearchInts(removed, c)
+	return c - k, k == len(removed) || removed[k] != c
+}
+
+// remapSurvivors remaps pre-delta customer ids, dropping removed ones (a
+// removed customer exists for no downstream step, so it cannot carry
+// dirtiness).
+func remapSurvivors(ids []int, removed []int) []int {
 	if len(ids) == 0 {
 		return nil
 	}
-	out := make([]int32, 0, len(ids))
+	out := make([]int, 0, len(ids))
 	for _, c := range ids {
-		k := sort.SearchInts(removed, int(c))
-		if k < len(removed) && removed[k] == int(c) {
-			continue
+		if nc, kept := remap(c, removed); kept {
+			out = append(out, nc)
 		}
-		out = append(out, c-int32(k))
 	}
 	return out
 }
@@ -360,13 +321,13 @@ func remapSurvivors(ids []int32, removed []int) []int32 {
 // solve. Membership is deduplicated so repeated symmetric differences stay
 // linear.
 type dirtySet struct {
-	ids []int32
-	in  map[int32]bool
+	ids []int
+	in  map[int]bool
 }
 
-func (d *dirtySet) add(i int32) {
+func (d *dirtySet) add(i int) {
 	if d.in == nil {
-		d.in = make(map[int32]bool)
+		d.in = make(map[int]bool)
 	}
 	if !d.in[i] {
 		d.in[i] = true
@@ -375,8 +336,8 @@ func (d *dirtySet) add(i int32) {
 }
 
 // addSymDiff adds every customer in exactly one of the two sets.
-func (d *dirtySet) addSymDiff(old, new []int32) {
-	inOld := make(map[int32]bool, len(old))
+func (d *dirtySet) addSymDiff(old, new []int) {
+	inOld := make(map[int]bool, len(old))
 	for _, i := range old {
 		inOld[i] = true
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -33,9 +34,16 @@ func instanceJSON(t *testing.T, in *model.Instance) string {
 // churnCase picks a trace every solver accepts: disjoint-dp needs the
 // DisjointAngles variant, exact needs a tiny instance, unitflow needs unit
 // demands; everyone else gets a banded Sectors instance with localized
-// churn — the regime the incremental path is built for.
-func churnCase(solver string) gen.ChurnConfig {
-	switch solver {
+// churn — the regime the incremental path is built for. "greedy-disjoint"
+// is the greedy solver on a DisjointAngles trace, where the session's
+// greedy never replays a step.
+func churnCase(name string) gen.ChurnConfig {
+	switch name {
+	case "greedy-disjoint":
+		return gen.ChurnConfig{
+			Base:  gen.Config{Family: gen.Uniform, Seed: 17, N: 60, M: 4, Tightness: 2, Variant: model.DisjointAngles},
+			Steps: 5, Rate: 0.05, Localized: true, CapacityEvery: 2,
+		}
 	case "disjoint-dp":
 		return gen.ChurnConfig{
 			Base:  gen.Config{Family: gen.Uniform, Seed: 11, N: 12, M: 2, Variant: model.DisjointAngles},
@@ -67,13 +75,22 @@ func churnCase(solver string) gen.ChurnConfig {
 // churn trace, the session's incrementally-produced answer is bit-identical
 // to a from-scratch solve of the independently materialized instance, and
 // the session's instance state matches that materialization byte for byte.
+// Each input is a registry solver on its churnCase trace, plus greedy on a
+// DisjointAngles trace.
 func TestDifferentialChurnAllSolvers(t *testing.T) {
+	type input struct{ name, solver string }
+	var inputs []input
 	for _, name := range core.Names() {
 		if strings.HasPrefix(name, "test-") {
 			continue // solvers injected by other tests in this package tree
 		}
-		t.Run(name, func(t *testing.T) {
-			tr := gen.MustGenerateTrace(churnCase(name))
+		inputs = append(inputs, input{name, name})
+	}
+	inputs = append(inputs, input{"greedy-disjoint", "greedy"})
+	for _, in := range inputs {
+		name := in.solver
+		t.Run(in.name, func(t *testing.T) {
+			tr := gen.MustGenerateTrace(churnCase(in.name))
 			opt := Options{Solver: name, Core: core.Options{Seed: 3}}
 			solver, err := core.Get(name)
 			if err != nil {
@@ -157,6 +174,135 @@ func TestCascadeReusesWarmState(t *testing.T) {
 	}
 	if st.SweepsKept < st.SweepsDropped {
 		t.Errorf("localized churn dropped more sweeps (%d) than it kept (%d)", st.SweepsDropped, st.SweepsKept)
+	}
+}
+
+// TestCascadeReuseCountersPinned pins the exact per-delta reuse counters on
+// a fixed localized-churn trace. TestCascadeReusesWarmState only asks for
+// reuse to happen; this catches a change that replays fewer (or more) steps
+// or keeps fewer sweeps while still answering correctly.
+func TestCascadeReuseCountersPinned(t *testing.T) {
+	tr := gen.MustGenerateTrace(gen.ChurnConfig{
+		Base:          gen.Config{Family: gen.Uniform, Seed: 21, N: 2000, M: 10, Bands: 10, Tightness: 4, ProfitSpread: 0.4},
+		Steps:         6,
+		Rate:          0.01,
+		Localized:     true,
+		CapacityEvery: 3,
+	})
+	// Per delta: steps reused, steps resolved, sweeps kept, sweeps dropped.
+	// Deltas 0 and 3 also change an antenna capacity.
+	want := [][4]int64{
+		{4, 6, 8, 2},
+		{8, 2, 8, 2},
+		{8, 2, 8, 2},
+		{0, 10, 8, 2},
+		{8, 2, 8, 2},
+		{8, 2, 8, 2},
+	}
+	s, err := New(context.Background(), tr.Instance, Options{Core: core.Options{SkipBound: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := s.Stats()
+	for k, d := range tr.Deltas {
+		if _, err := s.Apply(context.Background(), d); err != nil {
+			t.Fatalf("delta %d: %v", k, err)
+		}
+		st := s.Stats()
+		got := [4]int64{st.StepsReused - prev.StepsReused, st.StepsResolved - prev.StepsResolved,
+			st.SweepsKept - prev.SweepsKept, st.SweepsDropped - prev.SweepsDropped}
+		if k < len(want) && got != want[k] {
+			t.Errorf("delta %d: reused/resolved/kept/dropped = %v, want %v", k, got, want[k])
+		}
+		prev = st
+	}
+	if len(want) != len(tr.Deltas) {
+		t.Errorf("pinned %d deltas, trace has %d", len(want), len(tr.Deltas))
+	}
+}
+
+// TestCascadeNestedRangesDifferential: antennas with nested radial ranges
+// and churn only in the outer ring. The outer antennas' sweeps drop and
+// their steps re-solve; the inner antennas' sweeps survive, and a customer
+// the outer steps now serve differently may be eligible for them. Those
+// inner steps must re-solve too (the dirty set), or the answer drifts from
+// a from-scratch solve. Banded traces never reach this case: a delta
+// drops every sweep of the band it touches.
+func TestCascadeNestedRangesDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	customer := func(rmin, rmax float64) model.Customer {
+		d := 1 + rng.Int63n(9)
+		return model.Customer{Theta: rng.Float64() * 6.28, R: rmin + rng.Float64()*(rmax-rmin), Demand: d, Profit: d + rng.Int63n(5)}
+	}
+	in := &model.Instance{Variant: model.Sectors}
+	for i := 0; i < 120; i++ {
+		in.Customers = append(in.Customers, customer(0, 10))
+	}
+	for j, r := range []float64{10, 10, 6, 6, 4, 4} {
+		in.Antennas = append(in.Antennas, model.Antenna{Rho: 1.2, Range: r, Capacity: int64(60 - 5*j)})
+	}
+	in.Normalize()
+	opt := core.Options{SkipBound: true}
+	s, err := New(context.Background(), in, Options{Core: opt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := in
+	for k := 0; k < 5; k++ {
+		var d model.Delta // three customers leave the outer ring, three arrive
+		for i, c := range cur.Customers {
+			if c.R > 9 && len(d.Remove) < 3 {
+				d.Remove = append(d.Remove, i)
+			}
+		}
+		for a := 0; a < 3; a++ {
+			d.Add = append(d.Add, customer(9.2, 10))
+		}
+		sol, err := s.Apply(context.Background(), d)
+		if err != nil {
+			t.Fatalf("delta %d: %v", k, err)
+		}
+		if cur, err = model.ApplyDelta(cur, d); err != nil {
+			t.Fatal(err)
+		}
+		want, err := core.SolveGreedy(context.Background(), cur, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, w := solutionString(sol), solutionString(want); got != w {
+			t.Fatalf("delta %d drifted from from-scratch:\n got  %s\n want %s", k, got, w)
+		}
+	}
+	if st := s.Stats(); st.StepsReused == 0 || st.SweepsKept == 0 {
+		t.Errorf("no inner sweep or step survived: %+v", st)
+	}
+}
+
+// TestDisjointGreedySessionCountsSteps: a DisjointAngles greedy session
+// replays no step (every step is coupled to the sectors placed before it),
+// so every step of every solve is searched and counted as resolved. The
+// churn trace drops every sweep (DisjointAngles antennas are unbounded), so
+// an empty and a capacity-only delta follow it: they keep every sweep, the
+// case in which only the variant stops a replay.
+func TestDisjointGreedySessionCountsSteps(t *testing.T) {
+	cfg := churnCase("greedy-disjoint")
+	tr := gen.MustGenerateTrace(cfg)
+	s, err := New(context.Background(), tr.Instance, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deltas := append(tr.Deltas, model.Delta{},
+		model.Delta{SetCapacity: []model.CapacityChange{{Antenna: 1, Capacity: 1}}})
+	for k, d := range deltas {
+		if _, err := s.Apply(context.Background(), d); err != nil {
+			t.Fatalf("delta %d: %v", k, err)
+		}
+	}
+	st := s.Stats()
+	m := int64(cfg.Base.M)
+	if st.StepsReused != 0 || st.StepsResolved != st.Solves*m {
+		t.Errorf("stats %+v, want 0 reused and %d resolved (%d solves × %d antennas)",
+			st, st.Solves*m, st.Solves, m)
 	}
 }
 
