@@ -22,7 +22,7 @@ func solutionString(sol model.Solution) string {
 		fmt.Sprintf("%.17g", sol.Assignment.Orientation), sol.Assignment.Owner)
 }
 
-func mustFingerprint(t *testing.T, in *model.Instance, opt core.Options, solver string) *Fingerprint {
+func mustFingerprint(t testing.TB, in *model.Instance, opt core.Options, solver string) *Fingerprint {
 	t.Helper()
 	fp, err := NewFingerprint(in, opt, solver)
 	if err != nil {
@@ -31,7 +31,7 @@ func mustFingerprint(t *testing.T, in *model.Instance, opt core.Options, solver 
 	return fp
 }
 
-func greedySolve(t *testing.T, in *model.Instance, opt core.Options) model.Solution {
+func greedySolve(t testing.TB, in *model.Instance, opt core.Options) model.Solution {
 	t.Helper()
 	solver, err := core.Get("greedy")
 	if err != nil {

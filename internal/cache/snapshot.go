@@ -4,17 +4,24 @@
 // and loaded entry-by-entry on restart so one corrupt frame costs one entry,
 // not the warm start.
 //
+// On disk it is faultfs's record format, shared with the session journal:
+// header magic "SPSNAP1\n", snapshot version, fingerprint version and
+// entry count, then one frame per entry holding the JSON of its key and
+// solution (snapshotEntry). A file of any other layout version is refused
+// whole, so an upgrade that bumps snapshotVersion starts cold.
+//
 // Trust model: a snapshot is a warm-start hint, not an authority. The load
 // path checks the envelope versions (snapshot layout AND fingerprint
 // version — a key computed by an older canonicalization must never alias a
 // new one), a CRC per entry frame, and structural sanity per entry (key
-// shape, owner indices in range, finite floats, non-negative profit);
-// anything that fails is skipped and counted, never restored. Semantic
-// verification is deliberately NOT done here — it needs the instance, which
-// only arrives with a request — so every restored entry is re-gated through
-// core.VerifySolution by the serving layer on its first hit, exactly like
-// any other cache entry (a failure drops the entry and solves fresh). A
-// restored solution is therefore never served unverified.
+// shape, owner indices in range, no NaN, non-negative profit and bound,
+// capped dimensions); anything that fails is skipped and counted, never
+// restored. Semantic verification is deliberately NOT done here — it needs
+// the instance, which only arrives with a request — so every restored
+// entry is re-gated through core.VerifySolution by the serving layer on its
+// first hit, exactly like any other cache entry (a failure drops the entry
+// and solves fresh). A restored solution is therefore never served
+// unverified.
 //
 // What is deliberately not persisted: hit/miss/eviction counters (they
 // describe one process's life), in-flight singleflights, and degraded
@@ -23,11 +30,11 @@ package cache
 
 import (
 	"bufio"
-	"encoding/binary"
+	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
+	"strings"
 
 	"sectorpack/internal/faultfs"
 	"sectorpack/internal/model"
@@ -36,11 +43,11 @@ import (
 // snapshotMagic identifies a sectord cache snapshot file.
 const snapshotMagic = "SPSNAP1\n"
 
-// snapshotVersion is bumped whenever the byte layout below changes.
-const snapshotVersion = 1
+// snapshotVersion is bumped whenever the layout changes.
+const snapshotVersion = 2
 
 // maxSnapshotDim bounds per-entry slice lengths at load time; anything
-// larger is a corrupt length field, not a real instance.
+// larger is nonsense, not a real instance.
 const maxSnapshotDim = 1 << 26
 
 // SnapshotReport describes one load: how many entries were restored into
@@ -51,22 +58,34 @@ type SnapshotReport struct {
 	Skipped  int64
 }
 
-// entrySnap is one entry in snapshot order.
-type entrySnap struct {
-	key string
-	sol model.Solution
+// snapshotEntry is one entry's frame payload: its key and the parts of its
+// canonical solution a cache hit serves.
+type snapshotEntry struct {
+	Key         string    `json:"key"`
+	Algorithm   string    `json:"algorithm"`
+	Profit      int64     `json:"profit"`
+	UpperBound  float64   `json:"upper_bound"`
+	Orientation []float64 `json:"orientation"`
+	Owner       []int     `json:"owner"`
 }
 
 // snapshotEntries copies the live entries in LRU→MRU order, so restoring
 // them in file order with putLocked (which pushes to the front) rebuilds
 // the same recency order.
-func (c *Cache) snapshotEntries() []entrySnap {
+func (c *Cache) snapshotEntries() []snapshotEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]entrySnap, 0, c.ll.Len())
+	out := make([]snapshotEntry, 0, c.ll.Len())
 	for e := c.ll.Back(); e != nil; e = e.Prev() {
 		ent := e.Value.(*entry)
-		out = append(out, entrySnap{key: ent.key, sol: ent.sol})
+		out = append(out, snapshotEntry{
+			Key:         ent.key,
+			Algorithm:   ent.sol.Algorithm,
+			Profit:      ent.sol.Profit,
+			UpperBound:  ent.sol.UpperBound,
+			Orientation: ent.sol.Assignment.Orientation,
+			Owner:       ent.sol.Assignment.Owner,
+		})
 	}
 	return out
 }
@@ -78,32 +97,17 @@ func (c *Cache) snapshotEntries() []entrySnap {
 func (c *Cache) WriteSnapshot(w io.Writer) (int, error) {
 	entries := c.snapshotEntries()
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(snapshotMagic); err != nil {
+	if _, err := bw.Write(faultfs.AppendHeader(nil, snapshotMagic, snapshotVersion, fingerprintVersion, uint64(len(entries)))); err != nil {
 		return 0, err
 	}
-	var buf [8]byte
-	u64 := func(v uint64) error {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		_, err := bw.Write(buf[:])
-		return err
-	}
-	if err := u64(snapshotVersion); err != nil {
-		return 0, err
-	}
-	if err := u64(fingerprintVersion); err != nil {
-		return 0, err
-	}
-	if err := u64(uint64(len(entries))); err != nil {
-		return 0, err
-	}
+	var frame []byte
 	for _, e := range entries {
-		payload := encodeSnapshotEntry(e.key, e.sol)
-		binary.LittleEndian.PutUint32(buf[:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-		if _, err := bw.Write(buf[:8]); err != nil {
-			return 0, err
+		payload, err := json.Marshal(e)
+		if err != nil {
+			return 0, fmt.Errorf("snapshot entry %s: %w", e.Key, err)
 		}
-		if _, err := bw.Write(payload); err != nil {
+		frame = faultfs.AppendFrame(frame[:0], payload)
+		if _, err := bw.Write(frame); err != nil {
 			return 0, err
 		}
 	}
@@ -118,224 +122,81 @@ func (c *Cache) WriteSnapshot(w io.Writer) (int, error) {
 // any error the previous snapshot at path is untouched.
 func (c *Cache) SaveSnapshot(fsys faultfs.FS, path string) (int, error) {
 	var n int
-	err := faultfs.WriteFileAtomic(fsys, path, func(w io.Writer) error {
-		var werr error
-		n, werr = c.WriteSnapshot(w)
-		return werr
+	err := faultfs.WriteFileAtomic(fsys, path, func(w io.Writer) (err error) {
+		n, err = c.WriteSnapshot(w)
+		return err
 	})
-	if err != nil {
-		return 0, err
-	}
-	return n, nil
+	return n, err
 }
 
-// encodeSnapshotEntry renders one entry's frame payload: every field
-// length-prefixed or fixed-width, little-endian, floats as IEEE-754 bits.
-func encodeSnapshotEntry(key string, sol model.Solution) []byte {
-	m, n := len(sol.Assignment.Orientation), len(sol.Assignment.Owner)
-	size := 4 + len(key) + 4 + len(sol.Algorithm) + 8 + 8 + 4 + 8*m + 4 + 8*n
-	b := make([]byte, 0, size)
-	str := func(s string) {
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
-		b = append(b, s...)
+// checkSnapshotEntry is the structural gate every restored entry passes.
+func checkSnapshotEntry(e *snapshotEntry) error {
+	m := len(e.Orientation)
+	switch {
+	case len(e.Key) != 64 || strings.Trim(e.Key, "0123456789abcdef") != "":
+		return fmt.Errorf("key %q is not a hex fingerprint", e.Key)
+	case e.Profit < 0 || math.IsNaN(e.UpperBound) || e.UpperBound < 0:
+		return fmt.Errorf("invalid profit %d or upper bound %v", e.Profit, e.UpperBound)
+	case m > maxSnapshotDim || len(e.Owner) > maxSnapshotDim:
+		return fmt.Errorf("dimensions %d×%d beyond sanity cap", m, len(e.Owner))
 	}
-	str(key)
-	str(sol.Algorithm)
-	b = binary.LittleEndian.AppendUint64(b, uint64(sol.Profit))
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(sol.UpperBound))
-	b = binary.LittleEndian.AppendUint32(b, uint32(m))
-	for _, a := range sol.Assignment.Orientation {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(a))
-	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(n))
-	for _, o := range sol.Assignment.Owner {
-		b = binary.LittleEndian.AppendUint64(b, uint64(int64(o)))
-	}
-	return b
-}
-
-// decodeSnapshotEntry parses and structurally validates one frame payload.
-func decodeSnapshotEntry(b []byte) (string, model.Solution, error) {
-	var sol model.Solution
-	str := func() (string, error) {
-		if len(b) < 4 {
-			return "", fmt.Errorf("truncated length")
-		}
-		n := binary.LittleEndian.Uint32(b)
-		b = b[4:]
-		if n > uint32(len(b)) {
-			return "", fmt.Errorf("string length %d beyond payload", n)
-		}
-		s := string(b[:n])
-		b = b[n:]
-		return s, nil
-	}
-	u64 := func() (uint64, error) {
-		if len(b) < 8 {
-			return 0, fmt.Errorf("truncated u64")
-		}
-		v := binary.LittleEndian.Uint64(b)
-		b = b[8:]
-		return v, nil
-	}
-	u32 := func() (uint32, error) {
-		if len(b) < 4 {
-			return 0, fmt.Errorf("truncated u32")
-		}
-		v := binary.LittleEndian.Uint32(b)
-		b = b[4:]
-		return v, nil
-	}
-	key, err := str()
-	if err != nil {
-		return "", sol, fmt.Errorf("key: %w", err)
-	}
-	if len(key) != 64 || !isHex(key) {
-		return "", sol, fmt.Errorf("key %q is not a hex fingerprint", key)
-	}
-	if sol.Algorithm, err = str(); err != nil {
-		return "", sol, fmt.Errorf("algorithm: %w", err)
-	}
-	profit, err := u64()
-	if err != nil {
-		return "", sol, err
-	}
-	sol.Profit = int64(profit)
-	if sol.Profit < 0 {
-		return "", sol, fmt.Errorf("negative profit %d", sol.Profit)
-	}
-	ubBits, err := u64()
-	if err != nil {
-		return "", sol, err
-	}
-	sol.UpperBound = math.Float64frombits(ubBits)
-	if math.IsNaN(sol.UpperBound) || sol.UpperBound < 0 {
-		return "", sol, fmt.Errorf("invalid upper bound %v", sol.UpperBound)
-	}
-	m, err := u32()
-	if err != nil {
-		return "", sol, err
-	}
-	if m > maxSnapshotDim {
-		return "", sol, fmt.Errorf("orientation length %d beyond sanity cap", m)
-	}
-	as := &model.Assignment{Orientation: make([]float64, m)}
-	for j := range as.Orientation {
-		bits, err := u64()
-		if err != nil {
-			return "", sol, fmt.Errorf("orientation[%d]: %w", j, err)
-		}
-		as.Orientation[j] = math.Float64frombits(bits)
-		if math.IsNaN(as.Orientation[j]) {
-			return "", sol, fmt.Errorf("orientation[%d] is NaN", j)
+	for j, a := range e.Orientation {
+		if math.IsNaN(a) {
+			return fmt.Errorf("orientation[%d] is NaN", j)
 		}
 	}
-	n, err := u32()
-	if err != nil {
-		return "", sol, err
-	}
-	if n > maxSnapshotDim {
-		return "", sol, fmt.Errorf("owner length %d beyond sanity cap", n)
-	}
-	as.Owner = make([]int, n)
-	for i := range as.Owner {
-		v, err := u64()
-		if err != nil {
-			return "", sol, fmt.Errorf("owner[%d]: %w", i, err)
-		}
-		o := int64(v)
-		if o != int64(model.Unassigned) && (o < 0 || o >= int64(m)) {
-			return "", sol, fmt.Errorf("owner[%d] = %d out of range [0,%d)", i, o, m)
-		}
-		as.Owner[i] = int(o)
-	}
-	if len(b) != 0 {
-		return "", sol, fmt.Errorf("%d trailing bytes in entry", len(b))
-	}
-	sol.Assignment = as
-	return key, sol, nil
-}
-
-func isHex(s string) bool {
-	for _, c := range s {
-		if !('0' <= c && c <= '9' || 'a' <= c && c <= 'f') {
-			return false
+	for i, o := range e.Owner {
+		if o != model.Unassigned && (o < 0 || o >= m) {
+			return fmt.Errorf("owner[%d] = %d out of range [0,%d)", i, o, m)
 		}
 	}
-	return true
+	return nil
 }
 
 // ReadSnapshot restores entries from r into the cache. The envelope (magic
 // and both versions) must match exactly — a stale snapshot from an older
 // layout or fingerprint scheme is rejected whole, because its keys could
-// silently alias different solves. Per-entry failures (bad CRC, torn frame,
-// structural nonsense) skip that entry and are counted in the report; a
-// torn tail additionally counts every entry the header promised but the
-// file no longer holds.
+// silently alias different solves. Per-entry failures (bad CRC, structural
+// nonsense) skip that entry and are counted in the report; a torn frame
+// ends the load and counts every entry the header promised but the file
+// no longer holds.
 func (c *Cache) ReadSnapshot(r io.Reader) (SnapshotReport, error) {
 	var rep SnapshotReport
 	br := bufio.NewReader(r)
-	magic := make([]byte, len(snapshotMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return rep, fmt.Errorf("snapshot header: %w", err)
-	}
-	if string(magic) != snapshotMagic {
-		return rep, fmt.Errorf("not a cache snapshot (bad magic %q)", magic)
-	}
-	var buf [8]byte
-	u64 := func() (uint64, error) {
-		if _, err := io.ReadFull(br, buf[:8]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(buf[:8]), nil
-	}
-	ver, err := u64()
+	h, err := faultfs.ReadHeader(br, snapshotMagic, 3)
 	if err != nil {
-		return rep, fmt.Errorf("snapshot header: %w", err)
+		return rep, fmt.Errorf("not a cache snapshot: %w", err)
 	}
+	ver, fpv, count := h[0], h[1], h[2]
 	if ver != snapshotVersion {
 		return rep, fmt.Errorf("unsupported snapshot version %d (want %d)", ver, snapshotVersion)
-	}
-	fpv, err := u64()
-	if err != nil {
-		return rep, fmt.Errorf("snapshot header: %w", err)
 	}
 	if fpv != fingerprintVersion {
 		return rep, fmt.Errorf("snapshot fingerprint version %d does not match this build's %d; keys would alias different solves", fpv, fingerprintVersion)
 	}
-	count, err := u64()
-	if err != nil {
-		return rep, fmt.Errorf("snapshot header: %w", err)
+	if count > math.MaxInt64 {
+		return rep, fmt.Errorf("snapshot entry count %d is implausible", count)
 	}
 	for k := uint64(0); k < count; k++ {
-		if _, err := io.ReadFull(br, buf[:8]); err != nil {
+		payload, intact, err := faultfs.ReadFrame(br)
+		if err != nil {
 			// Torn tail: every remaining promised entry is lost.
 			rep.Skipped += int64(count - k)
 			break
 		}
-		plen := binary.LittleEndian.Uint32(buf[:4])
-		sum := binary.LittleEndian.Uint32(buf[4:8])
-		if plen > 16*maxSnapshotDim {
-			rep.Skipped += int64(count - k)
-			break // a corrupt length desynchronizes framing; stop here
-		}
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			rep.Skipped += int64(count - k)
-			break
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			// The frame boundary is still trustworthy (we read exactly plen
-			// bytes), so a bit-rotted entry costs itself, not the rest.
+		var e snapshotEntry
+		// A bit-rotted frame was still read whole, so it costs itself, not
+		// the rest.
+		if !intact || json.Unmarshal(payload, &e) != nil || checkSnapshotEntry(&e) != nil {
 			rep.Skipped++
 			continue
 		}
-		key, sol, err := decodeSnapshotEntry(payload)
-		if err != nil {
-			rep.Skipped++
-			continue
-		}
-		c.restore(key, sol)
+		c.restore(e.Key, model.Solution{
+			Algorithm:  e.Algorithm,
+			Profit:     e.Profit,
+			UpperBound: e.UpperBound,
+			Assignment: &model.Assignment{Orientation: e.Orientation, Owner: e.Owner},
+		})
 		rep.Restored++
 	}
 	return rep, nil

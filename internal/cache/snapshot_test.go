@@ -15,7 +15,7 @@ import (
 
 // populate solves and caches count distinct instances, returning their
 // fingerprints and expected solutions.
-func populate(t *testing.T, c *Cache, count int) ([]*Fingerprint, []model.Solution) {
+func populate(t testing.TB, c *Cache, count int) ([]*Fingerprint, []model.Solution) {
 	t.Helper()
 	fps := make([]*Fingerprint, count)
 	sols := make([]model.Solution, count)
@@ -321,4 +321,43 @@ func TestSnapshotFaultCleanup(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzReadSnapshot feeds the loader arbitrary bytes, seeded with a fresh
+// snapshot, a torn one and one with a CRC-flipped entry. The loader must
+// never panic, every entry it restores must pass the structural gate, and
+// a load that accepts the header never reports more restored plus skipped
+// entries than the header promised.
+func FuzzReadSnapshot(f *testing.F) {
+	c := New(0)
+	populate(f, c, 3)
+	var buf bytes.Buffer
+	if _, err := c.WriteSnapshot(&buf); err != nil {
+		f.Fatal(err)
+	}
+	fresh := buf.Bytes()
+	f.Add(fresh)
+	f.Add(fresh[:len(fresh)-10])
+	flipped := append([]byte(nil), fresh...)
+	flipped[len(snapshotMagic)+24+12] ^= 0x01
+	f.Add(flipped)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := New(0)
+		rep, err := c.ReadSnapshot(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		h, herr := faultfs.ReadHeader(bytes.NewReader(data), snapshotMagic, 3)
+		if herr != nil {
+			t.Fatalf("load accepted a header ReadHeader rejects: %v", herr)
+		}
+		if rep.Restored < 0 || rep.Skipped < 0 || uint64(rep.Restored)+uint64(rep.Skipped) > h[2] {
+			t.Fatalf("report %+v against a header count of %d", rep, h[2])
+		}
+		for _, e := range c.snapshotEntries() {
+			if err := checkSnapshotEntry(&e); err != nil {
+				t.Fatalf("restored entry fails the structural gate: %v", err)
+			}
+		}
+	})
 }

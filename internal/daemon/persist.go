@@ -10,17 +10,20 @@
 // so a stale or tampered snapshot can cost a cache miss, never a wrong
 // answer.
 //
-// Sessions journal their life to an append-only WAL (Config.JournalDir, one
-// <id>.journal per session): the create record, then every state-advancing
-// delta. Restore replays surviving journals through the same session.New /
-// Apply path the live requests used; by the session package's determinism
-// contract the rebuilt session is bit-identical to the one that died. A
-// journal with a torn tail is truncated to its last good frame (the torn
-// suffix was never acknowledged); a journal whose create record is
-// unreadable, whose replay fails, or whose replayed solution fails the
-// verification gate is counted in sectord.sessions.recover_failed and left
-// on disk for inspection — the session then cleanly does not exist, and the
-// client's POST /session retry builds a fresh one.
+// Sessions journal themselves (internal/session) to an append-only WAL, one
+// <id>.journal per session in Config.JournalDir: the create record, then
+// every delta that advanced the instance, whether or not its re-solve
+// succeeded. Both files share faultfs's header-and-frame record format.
+// This file owns the directory: it names each journal after its session,
+// and Restore hands every surviving one to session.Recover, which replays
+// it through the same steps the live requests ran; by the session
+// package's determinism contract the rebuilt session is bit-identical to
+// the one that died. A journal with a torn tail is truncated to its last
+// good frame (the torn suffix was never acknowledged); a journal whose
+// create record is unreadable or whose replay cannot be rebuilt is counted
+// in sectord.sessions.recover_failed and left on disk for inspection — the
+// session then cleanly does not exist, and the client's POST /session retry
+// builds a fresh one.
 //
 // Recovery semantics for clients: a session ID stays valid across a restart
 // exactly when its journal recovered. Deltas may carry an idempotency_key;
@@ -40,7 +43,6 @@ import (
 	"sync"
 	"time"
 
-	"sectorpack/internal/core"
 	"sectorpack/internal/session"
 )
 
@@ -54,14 +56,12 @@ const journalExt = ".journal"
 func (s *Server) snapshotEnabled() bool { return s.cache != nil && s.cfg.SnapshotPath != "" }
 func (s *Server) journalEnabled() bool  { return s.cfg.JournalDir != "" }
 
-func (s *Server) journalSyncEvery() int {
-	if s.cfg.JournalSyncEvery > 1 {
-		return s.cfg.JournalSyncEvery
-	}
-	return 1
-}
-
+// journalPath names session id's journal file, or returns "" when
+// journaling is disabled (session.Create then keeps no journal).
 func (s *Server) journalPath(id string) string {
+	if !s.journalEnabled() {
+		return ""
+	}
 	return filepath.Join(s.cfg.JournalDir, id+journalExt)
 }
 
@@ -124,25 +124,11 @@ func (s *Server) recoverSessions(ctx context.Context) {
 }
 
 func (s *Server) recoverSession(ctx context.Context, id string) error {
-	path := s.journalPath(id)
-	rec, err := session.ReadJournal(s.fsys, path)
+	sess, err := session.Recover(ctx, s.fsys, s.journalPath(id), s.cfg.JournalSyncEvery)
 	if err != nil {
 		return err
 	}
-	sess, err := rec.Replay(ctx)
-	if err != nil {
-		return err
-	}
-	// The same gate every live session answer passes: a replayed session
-	// whose solution is infeasible must not serve.
-	if err := core.VerifySolution(rec.Solver, sess.Instance(), sess.Solution()); err != nil {
-		return err
-	}
-	j, err := session.OpenAppend(s.fsys, path, s.journalSyncEvery())
-	if err != nil {
-		return err
-	}
-	e := &sessionEntry{sess: sess, solver: rec.Solver, journal: j, lastIdemKey: rec.LastIdemKey(), lastOK: true}
+	e := &sessionEntry{sess: sess, solver: sess.Solver()}
 	e.touch()
 	// Publish the replayed stats before the entry becomes visible, so the
 	// store-wide sums see the recovered session immediately.
@@ -152,7 +138,7 @@ func (s *Server) recoverSession(ctx context.Context, id string) error {
 		// Over the live-session cap. The journal stays on disk: a later
 		// restart with free capacity can still recover it, and the client's
 		// next delta gets a clean 404 rather than a corrupt session.
-		return errors.Join(errors.New("session table full"), j.Close())
+		return errors.Join(errors.New("session table full"), sess.Close())
 	}
 	return nil
 }
@@ -191,11 +177,9 @@ func (s *Server) syncJournals() {
 	s.sessions.mu.Unlock()
 	for _, e := range live {
 		e.mu.Lock()
-		if e.journal != nil {
-			if err := e.journal.Sync(); err != nil {
-				s.journalFailures.Add(1)
-				s.logger.Warn("journal sync failed at flush", slog.String("error", err.Error()))
-			}
+		if err := e.sess.Sync(); err != nil {
+			s.journalFailures.Add(1)
+			s.logger.Warn("journal sync failed at flush", slog.String("error", err.Error()))
 		}
 		e.mu.Unlock()
 	}

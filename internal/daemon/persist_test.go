@@ -3,9 +3,9 @@ package daemon
 import (
 	"context"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"log/slog"
 	"net"
@@ -290,23 +290,30 @@ func TestRestoredSnapshotEntryIsRegated(t *testing.T) {
 	a.FlushState()
 	tsA.Close()
 
-	// Tamper: profit sits after the length-prefixed key (64 hex chars) and
-	// algorithm string in the first entry's payload. Recompute the CRC so
-	// only the semantic gate can catch it.
+	// Tamper: bump the profit in the first entry's JSON payload and re-frame
+	// it with a fresh CRC, so only the semantic gate can catch it.
 	snap, err := os.ReadFile(cfg.SnapshotPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	frame := len(snapshotHeader(t, snap)) // magic + 3×u64
 	plen := binary.LittleEndian.Uint32(snap[frame:])
-	payload := snap[frame+8 : frame+8+int(plen)]
-	keyLen := binary.LittleEndian.Uint32(payload)
-	algLen := binary.LittleEndian.Uint32(payload[4+keyLen:])
-	profitOff := 4 + int(keyLen) + 4 + int(algLen)
-	profit := binary.LittleEndian.Uint64(payload[profitOff:])
-	binary.LittleEndian.PutUint64(payload[profitOff:], profit+1)
-	binary.LittleEndian.PutUint32(snap[frame+4:], crc32.ChecksumIEEE(payload))
-	if err := os.WriteFile(cfg.SnapshotPath, snap, 0o644); err != nil {
+	var entry map[string]json.RawMessage
+	if err := json.Unmarshal(snap[frame+8:frame+8+int(plen)], &entry); err != nil {
+		t.Fatal(err)
+	}
+	var profit int64
+	if err := json.Unmarshal(entry["profit"], &profit); err != nil {
+		t.Fatal(err)
+	}
+	entry["profit"] = json.RawMessage(fmt.Sprint(profit + 1))
+	payload, err := json.Marshal(entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tampered := faultfs.AppendFrame(append([]byte(nil), snap[:frame]...), payload)
+	tampered = append(tampered, snap[frame+8+int(plen):]...)
+	if err := os.WriteFile(cfg.SnapshotPath, tampered, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -512,5 +519,144 @@ func TestDaemonCrashMatrix(t *testing.T) {
 				t.Fatalf("crash at op %d: restarted daemon cannot solve: %d %s", k, resp.StatusCode, raw)
 			}
 		})
+	}
+}
+
+// TestIdempotentRetryOfFailedSolveSurvivesRestart: a delta the instance
+// accepts but whose re-solve fails with a plain solver error (exact over
+// its customer limit) still advanced the session. Its key must stick — a
+// same-key retry is answered from current state, never applied again —
+// and its journal record too, so a restart recovers a session that
+// answers exactly like the live one.
+func TestIdempotentRetryOfFailedSolveSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	client := &http.Client{}
+	base := gen.MustGenerate(gen.Config{Family: gen.Uniform, Seed: 5, N: 20, M: 1})
+	grow := model.Delta{}
+	for k := 0; k < 6; k++ {
+		grow.Add = append(grow.Add, model.Customer{Theta: 0.3 * float64(k), R: 1, Demand: 1})
+	}
+	shrink := model.Delta{Remove: []int{0, 1, 2, 3}}
+	if n := base.N() + len(grow.Add); n <= 24 {
+		t.Fatalf("setup: %d customers stays inside exact's limit", n)
+	}
+
+	a := NewServer(durableConfig(dir))
+	if err := a.Restore(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	tsA := httptest.NewServer(a.Handler())
+	resp, raw := doJSON(t, client, http.MethodPost, tsA.URL+"/session", sessionCreateBody(t, "exact", base, 1))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("create: %d %s", resp.StatusCode, raw)
+	}
+	id := decodeSessResp(t, raw).SessionID
+	delta := func(base string, d model.Delta, key string) (*http.Response, []byte) {
+		return doJSON(t, client, http.MethodPost, base+"/session/"+id+"/delta", deltaBodyWithKey(t, d, key))
+	}
+
+	for try := 0; try < 2; try++ {
+		if resp, raw := delta(tsA.URL, grow, "grow"); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("grow (try %d): %d %s, want exact's 400", try, resp.StatusCode, raw)
+		}
+	}
+	if got := a.idemReplays.Value(); got != 1 {
+		t.Fatalf("idem_replays = %d after one same-key retry, want 1", got)
+	}
+	// Only a session that took the grow delta exactly once is back inside
+	// exact's limit after the shrink.
+	resp, raw = delta(tsA.URL, shrink, "shrink")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("shrink: %d %s", resp.StatusCode, raw)
+	}
+	live := decodeSessResp(t, raw)
+	if live.Stats.Deltas != 2 {
+		t.Fatalf("live session counts %d deltas, want 2", live.Stats.Deltas)
+	}
+	mat := base
+	for _, d := range []model.Delta{grow, shrink} {
+		next, err := model.ApplyDelta(mat, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mat = next
+	}
+	solver, err := core.Get("exact")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := solver(context.Background(), mat, core.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	liveKey := solKey(live.Profit, live.Orientation, live.Owner)
+	if wantKey := solKey(want.Profit, want.Assignment.Orientation, want.Assignment.Owner); liveKey != wantKey {
+		t.Fatalf("live answer drifted from the from-scratch solve:\n got  %s\n want %s", liveKey, wantKey)
+	}
+	a.FlushState()
+	tsA.Close()
+
+	b := NewServer(durableConfig(dir))
+	if err := b.Restore(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got, failed := b.sessRecovered.Value(), b.sessRecoverFailed.Value(); got != 1 || failed != 0 {
+		t.Fatalf("recovered %d sessions (%d failed), want 1 (0)", got, failed)
+	}
+	tsB := httptest.NewServer(b.Handler())
+	defer tsB.Close()
+	resp, raw = delta(tsB.URL, shrink, "shrink")
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(idempotentHeader) != "replay" {
+		t.Fatalf("post-restart retry: %d (idempotent %q) %s, want a 200 replay",
+			resp.StatusCode, resp.Header.Get(idempotentHeader), raw)
+	}
+	recovered := decodeSessResp(t, raw)
+	if got := solKey(recovered.Profit, recovered.Orientation, recovered.Owner); got != liveKey || recovered.Stats.Deltas != 2 {
+		t.Fatalf("recovered session answers %s with %d deltas, live answered %s with 2",
+			got, recovered.Stats.Deltas, liveKey)
+	}
+}
+
+// parentSnapshotHex is a version-1 snapshot, captured from the daemon
+// before snapshot payloads became JSON: one cache entry, the seed-1 greedy
+// solve of sectorsInstance, in the old binary entry layout.
+const parentSnapshotHex = "5350534e4150310a01000000000000000200000000000000010000000000000" +
+	"09e0000001f62e87a400000003466346461653434646139373361343933646532616133643162303130" +
+	"62323934333264643830616563316264366630306432346263333332353065666634610600000067726" +
+	"565647903000000000000000000000000001440020000009a9999999999b93f9a9999999999b93f0500" +
+	"0000000000000000000000000000000000000100000000000000ffffffffffffffffffffffffffffffff"
+
+// TestSnapshotParentFormatRefused pins the version bump: a snapshot the
+// previous layout wrote is refused whole (one load failure, nothing
+// restored or skipped), and the daemon starts cold — the entry it held is
+// solved afresh, not served.
+func TestSnapshotParentFormatRefused(t *testing.T) {
+	cfg := durableConfig(t.TempDir())
+	cfg.JournalDir = ""
+	snap, err := hex.DecodeString(parentSnapshotHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cfg.SnapshotPath, snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(cfg)
+	if err := srv.Restore(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.snapLoadFailures.Value(); got != 1 {
+		t.Fatalf("snapshot load failures = %d, want 1", got)
+	}
+	if st := srv.cache.Stats(); st.Restored != 0 || st.Entries != 0 || srv.snapLoadSkipped.Value() != 0 {
+		t.Fatalf("parent snapshot partly loaded: %+v, %d skipped", st, srv.snapLoadSkipped.Value())
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, raw := postSolve(t, &http.Client{}, ts.URL, solveBody(t, "greedy", sectorsInstance(), map[string]any{"seed": int64(1)}))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("solve: %d %s", resp.StatusCode, raw)
+	}
+	if h := resp.Header.Get(cacheHeader); h != "miss" {
+		t.Fatalf("cache header %q on a cold start, want miss", h)
 	}
 }

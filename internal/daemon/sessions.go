@@ -2,9 +2,12 @@
 // (POST /session), stream deltas into it (POST /session/{id}/delta) and get
 // each incremental re-solve back, then close it (DELETE /session/{id}).
 // Sessions wrap internal/session — the warm-state reuse and its
-// bit-identity-to-from-scratch contract live there; this file is the HTTP
-// plumbing: a mutex-mapped store, per-session locking (a session.Session is
-// not concurrent-safe), lazy idle eviction, and counters.
+// bit-identity-to-from-scratch contract live there, and so do each
+// session's journal, its idempotency keys and the verification of its
+// answers (session.Create, Session.Deliver, session.Recover). This file is
+// the HTTP plumbing: a mutex-mapped store, per-session locking (a
+// session.Session is not concurrent-safe), lazy idle eviction, the journal
+// directory's file names, and counters.
 //
 // Session solves NEVER touch the fingerprint solve cache. A fingerprint
 // names a one-shot (instance, options, solver) triple; a session's identity
@@ -16,6 +19,7 @@ package daemon
 
 import (
 	"encoding/json"
+	"errors"
 	"expvar"
 	"fmt"
 	"io"
@@ -25,7 +29,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sectorpack/internal/core"
 	"sectorpack/internal/model"
 	"sectorpack/internal/session"
 )
@@ -38,27 +41,17 @@ const DefaultSessionMax = 64
 const DefaultSessionTTL = 15 * time.Minute
 
 // sessionEntry is one live session plus its lock. session.Session is not
-// safe for concurrent use; every Apply/read happens under mu. lastNanos is
-// atomic so the eviction sweep can read idleness without the lock.
-//
-// journal (nil when journaling is disabled) is this session's WAL; appends
-// happen under mu, in the same critical section as the Apply they record.
-// lastIdemKey/lastOK implement delta idempotency: a delta re-sent with the
-// key of the last applied one is answered from current state, not applied
-// twice (lastOK distinguishes "applied and solved" from "applied but the
-// solve failed", which a retry must re-solve).
+// safe for concurrent use; every Deliver/read happens under mu. lastNanos
+// is atomic so the eviction sweep can read idleness without the lock.
 type sessionEntry struct {
-	mu          sync.Mutex
-	sess        *session.Session // guarded by mu
-	solver      string           // immutable after creation
-	journal     *session.Journal // guarded by mu
-	lastIdemKey string           // guarded by mu
-	lastOK      bool             // guarded by mu
-	lastNanos   atomic.Int64
+	mu        sync.Mutex
+	sess      *session.Session // guarded by mu
+	solver    string           // immutable after creation
+	lastNanos atomic.Int64
 
 	// statsSnap is the Stats reading published by the most recent
 	// snapshotStats call. It lets the store-wide sums (remove, totals) read
-	// a session's counters without taking mu — an in-flight Apply can hold
+	// a session's counters without taking mu — an in-flight Deliver can hold
 	// mu for a whole solve, and /debug/vars must not block behind it.
 	statsSnap atomic.Pointer[session.Stats]
 }
@@ -93,12 +86,11 @@ type sessionStore struct {
 	retired session.Stats            // guarded by mu
 }
 
-// evictIdle removes every session idle longer than ttl. A session whose
-// lock is held is mid-request and is skipped — it will be swept once idle
-// again. A journal that cannot be removed is reported through onJournalErr
-// (never nil'd away silently: the file would resurrect the session at the
-// next restart). Returns the number evicted.
-func (st *sessionStore) evictIdle(ttl time.Duration, onJournalErr func(id string, err error)) int {
+// evictIdle removes every session idle longer than ttl, handing each to
+// discard (under its lock) so its journal goes too. A session whose lock is
+// held is mid-request and is skipped — it will be swept once idle again.
+// Returns the number evicted.
+func (st *sessionStore) evictIdle(ttl time.Duration, discard func(id string, sess *session.Session)) int {
 	now := time.Now()
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -111,13 +103,7 @@ func (st *sessionStore) evictIdle(ttl time.Duration, onJournalErr func(id string
 			continue // in flight right now; not idle
 		}
 		st.retired = addStats(st.retired, e.sess.Stats())
-		if e.journal != nil {
-			// An evicted session is gone for good; its journal must not
-			// resurrect it at the next restart.
-			if err := e.journal.Remove(); err != nil && onJournalErr != nil {
-				onJournalErr(id, err)
-			}
-		}
+		discard(id, e.sess)
 		e.mu.Unlock()
 		delete(st.m, id)
 		evicted++
@@ -128,7 +114,7 @@ func (st *sessionStore) evictIdle(ttl time.Duration, onJournalErr func(id string
 // remove deletes id, folding its last published stats snapshot into the
 // retired accumulator. It reads the snapshot, not the live session — sess
 // is guarded by e.mu, which remove does not (and must not) take: an
-// in-flight Apply can hold it for a whole solve.
+// in-flight Deliver can hold it for a whole solve.
 func (st *sessionStore) remove(id string) (*sessionEntry, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -161,7 +147,7 @@ func (st *sessionStore) put(id string, e *sessionEntry, max int) bool {
 
 // totals returns the store-wide Stats sums: retired sessions plus the
 // published snapshot of every live one. Reading snapshots instead of the
-// live sessions keeps totals lock-free per entry (an in-flight Apply would
+// live sessions keeps totals lock-free per entry (an in-flight Deliver would
 // otherwise block the /debug/vars render) and race-free — sess is guarded
 // by each entry's mu.
 func (st *sessionStore) totals() session.Stats {
@@ -195,12 +181,12 @@ func addStats(a, b session.Stats) session.Stats {
 // every previously applied delta).
 //
 // IdempotencyKey makes the request safe to retry: if it equals the key of
-// the delta most recently applied to this session, the request is answered
-// from the session's current state instead of applying the delta a second
-// time (the X-Sectord-Idempotent: replay header marks such answers). Retry
-// loops — including ones that straddle a daemon restart, since recovery
-// restores the last journaled key — should send a fresh unique key per
-// logical delta.
+// the delta that last advanced this session (even one whose solve failed),
+// the request is answered from the session's current state instead of
+// applying the delta a second time (the X-Sectord-Idempotent: replay header
+// marks such answers; Session.Deliver decides). Retry loops — including
+// ones that straddle a daemon restart, since recovery restores the last
+// journaled key — should send a fresh unique key per logical delta.
 type sessionDeltaRequest struct {
 	TimeoutMillis  int64       `json:"timeout_ms,omitempty"`
 	FormatVersion  int         `json:"format_version"`
@@ -212,32 +198,11 @@ type sessionDeltaRequest struct {
 // state because its idempotency key matched the last applied delta.
 const idempotentHeader = "X-Sectord-Idempotent"
 
-// sessionStats is the wire form of session.Stats.
-type sessionStats struct {
-	Solves        int64 `json:"solves"`
-	Deltas        int64 `json:"deltas"`
-	SweepsKept    int64 `json:"sweeps_kept"`
-	SweepsDropped int64 `json:"sweeps_dropped"`
-	StepsReused   int64 `json:"steps_reused"`
-	StepsResolved int64 `json:"steps_resolved"`
-}
-
-func newSessionStats(st session.Stats) sessionStats {
-	return sessionStats{
-		Solves:        st.Solves,
-		Deltas:        st.Deltas,
-		SweepsKept:    st.SweepsKept,
-		SweepsDropped: st.SweepsDropped,
-		StepsReused:   st.StepsReused,
-		StepsResolved: st.StepsResolved,
-	}
-}
-
 // sessionResponse is the create/delta reply: the session handle, the solve
 // the request produced, and the session's cumulative reuse stats.
 type sessionResponse struct {
-	SessionID string       `json:"session_id"`
-	Stats     sessionStats `json:"stats"`
+	SessionID string        `json:"session_id"`
+	Stats     session.Stats `json:"stats"`
 	// Embedded by value, not pointer: encoding/json cannot allocate an
 	// embedded pointer to an unexported type when clients decode this.
 	solveResponse
@@ -245,8 +210,8 @@ type sessionResponse struct {
 
 // sessionDeleteResponse is the DELETE reply.
 type sessionDeleteResponse struct {
-	SessionID string       `json:"session_id"`
-	Stats     sessionStats `json:"stats"`
+	SessionID string        `json:"session_id"`
+	Stats     session.Stats `json:"stats"`
 }
 
 func (s *Server) sessionMax() int {
@@ -267,20 +232,29 @@ func (s *Server) sessionTTL() time.Duration {
 // it on entry, so an abandoned session outlives its TTL only until the next
 // session request of any kind.
 func (s *Server) sweepSessions() {
-	if n := s.sessions.evictIdle(s.sessionTTL(), s.journalRemoveFailed); n > 0 {
+	if n := s.sessions.evictIdle(s.sessionTTL(), s.discardJournal); n > 0 {
 		s.sessEvicted.Add(uint64(n))
 		s.logger.Info("sessions evicted", slog.Int("count", n))
 	}
 }
 
-// journalRemoveFailed records a journal deletion that failed: the file is
-// now an orphan that the next restart's recovery pass may replay into a
-// session the client believes is gone. Counted and logged so operators can
-// clean the journal directory.
-func (s *Server) journalRemoveFailed(id string, err error) {
-	s.journalOrphans.Add(1)
-	s.logger.Warn("session journal remove failed; orphan journal left on disk",
-		slog.String("session_id", id), slog.String("error", err.Error()))
+// discardJournal closes a session that is gone for good — closed,
+// evicted, or dropped — and deletes its journal, which must not resurrect
+// it at the next restart. A deletion that fails leaves an orphan that the
+// next recovery pass may replay into a session the client believes is
+// gone, so it is counted and logged for operators to clean up. The caller
+// holds the session's lock, or the session was never published.
+func (s *Server) discardJournal(id string, sess *session.Session) {
+	if !s.journalEnabled() {
+		return
+	}
+	// The file is about to be deleted; a flush or close failure is moot.
+	_ = sess.Close()
+	if err := s.fsys.Remove(s.journalPath(id)); err != nil {
+		s.journalOrphans.Add(1)
+		s.logger.Warn("session journal remove failed; orphan journal left on disk",
+			slog.String("session_id", id), slog.String("error", err.Error()))
+	}
 }
 
 func (s *Server) nextSessionID() string {
@@ -330,36 +304,24 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := s.solveContext(r.Context(), req.TimeoutMillis)
 	defer cancel()
-	sopt := session.Options{
-		Solver: name,
-		Core:   s.solveOptions(req.Seed),
-	}
-	sess, err := session.New(ctx, req.Instance, sopt)
-	if err == nil {
-		// The same post-solve gate as /solve: an infeasible answer is a
-		// server bug, never a served solution.
-		err = core.VerifySolution(name, sess.Instance(), sess.Solution())
+	// Create verifies the initial solve (an infeasible answer is a server
+	// bug, never a served solution) and makes the journal's create record
+	// durable before returning, so a crash right after the response cannot
+	// lose a session the client believes exists.
+	id := s.nextSessionID()
+	sess, err := session.Create(ctx, req.Instance, session.Options{Solver: name, Core: s.solveOptions(req.Seed)},
+		s.fsys, s.journalPath(id), s.cfg.JournalSyncEvery)
+	if errors.Is(err, session.ErrJournal) {
+		s.journalFailures.Add(1)
+		c.fail(http.StatusInternalServerError, "error", "session journal create failed: "+err.Error())
+		return
 	}
 	if err != nil {
 		c.solveFailed(err)
 		return
 	}
 
-	id := s.nextSessionID()
 	e := &sessionEntry{sess: sess, solver: name}
-	if s.journalEnabled() {
-		// The journal's create record must be durable before the session is
-		// acknowledged — otherwise a crash right after the response would
-		// lose a session the client believes exists. CreateJournal fsyncs
-		// the record and the directory entry before returning.
-		j, jerr := session.CreateJournal(s.fsys, s.journalPath(id), sopt, req.Instance, s.journalSyncEvery())
-		if jerr != nil {
-			s.journalFailures.Add(1)
-			c.fail(http.StatusInternalServerError, "error", "session journal create failed: "+jerr.Error())
-			return
-		}
-		e.journal = j
-	}
 	e.touch()
 	// Capture the response payload and publish the first stats snapshot
 	// before the entry becomes visible: session IDs are predictable, so the
@@ -369,11 +331,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	sol := sess.Solution()
 	e.statsSnap.Store(&stats)
 	if !s.sessions.put(id, e, s.sessionMax()) {
-		if e.journal != nil {
-			if rerr := e.journal.Remove(); rerr != nil {
-				s.journalRemoveFailed(id, rerr)
-			}
-		}
+		s.discardJournal(id, sess)
 		c.tableFull()
 		return
 	}
@@ -393,7 +351,7 @@ func (c *call) answerSession(solver string, sol model.Solution, stats session.St
 	}
 	c.succeed(detail, sessionResponse{
 		SessionID:     c.session,
-		Stats:         newSessionStats(stats),
+		Stats:         stats,
 		solveResponse: *newSolveResponse(solver, sol, elapsed),
 	})
 }
@@ -424,86 +382,36 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 	// to different sessions only contend for inflight-semaphore slots.
 	e.mu.Lock()
 	e.touch()
-
-	// Idempotent replay: this exact delta was the last one applied, so the
-	// session's current state already reflects it. Answer from that state
-	// instead of applying it twice. If its solve never committed (lastOK is
-	// false — the delta advanced the instance but the re-solve failed), an
-	// empty-delta Apply re-solves the current instance in place; the empty
-	// delta is not journaled because journal replay re-solves anyway.
-	if req.IdempotencyKey != "" && req.IdempotencyKey == e.lastIdemKey {
-		s.idemReplays.Add(1)
-		var sol model.Solution
-		var err error
-		if e.lastOK {
-			sol = e.sess.Solution()
-		} else {
-			sol, err = e.sess.Apply(ctx, model.Delta{})
-			if err == nil {
-				if verr := core.VerifySolution(e.solver, e.sess.Instance(), sol); verr != nil {
-					err = verr
-				}
-			}
-			e.lastOK = err == nil
-		}
-		stats := e.snapshotStats()
-		e.touch()
+	sol, replayed, err := e.sess.Deliver(ctx, req.Delta, req.IdempotencyKey)
+	if errors.Is(err, session.ErrJournal) {
+		// The journal no longer matches the live session and can't be made
+		// to. Drop the session entirely: a clean 404-and-recreate for the
+		// client beats silently serving state that a restart would roll
+		// back.
+		s.journalFailures.Add(1)
+		s.discardJournal(id, e.sess)
 		e.mu.Unlock()
-		if err != nil {
-			c.solveFailed(err)
-			return
-		}
-		w.Header().Set(idempotentHeader, "replay")
-		c.answerSession(e.solver, sol, stats, false, "idempotent replay")
+		s.sessions.remove(id)
+		s.logger.Warn("session dropped: journal append failed",
+			slog.String("session_id", id), slog.String("error", err.Error()))
+		c.fail(http.StatusInternalServerError, "error", "session journal write failed; session dropped")
 		return
-	}
-
-	sol, err := e.sess.Apply(ctx, req.Delta)
-	var verr error
-	if err == nil {
-		verr = core.VerifySolution(e.solver, e.sess.Instance(), sol)
-	}
-	var status int
-	var outcome, msg string
-	if err != nil {
-		status, outcome, msg = s.classify(c.rid, err)
-	}
-	// Session.Apply installs the new instance before solving, so the state
-	// advanced unless the delta itself was rejected (the 400 path). Every
-	// state advance must reach the journal — including failed solves —
-	// or replay would diverge from the live session.
-	advanced := err == nil || status != http.StatusBadRequest
-	if advanced && e.journal != nil {
-		if jerr := e.journal.AppendDelta(req.Delta, req.IdempotencyKey); jerr != nil {
-			// The journal no longer matches the live session and can't be
-			// made to. Drop the session entirely: a clean 404-and-recreate
-			// for the client beats silently serving state that a restart
-			// would roll back.
-			s.journalFailures.Add(1)
-			if rerr := e.journal.Remove(); rerr != nil {
-				s.journalRemoveFailed(id, rerr)
-			}
-			e.mu.Unlock()
-			s.sessions.remove(id)
-			s.logger.Warn("session dropped: journal append failed",
-				slog.String("session_id", id), slog.String("error", jerr.Error()))
-			c.fail(http.StatusInternalServerError, "error", "session journal write failed; session dropped")
-			return
-		}
-	}
-	if advanced {
-		e.lastIdemKey = req.IdempotencyKey
-		e.lastOK = err == nil && verr == nil
 	}
 	stats := e.snapshotStats()
 	e.touch()
 	e.mu.Unlock()
+	if replayed {
+		s.idemReplays.Add(1)
+	}
 	if err != nil {
-		c.fail(status, outcome, msg)
+		// A rejected delta and a plain solver error both land in classify's
+		// 400 arm.
+		c.solveFailed(err)
 		return
 	}
-	if verr != nil {
-		c.solveFailed(verr)
+	if replayed {
+		w.Header().Set(idempotentHeader, "replay")
+		c.answerSession(e.solver, sol, stats, false, "idempotent replay")
 		return
 	}
 	s.sessDeltas.Add(1)
@@ -525,15 +433,9 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	// store-wide accumulator).
 	e.mu.Lock()
 	stats := e.sess.Stats()
-	if e.journal != nil {
-		// A deliberately closed session must not be resurrected by the next
-		// restart's recovery pass.
-		if rerr := e.journal.Remove(); rerr != nil {
-			s.journalRemoveFailed(id, rerr)
-		}
-	}
+	s.discardJournal(id, e.sess)
 	e.mu.Unlock()
-	c.succeed("", sessionDeleteResponse{SessionID: id, Stats: newSessionStats(stats)})
+	c.succeed("", sessionDeleteResponse{SessionID: id, Stats: stats})
 }
 
 // sessionVars returns the session metrics for /debug/vars.

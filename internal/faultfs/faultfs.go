@@ -8,7 +8,9 @@
 // what drives the crash-consistency matrix: run a workload once to count
 // its filesystem operations, then re-run it once per operation with a
 // simulated kill at exactly that point and assert the recovery invariants
-// on whatever the directory was left holding.
+// on whatever the directory was left holding. The snapshot and the
+// journal also share one on-disk record format, the header-and-frame codec
+// in frame.go.
 //
 // The sectorlint fsyncorder analyzer enforces the seam: raw os.Create /
 // os.OpenFile / os.WriteFile / os.Rename calls inside internal/cache,
@@ -71,8 +73,6 @@ type FS interface {
 	MkdirAll(dir string, perm fs.FileMode) error
 	// ReadDir lists dir, sorted by filename.
 	ReadDir(dir string) ([]fs.DirEntry, error)
-	// Stat describes the named file.
-	Stat(name string) (fs.FileInfo, error)
 }
 
 // OS is the production FS: direct passthrough to package os.
@@ -114,8 +114,6 @@ func (osFS) MkdirAll(dir string, perm fs.FileMode) error { return os.MkdirAll(di
 
 func (osFS) ReadDir(dir string) ([]fs.DirEntry, error) { return os.ReadDir(dir) }
 
-func (osFS) Stat(name string) (fs.FileInfo, error) { return os.Stat(name) }
-
 // WriteFileAtomic writes a file at path through fsys with full crash
 // atomicity and durability: the content is staged in a temp file in path's
 // directory, fsynced, closed, renamed over the destination, and the parent
@@ -156,6 +154,7 @@ func WriteFileAtomic(fsys FS, path string, write func(io.Writer) error) error {
 // ErrInjected is the error injected faults return (wrapped per-operation).
 var ErrInjected = errors.New("faultfs: injected fault")
 
-// ErrCrashed is returned by every operation after a simulated crash: the
-// "process" is dead, so no further filesystem effect happens.
-var ErrCrashed = errors.New("faultfs: simulated crash")
+// errCrashed is returned by every operation after a simulated crash: the
+// "process" is dead, so no further filesystem effect happens. Callers ask
+// Injector.Crashed instead.
+var errCrashed = errors.New("faultfs: simulated crash")

@@ -204,14 +204,14 @@ func TestInjectorShortWrite(t *testing.T) {
 func TestInjectorCrashKillsEverything(t *testing.T) {
 	dir := t.TempDir()
 	inj := NewInjector(OS, Fault{Op: OpCreate, Mode: Crash})
-	if _, err := inj.Create(filepath.Join(dir, "a")); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("create error %v, want ErrCrashed", err)
+	if _, err := inj.Create(filepath.Join(dir, "a")); !errors.Is(err, errCrashed) {
+		t.Fatalf("create error %v, want errCrashed", err)
 	}
-	if _, err := inj.Create(filepath.Join(dir, "b")); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("post-crash create error %v, want ErrCrashed", err)
+	if _, err := inj.Create(filepath.Join(dir, "b")); !errors.Is(err, errCrashed) {
+		t.Fatalf("post-crash create error %v, want errCrashed", err)
 	}
-	if err := inj.Rename(filepath.Join(dir, "a"), filepath.Join(dir, "c")); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("post-crash rename error %v, want ErrCrashed", err)
+	if err := inj.Rename(filepath.Join(dir, "a"), filepath.Join(dir, "c")); !errors.Is(err, errCrashed) {
+		t.Fatalf("post-crash rename error %v, want errCrashed", err)
 	}
 	if names := listDir(t, dir); len(names) != 0 {
 		t.Fatalf("crashed FS still created files: %v", names)

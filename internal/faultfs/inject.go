@@ -12,7 +12,6 @@ import (
 type Op string
 
 const (
-	OpAny        Op = ""            // matches every mutating operation
 	OpCreate     Op = "create"      // Create
 	OpCreateTemp Op = "create-temp" // CreateTemp
 	OpOpenFile   Op = "open-file"   // OpenFile
@@ -38,15 +37,15 @@ const (
 	ShortWrite
 	// Crash simulates kill -9 at this operation: a write lands a torn
 	// prefix, any other operation has no effect, and every subsequent
-	// operation on this Injector returns ErrCrashed. The on-disk state is
-	// exactly what a real kill would leave behind.
+	// operation on this Injector fails (Crashed reports it). The on-disk
+	// state is exactly what a real kill would leave behind.
 	Crash
 )
 
 // Fault is one scripted fault: it fires on the N-th mutating operation
 // matching (Op, Path).
 type Fault struct {
-	// Op restricts the fault to one operation class; OpAny matches all.
+	// Op restricts the fault to one operation class; empty matches all.
 	Op Op
 	// Path, when non-empty, restricts the fault to operations whose path
 	// contains it as a substring.
@@ -57,7 +56,7 @@ type Fault struct {
 	// Mode is what happens when the fault fires.
 	Mode Mode
 	// Err overrides the returned error; nil means ErrInjected (Fail and
-	// ShortWrite) or ErrCrashed (Crash).
+	// ShortWrite) or a simulated-crash error (Crash).
 	Err error
 }
 
@@ -127,13 +126,13 @@ func (i *Injector) check(op Op, path string) (mode Mode, err error) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	if i.crashed {
-		return Fail, ErrCrashed
+		return Fail, errCrashed
 	}
 	i.ops++
 	i.log = append(i.log, OpRecord{Op: op, Path: path})
 	for f := range i.faults {
 		ft := &i.faults[f]
-		if ft.Op != OpAny && ft.Op != op {
+		if ft.Op != "" && ft.Op != op {
 			continue
 		}
 		if ft.Path != "" && !strings.Contains(path, ft.Path) {
@@ -150,7 +149,7 @@ func (i *Injector) check(op Op, path string) (mode Mode, err error) {
 		err := ft.Err
 		if err == nil {
 			if ft.Mode == Crash {
-				err = ErrCrashed
+				err = errCrashed
 			} else {
 				err = ErrInjected
 			}
@@ -240,8 +239,6 @@ func (i *Injector) MkdirAll(dir string, perm fs.FileMode) error {
 }
 
 func (i *Injector) ReadDir(dir string) ([]fs.DirEntry, error) { return i.inner.ReadDir(dir) }
-
-func (i *Injector) Stat(name string) (fs.FileInfo, error) { return i.inner.Stat(name) }
 
 // injFile routes a file handle's mutating calls through the injector.
 // Read-only handles pass through untouched (reads are not fault points).

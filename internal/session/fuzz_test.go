@@ -174,7 +174,7 @@ func FuzzJournalReplay(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		rec, err := ReadJournal(faultfs.OS, path)
+		rec, err := readJournal(faultfs.OS, path)
 		if err != nil {
 			return // create record torn: the session cleanly does not exist
 		}
@@ -182,7 +182,7 @@ func FuzzJournalReplay(f *testing.F) {
 		if n > len(applied) {
 			t.Fatalf("cut %d: recovered %d deltas, only %d were journaled", c, n, len(applied))
 		}
-		s, err := rec.Replay(context.Background())
+		s, err := rec.replay(context.Background())
 		if err != nil {
 			t.Fatalf("cut %d: replay: %v", c, err)
 		}

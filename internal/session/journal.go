@@ -1,11 +1,11 @@
 package session
 
 import (
+	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -17,24 +17,19 @@ import (
 
 // The session journal is an append-only write-ahead log of one session's
 // life: a create record (solver, core options, base instance) followed by
-// one delta record per state-advancing Apply. Replaying the journal through
-// session.New + Session.Apply reconstructs the session's warm state — and,
-// by the package's determinism contract, a solution bit-identical to a
-// from-scratch solve of the materialized instance.
+// one delta record per delta that advanced the instance. Replaying it
+// through New and the same advance-then-commit steps Deliver runs rebuilds
+// the session's state — and, by the package's determinism contract, a
+// solution bit-identical to a from-scratch solve of the materialized
+// instance.
 //
-// On-disk layout:
-//
-//	magic "SPJRNL1\n" | u64 version | frame*
-//	frame = u32 payload length | u32 CRC-32 (IEEE) of payload | payload
-//
-// (all integers little-endian; payloads are JSON journalRecords). A crash
-// mid-append leaves a torn final frame: a short header, a short payload, or
-// a CRC mismatch. Recovery (ReadJournal) stops at the first bad frame,
-// truncates the file back to the last good frame boundary, and returns the
-// records before it — the torn suffix is an Apply whose response was never
-// durably acknowledged, so dropping it is correct. A bad frame is always
-// treated as end-of-log: nothing after it can be trusted, because frame
-// boundaries downstream of a corrupt length are guesses.
+// On disk it is faultfs's record format: header magic "SPJRNL1\n" and a
+// version, then one frame per record, each a JSON journalRecord. A crash
+// mid-append leaves a torn final frame. Recovery (readJournal) stops at the
+// first bad frame — torn or CRC-bad alike, since boundaries past a corrupt
+// length are guesses — truncates the file back to the last good frame, and
+// returns the records before it: the torn suffix is a delta whose response
+// was never durably acknowledged, so dropping it is correct.
 //
 // Durability cadence: the create record is always fsynced (and the journal
 // directory synced) before CreateJournal returns — a session must not be
@@ -45,10 +40,12 @@ import (
 const (
 	journalMagic   = "SPJRNL1\n"
 	journalVersion = 1
-	// maxFrameLen rejects absurd frame lengths (a torn length field read as
-	// garbage) before any allocation happens.
-	maxFrameLen = 64 << 20
 )
+
+// ErrJournal marks every journal write failure (create, append, sync),
+// after which the journal no longer matches the live session, so the
+// session must stop serving. The errors' text starts "journal: ".
+var ErrJournal = errors.New("journal")
 
 // journalRecord is the JSON payload of one frame. Kind "create" carries
 // Solver/Core/Instance; kind "delta" carries Delta/IdemKey.
@@ -63,12 +60,10 @@ type journalRecord struct {
 
 // Journal is the append side of one session's WAL. It is not safe for
 // concurrent use; the owner must serialize appends the same way it
-// serializes Session.Apply (in sectord, both happen under the session
-// entry's lock).
+// serializes Session.Apply. A nil *Journal journals nothing: every method
+// is a no-op.
 type Journal struct {
-	fsys      faultfs.FS
 	f         faultfs.File
-	path      string
 	syncEvery int
 	pending   int   // appended frames not yet fsynced
 	broken    error // first write/sync failure; poisons all later ops
@@ -77,13 +72,9 @@ type Journal struct {
 func encodeFrame(rec journalRecord) ([]byte, error) {
 	payload, err := json.Marshal(rec)
 	if err != nil {
-		return nil, fmt.Errorf("journal: encode %s record: %w", rec.Kind, err)
+		return nil, fmt.Errorf("%w: encode %s record: %w", ErrJournal, rec.Kind, err)
 	}
-	frame := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
-	copy(frame[8:], payload)
-	return frame, nil
+	return faultfs.AppendFrame(nil, payload), nil
 }
 
 // CreateJournal starts a new journal at path (truncating any previous file
@@ -97,9 +88,6 @@ func CreateJournal(fsys faultfs.FS, path string, opt Options, in *model.Instance
 	if opt.Solver == "" {
 		opt.Solver = "greedy"
 	}
-	if syncEvery < 1 {
-		syncEvery = 1
-	}
 	frame, err := encodeFrame(journalRecord{
 		Kind:     "create",
 		Solver:   opt.Solver,
@@ -111,7 +99,7 @@ func CreateJournal(fsys faultfs.FS, path string, opt Options, in *model.Instance
 	}
 	f, err := fsys.Create(path)
 	if err != nil {
-		return nil, fmt.Errorf("journal: create %s: %w", path, err)
+		return nil, fmt.Errorf("%w: create %s: %w", ErrJournal, path, err)
 	}
 	fail := func(err error) (*Journal, error) {
 		// Best-effort cleanup of the half-written file: err already tells
@@ -121,30 +109,24 @@ func CreateJournal(fsys faultfs.FS, path string, opt Options, in *model.Instance
 		_ = fsys.Remove(path)
 		return nil, err
 	}
-	var header []byte
-	header = append(header, journalMagic...)
-	header = binary.LittleEndian.AppendUint64(header, journalVersion)
-	if _, err := f.Write(append(header, frame...)); err != nil {
-		return fail(fmt.Errorf("journal: write create record: %w", err))
+	if _, err := f.Write(append(faultfs.AppendHeader(nil, journalMagic, journalVersion), frame...)); err != nil {
+		return fail(fmt.Errorf("%w: write create record: %w", ErrJournal, err))
 	}
 	if err := f.Sync(); err != nil {
-		return fail(fmt.Errorf("journal: sync create record: %w", err))
+		return fail(fmt.Errorf("%w: sync create record: %w", ErrJournal, err))
 	}
 	// The file's own directory entry must survive a crash too, or recovery
 	// will never see the journal.
 	if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
-		return fail(fmt.Errorf("journal: sync journal directory: %w", err))
+		return fail(fmt.Errorf("%w: sync journal directory: %w", ErrJournal, err))
 	}
-	return &Journal{fsys: fsys, f: f, path: path, syncEvery: syncEvery}, nil
+	return &Journal{f: f, syncEvery: syncEvery}, nil
 }
 
-// OpenAppend reopens an existing journal for further appends, after
-// ReadJournal has validated it and truncated any torn tail. It does not
+// openAppend reopens an existing journal for further appends, after
+// readJournal has validated it and truncated any torn tail. It does not
 // re-read the file.
-func OpenAppend(fsys faultfs.FS, path string, syncEvery int) (*Journal, error) {
-	if syncEvery < 1 {
-		syncEvery = 1
-	}
+func openAppend(fsys faultfs.FS, path string, syncEvery int) (*Journal, error) {
 	// The reopened handle writes nothing here; each later AppendDelta syncs
 	// on the group-commit cadence, and Sync/Close flush the window.
 	//sectorlint:ignore fsyncorder append handle reopened after recovery; group commit fsyncs in AppendDelta/Sync
@@ -152,19 +134,19 @@ func OpenAppend(fsys faultfs.FS, path string, syncEvery int) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal: reopen %s: %w", path, err)
 	}
-	return &Journal{fsys: fsys, f: f, path: path, syncEvery: syncEvery}, nil
+	return &Journal{f: f, syncEvery: syncEvery}, nil
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
-// AppendDelta journals one state-advancing delta. The caller must append
-// every delta that advanced the session's instance — including deltas whose
-// re-solve failed (Session.Apply installs the new instance before solving)
-// — or replay will diverge from the live session. A write or sync failure
-// poisons the journal: every later call returns the same error, and the
-// owner must stop acknowledging deltas for this session.
+// AppendDelta journals one delta that advanced the instance. The caller
+// must append every such delta — including deltas whose re-solve failed
+// (the new instance is installed before solving) — or replay will diverge
+// from the live session; Session.Deliver does exactly that. A write or
+// sync failure poisons the journal: every later call returns the same
+// error, and the owner must stop acknowledging deltas for this session.
 func (j *Journal) AppendDelta(d model.Delta, idemKey string) error {
+	if j == nil {
+		return nil
+	}
 	if j.broken != nil {
 		return j.broken
 	}
@@ -173,18 +155,21 @@ func (j *Journal) AppendDelta(d model.Delta, idemKey string) error {
 		return err
 	}
 	if _, err := j.f.Write(frame); err != nil {
-		j.broken = fmt.Errorf("journal: append delta: %w", err)
+		j.broken = fmt.Errorf("%w: append delta: %w", ErrJournal, err)
 		return j.broken
 	}
 	j.pending++
 	if j.pending >= j.syncEvery {
-		return j.Sync()
+		return j.sync()
 	}
 	return nil
 }
 
-// Sync flushes any appends the group-commit window is still holding.
-func (j *Journal) Sync() error {
+// sync flushes any appends the group-commit window is still holding.
+func (j *Journal) sync() error {
+	if j == nil {
+		return nil
+	}
 	if j.broken != nil {
 		return j.broken
 	}
@@ -192,7 +177,7 @@ func (j *Journal) Sync() error {
 		return nil
 	}
 	if err := j.f.Sync(); err != nil {
-		j.broken = fmt.Errorf("journal: sync: %w", err)
+		j.broken = fmt.Errorf("%w: sync: %w", ErrJournal, err)
 		return j.broken
 	}
 	j.pending = 0
@@ -200,9 +185,12 @@ func (j *Journal) Sync() error {
 }
 
 // Close flushes pending appends and closes the file. The journal stays on
-// disk; Remove deletes it.
+// disk.
 func (j *Journal) Close() error {
-	serr := j.Sync()
+	if j == nil {
+		return nil
+	}
+	serr := j.sync()
 	cerr := j.f.Close()
 	if serr != nil {
 		return serr
@@ -210,49 +198,25 @@ func (j *Journal) Close() error {
 	return cerr
 }
 
-// Remove closes the journal (without flushing — the session is being
-// discarded) and deletes the file. The removal error is the one that
-// matters: a close failure on a file about to be unlinked is moot.
-func (j *Journal) Remove() error {
-	_ = j.f.Close()
-	return j.fsys.Remove(j.path)
-}
-
-// DeltaRecord is one replayed delta plus the idempotency key it was
-// journaled with.
-type DeltaRecord struct {
-	Delta   model.Delta
-	IdemKey string
-}
-
-// Recovered is a journal read back from disk: everything needed to rebuild
+// recovered is a journal read back from disk: everything needed to rebuild
 // the session by replay, plus what recovery had to discard.
-type Recovered struct {
+type recovered struct {
 	Solver   string
 	Core     core.Options
 	Instance *model.Instance
-	Deltas   []DeltaRecord
-	// TruncatedBytes is how many bytes of torn tail ReadJournal cut off
+	Deltas   []journalRecord // kind "delta", Delta set
+	// TruncatedBytes is how many bytes of torn tail readJournal cut off
 	// (zero for a cleanly closed journal).
 	TruncatedBytes int64
 }
 
-// LastIdemKey returns the idempotency key of the final journaled delta, or
-// "" when no delta carried one.
-func (r *Recovered) LastIdemKey() string {
-	if len(r.Deltas) == 0 {
-		return ""
-	}
-	return r.Deltas[len(r.Deltas)-1].IdemKey
-}
-
-// ReadJournal reads a session journal, truncating any torn tail in place
+// readJournal reads a session journal, truncating any torn tail in place
 // (which is why it opens read-write). The header and create record must be
 // intact — without them there is no session to rebuild and the error is
 // fatal for this journal. Past that, the first bad frame ends the log:
 // everything before it is returned, everything from it on is cut off and
 // counted in TruncatedBytes.
-func ReadJournal(fsys faultfs.FS, path string) (*Recovered, error) {
+func readJournal(fsys faultfs.FS, path string) (*recovered, error) {
 	f, err := fsys.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
@@ -262,21 +226,21 @@ func ReadJournal(fsys faultfs.FS, path string) (*Recovered, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal: read %s: %w", path, err)
 	}
-	headerLen := len(journalMagic) + 8
-	if len(raw) < headerLen || string(raw[:len(journalMagic)]) != journalMagic {
-		return nil, fmt.Errorf("journal: %s: bad or missing header", path)
+	br := bytes.NewReader(raw)
+	h, err := faultfs.ReadHeader(br, journalMagic, 1)
+	if err != nil {
+		return nil, fmt.Errorf("journal: %s: %w", path, err)
 	}
-	if v := binary.LittleEndian.Uint64(raw[len(journalMagic):]); v != journalVersion {
-		return nil, fmt.Errorf("journal: %s: version %d (want %d)", path, v, journalVersion)
+	if h[0] != journalVersion {
+		return nil, fmt.Errorf("journal: %s: version %d (want %d)", path, h[0], journalVersion)
 	}
 
-	rec := &Recovered{}
-	off := headerLen
-	good := off // end of the last fully valid frame
+	rec := &recovered{}
+	good := len(raw) - br.Len() // end of the last fully valid frame
 	first := true
-	for off < len(raw) {
-		payload, next, ok := readFrame(raw, off)
-		if !ok {
+	for {
+		payload, intact, err := faultfs.ReadFrame(br)
+		if err != nil || !intact {
 			break
 		}
 		var jr journalRecord
@@ -293,9 +257,9 @@ func ReadJournal(fsys faultfs.FS, path string) (*Recovered, error) {
 			if jr.Kind != "delta" || jr.Delta == nil {
 				break
 			}
-			rec.Deltas = append(rec.Deltas, DeltaRecord{Delta: *jr.Delta, IdemKey: jr.IdemKey})
+			rec.Deltas = append(rec.Deltas, jr)
 		}
-		off, good = next, next
+		good = len(raw) - br.Len()
 	}
 	if first {
 		// The create record itself was torn; there is nothing to recover.
@@ -313,38 +277,26 @@ func ReadJournal(fsys faultfs.FS, path string) (*Recovered, error) {
 	return rec, nil
 }
 
-// readFrame parses one frame at off. ok is false for any tear: short
-// header, absurd length, short payload, or CRC mismatch.
-func readFrame(raw []byte, off int) (payload []byte, next int, ok bool) {
-	if off+8 > len(raw) {
-		return nil, 0, false
-	}
-	plen := int(binary.LittleEndian.Uint32(raw[off:]))
-	crc := binary.LittleEndian.Uint32(raw[off+4:])
-	if plen <= 0 || plen > maxFrameLen || off+8+plen > len(raw) {
-		return nil, 0, false
-	}
-	payload = raw[off+8 : off+8+plen]
-	if crc32.ChecksumIEEE(payload) != crc {
-		return nil, 0, false
-	}
-	return payload, off + 8 + plen, true
-}
-
-// Replay rebuilds the session the journal describes: New on the base
-// instance, then Apply for every journaled delta, in order. By the
-// determinism contract the result is bit-identical to the crashed session's
-// state. Any failure aborts the recovery of this session — a half-replayed
-// session must not serve.
-func (r *Recovered) Replay(ctx context.Context) (*Session, error) {
+// replay rebuilds the session the journal describes: New on the base
+// instance, then for each journaled delta the advance and commit Deliver
+// ran. A re-solve that fails leaves the session uncommitted, as the same
+// failure left the live one (solvers are deterministic); only a failed
+// create, a delta the instance rejects, or a cancelled ctx aborts — a
+// session that cannot be rebuilt exactly must not serve.
+func (r *recovered) replay(ctx context.Context) (*Session, error) {
 	s, err := New(ctx, r.Instance, Options{Solver: r.Solver, Core: r.Core})
 	if err != nil {
 		return nil, fmt.Errorf("journal replay: create: %w", err)
 	}
 	for k, dr := range r.Deltas {
-		if _, err := s.Apply(ctx, dr.Delta); err != nil {
+		ru, err := s.advance(*dr.Delta)
+		if err == nil && s.commit(ctx, ru) != nil {
+			err = ctx.Err()
+		}
+		if err != nil {
 			return nil, fmt.Errorf("journal replay: delta %d/%d: %w", k+1, len(r.Deltas), err)
 		}
+		s.lastKey = dr.IdemKey
 	}
 	return s, nil
 }

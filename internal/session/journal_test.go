@@ -74,7 +74,7 @@ func TestJournalRoundTripAndReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.journal")
 	writeJournal(t, faultfs.OS, path, tr, len(tr.Deltas), 1)
 
-	rec, err := ReadJournal(faultfs.OS, path)
+	rec, err := readJournal(faultfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,12 +87,12 @@ func TestJournalRoundTripAndReplay(t *testing.T) {
 	if len(rec.Deltas) != len(tr.Deltas) {
 		t.Fatalf("recovered %d deltas, want %d", len(rec.Deltas), len(tr.Deltas))
 	}
-	if got, want := rec.LastIdemKey(), fmt.Sprintf("idem-%d", len(tr.Deltas)-1); got != want {
-		t.Fatalf("last idempotency key %q, want %q", got, want)
-	}
-	s, err := rec.Replay(context.Background())
+	s, err := rec.replay(context.Background())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got, want := s.lastKey, fmt.Sprintf("idem-%d", len(tr.Deltas)-1); got != want {
+		t.Fatalf("last idempotency key %q, want %q", got, want)
 	}
 	if got, want := solutionString(s.Solution()), fromScratch(t, tr, len(tr.Deltas), rec.Core); got != want {
 		t.Fatalf("replayed session drifted from from-scratch solve:\n got  %s\n want %s", got, want)
@@ -153,7 +153,7 @@ func TestJournalTornTail(t *testing.T) {
 		if err := os.WriteFile(path, raw[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		rec, err := ReadJournal(faultfs.OS, path)
+		rec, err := readJournal(faultfs.OS, path)
 		if err != nil {
 			// Acceptable only when the create record itself is torn: the
 			// session then cleanly does not exist.
@@ -169,7 +169,7 @@ func TestJournalTornTail(t *testing.T) {
 		}
 		// The file must now be clean: a second read recovers the same
 		// prefix with nothing left to truncate.
-		rec2, err := ReadJournal(faultfs.OS, path)
+		rec2, err := readJournal(faultfs.OS, path)
 		if err != nil {
 			t.Fatalf("cut %d: re-read after truncation: %v", cut, err)
 		}
@@ -181,7 +181,7 @@ func TestJournalTornTail(t *testing.T) {
 		// re-solve the same states hundreds of times for no extra coverage.
 		if k != prevPrefix {
 			prevPrefix = k
-			s, err := rec.Replay(context.Background())
+			s, err := rec.replay(context.Background())
 			if err != nil {
 				t.Fatalf("cut %d: replay: %v", cut, err)
 			}
@@ -190,7 +190,7 @@ func TestJournalTornTail(t *testing.T) {
 			}
 			// The truncated journal accepts further appends.
 			if k < len(tr.Deltas) {
-				j, err := OpenAppend(faultfs.OS, path, 1)
+				j, err := openAppend(faultfs.OS, path, 1)
 				if err != nil {
 					t.Fatalf("cut %d: reopen: %v", cut, err)
 				}
@@ -200,13 +200,13 @@ func TestJournalTornTail(t *testing.T) {
 				if err := j.Close(); err != nil {
 					t.Fatal(err)
 				}
-				rec3, err := ReadJournal(faultfs.OS, path)
+				rec3, err := readJournal(faultfs.OS, path)
 				if err != nil {
 					t.Fatalf("cut %d: read after resumed append: %v", cut, err)
 				}
-				if len(rec3.Deltas) != k+1 || rec3.LastIdemKey() != "idem-resumed" {
-					t.Fatalf("cut %d: resumed journal has %d deltas (last key %q), want %d",
-						cut, len(rec3.Deltas), rec3.LastIdemKey(), k+1)
+				if len(rec3.Deltas) != k+1 || rec3.Deltas[k].IdemKey != "idem-resumed" {
+					t.Fatalf("cut %d: resumed journal has %d deltas, want %d ending in idem-resumed",
+						cut, len(rec3.Deltas), k+1)
 				}
 			}
 		}
@@ -220,7 +220,7 @@ func TestJournalCorruptFrameEndsLog(t *testing.T) {
 	tr := journalTrace()
 	path := filepath.Join(t.TempDir(), "s.journal")
 	writeJournal(t, faultfs.OS, path, tr, 3, 1)
-	clean, err := ReadJournal(faultfs.OS, path)
+	clean, err := readJournal(faultfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestJournalCorruptFrameEndsLog(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := ReadJournal(faultfs.OS, path)
+	rec, err := readJournal(faultfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestJournalBadHeaderIsFatal(t *testing.T) {
 			if err := os.WriteFile(path, content, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := ReadJournal(faultfs.OS, path); err == nil {
+			if _, err := readJournal(faultfs.OS, path); err == nil {
 				t.Fatal("unusable journal accepted")
 			}
 		})
@@ -279,7 +279,7 @@ func TestJournalBadHeaderIsFatal(t *testing.T) {
 
 // TestJournalCrashMatrix kills the writer at every filesystem operation of
 // a create+append workload (syncEvery=1) and checks the recovery invariant
-// on whatever survived: either ReadJournal rejects the file (the session
+// on whatever survived: either readJournal rejects the file (the session
 // cleanly does not exist) or it recovers an exact delta prefix whose replay
 // is bit-identical to the from-scratch solve of that prefix's
 // materialization. Never a corrupt session.
@@ -323,7 +323,7 @@ func TestJournalCrashMatrix(t *testing.T) {
 		if !inj.Crashed() {
 			t.Fatalf("crash at op %d did not fire", k)
 		}
-		rec, err := ReadJournal(faultfs.OS, path)
+		rec, err := readJournal(faultfs.OS, path)
 		if err != nil {
 			if errors.Is(err, os.ErrNotExist) {
 				continue // crashed before the file existed: cleanly absent
@@ -338,7 +338,7 @@ func TestJournalCrashMatrix(t *testing.T) {
 			continue
 		}
 		replayed[n] = true
-		s, err := rec.Replay(context.Background())
+		s, err := rec.replay(context.Background())
 		if err != nil {
 			t.Fatalf("crash at op %d: replay of recovered journal failed: %v", k, err)
 		}
@@ -368,7 +368,7 @@ func TestJournalAppendFailurePoisons(t *testing.T) {
 	if err := j.AppendDelta(tr.Deltas[1], "idem-1"); !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("append after poison error %v, want the original ErrInjected", err)
 	}
-	if err := j.Sync(); !errors.Is(err, faultfs.ErrInjected) {
+	if err := j.sync(); !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("sync after poison error %v, want the original ErrInjected", err)
 	}
 }
@@ -404,7 +404,7 @@ func TestJournalParentFormatReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec, err := ReadJournal(faultfs.OS, path)
+	rec, err := readJournal(faultfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +413,7 @@ func TestJournalParentFormatReplays(t *testing.T) {
 		t.Fatalf("recovered %q %+v, %d deltas, %d truncated bytes; want greedy %+v, %d deltas, none truncated",
 			rec.Solver, rec.Core, len(rec.Deltas), rec.TruncatedBytes, want, len(tr.Deltas))
 	}
-	replayed, err := rec.Replay(context.Background())
+	replayed, err := rec.replay(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,6 +436,126 @@ func TestJournalParentFormatReplays(t *testing.T) {
 	for k, a := range exp.Assignment.Orientation {
 		if math.Float64bits(got.Assignment.Orientation[k]) != math.Float64bits(a) {
 			t.Fatalf("antenna %d: replayed orientation %v, want %v", k, got.Assignment.Orientation[k], a)
+		}
+	}
+}
+
+// parentJournal is the journal of TestJournalBytesMatchParentFormat's
+// trace as version 1 of the format lays it out, captured byte for byte
+// from CreateJournal plus one AppendDelta per accepted delta.
+const parentJournal = "\x53\x50\x4a\x52\x4e\x4c\x31\x0a\x01\x00\x00\x00\x00\x00\x00\x00" +
+	"\x6a\x01\x00\x00\x8c\x28\x35\xfe" +
+	`{"kind":"create","solver":"greedy","core":{"Knapsack":{"Eps":0},"ExactLimits":{"MaxTuples":0},"Seed":7,"SkipBound":false},"instance":{"variant":0,"customers":[{"id":0,"theta":0.5,"r":1,"demand":2,"profit":3},{"id":1,"theta":1.25,"r":2,"demand":1,"profit":0},{"id":2,"theta":4,"r":1.5,"demand":3,"profit":1}],"antennas":[{"id":0,"rho":1,"range":3,"capacity":4}]}}` +
+	"\x66\x00\x00\x00\x24\xce\x88\xda" +
+	`{"kind":"delta","delta":{"add":[{"id":0,"theta":0.75,"r":0.5,"demand":1,"profit":2}]},"idem_key":"k0"}` +
+	"\x63\x00\x00\x00\xb6\x09\xb6\x86" +
+	`{"kind":"delta","delta":{"set_capacity":[{"antenna":0,"capacity":5}],"remove":[1]},"idem_key":"k1"}` +
+	"\x43\x00\x00\x00\x6f\x26\x32\x61" +
+	`{"kind":"delta","delta":{"set_demand":[{"customer":0,"demand":4}]}}`
+
+// TestJournalBytesMatchParentFormat pins the journal format: Create and
+// Deliver — with a rejected delta and a same-key retry mixed in, neither of
+// which may reach the journal — write exactly the bytes the parent format
+// holds.
+func TestJournalBytesMatchParentFormat(t *testing.T) {
+	in := &model.Instance{
+		Customers: []model.Customer{
+			{ID: 0, Theta: 0.5, R: 1, Demand: 2, Profit: 3},
+			{ID: 1, Theta: 1.25, R: 2, Demand: 1},
+			{ID: 2, Theta: 4, R: 1.5, Demand: 3, Profit: 1},
+		},
+		Antennas: []model.Antenna{{ID: 0, Rho: 1, Range: 3, Capacity: 4}},
+	}
+	steps := []struct {
+		d   model.Delta
+		key string
+	}{
+		{model.Delta{Add: []model.Customer{{Theta: 0.75, R: 0.5, Demand: 1, Profit: 2}}}, "k0"},
+		{model.Delta{Remove: []int{99}}, "bad"},
+		{model.Delta{SetCapacity: []model.CapacityChange{{Antenna: 0, Capacity: 5}}, Remove: []int{1}}, "k1"},
+		{model.Delta{SetCapacity: []model.CapacityChange{{Antenna: 0, Capacity: 5}}, Remove: []int{1}}, "k1"},
+		{model.Delta{SetDemand: []model.DemandChange{{Customer: 0, Demand: 4}}}, ""},
+	}
+	path := filepath.Join(t.TempDir(), "pin.journal")
+	s, err := Create(context.Background(), in, Options{Solver: "greedy", Core: core.Options{Seed: 7}}, faultfs.OS, path, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, st := range steps {
+		_, replayed, err := s.Deliver(context.Background(), st.d, st.key)
+		if rejected := st.key == "bad"; (err != nil) != rejected || replayed != (k == 3) {
+			t.Fatalf("step %d: err %v, replayed %v", k, err, replayed)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(raw) != parentJournal {
+		t.Fatalf("journal bytes changed:\n got  %q\n want %q", raw, parentJournal)
+	}
+}
+
+// TestRecoverMatchesLiveAfterFailedSolve: Deliver journals a delta whose
+// re-solve fails (exact over its customer limit) and keeps its key; a
+// same-key retry re-solves without counting another delta. Recover
+// rebuilds that state — uncommitted, same key, same counters but the
+// retry's solve — and from there both sessions answer alike.
+func TestRecoverMatchesLiveAfterFailedSolve(t *testing.T) {
+	ctx := context.Background()
+	base := gen.MustGenerate(gen.Config{Family: gen.Uniform, Seed: 5, N: 20, M: 1})
+	grow := model.Delta{}
+	for k := 0; k < 6; k++ {
+		grow.Add = append(grow.Add, model.Customer{Theta: 0.3 * float64(k), R: 1, Demand: 1})
+	}
+	shrink := model.Delta{Remove: []int{0, 1, 2, 3}}
+	path := filepath.Join(t.TempDir(), "s.journal")
+	live, err := Create(ctx, base, Options{Solver: "exact", Core: core.Options{Seed: 1}}, faultfs.OS, path, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	for try := 0; try < 2; try++ {
+		if _, replayed, err := live.Deliver(ctx, grow, "grow"); err == nil || replayed != (try == 1) {
+			t.Fatalf("grow (try %d): err %v, replayed %v; want exact's error, a replay on the retry", try, err, replayed)
+		}
+	}
+	if st := live.Stats(); st.Deltas != 1 || st.Solves != 3 {
+		t.Fatalf("live stats %+v, want 1 delta and 3 solves", st)
+	}
+
+	// Recover from a copy, as a restart would, so the two sessions append
+	// to journals of their own.
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restarted := filepath.Join(t.TempDir(), "s.journal")
+	if err := os.WriteFile(restarted, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Recover(ctx, faultfs.OS, restarted, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if st := rec.Stats(); st.Deltas != 1 || st.Solves != 2 || rec.committed || rec.lastKey != "grow" {
+		t.Fatalf("recovered stats %+v, committed %v, key %q; want 1 delta, 2 solves, uncommitted, key grow",
+			st, rec.committed, rec.lastKey)
+	}
+	if _, replayed, err := rec.Deliver(ctx, grow, "grow"); err == nil || !replayed {
+		t.Fatalf("recovered retry: err %v, replayed %v; want exact's error on a replay", err, replayed)
+	}
+	for _, s := range []*Session{live, rec} {
+		sol, replayed, err := s.Deliver(ctx, shrink, "shrink")
+		if err != nil || replayed {
+			t.Fatalf("shrink: err %v, replayed %v", err, replayed)
+		}
+		if got, want := solutionString(sol), solutionString(live.Solution()); got != want {
+			t.Fatalf("recovered session drifted from the live one:\n got  %s\n want %s", got, want)
 		}
 	}
 }

@@ -32,6 +32,13 @@
 // session's identity is its delta history — the HTTP layer (cmd/sectord)
 // keeps the two strictly apart.
 //
+// Durability: a server creates sessions with Create, advances them with
+// Deliver and rebuilds them after a restart with Recover. Deliver alone
+// decides what a delta did: it answers a repeated idempotency key from
+// current state, journals every delta model.ApplyDelta accepted (even if
+// the re-solve then fails), and verifies every answer. Apply is the bare
+// state transition underneath. The journal is described in journal.go.
+//
 // A Session is not safe for concurrent use; callers (the sectord session
 // store) must serialize access per session.
 package session
@@ -44,6 +51,7 @@ import (
 	"sectorpack/internal/angular"
 	"sectorpack/internal/cols"
 	"sectorpack/internal/core"
+	"sectorpack/internal/faultfs"
 	"sectorpack/internal/model"
 )
 
@@ -63,15 +71,16 @@ type Options struct {
 	Core core.Options
 }
 
-// Stats counts a session's incremental-reuse behavior; sectord exports the
-// store-wide sums as expvars.
+// Stats counts a session's incremental-reuse behavior. sectord answers it
+// in every session reply (these JSON names are its wire form) and exports
+// the store-wide sums as expvars.
 type Stats struct {
-	Solves        int64 // total solves, including the initial one
-	Deltas        int64 // deltas applied
-	SweepsKept    int64 // per-antenna sweeps that survived a Rebase
-	SweepsDropped int64 // sweeps invalidated (or never built) at a Rebase
-	StepsReused   int64 // greedy steps replayed from the previous trace
-	StepsResolved int64 // greedy steps re-solved against the engine
+	Solves        int64 `json:"solves"`         // total solves, including the initial one
+	Deltas        int64 `json:"deltas"`         // deltas that advanced the instance
+	SweepsKept    int64 `json:"sweeps_kept"`    // per-antenna sweeps that survived a Rebase
+	SweepsDropped int64 `json:"sweeps_dropped"` // sweeps invalidated (or never built) at a Rebase
+	StepsReused   int64 `json:"steps_reused"`   // greedy steps replayed from the previous trace
+	StepsResolved int64 `json:"steps_resolved"` // greedy steps re-solved against the engine
 }
 
 // stepRec is one recorded greedy step: the antenna processed (in capacity
@@ -93,7 +102,7 @@ type reuseInfo struct {
 }
 
 // Session is a long-lived solve session. Create with New, advance with
-// Apply.
+// Apply; a server uses Create, Deliver and Recover instead.
 type Session struct {
 	opt Options
 	cur *model.Instance
@@ -103,12 +112,17 @@ type Session struct {
 	trace   []stepRec // greedy step trace of the last committed solve
 	traceOK bool      // trace matches (cur, opt); false after errors or non-greedy solves
 
+	journal   *Journal // nil: not journaled
+	lastKey   string   // idempotency key of the last delta that advanced the instance
+	committed bool     // sol is the verified answer for cur
+
 	stats Stats
 }
 
 // New starts a session on a copy of the instance (the caller's value is
-// never touched), prewarms the engine, and solves once. The returned
-// session holds that initial solution (Solution()).
+// never touched), prewarms the engine, and solves once, behind
+// core.VerifySolution. The returned session holds that initial solution
+// (Solution()).
 func New(ctx context.Context, in *model.Instance, opt Options) (*Session, error) {
 	if in == nil {
 		return nil, fmt.Errorf("session: nil instance")
@@ -127,13 +141,84 @@ func New(ctx context.Context, in *model.Instance, opt Options) (*Session, error)
 	if err := s.eng.Prewarm(ctx); err != nil {
 		return nil, err
 	}
-	sol, err := s.solve(ctx, nil)
+	if err := s.commit(ctx, nil); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Create is New plus, when path is not empty, a journal at path
+// (CreateJournal), whose create record is durable before Create returns:
+// a session is never acknowledged without one. A journal failure wraps
+// ErrJournal.
+func Create(ctx context.Context, in *model.Instance, opt Options, fsys faultfs.FS, path string, syncEvery int) (*Session, error) {
+	s, err := New(ctx, in, opt)
+	if err == nil && path != "" {
+		s.journal, err = CreateJournal(fsys, path, s.opt, in, syncEvery)
+	}
 	if err != nil {
 		return nil, err
 	}
-	s.sol = sol
 	return s, nil
 }
+
+// Recover rebuilds a session from the journal at path (readJournal, then
+// replay) and reopens the journal for appends. The session keeps the last
+// journaled idempotency key, so a retry that straddles the restart is
+// answered, not applied twice. On error the journal is left on disk.
+func Recover(ctx context.Context, fsys faultfs.FS, path string, syncEvery int) (*Session, error) {
+	rec, err := readJournal(fsys, path)
+	if err != nil {
+		return nil, err
+	}
+	s, err := rec.replay(ctx)
+	if err == nil {
+		s.journal, err = openAppend(fsys, path, syncEvery)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Deliver applies a delta durably and at most once per idempotency key.
+// A non-empty key equal to that of the last delta that advanced the
+// instance is a retry: d is not applied again, the answer comes from
+// current state (re-solved first, counting no delta, if that solve never
+// committed), and replayed is true. Otherwise, once model.ApplyDelta
+// accepts d, the delta is journaled and its key recorded before the
+// re-solve, so a failed solve leaves the session advanced and uncommitted,
+// exactly as recovery will rebuild it. Every solution returned passed
+// core.VerifySolution. A rejected delta changes nothing; a journal failure
+// wraps ErrJournal, and the session must then stop serving.
+func (s *Session) Deliver(ctx context.Context, d model.Delta, key string) (sol model.Solution, replayed bool, err error) {
+	replayed = key != "" && key == s.lastKey
+	if !replayed {
+		var ru *reuseInfo
+		if ru, err = s.advance(d); err != nil {
+			return model.Solution{}, false, err
+		}
+		s.lastKey = key
+		if err := s.journal.AppendDelta(d, key); err != nil {
+			return model.Solution{}, false, err
+		}
+		err = s.commit(ctx, ru)
+	} else if !s.committed {
+		err = s.commit(ctx, nil)
+	}
+	if err != nil {
+		return model.Solution{}, replayed, err
+	}
+	return s.sol, replayed, nil
+}
+
+// Sync flushes the journal's group-commit window.
+func (s *Session) Sync() error { return s.journal.sync() }
+
+// Close flushes and closes the journal, leaving the file for a later
+// Recover; the owner of the journal directory deletes it. The session must
+// not be used afterwards.
+func (s *Session) Close() error { return s.journal.Close() }
 
 // Apply applies the delta and re-solves incrementally, returning the new
 // solution. An invalid delta leaves the session untouched. A failed solve
@@ -141,12 +226,30 @@ func New(ctx context.Context, in *model.Instance, opt Options) (*Session, error)
 // its warm sweeps, but drops the step trace — the next Apply re-solves
 // every step rather than trusting stale state.
 func (s *Session) Apply(ctx context.Context, d model.Delta) (model.Solution, error) {
-	next, err := model.ApplyDelta(s.cur, d)
+	ru, err := s.advance(d)
 	if err != nil {
 		return model.Solution{}, err
 	}
+	sol, err := s.solve(ctx, ru)
+	if err != nil {
+		return model.Solution{}, err
+	}
+	s.sol = sol
+	return sol, nil
+}
+
+// advance installs the instance d produces, rebases the engine onto it,
+// and returns what the cascade may reuse from the previous trace (nil when
+// that trace is not trustworthy). A rejected delta changes nothing; an
+// accepted one leaves the session uncommitted and without a key.
+func (s *Session) advance(d model.Delta) (*reuseInfo, error) {
+	next, err := model.ApplyDelta(s.cur, d)
+	if err != nil {
+		return nil, err
+	}
 	kept := s.eng.Rebase(next, d)
 	s.cur = next
+	s.lastKey, s.committed = "", false
 	s.stats.Deltas++
 	for _, k := range kept {
 		if k {
@@ -169,13 +272,25 @@ func (s *Session) Apply(ctx context.Context, d model.Delta) (model.Solution, err
 		sort.Ints(ru.removed)
 	}
 	s.traceOK = false
-	sol, err := s.solve(ctx, ru)
-	if err != nil {
-		return model.Solution{}, err
-	}
-	s.sol = sol
-	return sol, nil
+	return ru, nil
 }
+
+// commit re-solves the current instance and installs the answer only if
+// it passes core.VerifySolution.
+func (s *Session) commit(ctx context.Context, ru *reuseInfo) error {
+	sol, err := s.solve(ctx, ru)
+	if err == nil {
+		err = core.VerifySolution(s.opt.Solver, s.cur, sol)
+	}
+	if err != nil {
+		return err
+	}
+	s.sol, s.committed = sol, true
+	return nil
+}
+
+// Solver returns the registry name of the session's solver.
+func (s *Session) Solver() string { return s.opt.Solver }
 
 // Solution returns the last committed solution.
 func (s *Session) Solution() model.Solution { return s.sol }
