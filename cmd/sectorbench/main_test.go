@@ -103,8 +103,9 @@ func TestJSONExport(t *testing.T) {
 		t.Errorf("cache hit %.0f ns/op not faster than fresh greedy %.0f ns/op", hit.NsPerOp, fresh.NsPerOp)
 	}
 	// The delta-session claim: absorbing a 1% churn step through a warm
-	// session must beat the stateless re-solve by at least 5x (the measured
-	// ratio is ~8x, so the gate has headroom against machine noise).
+	// session must beat the stateless re-solve by at least 5x. The test
+	// logged 6.0x on a shared 2-CPU Linux host, so the gate has little
+	// headroom against machine noise there.
 	scratch, delta := byName["session/scratch-n100k"], byName["session/delta-n100k"]
 	if scratch.Name == "" || delta.Name == "" {
 		t.Fatalf("missing session/scratch-n100k or session/delta-n100k in %+v", rep.Micro)

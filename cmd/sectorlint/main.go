@@ -1,10 +1,10 @@
 // Command sectorlint runs the repository's solver-invariant analyzers over
-// the module. The intra-procedural wave — ctxloop, anglenorm, floateq — is
-// joined by the interprocedural wave built on cross-package facts and the
-// module call graph: lockdiscipline (fields annotated `// guarded by mu`
-// are only touched holding the guard) and fsyncorder (durable write paths
-// reach fsync and make no raw os writes; Journal/File/FS errors are never
-// statement-discarded).
+// the module, one package at a time: ctxloop (solvers honour
+// cancellation), anglenorm (2π-seam arithmetic lives in geom), floateq
+// (float equality), lockdiscipline (fields annotated `// guarded by mu`
+// are only touched holding the guard) and fsyncorder (a writable faultfs
+// open is synced in the same function, durable packages make no raw os
+// writes, and Journal/File/FS errors are never statement-discarded).
 //
 // Usage:
 //
@@ -23,7 +23,8 @@
 // line as file:line:col: message (analyzer).
 //
 // Helpers whose contract is "caller must hold the lock" declare it with a
-// doc-comment annotation the call-graph pass verifies at every call site:
+// doc-comment annotation, and every call site in the package is checked
+// for the lock instead:
 //
 //	//sectorlint:locked Cache.mu
 //	func (c *Cache) putLocked(...) { ... }

@@ -14,6 +14,11 @@
 // Because the fixtures run through framework.Run, //sectorlint:ignore
 // comments are honored, so the suppression path is testable the same way.
 //
+// When a test names several fixture packages, each one is also analyzed
+// alone, and its diagnostics must be the same as in the joint run: an
+// analyzer sees one package at a time, so what it reports about a package
+// cannot depend on which other packages the run loads.
+//
 // Fixture imports of other fixtures resolve within testdata/src; imports of
 // the standard library are type-checked from $GOROOT source, which keeps
 // the harness free of go/build GOPATH plumbing and of any network use.
@@ -57,9 +62,9 @@ func TestData(t TB) string {
 }
 
 // Run loads testdata/src/<path> for each named fixture package, runs the
-// analyzer over all of them together (module analyzers see them as one
-// module), and matches the resulting diagnostics against the fixtures'
-// `// want` comments.
+// analyzer over all of them together, and matches the resulting
+// diagnostics against the fixtures' `// want` comments; then it checks
+// that each package analyzed alone gets the same diagnostics.
 func Run(t TB, testdata string, a *framework.Analyzer, paths ...string) {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -78,7 +83,8 @@ func Run(t TB, testdata string, a *framework.Analyzer, paths ...string) {
 		pkgs = append(pkgs, ld.pkgs[path])
 	}
 
-	diags, err := framework.Run(fset, pkgs, []*framework.Analyzer{a})
+	analyzers := []*framework.Analyzer{a}
+	diags, err := framework.Run(fset, pkgs, analyzers, framework.Options{})
 	if err != nil {
 		t.Fatalf("analysistest: running %s: %v", a.Name, err)
 	}
@@ -96,6 +102,36 @@ func Run(t TB, testdata string, a *framework.Analyzer, paths ...string) {
 	for _, w := range wants.unmatched() {
 		t.Errorf("%s:%d: no diagnostic matched `%s`", w.file, w.line, w.re)
 	}
+
+	if len(pkgs) < 2 {
+		return
+	}
+	for _, pkg := range pkgs {
+		alone, err := framework.Run(fset, []*framework.Package{pkg}, analyzers, framework.Options{})
+		if err != nil {
+			t.Fatalf("analysistest: running %s on %s alone: %v", a.Name, pkg.ImportPath, err)
+		}
+		got, want := render(fset, pkg, alone), render(fset, pkg, diags)
+		if got != want {
+			t.Errorf("%s's diagnostics depend on the other packages in the run\nalone:\n%s\nwith %v:\n%s",
+				pkg.ImportPath, got, paths, want)
+		}
+	}
+}
+
+// render lists the diagnostics that land in pkg's files, one per line.
+func render(fset *token.FileSet, pkg *framework.Package, diags []framework.Diagnostic) string {
+	files := map[string]bool{}
+	for _, f := range pkg.Files {
+		files[fset.Position(f.Pos()).Filename] = true
+	}
+	var b strings.Builder
+	for _, d := range diags {
+		if pos := fset.Position(d.Pos); files[pos.Filename] {
+			fmt.Fprintf(&b, "%s: %s (%s)\n", pos, d.Message, d.Analyzer)
+		}
+	}
+	return b.String()
 }
 
 // fixtureLoader type-checks fixture packages on demand, resolving

@@ -89,6 +89,29 @@ func TestRunUnknownFixture(t *testing.T) {
 	}
 }
 
+// TestRunReportsSetDependentDiagnostics: an analyzer whose findings on
+// demo appear only when peer is analyzed in the same run fails the test,
+// even though the joint run matches every want.
+func TestRunReportsSetDependentDiagnostics(t *testing.T) {
+	flagger := stubAnalyzer("flagged")
+	passes := 0
+	a := &framework.Analyzer{
+		Name: "stub",
+		Doc:  "test stub that flags only on its second pass",
+		Run: func(p *framework.Pass) error {
+			passes++
+			if passes != 2 {
+				return nil
+			}
+			return flagger.Run(p)
+		},
+	}
+	r := runRecorded(t, a, "peer", "demo")
+	if len(r.errs) != 1 || !strings.Contains(r.errs[0], "demo's diagnostics depend on the other packages") {
+		t.Fatalf("set-dependent diagnostics must fail the test; errs=%v fatals=%v", r.errs, r.fatals)
+	}
+}
+
 func TestParsePatterns(t *testing.T) {
 	got, err := parsePatterns("`one` \"two\"")
 	if err != nil || len(got) != 2 || got[0] != "one" || got[1] != "two" {

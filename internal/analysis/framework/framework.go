@@ -6,14 +6,9 @@
 // deliberately close to the upstream API so the analyzers would port to a
 // real multichecker by changing imports.
 //
-// Two capabilities beyond single-package AST passes exist:
-//
-//   - Facts: per-package analyzers run in dependency order; a pass may
-//     export facts about its package's objects (serialized through gob, see
-//     facts.go) which passes over dependent packages import back.
-//   - Call graph: analyzers setting NeedsCallGraph receive a module-wide
-//     may-call graph (callgraph.go) on their Pass, for invariants like
-//     "every caller of this helper holds the lock".
+// Every pass sees exactly one package and nothing else, so a package's
+// diagnostics do not depend on which other packages the same run loads;
+// packages are analyzed in the order given.
 package framework
 
 import (
@@ -22,7 +17,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strconv"
 )
 
 // Analyzer is one named invariant checker.
@@ -33,15 +27,8 @@ type Analyzer struct {
 	// Doc is the one-paragraph description printed by `sectorlint -list`,
 	// stating the invariant and the historical bug class it encodes.
 	Doc string
-	// Run analyzes a single package. Packages are visited in dependency
-	// order (imports before importers), so facts exported by a dependency
-	// are importable here.
+	// Run analyzes a single package.
 	Run func(*Pass) error
-	// FactTypes lists the concrete fact types this analyzer exports, for
-	// gob registration. Required when the analyzer uses Export*Fact.
-	FactTypes []Fact
-	// NeedsCallGraph requests the module call graph on the pass.
-	NeedsCallGraph bool
 }
 
 // Pass carries one type-checked package into an analyzer, mirroring
@@ -52,13 +39,8 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Graph is the module call graph; non-nil iff the analyzer set
-	// NeedsCallGraph.
-	Graph *CallGraph
 
-	diags    *[]Diagnostic
-	facts    *factDB
-	exported *[]wireFact
+	diags *[]Diagnostic
 }
 
 // Diagnostic is one reported violation.
@@ -97,36 +79,18 @@ type Options struct {
 	StaleIgnores []*Analyzer
 }
 
-// Run executes the analyzers over the packages with default options.
-func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunOpts(fset, pkgs, analyzers, Options{})
-}
-
-// RunOpts executes the analyzers over the packages and returns the
-// surviving diagnostics: suppressions (//sectorlint:ignore comments) are
-// applied, malformed (and, with opts.StaleIgnores, stale) suppressions are
+// Run executes the analyzers over the packages and returns the surviving
+// diagnostics: suppressions (//sectorlint:ignore comments) are applied,
+// malformed (and, with opts.StaleIgnores, stale) suppressions are
 // themselves reported, and the result is sorted by position. An analyzer
 // error aborts the run.
-func RunOpts(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, opts Options) ([]Diagnostic, error) {
+func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, opts Options) ([]Diagnostic, error) {
 	var diags []Diagnostic
-	ordered := topoOrder(pkgs)
-
-	var graph *CallGraph
-	for _, a := range analyzers {
-		if a.NeedsCallGraph {
-			graph = BuildCallGraph(pkgs)
-			break
-		}
-	}
-
-	facts := newFactDB()
 	for _, a := range analyzers {
 		if a.Run == nil {
 			return nil, fmt.Errorf("analyzer %s has no Run", a.Name)
 		}
-		registerFactTypes(a)
-		for _, pkg := range ordered {
-			var exported []wireFact
+		for _, pkg := range pkgs {
 			p := &Pass{
 				Analyzer:  a,
 				Fset:      fset,
@@ -134,17 +98,9 @@ func RunOpts(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, opts O
 				Pkg:       pkg.Pkg,
 				TypesInfo: pkg.TypesInfo,
 				diags:     &diags,
-				facts:     facts,
-				exported:  &exported,
-			}
-			if a.NeedsCallGraph {
-				p.Graph = graph
 			}
 			if err := a.Run(p); err != nil {
 				return nil, fmt.Errorf("analyzer %s on %s: %w", a.Name, p.Pkg.Path(), err)
-			}
-			if err := facts.seal(a.Name, pkg.ImportPath, exported); err != nil {
-				return nil, fmt.Errorf("analyzer %s: %w", a.Name, err)
 			}
 		}
 	}
@@ -176,60 +132,4 @@ func RunOpts(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, opts O
 		return diags[i].Message < diags[j].Message
 	})
 	return diags, nil
-}
-
-// topoOrder sorts the packages dependencies-first: a package appears after
-// every loaded package it imports. The import relation is read from the
-// files' import specs (matched against loaded import paths), so it works
-// on real module loads and fixture packages alike. Ties and independent
-// packages keep import-path order, making the result deterministic.
-func topoOrder(pkgs []*Package) []*Package {
-	byPath := make(map[string]*Package, len(pkgs))
-	for _, p := range pkgs {
-		byPath[p.ImportPath] = p
-	}
-	paths := make([]string, 0, len(pkgs))
-	for _, p := range pkgs {
-		paths = append(paths, p.ImportPath)
-	}
-	sort.Strings(paths)
-
-	deps := map[string][]string{}
-	for _, path := range paths {
-		p := byPath[path]
-		seen := map[string]bool{}
-		for _, f := range p.Files {
-			for _, imp := range f.Imports {
-				ip, err := strconv.Unquote(imp.Path.Value)
-				if err != nil || seen[ip] {
-					continue
-				}
-				seen[ip] = true
-				if _, ok := byPath[ip]; ok && ip != path {
-					deps[path] = append(deps[path], ip)
-				}
-			}
-		}
-		sort.Strings(deps[path])
-	}
-
-	out := make([]*Package, 0, len(pkgs))
-	state := map[string]int{} // 0 unvisited, 1 visiting, 2 done
-	var visit func(path string)
-	visit = func(path string) {
-		switch state[path] {
-		case 1, 2:
-			return // cycle (impossible in valid Go) or already emitted
-		}
-		state[path] = 1
-		for _, d := range deps[path] {
-			visit(d)
-		}
-		state[path] = 2
-		out = append(out, byPath[path])
-	}
-	for _, path := range paths {
-		visit(path)
-	}
-	return out
 }

@@ -84,7 +84,7 @@ func TestApplySuppressionsNoComments(t *testing.T) {
 func TestRunValidatesAnalyzerShape(t *testing.T) {
 	fset, file := parseSrc(t, "package p\n")
 	pkgs := []*Package{{ImportPath: "p", Fset: fset, Files: []*ast.File{file}}}
-	if _, err := Run(fset, pkgs, []*Analyzer{{Name: "norun"}}); err == nil {
+	if _, err := Run(fset, pkgs, []*Analyzer{{Name: "norun"}}, Options{}); err == nil {
 		t.Error("Run accepted an analyzer with no Run function")
 	}
 }
@@ -101,11 +101,48 @@ func TestRunSortsDiagnostics(t *testing.T) {
 		},
 	}
 	pkgs := []*Package{{ImportPath: "p", Fset: fset, Files: []*ast.File{file}}}
-	diags, err := Run(fset, pkgs, []*Analyzer{a})
+	diags, err := Run(fset, pkgs, []*Analyzer{a}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(diags) != 2 || diags[0].Message != "first" || diags[1].Message != "second" {
 		t.Fatalf("diagnostics not sorted by position: %v", diags)
+	}
+}
+
+func TestStaleSuppressionAudit(t *testing.T) {
+	fset, file := parseSrc(t, `package p
+
+//sectorlint:ignore demo this one still matches
+var a = 1
+
+//sectorlint:ignore demo this one is stale
+var b = 2
+
+//sectorlint:ignore skipped this analyzer did not run
+var c = 3
+
+//sectorlint:ignore retryidm this analyzer is not in the suite
+var d = 4
+`)
+	tf := fset.File(file.Pos())
+	in := []Diagnostic{{Pos: tf.LineStart(4), Analyzer: "demo", Message: "m"}}
+	ran := map[string]bool{"demo": true}
+	suite := map[string]bool{"demo": true, "skipped": true}
+	out := applySuppressions(fset, []*ast.File{file}, in, ran, suite)
+	if len(out) != 2 {
+		t.Fatalf("diagnostics = %v, want the stale and the unknown-analyzer findings", out)
+	}
+	if !strings.Contains(out[0].Message, "stale suppression") ||
+		fset.Position(out[0].Pos).Line != 6 {
+		t.Errorf("stale finding = %+v, want stale-suppression at line 6", out[0])
+	}
+	if !strings.Contains(out[1].Message, "unknown analyzer") ||
+		fset.Position(out[1].Pos).Line != 12 {
+		t.Errorf("unknown finding = %+v, want unknown-analyzer at line 12", out[1])
+	}
+	// Without the audit, the same input yields no findings at all.
+	if quiet := applySuppressions(fset, []*ast.File{file}, in, ran, nil); len(quiet) != 0 {
+		t.Errorf("audit off: diagnostics = %v, want none", quiet)
 	}
 }

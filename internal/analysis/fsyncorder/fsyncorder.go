@@ -1,7 +1,7 @@
 // Package fsyncorder checks the durability discipline around faultfs: a
-// write path either goes through a proven fsync+rename sink or carries its
-// own Sync, errors from journal/file mutations are never discarded, and
-// durable packages never write through raw os calls.
+// function that opens a writable file syncs it itself, errors from
+// journal/file mutations are never discarded, and durable packages never
+// write through raw os calls.
 //
 // Invariant (DESIGN.md, "Durable sectord"): crash safety rests on exactly
 // two mechanics — atomic replace (write temp, fsync file, rename, fsync
@@ -12,17 +12,14 @@
 // write), and a journal append error that was dropped left the in-memory
 // session ahead of its durable log, so recovery silently lost deltas.
 //
-// Three rules:
+// Three rules, each looking at one function of one package:
 //
 //   - Reach-sync (durable packages: cache, session, model): a function
 //     that opens a writable faultfs file (Create / CreateTemp / OpenFile)
-//     must reach a Sync before the handle escapes — its own body calls
-//     .Sync(), it calls a function proven fsync-safe, or some function
-//     reachable in the call graph syncs. "Fsync-safe" is a fact derived
-//     bottom-up: a function whose body both Syncs and Renames (the atomic
-//     replace shape, anchored at faultfs.WriteFileAtomic) or that calls
-//     an fsync-safe function. The fact crosses packages, so cache and
-//     session inherit the proof from faultfs.
+//     calls .Sync() in its own body. Writes that need no handle of their
+//     own go through faultfs.WriteFileAtomic, which opens nothing in the
+//     caller; a handle deliberately synced elsewhere carries a reasoned
+//     //sectorlint:ignore.
 //   - No discarded errors (every package except faultfs itself): a
 //     statement-position call to an error-returning method of
 //     session.Journal or of the faultfs File/FS seams throws the error
@@ -47,13 +44,6 @@ import (
 	"sectorpack/internal/analysis/framework"
 )
 
-// FsyncSafe marks a function whose every write path ends in fsync(+rename):
-// calling it satisfies the reach-sync rule.
-type FsyncSafe struct{}
-
-// AFact marks FsyncSafe as a fact.
-func (*FsyncSafe) AFact() {}
-
 // durablePackages are the package names whose writes must be crash-safe.
 var durablePackages = map[string]bool{"cache": true, "session": true, "model": true}
 
@@ -70,21 +60,17 @@ var rawOSWrites = map[string]bool{
 // Analyzer is the fsyncorder checker.
 var Analyzer = &framework.Analyzer{
 	Name: "fsyncorder",
-	Doc: "durable write paths must reach fsync: a faultfs writable open in cache/session/model " +
-		"must lead to .Sync() or an fsync-safe callee (faultfs.WriteFileAtomic); " +
+	Doc: "durable write paths must fsync: a function in cache/session/model that opens a " +
+		"writable faultfs file must call .Sync() itself (or write through faultfs.WriteFileAtomic); " +
 		"error-returning Journal/File/FS mutations must not be statement-discarded " +
 		"(the torn-write and lost-delta classes); and durable packages must not " +
 		"write through raw os calls the crash suite cannot see",
-	Run:            run,
-	FactTypes:      []framework.Fact{(*FsyncSafe)(nil)},
-	NeedsCallGraph: true,
+	Run: run,
 }
 
 func run(pass *framework.Pass) error {
-	nodes := pass.Graph.NodesOf(pass.Pkg.Path())
-	exportFsyncSafe(pass, nodes)
 	if durablePackages[pass.Pkg.Name()] {
-		checkReachSync(pass, nodes)
+		checkReachSync(pass)
 		checkRawOSWrites(pass)
 	}
 	if pass.Pkg.Name() != "faultfs" {
@@ -93,68 +79,32 @@ func run(pass *framework.Pass) error {
 	return nil
 }
 
-// exportFsyncSafe derives FsyncSafe facts to a fixpoint: the base case is
-// the atomic-replace shape (body Syncs and Renames); the inductive case is
-// calling an already-safe function. Same-package helpers may be declared in
-// any order, hence the loop.
-func exportFsyncSafe(pass *framework.Pass, nodes []*framework.CallNode) {
-	safe := map[string]bool{}
-	for changed := true; changed; {
-		changed = false
-		for _, node := range nodes {
-			if node.Fn == nil || safe[node.Key] {
-				continue
+// checkReachSync flags writable faultfs opens in functions that never call
+// Sync. Each declaration (or package-level function literal) is read
+// whole, function literals inside it included.
+func checkReachSync(pass *framework.Pass) {
+	for _, file := range pass.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			var body *ast.BlockStmt
+			switch fn := n.(type) {
+			case *ast.FuncDecl:
+				body = fn.Body
+			case *ast.FuncLit:
+				body = fn.Body
+			default:
+				return true
 			}
-			if (callsMethodNamed(node.Body, "Sync") && callsMethodNamed(node.Body, "Rename")) ||
-				callsFsyncSafe(pass, node) {
-				safe[node.Key] = true
-				pass.ExportObjectFact(node.Fn, &FsyncSafe{})
-				changed = true
-			}
-		}
-	}
-}
-
-// callsFsyncSafe reports whether node's body calls a function already
-// proven fsync-safe (in this package's pending exports or an imported
-// package's sealed facts).
-func callsFsyncSafe(pass *framework.Pass, node *framework.CallNode) bool {
-	found := false
-	ast.Inspect(node.Body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if fn := calleeFunc(pass.TypesInfo, call); fn != nil {
-			var fact FsyncSafe
-			if pass.ImportObjectFact(fn, &fact) {
-				found = true
+			if body == nil {
 				return false
 			}
-		}
-		return true
-	})
-	return found
-}
-
-// checkReachSync flags writable faultfs opens in functions from which no
-// Sync is reachable.
-func checkReachSync(pass *framework.Pass, nodes []*framework.CallNode) {
-	for _, node := range nodes {
-		openPos := writableOpenPos(pass.TypesInfo, node.Body)
-		if openPos == nil {
-			continue
-		}
-		if reachesSync(pass, node) {
-			continue
-		}
-		pass.Reportf(*openPos,
-			"writable faultfs open with no reachable Sync: route the write through "+
-				"faultfs.WriteFileAtomic or fsync the handle before rename/close, "+
-				"or a crash here tears the durable state")
+			if openPos := writableOpenPos(pass.TypesInfo, body); openPos != nil && !callsMethodNamed(body, "Sync") {
+				pass.Reportf(*openPos,
+					"writable faultfs open with no reachable Sync: route the write through "+
+						"faultfs.WriteFileAtomic or fsync the handle before rename/close, "+
+						"or a crash here tears the durable state")
+			}
+			return false
+		})
 	}
 }
 
@@ -208,21 +158,6 @@ func writableOpenPos(info *types.Info, body *ast.BlockStmt) *token.Pos {
 		return false
 	})
 	return pos
-}
-
-// reachesSync reports whether node itself syncs, calls an fsync-safe
-// function, or can reach (via the call graph) a module function that
-// syncs.
-func reachesSync(pass *framework.Pass, node *framework.CallNode) bool {
-	if callsMethodNamed(node.Body, "Sync") || callsFsyncSafe(pass, node) {
-		return true
-	}
-	for key := range pass.Graph.ReachableFrom(node.Key) {
-		if n := pass.Graph.Node(key); n != nil && n.Body != nil && callsMethodNamed(n.Body, "Sync") {
-			return true
-		}
-	}
-	return false
 }
 
 // callsMethodNamed reports whether body contains a call x.<name>(...).
@@ -306,21 +241,4 @@ func lastResultIsError(sig *types.Signature) bool {
 	last := res.At(res.Len() - 1).Type()
 	named, ok := last.(*types.Named)
 	return ok && named.Obj().Name() == "error" && named.Obj().Pkg() == nil
-}
-
-// calleeFunc resolves the *types.Func a call invokes, or nil.
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := info.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[fun]; ok {
-			fn, _ := sel.Obj().(*types.Func)
-			return fn
-		}
-		fn, _ := info.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
 }

@@ -7,8 +7,8 @@ import (
 	"session"
 )
 
-// goodAtomic routes the write through the cross-package fsync-safe sink;
-// the FsyncSafe fact on faultfs.WriteFileAtomic crossed the boundary.
+// goodAtomic routes the write through the atomic-replace sink, which
+// opens and syncs inside faultfs; this function opens nothing itself.
 func goodAtomic(fsys faultfs.FS, data []byte) error {
 	return faultfs.WriteFileAtomic(fsys, "snapshot.bin", func(w io.Writer) error {
 		_, err := w.Write(data)
@@ -27,27 +27,6 @@ func goodExplicit(fsys faultfs.FS, data []byte) error {
 		return err
 	}
 	return f.Sync()
-}
-
-// goodViaHelper opens here but reaches the sync through a callee found by
-// the call graph.
-func goodViaHelper(fsys faultfs.FS, data []byte) error {
-	f, err := fsys.Create("snapshot.bin")
-	if err != nil {
-		return err
-	}
-	return finish(f, data)
-}
-
-func finish(f faultfs.File, data []byte) error {
-	if _, err := f.Write(data); err != nil {
-		_ = f.Close() // explicit discard is a decision, not an accident
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	return f.Close()
 }
 
 // goodJournal propagates every journal error.

@@ -1,7 +1,6 @@
 // Package faultfs is a minimized copy of the repository's filesystem seam
 // for the fsyncorder fixtures: the same interface names, and a
-// WriteFileAtomic with the Sync+Rename shape the analyzer anchors its
-// FsyncSafe facts on.
+// WriteFileAtomic with the temp, write, Sync, Rename shape.
 package faultfs
 
 import "io"

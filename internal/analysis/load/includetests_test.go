@@ -46,7 +46,7 @@ var _ = p.Exported
 
 func TestPackagesExcludesTestsByDefault(t *testing.T) {
 	dir := writeModule(t)
-	_, pkgs, err := load.Packages(dir, "./...")
+	_, pkgs, err := load.Packages(dir, load.Config{}, "./...")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestPackagesExcludesTestsByDefault(t *testing.T) {
 
 func TestPackagesCfgIncludeTests(t *testing.T) {
 	dir := writeModule(t)
-	_, pkgs, err := load.PackagesCfg(dir, load.Config{IncludeTests: true}, "./...")
+	_, pkgs, err := load.Packages(dir, load.Config{IncludeTests: true}, "./...")
 	if err != nil {
 		t.Fatal(err)
 	}

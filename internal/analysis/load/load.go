@@ -65,15 +65,10 @@ type Config struct {
 }
 
 // Packages loads and type-checks the module packages matched by the
-// patterns (e.g. "./..."), rooted at dir. Packages outside the module —
+// patterns (default "./..."), rooted at dir. Packages outside the module —
 // dependencies, the standard library — are imported from export data and
 // never analyzed.
-func Packages(dir string, patterns ...string) (*token.FileSet, []*framework.Package, error) {
-	return PackagesCfg(dir, Config{}, patterns...)
-}
-
-// PackagesCfg is Packages with explicit configuration.
-func PackagesCfg(dir string, cfg Config, patterns ...string) (*token.FileSet, []*framework.Package, error) {
+func Packages(dir string, cfg Config, patterns ...string) (*token.FileSet, []*framework.Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -119,9 +114,8 @@ func PackagesCfg(dir string, cfg Config, patterns ...string) (*token.FileSet, []
 		}
 		targets = append(targets, p)
 	}
-	// -deps emits dependencies before dependents, which is already a fine
-	// order; sort anyway so diagnostics and module passes are stable
-	// regardless of go tool internals.
+	// Sort by import path so the analysis order, and with it any analyzer
+	// error, is stable regardless of go tool internals.
 	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
 
 	if cfg.IncludeTests {

@@ -12,7 +12,7 @@ import (
 // the package is type-checked, only non-test files are present, and the
 // types.Info maps are populated.
 func TestPackagesLoadsGeom(t *testing.T) {
-	fset, pkgs, err := load.Packages("../../..", "./internal/geom")
+	fset, pkgs, err := load.Packages("../../..", load.Config{}, "./internal/geom")
 	if err != nil {
 		t.Fatalf("Packages: %v", err)
 	}
@@ -49,7 +49,7 @@ func TestPackagesDefaultsToAll(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the full module")
 	}
-	_, pkgs, err := load.Packages("../../..")
+	_, pkgs, err := load.Packages("../../..", load.Config{})
 	if err != nil {
 		t.Fatalf("Packages: %v", err)
 	}
@@ -64,7 +64,7 @@ func TestPackagesDefaultsToAll(t *testing.T) {
 }
 
 func TestPackagesBadDir(t *testing.T) {
-	if _, _, err := load.Packages("/nonexistent-sectorlint-dir"); err == nil {
+	if _, _, err := load.Packages("/nonexistent-sectorlint-dir", load.Config{}); err == nil {
 		t.Fatal("loading from a missing directory must fail")
 	}
 }

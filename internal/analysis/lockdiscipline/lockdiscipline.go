@@ -7,21 +7,23 @@
 //	sess *session.Session // guarded by mu
 //
 // may only be read or written by a function that (a) locks <owner>.mu
-// itself, (b) is annotated `//sectorlint:locked <Owner>.mu` — a declared
-// contract that every caller already holds the lock — or (c) is reached
-// only from functions that hold the lock, verified over the module call
-// graph. Rule (c) is what makes helpers honest: annotating a helper
-// `locked` shifts the proof obligation to its callers, and the analyzer
-// walks the call graph to collect it.
+// itself — the declaration, or a function literal around the access — or
+// (b) is annotated `//sectorlint:locked <Owner>.mu`, a declared contract
+// that every caller already holds the lock. A call to an annotated helper
+// is held to the same two rules, so the annotation moves the proof to the
+// call sites instead of dropping it.
 //
 // The motivating bug is the PR-7/8 daemon class: sessionStore kept
 // per-entry state (the live *session.Session, its journal, the
 // idempotency memo) behind sessionEntry.mu, but stats-folding helpers
 // read entry.sess without the lock, racing an in-flight delta apply.
 // The same shape existed transiently in the proxy's per-backend health
-// state before it moved to atomics. Annotations make the discipline
-// checkable: the guard relation lives next to the fields, exported as
-// facts, so an access in ANY package importing the struct is checked.
+// state before it moved to atomics.
+//
+// The check sees one package at a time, which is complete because a
+// guarded field, its mutex, and a //sectorlint:locked helper must all be
+// unexported: an exported one is reported, so every access the rules
+// govern lies in the owner's package.
 //
 // Exemptions, each encoding a real pattern in this repository:
 //
@@ -37,30 +39,8 @@ import (
 	"go/types"
 	"strings"
 
-	"sectorpack/internal/analysis/astx"
 	"sectorpack/internal/analysis/framework"
 )
-
-// GuardedBy is the field fact: the named sibling field is the mutex
-// protecting this one.
-type GuardedBy struct {
-	Mutex string
-}
-
-// AFact marks GuardedBy as a fact.
-func (*GuardedBy) AFact() {}
-
-// RequiresLock is the object fact exported for functions annotated
-// //sectorlint:locked <Owner>.<mutex>: callers must hold the lock.
-type RequiresLock struct {
-	// Owner is "<pkgpath>.<TypeName>" of the struct owning the mutex.
-	Owner string
-	// Mutex is the guard field's name.
-	Mutex string
-}
-
-// AFact marks RequiresLock as a fact.
-func (*RequiresLock) AFact() {}
 
 // lockedPrefix introduces the helper annotation.
 const lockedPrefix = "//sectorlint:locked"
@@ -69,30 +49,59 @@ const lockedPrefix = "//sectorlint:locked"
 var Analyzer = &framework.Analyzer{
 	Name: "lockdiscipline",
 	Doc: "fields annotated `// guarded by mu` may only be accessed holding the guard: " +
-		"the accessor locks <owner>.mu itself, is annotated //sectorlint:locked Owner.mu, " +
-		"or is provably reached only from lock-holding callers (module call graph); " +
+		"the accessor (or a function literal around the access) locks <owner>.mu itself, " +
+		"or is annotated //sectorlint:locked Owner.mu and every call site is checked instead; " +
+		"guarded fields, their mutexes and locked helpers must be unexported; " +
 		"encodes the daemon sessionStore stats-fold race class",
-	Run:            run,
-	FactTypes:      []framework.Fact{(*GuardedBy)(nil), (*RequiresLock)(nil)},
-	NeedsCallGraph: true,
+	Run: run,
+}
+
+// guard is one (owner type, mutex field) pair.
+type guard struct {
+	owner string     // the owning struct type's name, for messages
+	mu    *types.Var // the mutex field; guards compare by it alone
+}
+
+type checker struct {
+	pass *framework.Pass
+	// fields maps each guarded field to its guard.
+	fields map[*types.Var]guard
+	// locked maps each //sectorlint:locked function to the guard its
+	// callers must hold.
+	locked map[*types.Func]guard
 }
 
 func run(pass *framework.Pass) error {
-	exportGuards(pass)
-	exportLockedAnnotations(pass)
-
-	checker := &checker{pass: pass, holds: map[holdQuery]bool{}}
-	for _, node := range pass.Graph.NodesOf(pass.Pkg.Path()) {
-		checker.checkNode(node)
+	c := &checker{pass: pass, fields: map[*types.Var]guard{}, locked: map[*types.Func]guard{}}
+	c.collectGuards()
+	c.collectLocked()
+	for _, file := range pass.Files {
+		for _, decl := range file.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok {
+				if fd.Body != nil {
+					c.checkBody(fd, fd.Body, []*ast.BlockStmt{fd.Body})
+				}
+				continue
+			}
+			// Function literals in package-level initializers have no
+			// declaration to lock or carry an annotation.
+			ast.Inspect(decl, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.FuncLit); ok {
+					c.checkBody(nil, lit.Body, []*ast.BlockStmt{lit.Body})
+					return false
+				}
+				return true
+			})
+		}
 	}
 	return nil
 }
 
-// exportGuards publishes a GuardedBy fact for every `// guarded by <mu>`
-// field comment on a named struct type, validating that the guard names a
-// sibling field.
-func exportGuards(pass *framework.Pass) {
-	for _, file := range pass.Files {
+// collectGuards records every `// guarded by <mu>` field comment on a
+// struct type, validating that the guard names a sibling field and that
+// neither the field nor its guard is exported.
+func (c *checker) collectGuards() {
+	for _, file := range c.pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			ts, ok := n.(*ast.TypeSpec)
 			if !ok {
@@ -102,36 +111,49 @@ func exportGuards(pass *framework.Pass) {
 			if !ok {
 				return true
 			}
-			obj := pass.TypesInfo.Defs[ts.Name]
-			if obj == nil {
-				return true
-			}
-			named, _ := obj.Type().(*types.Named)
-			if named == nil {
-				return true
-			}
-			fieldNames := map[string]bool{}
+			siblings := map[string]*ast.Ident{}
 			for _, f := range st.Fields.List {
 				for _, name := range f.Names {
-					fieldNames[name.Name] = true
+					siblings[name.Name] = name
 				}
 			}
+			reportedMu := map[string]bool{}
 			for _, f := range st.Fields.List {
 				mu, ok := guardComment(f)
 				if !ok {
 					continue
 				}
-				if !fieldNames[mu] {
-					pass.Reportf(f.Pos(),
+				muIdent := siblings[mu]
+				if muIdent == nil {
+					c.pass.Reportf(f.Pos(),
 						"guard comment names %q, which is not a field of %s; the guard must be a sibling field",
 						mu, ts.Name.Name)
 					continue
+				}
+				muVar, _ := c.pass.TypesInfo.Defs[muIdent].(*types.Var)
+				if muVar == nil {
+					continue
+				}
+				if muVar.Exported() && !reportedMu[mu] {
+					reportedMu[mu] = true
+					c.pass.Reportf(muIdent.Pos(),
+						"%s.%s guards other fields but is exported; unexport it so every lock and "+
+							"access lies in package %s, where lockdiscipline checks them",
+						ts.Name.Name, mu, c.pass.Pkg.Name())
 				}
 				for _, name := range f.Names {
 					if name.Name == mu {
 						continue // a mutex cannot guard itself
 					}
-					pass.ExportFieldFact(named, name.Name, &GuardedBy{Mutex: mu})
+					if name.IsExported() {
+						c.pass.Reportf(name.Pos(),
+							"%s.%s is guarded by %q but exported; unexport it so every access lies "+
+								"in package %s, where lockdiscipline checks them",
+							ts.Name.Name, name.Name, mu, c.pass.Pkg.Name())
+					}
+					if v, ok := c.pass.TypesInfo.Defs[name].(*types.Var); ok {
+						c.fields[v] = guard{owner: ts.Name.Name, mu: muVar}
+					}
 				}
 			}
 			return true
@@ -161,127 +183,133 @@ func guardComment(f *ast.Field) (string, bool) {
 	return "", false
 }
 
-// exportLockedAnnotations publishes RequiresLock facts for functions
-// annotated //sectorlint:locked <Owner>.<mu>.
-func exportLockedAnnotations(pass *framework.Pass) {
-	for _, file := range pass.Files {
+// collectLocked records the functions annotated
+// //sectorlint:locked <Owner>.<mu>, resolving Owner among this package's
+// struct types and reporting an annotation that does not resolve.
+func (c *checker) collectLocked() {
+	for _, file := range c.pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Doc == nil {
 				continue
 			}
-			obj, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if obj == nil {
+			fn, _ := c.pass.TypesInfo.Defs[fd.Name].(*types.Func)
+			if fn == nil {
 				continue
 			}
-			for _, c := range fd.Doc.List {
-				text := strings.TrimSpace(c.Text)
-				rest, ok := strings.CutPrefix(text, lockedPrefix)
+			for _, cm := range fd.Doc.List {
+				rest, ok := strings.CutPrefix(strings.TrimSpace(cm.Text), lockedPrefix)
 				if !ok {
 					continue
 				}
-				spec := strings.TrimSpace(rest)
-				owner, mu, ok := strings.Cut(spec, ".")
-				if !ok || owner == "" || mu == "" {
-					pass.Reportf(c.Pos(), "malformed annotation: %s <Owner>.<mutex>", lockedPrefix)
+				spec, _, _ := strings.Cut(strings.TrimSpace(rest), " ")
+				owner, mu, _ := strings.Cut(spec, ".")
+				muVar := c.structField(owner, mu)
+				if muVar == nil {
+					c.pass.Reportf(cm.Pos(), "malformed annotation: %s <Owner>.<mutex>, naming a struct type "+
+						"of this package and its mutex field", lockedPrefix)
 					continue
 				}
-				pass.ExportObjectFact(obj, &RequiresLock{
-					Owner: pass.Pkg.Path() + "." + owner,
-					Mutex: mu,
-				})
+				if fn.Exported() {
+					c.pass.Reportf(fd.Name.Pos(),
+						"%s is annotated %s %s.%s but exported; unexport it so every call site lies "+
+							"in package %s, where lockdiscipline checks them",
+						fn.Name(), lockedPrefix, owner, mu, c.pass.Pkg.Name())
+				}
+				c.locked[fn] = guard{owner: owner, mu: muVar}
 			}
 		}
 	}
 }
 
-// guardKey identifies one (owner type, mutex field) pair module-wide.
-type guardKey struct {
-	owner string // "<pkgpath>.<TypeName>"
-	mutex string
+// structField returns the field named field of this package's struct
+// type named owner, or nil.
+func (c *checker) structField(owner, field string) *types.Var {
+	tn, ok := c.pass.Pkg.Scope().Lookup(owner).(*types.TypeName)
+	if !ok {
+		return nil
+	}
+	st, ok := tn.Type().Underlying().(*types.Struct)
+	if !ok {
+		return nil
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		if st.Field(i).Name() == field {
+			return st.Field(i)
+		}
+	}
+	return nil
 }
 
-type holdQuery struct {
-	node  string
-	guard guardKey
-}
-
-type checker struct {
-	pass  *framework.Pass
-	holds map[holdQuery]bool
-}
-
-// checkNode verifies every guarded-field access in one call-graph node.
-// Nested function literals are skipped — they are their own nodes.
-func (c *checker) checkNode(node *framework.CallNode) {
-	fresh := constructorLocals(c.pass.TypesInfo, node.Body)
-	ast.Inspect(node.Body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok && lit.Body != node.Body {
+// checkBody verifies every guarded-field access and every call to a
+// locked helper in body. decl is the enclosing declaration (nil at package
+// level) and bodies the enclosing function bodies, outermost first, ending
+// with body; nested function literals recurse with their own body pushed.
+func (c *checker) checkBody(decl *ast.FuncDecl, body *ast.BlockStmt, bodies []*ast.BlockStmt) {
+	info := c.pass.TypesInfo
+	fresh := constructorLocals(info, body)
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			c.checkBody(decl, n.Body, append(bodies[:len(bodies):len(bodies)], n.Body))
 			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			c.checkLockedCall(node, call)
-			return true
-		}
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		selection, ok := c.pass.TypesInfo.Selections[sel]
-		if !ok || selection.Kind() != types.FieldVal {
-			return true
-		}
-		owner := astx.NamedType(selection.Recv())
-		if owner == nil || owner.Obj().Pkg() == nil {
-			return true
-		}
-		var gb GuardedBy
-		if !c.pass.ImportFieldFact(selection.Recv(), sel.Sel.Name, &gb) {
-			return true
-		}
-		if base, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
-			if obj := c.pass.TypesInfo.Uses[base]; obj != nil && fresh[obj] {
-				return true // unpublished constructor local
+		case *ast.CallExpr:
+			fn := calleeFunc(info, n)
+			if fn == nil {
+				return true
 			}
-		}
-		guard := guardKey{
-			owner: owner.Obj().Pkg().Path() + "." + owner.Obj().Name(),
-			mutex: gb.Mutex,
-		}
-		if !c.nodeHolds(node.Key, guard) {
-			ownerName := owner.Obj().Name()
-			c.pass.Reportf(sel.Sel.Pos(),
-				"%s.%s is guarded by %q but %s does not hold it: lock %s.%s, or annotate the helper "+
-					"//sectorlint:locked %s.%s and lock in every caller",
-				ownerName, sel.Sel.Name, gb.Mutex, displayName(node),
-				strings.ToLower(ownerName[:1]), gb.Mutex, ownerName, gb.Mutex)
+			if g, ok := c.locked[fn.Origin()]; ok && !c.holds(decl, bodies, g) {
+				c.pass.Reportf(n.Pos(),
+					"%s is annotated //sectorlint:locked %s.%s but %s calls it without holding %s.%s",
+					fn.Name(), g.owner, g.mu.Name(), displayName(decl, bodies), g.owner, g.mu.Name())
+			}
+		case *ast.SelectorExpr:
+			selection, ok := info.Selections[n]
+			if !ok || selection.Kind() != types.FieldVal {
+				return true
+			}
+			field, _ := selection.Obj().(*types.Var)
+			if field == nil {
+				return true
+			}
+			g, ok := c.fields[field.Origin()]
+			if !ok {
+				return true
+			}
+			if base, ok := ast.Unparen(n.X).(*ast.Ident); ok {
+				if obj := info.Uses[base]; obj != nil && fresh[obj] {
+					return true // unpublished constructor local
+				}
+			}
+			if !c.holds(decl, bodies, g) {
+				mu := g.mu.Name()
+				c.pass.Reportf(n.Sel.Pos(),
+					"%s.%s is guarded by %q but %s does not hold it: lock %s.%s, or annotate the helper "+
+						"//sectorlint:locked %s.%s and lock in every caller",
+					g.owner, n.Sel.Name, mu, displayName(decl, bodies),
+					types.ExprString(n.X), mu, g.owner, mu)
+			}
 		}
 		return true
 	})
 }
 
-// checkLockedCall enforces the other half of the //sectorlint:locked
-// contract: the annotation promises every caller holds the lock, so a call
-// to an annotated helper from a function that does not is a finding.
-func (c *checker) checkLockedCall(node *framework.CallNode, call *ast.CallExpr) {
-	fn := calleeFunc(c.pass.TypesInfo, call)
-	if fn == nil {
-		return
-	}
-	var rl RequiresLock
-	if !c.pass.ImportObjectFact(fn, &rl) {
-		return
-	}
-	guard := guardKey{owner: rl.Owner, mutex: rl.Mutex}
-	if !c.nodeHolds(node.Key, guard) {
-		ownerName := rl.Owner
-		if i := strings.LastIndex(rl.Owner, "."); i >= 0 {
-			ownerName = rl.Owner[i+1:]
+// holds reports whether g is held inside the innermost of bodies: the
+// declaration is annotated with g, or one of the enclosing bodies locks it.
+func (c *checker) holds(decl *ast.FuncDecl, bodies []*ast.BlockStmt, g guard) bool {
+	if decl != nil {
+		if fn, ok := c.pass.TypesInfo.Defs[decl.Name].(*types.Func); ok {
+			if lg, ok := c.locked[fn]; ok && lg.mu == g.mu {
+				return true
+			}
 		}
-		c.pass.Reportf(call.Pos(),
-			"%s is annotated //sectorlint:locked %s.%s but %s calls it without holding %s.%s",
-			fn.Name(), ownerName, rl.Mutex, displayName(node), ownerName, rl.Mutex)
 	}
+	for _, b := range bodies {
+		if selfLocks(c.pass.TypesInfo, b, g.mu) {
+			return true
+		}
+	}
+	return false
 }
 
 // calleeFunc resolves the *types.Func a call invokes, or nil for builtins,
@@ -302,53 +330,11 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// nodeHolds reports whether the function at key holds guard at every
-// guarded access: it locks the mutex itself, declares the contract via
-// //sectorlint:locked, or (recursively) is called only by holders. Cycles
-// resolve optimistically — a mutually recursive pair whose every external
-// entry point holds the lock passes.
-func (c *checker) nodeHolds(key string, guard guardKey) bool {
-	q := holdQuery{node: key, guard: guard}
-	if v, ok := c.holds[q]; ok {
-		return v
-	}
-	c.holds[q] = true // optimistic: cycles don't refute holding
-	node := c.pass.Graph.Node(key)
-	v := c.computeHolds(node, guard)
-	c.holds[q] = v
-	return v
-}
-
-func (c *checker) computeHolds(node *framework.CallNode, guard guardKey) bool {
-	if node == nil {
-		return false
-	}
-	if node.Body != nil && node.Pkg != nil && selfLocks(node.Pkg.TypesInfo, node.Body, guard) {
-		return true
-	}
-	if node.Fn != nil {
-		var rl RequiresLock
-		if c.pass.ImportObjectFact(node.Fn, &rl) && rl.Owner == guard.owner && rl.Mutex == guard.mutex {
-			return true
-		}
-	}
-	callers := c.pass.Graph.Callers(node.Key)
-	if len(callers) == 0 {
-		return false
-	}
-	for _, caller := range callers {
-		if !c.nodeHolds(caller.Key, guard) {
-			return false
-		}
-	}
-	return true
-}
-
 // selfLocks reports whether body contains a call of the shape
-// <expr-of-owner-type>.<mutex>.Lock/RLock/TryLock/TryRLock(), outside
+// <expr>.<mu>.Lock/RLock/TryLock/TryRLock() on the mutex field mu, outside
 // nested function literals. Flow-insensitive by design: the repository
 // style locks at function entry.
-func selfLocks(info *types.Info, body *ast.BlockStmt, guard guardKey) bool {
+func selfLocks(info *types.Info, body *ast.BlockStmt, mu *types.Var) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		if found {
@@ -371,20 +357,14 @@ func selfLocks(info *types.Info, body *ast.BlockStmt, guard guardKey) bool {
 			return true
 		}
 		muSel, ok := ast.Unparen(lockSel.X).(*ast.SelectorExpr)
-		if !ok || muSel.Sel.Name != guard.mutex {
-			return true
-		}
-		recv, ok := info.Types[muSel.X]
 		if !ok {
 			return true
 		}
-		owner := astx.NamedType(recv.Type)
-		if owner == nil || owner.Obj().Pkg() == nil {
-			return true
-		}
-		if owner.Obj().Pkg().Path()+"."+owner.Obj().Name() == guard.owner {
-			found = true
-			return false
+		if sel, ok := info.Selections[muSel]; ok {
+			if v, ok := sel.Obj().(*types.Var); ok && v.Origin() == mu {
+				found = true
+				return false
+			}
 		}
 		return true
 	})
@@ -447,9 +427,10 @@ func isLocalVar(obj types.Object) bool {
 	return v.Parent() == nil || (v.Pkg() != nil && v.Parent() != v.Pkg().Scope())
 }
 
-func displayName(node *framework.CallNode) string {
-	if node.Fn != nil {
-		return node.Fn.Name()
+// displayName names the function an access happens in.
+func displayName(decl *ast.FuncDecl, bodies []*ast.BlockStmt) string {
+	if decl != nil && len(bodies) == 1 {
+		return decl.Name.Name
 	}
 	return "a function literal"
 }

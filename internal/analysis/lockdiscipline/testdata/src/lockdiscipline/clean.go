@@ -21,8 +21,10 @@ func (s *store) drain() int {
 	return s.totalLocked()
 }
 
-// helperAllCallersLock has no annotation but every caller (drainAll, via
-// the call graph) holds the lock, which rule (c) accepts.
+// helperAllCallersLock relies on its callers holding the lock, so it says
+// so; drainAll, its one caller, is then checked for the lock instead.
+//
+//sectorlint:locked store.mu
 func (s *store) helperAllCallersLock() int {
 	return s.retired
 }
@@ -42,8 +44,8 @@ func newStore() *store {
 	return s
 }
 
-// lockedClosure: the literal itself does not lock, but its only caller —
-// the enclosing function — does, and the parent edge carries it.
+// lockedClosure: the literal itself does not lock, but it is checked
+// inside the function around it, which does.
 func (s *store) lockedClosure() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -51,9 +53,20 @@ func (s *store) lockedClosure() int {
 	return get()
 }
 
-// crossClean locks the imported type's guard before touching its field.
-func crossClean(e *lockstate.Entry) string {
-	e.Mu.Lock()
-	defer e.Mu.Unlock()
-	return e.Name + e.NameLocked()
+// closureLocks: the literal around the access locks, so the enclosing
+// function need not.
+func (s *store) closureLocks() func() int {
+	return func() int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.retired
+	}
+}
+
+// crossUnchecked touches another package's guarded field. Guards are
+// package-local, so this package reports nothing here, whether or not
+// lockstate is analyzed in the same run; lockstate itself is reported for
+// exporting the field.
+func crossUnchecked(e *lockstate.Entry) string {
+	return e.Name
 }

@@ -1,10 +1,6 @@
 package lockdiscipline
 
-import (
-	"sync"
-
-	"lockstate"
-)
+import "sync"
 
 type store struct {
 	mu      sync.Mutex
@@ -18,19 +14,10 @@ func (s *store) badCount() int {
 	return len(s.entries) // want `entries is guarded by "mu"`
 }
 
-// badCross accesses an imported package's guarded field: the GuardedBy
-// fact crossed the package boundary.
-func badCross(e *lockstate.Entry) string {
-	return e.Name // want `Name is guarded by "Mu"`
-}
-
-// badCallLocked calls a //sectorlint:locked helper without the lock.
-func badCallLocked(e *lockstate.Entry) string {
-	return e.NameLocked() // want `calls it without holding Entry.Mu`
-}
-
-// badHelper is reached from one locking caller and one non-locking
-// caller, so "all callers hold" fails.
+// badHelper neither locks nor declares the contract. One of its callers
+// holds the lock, but callers are not consulted: the helper must say
+// //sectorlint:locked for that to count, and then forgetfulCaller is the
+// finding.
 func (s *store) badHelper() int {
 	return s.retired // want `retired is guarded by "mu"`
 }
@@ -43,4 +30,39 @@ func (s *store) lockingCaller() int {
 
 func (s *store) forgetfulCaller() int {
 	return s.badHelper()
+}
+
+// forgetfulDrain calls a //sectorlint:locked helper without the lock.
+func (s *store) forgetfulDrain() int {
+	return s.totalLocked() // want `totalLocked is annotated //sectorlint:locked store.mu but forgetfulDrain calls it without holding store.mu`
+}
+
+// badClosure hands a literal that reads a guarded field to a goroutine;
+// neither the literal nor the function around it locks.
+func (s *store) badClosure(out chan<- int) {
+	go func() {
+		out <- s.retired // want `retired is guarded by "mu" but a function literal does not hold it`
+	}()
+}
+
+// registry's methods use the receiver name st, not the type's initial, and
+// the hint must name the lock as the code spells it.
+type registry struct {
+	mu    sync.Mutex
+	names []string // guarded by mu
+}
+
+func (st *registry) badReceiverName() int {
+	return len(st.names) // want `lock st\.mu, or annotate`
+}
+
+//sectorlint:locked store // want `malformed annotation`
+func (s *store) malformedAnnotation() int { return 0 }
+
+//sectorlint:locked ghost.mu // want `malformed annotation`
+func (s *store) unknownOwner() int { return 0 }
+
+// peek is a package-level literal: no declaration around it can lock.
+var peek = func(s *store) int {
+	return s.retired // want `retired is guarded by "mu" but a function literal does not hold it`
 }

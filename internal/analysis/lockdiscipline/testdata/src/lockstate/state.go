@@ -1,16 +1,16 @@
-// Package lockstate is the cross-package half of the lockdiscipline
-// fixtures: a store type whose guarded fields are accessed from the
-// lockdiscipline fixture package, proving the GuardedBy facts survive the
-// package boundary.
+// Package lockstate holds the exported-guard fixtures. lockdiscipline
+// checks one package at a time, which covers every access only while
+// guarded fields, their mutexes and //sectorlint:locked helpers stay
+// unexported; each exported one here is a finding.
 package lockstate
 
 import "sync"
 
-// Entry mirrors the daemon's sessionEntry shape.
+// Entry mirrors the daemon's sessionEntry shape, with everything exported.
 type Entry struct {
-	Mu   sync.Mutex
-	Name string // guarded by Mu
-	Hits int    // guarded by Mu
+	Mu   sync.Mutex // want `Entry\.Mu guards other fields but is exported`
+	Name string     // guarded by Mu // want `Entry\.Name is guarded by "Mu" but exported`
+	Hits int        // guarded by Mu // want `Entry\.Hits is guarded by "Mu" but exported`
 }
 
 // Touch is a correctly locking accessor.
@@ -21,4 +21,16 @@ func (e *Entry) Touch() {
 }
 
 //sectorlint:locked Entry.Mu
-func (e *Entry) NameLocked() string { return e.Name }
+func (e *Entry) NameLocked() string { return e.Name } // want `NameLocked is annotated //sectorlint:locked Entry\.Mu but exported`
+
+// counter keeps its guard and guarded field unexported: no finding.
+type counter struct {
+	mu sync.Mutex
+	n  int // guarded by mu
+}
+
+func (c *counter) inc() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.n++
+}

@@ -1,8 +1,8 @@
 // Package sectorlint is the driver for the repository's invariant
 // checkers: it loads type-checked packages, runs every registered
-// analyzer (sharing one facts store and one module call graph), applies
-// //sectorlint:ignore suppressions, and prints the surviving diagnostics
-// one per line. cmd/sectorlint is a thin main around Main.
+// analyzer over each package on its own, applies //sectorlint:ignore
+// suppressions, and prints the surviving diagnostics one per line.
+// cmd/sectorlint is a thin main around Main.
 package sectorlint
 
 import (
@@ -81,7 +81,7 @@ func Main(stdout, stderr io.Writer, args []string) int {
 		fmt.Fprintf(stderr, "sectorlint: %v\n", err)
 		return 2
 	}
-	fset, pkgs, err := load.PackagesCfg(dir, load.Config{IncludeTests: *includeTests}, fs.Args()...)
+	fset, pkgs, err := load.Packages(dir, load.Config{IncludeTests: *includeTests}, fs.Args()...)
 	if err != nil {
 		fmt.Fprintf(stderr, "sectorlint: %v\n", err)
 		return 2
@@ -90,7 +90,7 @@ func Main(stdout, stderr io.Writer, args []string) int {
 	if *staleIgnores {
 		opts.StaleIgnores = Analyzers()
 	}
-	diags, err := framework.RunOpts(fset, pkgs, analyzers, opts)
+	diags, err := framework.Run(fset, pkgs, analyzers, opts)
 	if err != nil {
 		fmt.Fprintf(stderr, "sectorlint: %v\n", err)
 		return 2
