@@ -9,14 +9,17 @@
 //	sectorpack -in instance.json -server http://localhost:8377
 //
 // With -server, the solve runs on a sectord daemon instead of in-process:
-// the internal/sectorclient retry loop rides out shed load and daemon
-// restarts, and the answer is re-verified locally before printing.
+// the request is a model.SolveRequest, the internal/sectorclient retry
+// loop rides out shed load and daemon restarts, and the reply is a
+// model.SolveResponse re-verified locally before printing.
 //
 // The instance format is the JSON envelope written by cmd/sectorgen (or
 // model.WriteJSON). With -batch, -in names a multi-instance envelope
 // (sectorgen -count, or model.WriteBatchJSON) solved concurrently on a
 // bounded worker pool; each item succeeds or fails on its own. Solvers:
-// anneal, disjoint-dp, exact, greedy, localsearch, lpround, unitflow.
+// anneal, auto, baseline, disjoint-dp, exact, greedy, localsearch, lpround,
+// unitflow. Every local answer passes core.VerifySolution before it is
+// printed.
 //
 // The fractional upper bound printed alongside the profit costs one
 // knapsack relaxation per candidate orientation — quadratic in the
@@ -31,11 +34,14 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -159,19 +165,17 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *timeout > 0 && *fallback {
 		// Hedged: if the requested solver cannot beat the deadline (or
 		// panics, or misbehaves), the greedy safety net's answer is
-		// printed instead and main exits with the degraded code.
+		// printed instead and main exits with the degraded code. The
+		// hedge gates whichever answer it returns through VerifySolution.
 		sol, err = core.SolveHedged(ctx, in, solver, core.HedgeOptions{
 			Options:     opt,
 			PrimaryName: *solverName,
 		})
-	} else {
-		sol, err = solver(ctx, in, opt)
+	} else if sol, err = solver(ctx, in, opt); err == nil {
+		err = core.VerifySolution(*solverName, in, sol)
 	}
 	if err != nil {
 		return err
-	}
-	if err := sol.Assignment.Check(in); err != nil {
-		return fmt.Errorf("internal error: solver returned infeasible assignment: %w", err)
 	}
 	return printSolution(out, in, sol, *solverName, *verbose, *vizFlag)
 }
@@ -225,23 +229,48 @@ type remoteConfig struct {
 
 // runRemote ships the instance to a sectord daemon and prints its answer.
 // The client retries transient failures (shed load, restarts) on its own;
-// the answer is re-checked locally before printing, so a buggy or tampered
-// daemon can cost an error, never an infeasible report.
+// any final answer but 200 is an error, wrapping ctx's error when the
+// retries were cut short. A 200 is re-checked locally before printing, so
+// a buggy or tampered daemon can cost an error, never an infeasible
+// report.
 func runRemote(ctx context.Context, out io.Writer, cfg remoteConfig) error {
 	in, err := model.LoadFile(cfg.inPath)
 	if err != nil {
 		return err
 	}
-	c := sectorclient.New(cfg.server, sectorclient.Options{})
-	res, err := c.Solve(ctx, cfg.solver, in, sectorclient.SolveOptions{
-		Seed:          &cfg.seed,
-		TimeoutMillis: cfg.timeout.Milliseconds(),
-		AllowDegraded: cfg.timeout > 0 && cfg.fallback,
+	body, err := json.Marshal(model.SolveRequest{
+		Solver: cfg.solver, Seed: &cfg.seed, TimeoutMillis: cfg.timeout.Milliseconds(),
+		FormatVersion: 1, Instance: in,
 	})
 	if err != nil {
 		return err
 	}
-	as := res.Assignment()
+	path := "/solve"
+	if cfg.timeout > 0 && cfg.fallback {
+		path += "?degraded=allow"
+	}
+	resp, err := sectorclient.New(cfg.server, sectorclient.Options{}).Do(ctx, http.MethodPost, path, body)
+	if err != nil {
+		return err
+	}
+	if resp.Status != http.StatusOK {
+		var reply struct {
+			Error string `json:"error"`
+		}
+		if json.Unmarshal(resp.Body, &reply) != nil || reply.Error == "" {
+			reply.Error = string(bytes.TrimSpace(resp.Body))
+		}
+		answer := fmt.Errorf("sectord: %d %s: %s", resp.Status, http.StatusText(resp.Status), reply.Error)
+		if ctx.Err() != nil {
+			return fmt.Errorf("%w (last answer: %w)", ctx.Err(), answer)
+		}
+		return answer
+	}
+	var res model.SolveResponse
+	if err := json.Unmarshal(resp.Body, &res); err != nil {
+		return fmt.Errorf("sectord: bad solve response: %w", err)
+	}
+	as := &model.Assignment{Orientation: res.Orientation, Owner: res.Owner}
 	if err := as.Check(in); err != nil {
 		return fmt.Errorf("daemon returned infeasible assignment: %w", err)
 	}
@@ -258,9 +287,10 @@ func runRemote(ctx context.Context, out io.Writer, cfg remoteConfig) error {
 		UpperBound:     res.UpperBound,
 		SolverUsed:     res.SolverUsed,
 		FallbackReason: res.FallbackReason,
+		FallbackDetail: res.FallbackDetail,
 	}
-	if res.Attempts > 1 || res.CacheStatus == "hit" {
-		fmt.Fprintf(out, "remote     %s (attempts=%d cache=%s)\n", cfg.server, res.Attempts, res.CacheStatus)
+	if cache := resp.Header.Get("X-Sectord-Cache"); resp.Attempts > 1 || cache == "hit" {
+		fmt.Fprintf(out, "remote     %s (attempts=%d cache=%s)\n", cfg.server, resp.Attempts, cache)
 	}
 	return printSolution(out, in, sol, cfg.solver, cfg.verbose, cfg.viz)
 }

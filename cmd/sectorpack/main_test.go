@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"sectorpack/internal/core"
 	"sectorpack/internal/gen"
@@ -135,6 +136,25 @@ func TestRunTimeoutFastSolverStaysFull(t *testing.T) {
 	}
 	if strings.Contains(out.String(), "degraded") {
 		t.Errorf("healthy solve printed a degraded note:\n%s", out.String())
+	}
+}
+
+// TestRunRejectsWrongProfit: a feasible assignment whose reported profit
+// is not what it serves is a solver bug, never a printed report.
+func TestRunRejectsWrongProfit(t *testing.T) {
+	core.Register("test-cli-wrong-profit", func(ctx context.Context, in *model.Instance, opt core.Options) (model.Solution, error) {
+		return model.Solution{Algorithm: "wrong-profit", Assignment: model.NewAssignment(in.N(), in.M()), Profit: 999999}, nil
+	})
+	defer core.Unregister("test-cli-wrong-profit")
+	path := writeTestInstance(t)
+	var out bytes.Buffer
+	err := run(context.Background(), []string{"-in", path, "-solver", "test-cli-wrong-profit"}, &out)
+	var invalid *core.InvalidSolutionError
+	if !errors.As(err, &invalid) {
+		t.Fatalf("err = %v, want *core.InvalidSolutionError\n%s", err, out.String())
+	}
+	if strings.Contains(out.String(), "999999") {
+		t.Errorf("the wrong profit was printed:\n%s", out.String())
 	}
 }
 
@@ -380,6 +400,29 @@ func TestRunServerDegradedProvenance(t *testing.T) {
 				t.Errorf("%s: err = %v, output:\n%s\nwant a healthy report", c.name, err, out.String())
 			}
 		}
+	}
+}
+
+// TestRunServerCancelMidRetry: a cancellation while the client backs off
+// from a shed answer is an error wrapping the context's, returned at
+// once rather than after the daemon's Retry-After.
+func TestRunServerCancelMidRetry(t *testing.T) {
+	path := writeTestInstance(t)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "30")
+		http.Error(w, `{"error":"shed"}`, http.StatusServiceUnavailable)
+	}))
+	defer ts.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	var out bytes.Buffer
+	err := run(ctx, []string{"-in", path, "-server", ts.URL}, &out)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("err = %v, want one wrapping context.DeadlineExceeded", err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Errorf("run slept %v; cancellation must interrupt the Retry-After floor", elapsed)
 	}
 }
 

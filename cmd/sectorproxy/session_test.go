@@ -125,6 +125,46 @@ func TestFleetSessionPinnedDifferential(t *testing.T) {
 	}
 }
 
+// TestFleetSessionCreateLandsOnSolveShard: a POST /session body is a
+// /solve body, so the proxy routes both by the same key and a session is
+// created on the shard whose cache a /solve of the same body warms. Bodies
+// with an invalid instance route together too, so both get the same
+// shard's 400.
+func TestFleetSessionCreateLandsOnSolveShard(t *testing.T) {
+	_, _, proxy := startFleet(t, 3)
+	type body struct {
+		raw    []byte
+		status int
+	}
+	var bodies []body
+	for seed := int64(600); seed < 606; seed++ {
+		in, err := gen.Generate(gen.Config{Family: gen.Uniform, Seed: seed, N: 20, M: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, body{sessionCreateBody(t, in), http.StatusOK})
+	}
+	for k := 0; k < 3; k++ {
+		raw := fmt.Appendf(nil, `{"format_version":1,"solver":"greedy","instance":{"variant":0,`+
+			`"customers":[{"id":0,"theta":%d,"r":-2,"demand":1}],"antennas":[]}}`, k)
+		bodies = append(bodies, body{raw, http.StatusBadRequest})
+	}
+	for i, b := range bodies {
+		solveStatus, raw, solveHdr := post(t, proxy.URL+"/solve", b.raw)
+		if solveStatus != b.status {
+			t.Fatalf("body %d: /solve status %d, want %d\n%s", i, solveStatus, b.status, raw)
+		}
+		createStatus, raw, createHdr := post(t, proxy.URL+"/session", b.raw)
+		if createStatus != b.status {
+			t.Fatalf("body %d: POST /session status %d, want %d\n%s", i, createStatus, b.status, raw)
+		}
+		solveShard, createShard := solveHdr.Get("X-Sectord-Shard"), createHdr.Get("X-Sectord-Shard")
+		if solveShard == "" || createShard != solveShard {
+			t.Errorf("body %d: session created on shard %q, /solve served by %q", i, createShard, solveShard)
+		}
+	}
+}
+
 func TestFleetSessionPinLossIsHonest404(t *testing.T) {
 	backends, _, proxy := startFleet(t, 2)
 	in, err := gen.Generate(gen.Config{Family: gen.Uniform, Seed: 501, N: 24, M: 3})

@@ -1,30 +1,22 @@
 // Session routing. Delta-solve state is shard-local — the incremental
 // solution a session mutates lives in one backend's memory — so sessions
-// cannot ride the ring per request. Creation routes by the instance's
-// fingerprint (same key a one-shot solve of it would use); every later
-// request for that session ID is pinned to the backend that created it.
+// cannot ride the ring per request. A POST /session body is a /solve body,
+// so creation routes by solveRoutingKey and lands where a one-shot solve of
+// it would; every later request for that session ID is pinned to the
+// backend that created it.
 //
 // Pin-loss honesty: if the proxy restarts (pins are in-memory) or the
 // pinned backend is ejected, the proxy answers 404/503 rather than
 // guessing a shard — a delta applied to a backend without the session's
-// state would be silently wrong. Clients already treat 404 as "recreate
-// the session", which is the correct recovery.
+// state would be silently wrong. A 404 tells the client to recreate the
+// session, which is the correct recovery.
 package main
 
 import (
 	"encoding/json"
 	"net/http"
 	"time"
-
-	"sectorpack/internal/model"
 )
-
-// sessionCreateEnvelope is the routing view of a POST /session body.
-type sessionCreateEnvelope struct {
-	Solver   string          `json:"solver"`
-	Seed     *int64          `json:"seed"`
-	Instance json.RawMessage `json:"instance"`
-}
 
 func (p *Proxy) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	p.requests.Add(1)
@@ -33,7 +25,7 @@ func (p *Proxy) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	key := p.sessionCreateRoutingKey(body)
+	key := p.solveRoutingKey(body)
 	// Creation is not idempotent (two attempts make two sessions), so
 	// sectorclient makes one attempt per backend and forward fails over
 	// only on transport errors. A failed create leaves no pin, so nothing
@@ -52,20 +44,6 @@ func (p *Proxy) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	p.relay(w, "session.create", b, resp, start)
-}
-
-func (p *Proxy) sessionCreateRoutingKey(body []byte) string {
-	if req, raw, ok := model.ParseSolveRequest(body); ok {
-		if req.Instance == nil {
-			return "raw:" + string(body)
-		}
-		return p.itemRoutingKey(req.Solver, req.Seed, raw, req.Instance)
-	}
-	var env sessionCreateEnvelope
-	if err := json.Unmarshal(body, &env); err != nil || len(env.Instance) == 0 {
-		return "raw:" + string(body)
-	}
-	return p.itemRoutingKey(env.Solver, env.Seed, env.Instance, nil)
 }
 
 // pinnedBackend resolves a session ID to its pinned backend, writing the

@@ -7,6 +7,7 @@ import (
 
 	"sectorpack/internal/exact"
 	"sectorpack/internal/geom"
+	"sectorpack/internal/mkp"
 	"sectorpack/internal/model"
 )
 
@@ -44,6 +45,15 @@ func checkSolution(t *testing.T, in *model.Instance, sol model.Solution) {
 	}
 	if sol.UpperBound > 0 && float64(sol.Profit) > sol.UpperBound+1e-6 {
 		t.Fatalf("%s: profit %d exceeds its own bound %v", sol.Algorithm, sol.Profit, sol.UpperBound)
+	}
+}
+
+// TestUnassignedMarkersAgree: localsearch, lpround and exact copy an
+// mkp.Result's Bin into an Assignment's Owner as is, which is right only
+// while both packages mark an unplaced customer alike.
+func TestUnassignedMarkersAgree(t *testing.T) {
+	if mkp.Unassigned != model.Unassigned {
+		t.Fatalf("mkp.Unassigned = %d, model.Unassigned = %d", mkp.Unassigned, model.Unassigned)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 
 	"sectorpack/internal/angular"
 	"sectorpack/internal/geom"
@@ -98,26 +99,13 @@ func solveLocalSearchWithEngine(ctx context.Context, in *model.Instance, opt Opt
 			return model.Solution{}, err
 		}
 		p := assignmentProblem(in, sol.Assignment)
-		start := mkp.Result{Profit: sol.Profit, Bin: make([]int, n)}
-		for i, owner := range sol.Assignment.Owner {
-			if owner == model.Unassigned {
-				start.Bin[i] = mkp.Unassigned
-			} else {
-				start.Bin[i] = owner
-			}
-		}
+		start := mkp.Result{Profit: sol.Profit, Bin: slices.Clone(sol.Assignment.Owner)}
 		polished, err := mkp.LocalSearch(p, start, localSearchRounds)
 		if err != nil {
 			return model.Solution{}, err
 		}
 		if polished.Profit > sol.Profit {
-			for i, b := range polished.Bin {
-				if b == mkp.Unassigned {
-					sol.Assignment.Owner[i] = model.Unassigned
-				} else {
-					sol.Assignment.Owner[i] = b
-				}
-			}
+			copy(sol.Assignment.Owner, polished.Bin)
 			sol.Profit = polished.Profit
 			improved = true
 		}

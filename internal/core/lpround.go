@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 
-	"sectorpack/internal/knapsack"
 	"sectorpack/internal/mkp"
 	"sectorpack/internal/model"
 )
@@ -24,42 +23,16 @@ func SolveLPRound(ctx context.Context, in *model.Instance, opt Options) (model.S
 	if err != nil {
 		return model.Solution{}, err
 	}
-	n, m := in.N(), in.M()
 	sol := model.Solution{
 		Algorithm:  "lpround",
 		Assignment: greedy.Assignment.Clone(),
 		Profit:     greedy.Profit,
 		UpperBound: greedy.UpperBound,
 	}
-	if n == 0 || m == 0 {
+	if in.N() == 0 || in.M() == 0 {
 		return sol, nil
 	}
-	// Build the restricted MKP at the greedy orientations.
-	p := &mkp.Problem{
-		Items:      make([]knapsack.Item, n),
-		Capacities: make([]int64, m),
-		Eligible:   make([][]bool, n),
-	}
-	for i, c := range in.Customers {
-		p.Items[i] = knapsack.Item{Weight: c.Demand, Profit: c.Profit}
-		p.Eligible[i] = make([]bool, m)
-	}
-	for j, a := range in.Antennas {
-		if err := ctx.Err(); err != nil {
-			return model.Solution{}, err
-		}
-		p.Capacities[j] = a.Capacity
-		for i, c := range in.Customers {
-			covers := a.Covers(sol.Assignment.Orientation[j], c)
-			if in.Variant == model.DisjointAngles {
-				// Only antennas the greedy actually uses hold a cleared
-				// sector; letting an idle antenna pick up customers could
-				// violate disjointness.
-				covers = covers && usedBy(greedy.Assignment, j)
-			}
-			p.Eligible[i][j] = covers
-		}
-	}
+	p := assignmentProblem(in, sol.Assignment)
 	if err := ctx.Err(); err != nil {
 		return model.Solution{}, err
 	}
@@ -75,13 +48,7 @@ func SolveLPRound(ctx context.Context, in *model.Instance, opt Options) (model.S
 		return model.Solution{}, err
 	}
 	if rounded.Profit > sol.Profit {
-		for i, b := range rounded.Bin {
-			if b == mkp.Unassigned {
-				sol.Assignment.Owner[i] = model.Unassigned
-			} else {
-				sol.Assignment.Owner[i] = b
-			}
-		}
+		copy(sol.Assignment.Owner, rounded.Bin)
 		sol.Profit = rounded.Profit
 	}
 	return sol, nil

@@ -224,29 +224,7 @@ func batchBody(t *testing.T, solver string, instances []any, extra map[string]an
 	return b
 }
 
-// batchItemReply mirrors batchItemResponse for decoding: encoding/json can
-// marshal an embedded *solveResponse but cannot unmarshal into one (the
-// struct type is unexported), so the test reads the solve fields through a
-// value embed instead. An error item leaves them at their zero values.
-type batchItemReply struct {
-	Index int    `json:"index"`
-	Cache string `json:"cache"`
-	Error string `json:"error"`
-	solveResponse
-}
-
-// batchReply mirrors batchResponse for decoding.
-type batchReply struct {
-	Solver    string           `json:"solver"`
-	Count     int              `json:"count"`
-	OK        int              `json:"ok"`
-	Failed    int              `json:"failed"`
-	Degraded  int              `json:"degraded"`
-	ElapsedMS float64          `json:"elapsed_ms"`
-	Items     []batchItemReply `json:"items"`
-}
-
-func postBatch(t *testing.T, client *http.Client, url, query string, body []byte) (*http.Response, batchReply, []byte) {
+func postBatch(t *testing.T, client *http.Client, url, query string, body []byte) (*http.Response, batchResponse, []byte) {
 	t.Helper()
 	resp, err := client.Post(url+"/solve/batch"+query, "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -257,7 +235,7 @@ func postBatch(t *testing.T, client *http.Client, url, query string, body []byte
 	if err != nil {
 		t.Fatal(err)
 	}
-	var br batchReply
+	var br batchResponse
 	if resp.StatusCode == http.StatusOK {
 		if err := json.Unmarshal(raw, &br); err != nil {
 			t.Fatalf("batch response not JSON: %v\n%s", err, raw)
@@ -288,7 +266,7 @@ func TestSolveBatchDuplicatesShareOneSolve(t *testing.T) {
 	cacheKinds := map[string]int{}
 	var dupBodies []string
 	for _, item := range br.Items {
-		if item.Algorithm == "" {
+		if item.SolveResponse == nil {
 			t.Fatalf("item %d has no solution: %+v", item.Index, item)
 		}
 		cacheKinds[item.Cache]++
@@ -370,13 +348,13 @@ func TestSolveBatchPerItemErrors(t *testing.T) {
 	if br.OK != 1 || br.Failed != 2 {
 		t.Fatalf("ok=%d failed=%d, want 1 ok and 2 failed", br.OK, br.Failed)
 	}
-	if br.Items[0].Error != "" || br.Items[0].Algorithm == "" {
+	if br.Items[0].Error != "" || br.Items[0].SolveResponse == nil {
 		t.Errorf("valid item did not solve: %+v", br.Items[0])
 	}
 	if br.Items[1].Error == "" || br.Items[2].Error == "" {
 		t.Errorf("bad items carry no error: %+v", br.Items[1:])
 	}
-	if br.Items[1].Algorithm != "" || br.Items[2].Algorithm != "" {
+	if br.Items[1].SolveResponse != nil || br.Items[2].SolveResponse != nil {
 		t.Errorf("failed items carry a solution")
 	}
 }

@@ -130,7 +130,7 @@ func TestHangingSolverWithDegradedAllowGets200Greedy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var sr solveResponse
+	var sr model.SolveResponse
 	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestPanickingSolverWithDegradedAllowFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var sr solveResponse
+	var sr model.SolveResponse
 	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestDegradedPanicCountedOnEveryEndpoint(t *testing.T) {
 	}{
 		{"solve", func(t *testing.T, ts *httptest.Server) (int, bool, string) {
 			resp, body := postSolveQuery(t, ts, "?degraded=allow", solveBody(t, solver, sectorsInstance(), nil))
-			var sr solveResponse
+			var sr model.SolveResponse
 			if err := json.Unmarshal(body, &sr); err != nil {
 				t.Fatalf("solve response not JSON: %v\n%s", err, body)
 			}
@@ -209,6 +209,9 @@ func TestDegradedPanicCountedOnEveryEndpoint(t *testing.T) {
 			resp, br, raw := postBatch(t, ts.Client(), ts.URL, "?degraded=allow", batchBody(t, solver, []any{sectorsInstance()}, nil))
 			if len(br.Items) != 1 {
 				t.Fatalf("batch: %d items, want 1\n%s", len(br.Items), raw)
+			}
+			if br.Items[0].SolveResponse == nil {
+				t.Fatalf("batch item failed: %s", br.Items[0].Error)
 			}
 			return resp.StatusCode, br.Items[0].Degraded, br.Items[0].FallbackReason
 		}},
@@ -272,7 +275,7 @@ func TestInvalidSolverOutputRejectedNotServed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp2.Body.Close()
-	var sr solveResponse
+	var sr model.SolveResponse
 	if err := json.NewDecoder(resp2.Body).Decode(&sr); err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +332,7 @@ func TestDegradedModeBitIdenticalWhenHealthy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var plain, hedged solveResponse
+	var plain, hedged model.SolveResponse
 	if err := json.Unmarshal(plainBody, &plain); err != nil {
 		t.Fatal(err)
 	}

@@ -314,32 +314,13 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	}
 }
 
-// solveResponse is the /solve reply.
-type solveResponse struct {
-	Solver      string    `json:"solver"`
-	Algorithm   string    `json:"algorithm"`
-	Profit      int64     `json:"profit"`
-	UpperBound  float64   `json:"upper_bound,omitempty"`
-	Orientation []float64 `json:"orientation"`
-	Owner       []int     `json:"owner"`
-	ElapsedMS   float64   `json:"elapsed_ms"`
-
-	// Degraded-mode provenance (?degraded=allow): set when the requested
-	// solver failed and the hedged fallback answered instead.
-	Degraded       bool   `json:"degraded,omitempty"`
-	SolverUsed     string `json:"solver_used,omitempty"`
-	FallbackReason string `json:"fallback_reason,omitempty"`
-	FallbackDetail string `json:"fallback_detail,omitempty"`
-	HedgeWin       bool   `json:"hedge_win,omitempty"`
-}
-
 // batchItemResponse is one item of the /solve/batch reply: either the
 // embedded solve response (with cache provenance) or an error, never both.
 type batchItemResponse struct {
 	Index int    `json:"index"`
 	Cache string `json:"cache,omitempty"`
 	Error string `json:"error,omitempty"`
-	*solveResponse
+	*model.SolveResponse
 }
 
 // batchResponse is the /solve/batch reply. The batch itself always
@@ -670,8 +651,8 @@ const (
 	cacheOff    = "off"
 )
 
-func newSolveResponse(name string, sol model.Solution, elapsed time.Duration) *solveResponse {
-	return &solveResponse{
+func newSolveResponse(name string, sol model.Solution, elapsed time.Duration) *model.SolveResponse {
+	return &model.SolveResponse{
 		Solver:         name,
 		Algorithm:      sol.Algorithm,
 		Profit:         sol.Profit,
@@ -855,7 +836,7 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 			resp.Failed++
 		default:
 			sol := results[i].Solution
-			item.solveResponse = newSolveResponse(name, sol, results[i].Elapsed)
+			item.SolveResponse = newSolveResponse(name, sol, results[i].Elapsed)
 			item.Cache = cacheBypass
 			if !sol.Degraded() {
 				if out, ok := outcomes.Load(req.Instances[i]); ok {

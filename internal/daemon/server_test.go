@@ -102,7 +102,7 @@ func TestSolveAllRegisteredSolvers(t *testing.T) {
 			t.Errorf("%s: status %d, body %s", name, resp.StatusCode, body)
 			continue
 		}
-		var sr solveResponse
+		var sr model.SolveResponse
 		if err := json.Unmarshal(body, &sr); err != nil {
 			t.Errorf("%s: bad response JSON: %v", name, err)
 			continue
@@ -414,7 +414,7 @@ func TestSolveZeroWidthRayOverHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("ray instance: status %d, body %s", resp.StatusCode, body)
 	}
-	var sr solveResponse
+	var sr model.SolveResponse
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -640,7 +640,7 @@ func runRouteMatrix(t *testing.T, cases []routeCase) {
 				t.Errorf("%s: body %q, want %q", tc.name, raw, tc.rawBody)
 			}
 		case tc.itemErr != "":
-			var br batchReply
+			var br batchResponse
 			if err := json.Unmarshal(raw, &br); err != nil || len(br.Items) != 1 || br.Items[0].Error != tc.itemErr {
 				t.Errorf("%s: batch body %s, want one item with error %q", tc.name, raw, tc.itemErr)
 			}

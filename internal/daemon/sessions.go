@@ -203,9 +203,7 @@ const idempotentHeader = "X-Sectord-Idempotent"
 type sessionResponse struct {
 	SessionID string        `json:"session_id"`
 	Stats     session.Stats `json:"stats"`
-	// Embedded by value, not pointer: encoding/json cannot allocate an
-	// embedded pointer to an unexported type when clients decode this.
-	solveResponse
+	model.SolveResponse
 }
 
 // sessionDeleteResponse is the DELETE reply.
@@ -352,7 +350,7 @@ func (c *call) answerSession(solver string, sol model.Solution, stats session.St
 	c.succeed(detail, sessionResponse{
 		SessionID:     c.session,
 		Stats:         stats,
-		solveResponse: *newSolveResponse(solver, sol, elapsed),
+		SolveResponse: *newSolveResponse(solver, sol, elapsed),
 	})
 }
 

@@ -183,13 +183,7 @@ func (s *search) branch(ctx context.Context, alpha0 float64) (branch, error) {
 					}
 					best.assign.Orientation[k] = a
 				}
-				for i, b := range res.Bin {
-					if b == mkp.Unassigned {
-						best.assign.Owner[i] = model.Unassigned
-					} else {
-						best.assign.Owner[i] = b
-					}
-				}
+				copy(best.assign.Owner, res.Bin)
 			}
 			return nil
 		}

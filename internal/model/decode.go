@@ -23,6 +23,27 @@ type SolveRequest struct {
 	Instance      *Instance `json:"instance"`
 }
 
+// SolveResponse is the wire form of one solve: sectord's /solve reply,
+// each solved /solve/batch item and the session replies all carry it, and
+// clients decode it. Orientation and Owner are the Assignment.
+type SolveResponse struct {
+	Solver      string    `json:"solver"`
+	Algorithm   string    `json:"algorithm"`
+	Profit      int64     `json:"profit"`
+	UpperBound  float64   `json:"upper_bound,omitempty"`
+	Orientation []float64 `json:"orientation"`
+	Owner       []int     `json:"owner"`
+	ElapsedMS   float64   `json:"elapsed_ms"`
+
+	// Degraded-mode provenance (?degraded=allow): set when the requested
+	// solver failed and the hedged fallback answered instead.
+	Degraded       bool   `json:"degraded,omitempty"`
+	SolverUsed     string `json:"solver_used,omitempty"`
+	FallbackReason string `json:"fallback_reason,omitempty"`
+	FallbackDetail string `json:"fallback_detail,omitempty"`
+	HedgeWin       bool   `json:"hedge_win,omitempty"`
+}
+
 // BatchRequest is the /solve/batch body: the shared knobs plus the
 // WriteBatchJSON envelope. TimeoutMillis is a per-item deadline, not a
 // whole-batch one.

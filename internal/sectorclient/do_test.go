@@ -7,7 +7,6 @@ package sectorclient
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -177,28 +176,6 @@ func TestDoNetworkFailureIsAnError(t *testing.T) {
 	resp, err := c.Do(context.Background(), http.MethodPost, "/solve", []byte("{}"))
 	if err == nil {
 		t.Fatalf("transport failure returned a response (%+v); proxies key failover on the error", resp)
-	}
-}
-
-func TestTypedPathCancelMidRetry(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Retry-After", "30")
-		http.Error(w, `{"error":"shed"}`, http.StatusServiceUnavailable)
-	}))
-	defer ts.Close()
-	c := New(ts.URL, Options{Rand: rand.New(rand.NewSource(1))})
-	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := c.Solve(ctx, "greedy", testInstance(), SolveOptions{})
-	if err == nil {
-		t.Fatal("typed path must surface an error on cancellation")
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("err = %v, want one wrapping context.DeadlineExceeded", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("Solve slept %v; cancellation must interrupt the Retry-After floor", elapsed)
 	}
 }
 

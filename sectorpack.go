@@ -171,8 +171,10 @@ type (
 // SolverUsed/FallbackReason provenance. Solution.Degraded is a method
 // derived from FallbackReason (it was a field before), so a degraded
 // answer always names its cause. A healthy primary's solution is
-// bit-identical to Solve. See internal/core.SolveHedged for
-// the full contract (custom fallbacks, grace tuning).
+// bit-identical to Solve. When both fail, the joined errors are
+// returned. See internal/core.SolveHedged for the full contract: the
+// fallback runs alongside the primary, and after a primary failure it is
+// waited on for at most a fixed second.
 func SolveHedged(ctx context.Context, name string, in *Instance, opt Options) (Solution, error) {
 	s, err := core.Get(name)
 	if err != nil {
