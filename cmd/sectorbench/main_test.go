@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -103,17 +104,31 @@ func TestJSONExport(t *testing.T) {
 		t.Errorf("cache hit %.0f ns/op not faster than fresh greedy %.0f ns/op", hit.NsPerOp, fresh.NsPerOp)
 	}
 	// The delta-session claim: absorbing a 1% churn step through a warm
-	// session must beat the stateless re-solve by at least 5x. The test
-	// logged 6.0x on a shared 2-CPU Linux host, so the gate has little
-	// headroom against machine noise there.
-	scratch, delta := byName["session/scratch-n100k"], byName["session/delta-n100k"]
-	if scratch.Name == "" || delta.Name == "" {
-		t.Fatalf("missing session/scratch-n100k or session/delta-n100k in %+v", rep.Micro)
+	// session must beat the stateless re-solve by at least 5x. One timed
+	// pair read 5.4x to 6.1x on a shared 2-CPU Linux host, too close to the
+	// gate for a single sample, so the gate takes the median ratio of three
+	// scratch/delta pairs, each timed back to back: the report's and two
+	// more.
+	ratio := func(micro []microBench) float64 {
+		var scratch, delta float64
+		for _, m := range micro {
+			switch m.Name {
+			case "session/scratch-n100k":
+				scratch = m.NsPerOp
+			case "session/delta-n100k":
+				delta = m.NsPerOp
+			}
+		}
+		if scratch <= 0 || delta <= 0 {
+			t.Fatalf("missing session/scratch-n100k or session/delta-n100k in %+v", micro)
+		}
+		t.Logf("session delta %.0f ns/op, from-scratch %.0f ns/op: %.1fx", delta, scratch, scratch/delta)
+		return scratch / delta
 	}
-	t.Logf("session delta %.0f ns/op, from-scratch %.0f ns/op: %.1fx", delta.NsPerOp, scratch.NsPerOp, scratch.NsPerOp/delta.NsPerOp)
-	if delta.NsPerOp*5 > scratch.NsPerOp {
-		t.Errorf("session delta %.0f ns/op not 5x faster than from-scratch %.0f ns/op (%.1fx)",
-			delta.NsPerOp, scratch.NsPerOp, scratch.NsPerOp/delta.NsPerOp)
+	ratios := []float64{ratio(rep.Micro), ratio(sessionBenchmarks()), ratio(sessionBenchmarks())}
+	slices.Sort(ratios)
+	if ratios[1] < 5 {
+		t.Errorf("session delta not 5x faster than from-scratch: median %.1fx of %.1f", ratios[1], ratios)
 	}
 }
 

@@ -11,7 +11,9 @@
 // With -server, the solve runs on a sectord daemon instead of in-process:
 // the request is a model.SolveRequest, the internal/sectorclient retry
 // loop rides out shed load and daemon restarts, and the reply is a
-// model.SolveResponse re-verified locally before printing.
+// model.SolveResponse re-verified locally before printing. The daemon owns
+// its solve settings, so -eps and -bound=false are local-only and rejected
+// with -server before any request is sent.
 //
 // The instance format is the JSON envelope written by cmd/sectorgen (or
 // model.WriteJSON). With -batch, -in names a multi-instance envelope
@@ -116,6 +118,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 		if *eps > 0 {
 			return fmt.Errorf("-eps is local-only; the daemon owns its knapsack settings")
+		}
+		if !*bound {
+			return fmt.Errorf("-bound=false is local-only; the daemon always computes the bound")
 		}
 		return runRemote(ctx, out, remoteConfig{
 			server:   *server,

@@ -435,4 +435,19 @@ func TestRunServerFlagConflicts(t *testing.T) {
 	if err := run(context.Background(), []string{"-in", path, "-server", "http://x", "-eps", "0.1"}, &out); err == nil {
 		t.Error("-eps with -server must error")
 	}
+	// The daemon always computes the bound, so -bound=false must be refused
+	// before a request reaches it.
+	var hits atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		http.Error(w, "unexpected request", http.StatusTeapot)
+	}))
+	defer ts.Close()
+	err := run(context.Background(), []string{"-in", path, "-server", ts.URL, "-bound=false"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "-bound=false is local-only") {
+		t.Errorf("-bound=false with -server: got %v, want the local-only error", err)
+	}
+	if n := hits.Load(); n != 0 {
+		t.Errorf("-bound=false with -server sent %d requests, want 0", n)
+	}
 }

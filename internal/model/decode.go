@@ -274,7 +274,8 @@ func first(seen *uint, bit uint) bool {
 // The input is b, and with a reader r also what r holds past b. A scan
 // that reaches the end of b reads more (more, refill) into b, a window
 // that slides: bytes before i are dropped, and replay rewinds r to where
-// decoding began.
+// decoding began. Customers and antennas, the bulk of an instance, are
+// flat objects: flat refills once per object, not once per token.
 type canon struct {
 	b     []byte
 	i     int
@@ -284,7 +285,7 @@ type canon struct {
 }
 
 // window is the buffer size streamed decodes start with; b grows past it
-// only for a token longer than it.
+// only for a token, or a flat object, longer than it.
 const window = 64 << 10
 
 // newCanon returns a canon reading r through a window of size bytes when
@@ -555,7 +556,6 @@ type num struct {
 	mant    uint64 // the digits without the dot, as an integer, when digits ≤ 19
 	digits  int    // digits before the exponent, leading zeros included
 	exp     int    // the power of ten mant is scaled by
-	size    int    // bytes in the literal
 	neg     bool
 	integer bool // no fraction or exponent
 }
@@ -582,11 +582,12 @@ func (d *canon) number(n *num) bool {
 }
 
 // scanNumber scans the number literal at b[i:] into n, accumulating its
-// digits as it walks them. end is where the literal ends, or where the
-// scan stopped when ok is false.
+// digits as it walks them, in a local so that they stay in a register.
+// end is where the literal ends, or where the scan stopped when ok is
+// false.
 func scanNumber(n *num, b []byte, i int) (end int, ok bool) {
 	*n = num{}
-	start := i
+	var mant uint64
 	if i < len(b) && b[i] == '-' {
 		n.neg = true
 		i++
@@ -596,7 +597,7 @@ func scanNumber(n *num, b []byte, i int) (end int, ok bool) {
 		i++
 	} else {
 		for ; i < len(b) && b[i]-'0' <= 9; i++ {
-			n.mant = n.mant*10 + uint64(b[i]-'0')
+			mant = mant*10 + uint64(b[i]-'0')
 		}
 		if i == from {
 			return i, false
@@ -606,7 +607,7 @@ func scanNumber(n *num, b []byte, i int) (end int, ok bool) {
 	if i < len(b) && b[i] == '.' {
 		i++
 		from = i
-		if i = n.fraction(b, i); i == from {
+		if i, mant = fraction(b, i, mant); i == from {
 			return i, false
 		}
 		n.digits += i - from
@@ -633,31 +634,31 @@ func scanNumber(n *num, b []byte, i int) (end int, ok bool) {
 		}
 		n.exp += e
 	}
-	n.size = i - start
+	n.mant = mant
 	return i, true
 }
 
 // fraction accumulates the digits of a fraction, the run at b[i:], into
-// n.mant and returns the index past it. Inside b it takes eight digits a
-// step while there are eight; the rest, and the last bytes of b, go
-// through the byte loop. Fractions are where long runs are: encoding/json
+// mant, and returns the index past it and the new mant. Inside b it takes
+// eight digits a step while there are eight; the rest, and the last bytes
+// of b, go through the byte loop. Fractions are where long runs are: encoding/json
 // writes 15 to 17 significant digits, nearly all after the dot, while
 // integer parts and integers are short enough that the eight-byte test
 // costs more than it saves. Past 19 digits mant wraps around, as the byte
 // loop's does, and is not used.
-func (n *num) fraction(b []byte, i int) int {
+func fraction(b []byte, i int, mant uint64) (int, uint64) {
 	for i+8 <= len(b) {
 		x := binary.LittleEndian.Uint64(b[i:])
 		if !eightDigits(x) {
 			break
 		}
-		n.mant = n.mant*1e8 + parseEight(x)
+		mant = mant*1e8 + parseEight(x)
 		i += 8
 	}
 	for ; i < len(b) && b[i]-'0' <= 9; i++ {
-		n.mant = n.mant*10 + uint64(b[i]-'0')
+		mant = mant*10 + uint64(b[i]-'0')
 	}
-	return i
+	return i, mant
 }
 
 // lanes repeats a byte in each of the eight bytes of a word.
@@ -689,10 +690,10 @@ var pow10u = [...]uint64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
 var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
 	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
 
-// float reads a number into a float64 the way encoding/json does; literals
-// strconv rejects (out of range) are declined. Two kinds of literal are
-// converted here, to the correctly rounded value strconv.ParseFloat
-// returns:
+// float returns the float64 encoding/json reads from n, the literal lit;
+// literals strconv rejects (out of range) are declined. Two kinds of
+// literal are converted here, to the correctly rounded value
+// strconv.ParseFloat returns:
 //
 //   - a mantissa of at most 2^53 scaled by at most 10^±22: one IEEE
 //     multiply or divide of two exact operands, so correctly rounded
@@ -702,15 +703,11 @@ var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
 //     one exact integer division (divPow10).
 //
 // Every other literal goes to strconv.
-func (d *canon) float() (float64, bool) {
-	var n num
-	if !d.number(&n) {
-		return 0, false
-	}
+func (n *num) float(lit []byte) (float64, bool) {
 	var f float64
 	switch {
 	case n.digits > 19:
-		return d.parseFloat(&n)
+		return parseFloat(lit)
 	case n.mant <= 1<<53 && -len(pow10) < n.exp && n.exp < len(pow10):
 		f = float64(n.mant)
 		if n.exp < 0 {
@@ -721,7 +718,7 @@ func (d *canon) float() (float64, bool) {
 	case -len(pow10u) < n.exp && n.exp <= 0:
 		f = divPow10(n.mant, -n.exp)
 	default:
-		return d.parseFloat(&n)
+		return parseFloat(lit)
 	}
 	if n.neg {
 		f = -f
@@ -729,9 +726,9 @@ func (d *canon) float() (float64, bool) {
 	return f, true
 }
 
-// parseFloat reads the literal n that ends at b[d.i] with strconv.
-func (d *canon) parseFloat(n *num) (float64, bool) {
-	f, err := strconv.ParseFloat(string(d.b[d.i-n.size:d.i]), 64)
+// parseFloat reads lit with strconv.
+func parseFloat(lit []byte) (float64, bool) {
+	f, err := strconv.ParseFloat(string(lit), 64)
 	return f, err == nil
 }
 
@@ -766,19 +763,27 @@ func divPow10(mant uint64, k int) float64 {
 	return math.Float64frombits(uint64(e+52+1023)<<52 | m&(1<<52-1))
 }
 
-// int64 reads a number into an int64 the way encoding/json does; literals
+// int64 returns the int64 encoding/json reads from n; literals
 // strconv.ParseInt rejects (fractions, exponents, overflow) are declined.
 // The grammar allows no leading zeros, so a literal of 20 or more digits
 // overflows, and 19 digits fit mant exactly.
-func (d *canon) int64() (int64, bool) {
-	var n num
-	if !d.number(&n) || !n.integer || n.digits > 19 {
+func (n *num) int64() (int64, bool) {
+	if !n.integer || n.digits > 19 {
 		return 0, false
 	}
 	if n.neg {
 		return -int64(n.mant), n.mant <= 1<<63
 	}
 	return int64(n.mant), n.mant <= math.MaxInt64
+}
+
+// int64 reads a number into an int64 as num.int64 does.
+func (d *canon) int64() (int64, bool) {
+	var n num
+	if !d.number(&n) {
+		return 0, false
+	}
+	return n.int64()
 }
 
 // int is int64 for an int field: values the platform's int cannot hold
@@ -832,54 +837,164 @@ func (d *canon) instance() (*Instance, json.RawMessage, bool) {
 	return in, raw, ok
 }
 
+// A flat object is an object whose values are all numbers: a Customer or
+// an Antenna. Its type's field table names its keys and how each value is
+// read; bit k of a seen set is field k.
+type flatField struct {
+	key  string // quotes included: as no key holds a '"', input that begins with it is this key
+	kind numKind
+}
+
+// numKind is how a flat field's value is read.
+type numKind uint8
+
+const (
+	asFloat numKind = iota
+	asInt64
+	asInt
+)
+
+// The field tables, in struct order: the order WriteJSON writes.
+var (
+	customerFields = [...]flatField{{`"id"`, asInt}, {`"theta"`, asFloat}, {`"r"`, asFloat}, {`"demand"`, asInt64}, {`"profit"`, asInt64}}
+	antennaFields  = [...]flatField{{`"id"`, asInt}, {`"rho"`, asFloat}, {`"range"`, asFloat}, {`"capacity"`, asInt64}, {`"min_range"`, asFloat}}
+)
+
 func (d *canon) customer(c *Customer) bool {
-	var seen uint
-	return d.object(func(key []byte) bool {
-		var ok bool
-		var bit uint
-		switch string(key) {
-		case "id":
-			c.ID, ok = d.int()
-			bit = 1
-		case "theta":
-			c.Theta, ok = d.float()
-			bit = 2
-		case "r":
-			c.R, ok = d.float()
-			bit = 4
-		case "demand":
-			c.Demand, ok = d.int64()
-			bit = 8
-		case "profit":
-			c.Profit, ok = d.int64()
-			bit = 16
-		}
-		return ok && first(&seen, bit)
-	})
+	var v [len(customerFields)]uint64
+	if !d.flat(customerFields[:], v[:]) {
+		return false
+	}
+	*c = Customer{ID: int(int64(v[0])), Theta: math.Float64frombits(v[1]), R: math.Float64frombits(v[2]),
+		Demand: int64(v[3]), Profit: int64(v[4])}
+	return true
 }
 
 func (d *canon) antenna(a *Antenna) bool {
-	var seen uint
-	return d.object(func(key []byte) bool {
-		var ok bool
-		var bit uint
-		switch string(key) {
-		case "id":
-			a.ID, ok = d.int()
-			bit = 1
-		case "rho":
-			a.Rho, ok = d.float()
-			bit = 2
-		case "range":
-			a.Range, ok = d.float()
-			bit = 4
-		case "capacity":
-			a.Capacity, ok = d.int64()
-			bit = 8
-		case "min_range":
-			a.MinRange, ok = d.float()
-			bit = 16
+	var v [len(antennaFields)]uint64
+	if !d.flat(antennaFields[:], v[:]) {
+		return false
+	}
+	*a = Antenna{ID: int(int64(v[0])), Rho: math.Float64frombits(v[1]), Range: math.Float64frombits(v[2]),
+		Capacity: int64(v[3]), MinRange: math.Float64frombits(v[4])}
+	return true
+}
+
+// flat reads a flat object whose keys are those of fields, in any order
+// and each at most once, into vals: field k's value as its bits (a
+// float64's IEEE bits, an integer's two's complement), or 0 when the key
+// is absent. It first makes sure the window holds the object's closing
+// brace, the first '}' after its '{', and then scans the members from that
+// slice, with no refill. On anything else it reports false; a '}' found
+// outside the object (a string's, or the next object's) leaves a member
+// unfinished, and is declined as such.
+func (d *canon) flat(fields []flatField, vals []uint64) bool {
+	d.skip()
+	if d.i == len(d.b) || d.b[d.i] != '{' {
+		return false
+	}
+	end, ok := d.closing()
+	if !ok {
+		return false
+	}
+	b := d.b[:end+1] // b[end] == '}' ends every scan below
+	i := skipWS(b, d.i+1)
+	if b[i] == '}' {
+		d.i = i + 1
+		return true
+	}
+	var (
+		seen uint
+		next int // the field tried first: keys usually come in table order
+		n    num
+	)
+	for {
+		k := next
+		if k == len(fields) || !hasKey(b[i:end], fields[k].key) {
+			for k = 0; k < len(fields) && !hasKey(b[i:end], fields[k].key); k++ {
+			}
+			if k == len(fields) {
+				return false
+			}
 		}
-		return ok && first(&seen, bit)
-	})
+		if i = skipWS(b, i+len(fields[k].key)); b[i] != ':' || !first(&seen, 1<<k) {
+			return false
+		}
+		next = k + 1
+		from := skipWS(b, i+1)
+		if i, ok = scanNumber(&n, b, from); !ok {
+			return false
+		}
+		switch fields[k].kind {
+		case asFloat:
+			var f float64
+			f, ok = n.float(b[from:i])
+			vals[k] = math.Float64bits(f)
+		default:
+			var v int64
+			v, ok = n.int64()
+			ok = ok && (fields[k].kind == asInt64 || int64(int(v)) == v)
+			vals[k] = uint64(v)
+		}
+		if !ok {
+			return false
+		}
+		switch i = skipWS(b, i); b[i] {
+		case ',':
+			i = skipWS(b, i+1)
+		case '}':
+			d.i = i + 1
+			return true
+		default:
+			return false
+		}
+	}
+}
+
+// closing returns the index of the first '}' after the '{' at b[d.i],
+// sliding and refilling the window until it holds one. As for a token, the
+// window grows only when the object is longer than it. A stretch with no
+// '}' that holds a byte no flat object of numbers can hold (a '[', a '{',
+// a capital other than 'E') is declined before the window refills, so
+// the window grows past a '{' that is never closed only over bytes a flat
+// object could hold.
+func (d *canon) closing() (int, bool) {
+	for j := d.i + 1; ; {
+		if k := bytes.IndexByte(d.b[j:], '}'); k >= 0 {
+			return j + k, true
+		}
+		for _, c := range d.b[j:] {
+			if !inFlat[c] {
+				return 0, false
+			}
+		}
+		var ok bool
+		if j, ok = d.refill(len(d.b)); !ok {
+			return 0, false
+		}
+	}
+}
+
+// inFlat[c] reports whether byte c can appear in a flat object of
+// numbers: whitespace, the punctuation of keys and numbers, digits, an
+// exponent's 'E', and the lower-case letters and '_' of keys.
+var inFlat = func() (t [256]bool) {
+	for _, c := range []byte(" \t\n\r\":,+-.0123456789E_abcdefghijklmnopqrstuvwxyz") {
+		t[c] = true
+	}
+	return t
+}()
+
+// hasKey reports whether b begins with key.
+func hasKey(b []byte, key string) bool {
+	return len(b) >= len(key) && string(b[:len(key)]) == key
+}
+
+// skipWS returns the index of the first byte at or after b[i] that is not
+// whitespace; b must end in a byte that is not.
+func skipWS(b []byte, i int) int {
+	for b[i] <= ' ' && (b[i] == ' ' || b[i] == '\n' || b[i] == '\t' || b[i] == '\r') {
+		i++
+	}
+	return i
 }

@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -143,6 +144,11 @@ var declinedSeeds = []string{
 	``,
 }
 
+// smallWindow is a window size, in bytes, under a third of
+// `{"id":0,"theta":0,"r":0,"demand":1}`: a streamed decode through it
+// slides and grows the window inside every object.
+const smallWindow = 7
+
 // FuzzDecodeDifferential checks every decode entry point that has a
 // canonical path against the encoding/json path it replaces: for any
 // input, the same value under reflect.DeepEqual and the same error string.
@@ -162,12 +168,18 @@ func FuzzDecodeDifferential(f *testing.F) {
 		}
 		in, err = LoadFile(path)
 		sameResult(t, "LoadFile", in, refIn, err, refErr)
+		// A window smaller than any object makes every input slide and
+		// grow it, as a file larger than the real window does.
+		in, err = readInstance(newCanon(bytes.NewReader(data), smallWindow))
+		sameResult(t, "ReadJSON, small window", in, refIn, err, refErr)
 
 		ins, err := ReadBatchJSON(bytes.NewReader(data))
 		refIns, refErr := refReadBatchJSON(data)
 		sameResult(t, "ReadBatchJSON", ins, refIns, err, refErr)
 		ins, err = LoadBatchFile(path)
 		sameResult(t, "LoadBatchFile", ins, refIns, err, refErr)
+		ins, err = readBatch(newCanon(bytes.NewReader(data), smallWindow))
+		sameResult(t, "ReadBatchJSON, small window", ins, refIns, err, refErr)
 
 		req, err := DecodeSolveRequest(bytes.NewReader(data))
 		var refReq SolveRequest
@@ -290,8 +302,7 @@ func TestFloatLiteralsBitIdentical(t *testing.T) {
 	}
 	for _, lit := range lits {
 		want, werr := strconv.ParseFloat(lit, 64)
-		d := canon{b: []byte(lit)}
-		got, ok := d.float()
+		got, _, ok := readFloat(lit)
 		if ok != (werr == nil) || (ok && math.Float64bits(got) != math.Float64bits(want)) {
 			t.Fatalf("%s: canonical read %v (ok %v), ParseFloat %v (err %v)", lit, got, ok, want, werr)
 		}
@@ -367,11 +378,10 @@ func TestFractionEndsAtFirstNonDigit(t *testing.T) {
 		}
 		for at := 0; at < 8; at++ {
 			lit := "0." + digits[:at] + string([]byte{byte(c)}) + digits[at:]
-			d := canon{b: []byte(lit)}
-			got, ok := d.float()
+			got, end, ok := readFloat(lit)
 			want, werr := strconv.ParseFloat(lit[:2+at], 64)
-			if ok != (at > 0) || ok && (d.i != 2+at || math.Float64bits(got) != math.Float64bits(want) || werr != nil) {
-				t.Fatalf("%q: read %v (ok %v) to byte %d, want %v to byte %d", lit, got, ok, d.i, want, 2+at)
+			if ok != (at > 0) || ok && (end != 2+at || math.Float64bits(got) != math.Float64bits(want) || werr != nil) {
+				t.Fatalf("%q: read %v (ok %v) to byte %d, want %v to byte %d", lit, got, ok, end, want, 2+at)
 			}
 		}
 	}
@@ -382,6 +392,19 @@ func TestFractionEndsAtFirstNonDigit(t *testing.T) {
 // check (it takes "+1", "01", ".5", "Inf").
 func jsonNumber(lit string) bool {
 	return lit != "" && (lit[0] == '-' || '0' <= lit[0] && lit[0] <= '9') && json.Valid([]byte(lit))
+}
+
+// readFloat reads the number literal at the start of lit as the flat
+// object reader does, returning its value and the index where it ends.
+func readFloat(lit string) (float64, int, bool) {
+	b := []byte(lit)
+	var n num
+	end, ok := scanNumber(&n, b, 0)
+	if !ok {
+		return 0, end, false
+	}
+	f, ok := n.float(b[:end])
+	return f, end, ok
 }
 
 // readLiteral runs read on a canon over lit and reports whether it read
@@ -439,7 +462,8 @@ func FuzzNumberLiterals(f *testing.F) {
 		}
 		num := jsonNumber(string(lit))
 		want, werr := strconv.ParseFloat(string(lit), 64)
-		got, ok := readLiteral(string(lit), (*canon).float)
+		got, end, ok := readFloat(string(lit))
+		ok = ok && end == len(lit)
 		if ok != (num && werr == nil) || (ok && math.Float64bits(got) != math.Float64bits(want)) {
 			t.Fatalf("%q: canonical float %v (ok %v), ParseFloat %v (err %v)", lit, got, ok, want, werr)
 		}
@@ -455,12 +479,11 @@ func FuzzNumberLiterals(f *testing.F) {
 // over odd reads: a reader that returns one byte per call and one that
 // returns io.EOF with its last bytes, which cannot seek and are read
 // whole, and seekable sources streamed through a window smaller than one
-// customer record, so that keys, numbers and whitespace straddle refills
-// and the customer count reads ahead. Every result must match
+// customer record, so that objects, keys, numbers and whitespace straddle
+// refills and the customer count reads ahead. Every result must match
 // encoding/json, and what this repository writes must still be read
 // canonically.
 func TestStreamedDecodeMatchesEncodingJSON(t *testing.T) {
-	small := 7 // bytes: under a third of `{"id":0,"theta":0,"r":0,"demand":1}`
 	written := func(write func(io.Writer) error) string {
 		var buf bytes.Buffer
 		if err := write(&buf); err != nil {
@@ -505,18 +528,33 @@ func TestStreamedDecodeMatchesEncodingJSON(t *testing.T) {
 	if _, err := refReadJSON([]byte(long.String())); err != nil {
 		t.Fatal(err)
 	}
-	canonical := []string{file, batch, string(compact), long.String()}
+	// Flat objects the reader must take as they come: keys out of struct
+	// order, an antenna's min_range, and a customer several times longer
+	// than the small window.
+	const antennas = `"antennas":[{"capacity":5,"range":8,"id":0,"rho":1.5},{"min_range":0.5,"id":1,"rho":2,"range":9.5,"capacity":3}]`
+	reordered := `{"format_version":1,"instance":{` + antennas + `,"customers":[{"profit":9,"demand":3,"r":2.5,"theta":0.25,"id":0},{"r":1,"id":1,"demand":1,"theta":3.5}],"variant":1}}`
+	longObject := `{"format_version":1,"instance":{"customers":[{"id":0,` + strings.Repeat(" \n\t", 40) +
+		`"theta":0.123456789012345678901234567890,` + blank(19) + `"r":2,"demand":3}],` + antennas + `}}`
+	canonical := []string{file, batch, string(compact), long.String(), reordered, longObject}
 	bodies := append(append(slices.Clone(canonical), canonicalSeeds...), declinedSeeds...)
 	bodies = append(bodies, file[:len(file)/2], file+" x", batch[:len(batch)-3], `{"format_version":1`,
 		`{"format_version":1,"instance":{"customers":[{"id":0,"theta":0.5`, `{"format_version":1,"instance":{"name":"ab`,
-		strings.Replace(file, `"customers": [`, `"customers": [{"id": 9, "x": "]{{{"},`, 1))
+		strings.Replace(file, `"customers": [`, `"customers": [{"id": 9, "x": "]{{{"},`, 1),
+		// A repeated key, in a customer and in an antenna.
+		`{"format_version":1,"instance":{"customers":[{"id":0,"theta":0.5,"r":2,"demand":3,"r":4}],`+antennas+`}}`,
+		`{"format_version":1,"instance":{"customers":[],"antennas":[{"id":0,"rho":1,"capacity":4,"range":5,"capacity":6}]}}`,
+		// A customer missing its '}': the first one found after its '{'
+		// is the next object's, or an antenna's.
+		`{"format_version":1,"instance":{"customers":[{"id":0,"theta":0.5,"r":2,"demand":3,{"id":1,"theta":0.5,"r":2,"demand":3}],"antennas":[]}}`,
+		`{"format_version":1,"instance":{"customers":[{"id":0,"theta":0.5,"r":2,"demand":3],`+antennas+`}}`,
+		strings.Replace(file, "\n      },", "\n      ,", 1))
 
 	dir := t.TempDir()
 	path := filepath.Join(dir, "in.json")
 	sources := map[string]func(data string) *canon{
-		"one byte":      func(data string) *canon { return newCanon(iotest.OneByteReader(strings.NewReader(data)), small) },
+		"one byte":      func(data string) *canon { return newCanon(iotest.OneByteReader(strings.NewReader(data)), smallWindow) },
 		"data with EOF": func(data string) *canon { return newCanon(iotest.DataErrReader(strings.NewReader(data)), window) },
-		"small window":  func(data string) *canon { return newCanon(strings.NewReader(data), small) },
+		"small window":  func(data string) *canon { return newCanon(strings.NewReader(data), smallWindow) },
 		"file, small window": func(data string) *canon {
 			if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
 				t.Fatal(err)
@@ -526,7 +564,7 @@ func TestStreamedDecodeMatchesEncodingJSON(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { f.Close() })
-			return newCanon(f, small)
+			return newCanon(f, smallWindow)
 		},
 	}
 	for name, src := range sources {
@@ -553,6 +591,52 @@ func TestStreamedDecodeMatchesEncodingJSON(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestUnclosedObjectKeepsItsWindow checks that a customer whose '{' has
+// no '}' for far longer than the window is declined at the first byte no
+// flat object holds, rather than read on through a growing window.
+func TestUnclosedObjectKeepsItsWindow(t *testing.T) {
+	body := `{"format_version":1,"instance":{"customers":[{"id":0,"theta":0.5,"r":2,"x":[` +
+		strings.Repeat("1, ", 4*window/3) + `1]}],"antennas":[]}}`
+	d := newCanon(strings.NewReader(body), window)
+	got, err := readInstance(d)
+	want, wantErr := refReadJSON([]byte(body))
+	sameResult(t, "ReadJSON", got, want, err, wantErr)
+	if cap(d.b) > window {
+		t.Errorf("the window grew to %d bytes, past its %d", cap(d.b), window)
+	}
+}
+
+// TestLoadFileAllocatesLittleBeyondCustomers pins the streamed window's
+// memory bound: loading a WriteJSON'd file allocates the customers once,
+// at their exact count, and otherwise no more than two windows and a
+// little slack, however long the file.
+func TestLoadFileAllocatesLittleBeyondCustomers(t *testing.T) {
+	in := &Instance{Name: "bounded", Variant: Sectors, Antennas: []Antenna{{ID: 0, Rho: 1, Range: 8, Capacity: 5}}}
+	rng := rand.New(rand.NewSource(4))
+	for i := range 20000 {
+		in.Customers = append(in.Customers, Customer{ID: i, Theta: rng.Float64() * 6.28, R: rng.Float64() * 10, Demand: 1 + rng.Int63n(9), Profit: 1 + rng.Int63n(99)})
+	}
+	path := filepath.Join(t.TempDir(), "in.json")
+	if err := SaveFile(path, in); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := LoadFile(path)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, in) {
+		t.Fatal("LoadFile changed the instance")
+	}
+	const slack = 8 << 10
+	customers := uint64(len(in.Customers)) * uint64(reflect.TypeFor[Customer]().Size())
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > customers+2*window+slack {
+		t.Errorf("LoadFile of %d customers (%d B) allocated %d B, more than %d B over them", len(in.Customers), customers, alloc, 2*window+slack)
 	}
 }
 
