@@ -1,13 +1,14 @@
 // Command sectorload drives a sectord or sectorproxy endpoint with a
-// seeded, mixed-tier workload and reports latency percentiles,
-// shed/degraded/error rates, and per-shard cache hit ratios as JSON. With
-// SLO flags set it doubles as a gate: the exit status says whether the
-// fleet met its objectives, the same contract sectorbench -compare
-// provides for benchmark regressions.
+// seeded, mixed-tier workload on a fixed arrival schedule and reports
+// latency percentiles, shed/degraded/error rates, and per-shard cache hit
+// ratios as JSON. It doubles as a gate: the exit status says whether the
+// fleet met its objectives (no non-shed 5xx or transport failure, no
+// verification mismatch, p99 within -max-p99), the same contract
+// sectorbench -compare provides for benchmark regressions.
 //
 // Typical fleet smoke, two backends behind a proxy:
 //
-//	sectorload -url http://localhost:8378 -mode open -rps 80 -duration 15s \
+//	sectorload -url http://localhost:8378 -rps 80 -duration 15s \
 //	    -verify http://localhost:8377 -max-p99 2000
 package main
 
@@ -39,48 +40,22 @@ func run(ctx context.Context, args []string, out, logw io.Writer) error {
 	fs := flag.NewFlagSet("sectorload", flag.ContinueOnError)
 	fs.SetOutput(logw)
 	url := fs.String("url", "", "endpoint under test (required), e.g. http://localhost:8378")
-	mode := fs.String("mode", "closed", "loop discipline: closed (fixed workers) or open (fixed arrival rate)")
-	workers := fs.Int("workers", 8, "closed-loop concurrency / open-loop in-flight cap")
-	rps := fs.Float64("rps", 0, "open-loop arrival rate (required for -mode open)")
-	duration := fs.Duration("duration", 10*time.Second, "run length")
-	solvers := fs.String("solvers", "auto", "comma-separated solver names cycled across requests")
-	seed := fs.Int64("seed", 1, "workload seed (pool contents and interleaving)")
-	pool := fs.Int("pool", 32, "distinct request bodies; repeats beyond this exercise the cache")
-	batchEvery := fs.Int("batch-every", 8, "every Nth pool slot is a /solve/batch (0 = none)")
-	batchSize := fs.Int("batch-size", 4, "instances per batch")
-	timeout := fs.Duration("timeout", 30*time.Second, "per-request timeout")
-	verify := fs.String("verify", "", "direct-backend URL to replay sampled solves against; any answer mismatch fails the run")
-	verifyEvery := fs.Int("verify-every", 8, "verification sampling stride")
+	rps := fs.Float64("rps", 0, "arrival rate in requests per second (required)")
+	duration := fs.Duration("duration", 10*time.Second, "span of due times; requests still in flight at its end are awaited")
+	verify := fs.String("verify", "", "direct-backend URL to compare sampled solve answers with; any mismatch fails the run")
+	maxP99 := fs.Float64("max-p99", 0, "SLO: fail if the p99 of 200s, timed from each due time, exceeds this (ms, 0 = no gate)")
 	reportPath := fs.String("report", "", "also write the JSON report to this file")
-	maxP99 := fs.Float64("max-p99", 0, "SLO: fail if OK-request p99 exceeds this (ms, 0 = no gate)")
-	maxErr := fs.Float64("max-error-rate", 0, "SLO: allowed (5xx+transport)/requests; 0 means any non-shed failure fails")
-	maxShed := fs.Float64("max-shed-rate", 0, "SLO: fail if 429 rate exceeds this (0 = no gate)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *url == "" {
 		return fmt.Errorf("-url is required")
 	}
-	var names []string
-	for _, s := range strings.Split(*solvers, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			names = append(names, s)
-		}
-	}
 	report, err := loadgen.Run(ctx, loadgen.Config{
-		BaseURL:     strings.TrimRight(*url, "/"),
-		Mode:        loadgen.Mode(*mode),
-		Workers:     *workers,
-		RPS:         *rps,
-		Duration:    *duration,
-		Solvers:     names,
-		Seed:        *seed,
-		PoolSize:    *pool,
-		BatchEvery:  *batchEvery,
-		BatchSize:   *batchSize,
-		Timeout:     *timeout,
-		VerifyBase:  strings.TrimRight(*verify, "/"),
-		VerifyEvery: *verifyEvery,
+		BaseURL:    strings.TrimRight(*url, "/"),
+		RPS:        *rps,
+		Duration:   *duration,
+		VerifyBase: strings.TrimRight(*verify, "/"),
 	})
 	if err != nil {
 		return err
@@ -98,7 +73,7 @@ func run(ctx context.Context, args []string, out, logw io.Writer) error {
 			return err
 		}
 	}
-	violations := report.Check(loadgen.SLO{MaxP99MS: *maxP99, MaxErrRate: *maxErr, MaxShed: *maxShed})
+	violations := report.Check(loadgen.SLO{MaxP99MS: *maxP99})
 	if len(violations) > 0 {
 		return fmt.Errorf("SLO violated:\n  %s", strings.Join(violations, "\n  "))
 	}

@@ -21,9 +21,8 @@ func TestRunFlagValidation(t *testing.T) {
 	ctx := context.Background()
 	var out, logw bytes.Buffer
 	for _, args := range [][]string{
-		{},                                    // -url is required
-		{"-url", "http://x", "-mode", "open"}, // open loop without -rps
-		{"-url", "http://x", "-mode", "spiral"},
+		{},                   // -url is required
+		{"-url", "http://x"}, // -rps is required
 		{"-badflag"},
 	} {
 		if err := run(ctx, args, &out, &logw); err == nil {
@@ -40,11 +39,9 @@ func TestRunEmitsReportAndPassesSLO(t *testing.T) {
 	var out, logw bytes.Buffer
 	err := run(context.Background(), []string{
 		"-url", ts.URL,
+		"-rps", "50",
 		"-duration", "300ms",
-		"-workers", "2",
-		"-pool", "4",
 		"-verify", ts.URL,
-		"-verify-every", "2",
 		"-report", reportPath,
 	}, &out, &logw)
 	if err != nil {
@@ -80,10 +77,8 @@ func TestRunFailsSLOOnServerErrors(t *testing.T) {
 	var out, logw bytes.Buffer
 	err := run(context.Background(), []string{
 		"-url", ts.URL,
+		"-rps", "20",
 		"-duration", "200ms",
-		"-workers", "2",
-		"-pool", "2",
-		"-batch-every", "0",
 	}, &out, &logw)
 	if err == nil {
 		t.Fatal("a 5xx-only server passed the default SLO; non-shed failures must gate")

@@ -2,14 +2,12 @@
 // HTTP path and measures what a client would feel: latency percentiles,
 // shed/degraded/error rates, and per-shard cache behaviour.
 //
-// Two loop disciplines are supported. The closed loop keeps a fixed
-// number of workers each waiting for its response before sending the
-// next request — throughput adapts to the server, so it measures
-// capacity. The open loop fires requests at a fixed arrival rate
-// regardless of completions — latency under it shows queueing the way
-// production traffic would, because real arrivals do not politely wait
-// for the fleet to drain (the coordinated-omission trap closed loops
-// fall into).
+// The loop is open: request k is sent at its due time t0 + k/RPS however
+// many are still in flight, and its latency is timed from that due time.
+// A stall that holds up later requests — in the server, or in the wait
+// for one of the client's connections — is charged to every request it
+// delays, the way real arrivals would feel it, instead of being omitted
+// from the tail.
 //
 // The workload is a seeded pool of pre-generated instances mixed across
 // internal/gen families and sizes. The pool is deliberately smaller than
@@ -34,116 +32,58 @@ import (
 	"time"
 
 	"sectorpack/internal/gen"
+	"sectorpack/internal/model"
+	"sectorpack/internal/stats"
 )
-
-// Mode selects the loop discipline.
-type Mode string
 
 const (
-	// Closed keeps Workers in-flight requests: each worker sends, waits,
-	// repeats. Throughput is an output.
-	Closed Mode = "closed"
-	// Open fires requests at RPS regardless of completions. Latency under
-	// saturation is an output.
-	Open Mode = "open"
+	seed        = 1                // pool contents, tier choices and order
+	poolSize    = 32               // distinct request bodies
+	batchEvery  = 8                // every 8th pool slot is a /solve/batch
+	batchSize   = 4                // instances per batch
+	conns       = 8                // connections per host
+	timeout     = 30 * time.Second // per request
+	verifyEvery = 8                // OK answers per verified /solve
 )
 
-// TierSpec is one entry of the workload mix: a named gen preset and its
-// relative weight in the pool.
-type TierSpec struct {
-	Name   string
-	Config gen.Config
-	Weight int
+// tier is one entry of the workload mix: a gen preset and its relative
+// weight in the pool.
+type tier struct {
+	name   string
+	cfg    gen.Config
+	weight int
 }
 
-// DefaultMix spans the generator families at sizes every registry solver
+// mix spans the generator families at sizes every registry solver
 // (including exact) answers in milliseconds, so a short SLO run exercises
 // the full solver matrix rather than one hot path.
-func DefaultMix() []TierSpec {
-	return []TierSpec{
-		{Name: "uniform-small", Config: gen.Config{Family: gen.Uniform, N: 60, M: 6}, Weight: 4},
-		{Name: "hotspot-small", Config: gen.Config{Family: gen.Hotspot, N: 80, M: 6}, Weight: 3},
-		{Name: "zipf-medium", Config: gen.Config{Family: gen.Zipf, N: 150, M: 8}, Weight: 2},
-		{Name: "rings-small", Config: gen.Config{Family: gen.Rings, N: 60, M: 6}, Weight: 2},
-		{Name: "adversarial-small", Config: gen.Config{Family: gen.Adversarial, N: 40, M: 4}, Weight: 1},
-	}
+var mix = []tier{
+	{"uniform-small", gen.Config{Family: gen.Uniform, N: 60, M: 6}, 4},
+	{"hotspot-small", gen.Config{Family: gen.Hotspot, N: 80, M: 6}, 3},
+	{"zipf-medium", gen.Config{Family: gen.Zipf, N: 150, M: 8}, 2},
+	{"rings-small", gen.Config{Family: gen.Rings, N: 60, M: 6}, 2},
+	{"adversarial-small", gen.Config{Family: gen.Adversarial, N: 40, M: 4}, 1},
 }
 
 // Config tunes one load run.
 type Config struct {
 	// BaseURL is the endpoint under test (a sectord or a sectorproxy).
 	BaseURL string
-	// Mode is the loop discipline; empty means Closed.
-	Mode Mode
-	// Workers is the closed-loop concurrency (and the open loop's cap on
-	// simultaneous in-flight requests, so a stalled fleet cannot leak
-	// goroutines without bound). Zero means 8.
-	Workers int
-	// RPS is the open-loop arrival rate. Required for Open.
+	// RPS is the arrival rate. Required.
 	RPS float64
-	// Duration bounds the run. Zero means 10s.
+	// Duration spans the due times; requests still in flight at its end
+	// are awaited. Required.
 	Duration time.Duration
-	// Solvers cycles per request; empty means ["auto"].
-	Solvers []string
-	// Seed makes the workload reproducible: pool contents, tier choices,
-	// and request interleaving all derive from it.
-	Seed int64
-	// Mix is the tier mix; empty means DefaultMix.
-	Mix []TierSpec
-	// PoolSize is the number of distinct request bodies; repeats beyond it
-	// re-send earlier bodies and exercise the cache. Zero means 32.
-	PoolSize int
-	// BatchEvery makes every Nth request a /solve/batch of BatchSize
-	// instances drawn from the pool. Zero disables batches.
-	BatchEvery int
-	// BatchSize is the instances per batch. Zero means 4.
-	BatchSize int
-	// Timeout bounds each request. Zero means 30s.
-	Timeout time.Duration
-	// VerifyBase, when set, replays every VerifyEvery-th /solve against
-	// this second endpoint (typically a backend directly, with the proxy
-	// as BaseURL) and counts answer mismatches after timing fields are
+	// VerifyBase, when set, is a second endpoint (typically a backend
+	// directly, with the proxy as BaseURL). Every verifyEvery-th OK /solve
+	// answer is compared with the same request's answer from it, timing
 	// stripped — the differential check that routing is semantics-free.
 	VerifyBase string
-	// VerifyEvery is the verification sampling stride. Zero means 8.
-	VerifyEvery int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Mode == "" {
-		c.Mode = Closed
-	}
-	if c.Workers <= 0 {
-		c.Workers = 8
-	}
-	if c.Duration <= 0 {
-		c.Duration = 10 * time.Second
-	}
-	if len(c.Solvers) == 0 {
-		c.Solvers = []string{"auto"}
-	}
-	if len(c.Mix) == 0 {
-		c.Mix = DefaultMix()
-	}
-	if c.PoolSize <= 0 {
-		c.PoolSize = 32
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 4
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 30 * time.Second
-	}
-	if c.VerifyEvery <= 0 {
-		c.VerifyEvery = 8
-	}
-	return c
 }
 
 // request is one pre-built body from the pool.
 type request struct {
 	path string // "/solve" or "/solve/batch"
-	tier string
 	body []byte
 }
 
@@ -184,9 +124,7 @@ type Report struct {
 	NumCPU     int    `json:"num_cpu"`
 
 	BaseURL    string  `json:"base_url"`
-	Mode       Mode    `json:"mode"`
-	Workers    int     `json:"workers"`
-	TargetRPS  float64 `json:"target_rps,omitempty"`
+	TargetRPS  float64 `json:"target_rps"`
 	DurationMS float64 `json:"duration_ms"`
 
 	Requests    int     `json:"requests"`
@@ -207,31 +145,24 @@ type Report struct {
 	Verify *VerifyStats           `json:"verify,omitempty"`
 }
 
-// SLO is the gate applied to a report; zero-valued fields are not
-// enforced. Violations fail the run the way sectorbench -compare fails a
-// regressed benchmark.
+// SLO is the gate applied to a report. Violations fail the run the way
+// sectorbench -compare fails a regressed benchmark.
 type SLO struct {
-	MaxP99MS   float64 `json:"max_p99_ms,omitempty"`
-	MaxErrRate float64 `json:"max_error_rate,omitempty"`
-	MaxShed    float64 `json:"max_shed_rate,omitempty"`
+	// MaxP99MS bounds the p99 latency of 200s; zero means no bound.
+	MaxP99MS float64 `json:"max_p99_ms,omitempty"`
 }
 
-// Check returns the violated clauses, empty when the report passes. A
-// verification mismatch is always a violation: it means the proxy changed
-// an answer, which no threshold makes acceptable.
+// Check returns the violated clauses, empty when the report passes. Any
+// non-shed 5xx or transport failure is a violation, and so is any
+// verification mismatch: it means the proxy changed an answer, which no
+// threshold makes acceptable.
 func (r *Report) Check(slo SLO) []string {
 	var bad []string
 	if slo.MaxP99MS > 0 && r.LatencyOK.P99MS > slo.MaxP99MS {
 		bad = append(bad, fmt.Sprintf("p99 %.1fms exceeds SLO %.1fms", r.LatencyOK.P99MS, slo.MaxP99MS))
 	}
-	if slo.MaxErrRate > 0 && r.ErrorRate > slo.MaxErrRate {
-		bad = append(bad, fmt.Sprintf("error rate %.4f exceeds SLO %.4f (%d×5xx, %d transport)", r.ErrorRate, slo.MaxErrRate, r.Errors5xx, r.Transport))
-	}
-	if slo.MaxErrRate == 0 && r.Errors5xx+r.Transport > 0 {
-		bad = append(bad, fmt.Sprintf("%d non-shed 5xx and %d transport failures (no error budget configured)", r.Errors5xx, r.Transport))
-	}
-	if slo.MaxShed > 0 && r.ShedRate > slo.MaxShed {
-		bad = append(bad, fmt.Sprintf("shed rate %.4f exceeds SLO %.4f", r.ShedRate, slo.MaxShed))
+	if r.Errors5xx+r.Transport > 0 {
+		bad = append(bad, fmt.Sprintf("%d non-shed 5xx and %d transport failures", r.Errors5xx, r.Transport))
 	}
 	if r.Verify != nil && r.Verify.Mismatches > 0 {
 		bad = append(bad, fmt.Sprintf("%d/%d verified answers differ between %s and the direct backend", r.Verify.Mismatches, r.Verify.Checked, r.BaseURL))
@@ -260,6 +191,7 @@ type collector struct {
 type outcome struct {
 	latMS     float64
 	status    int // 0 = transport failure
+	body      []byte
 	degraded  bool
 	shard     string
 	cacheDisp string
@@ -309,184 +241,121 @@ func (c *collector) record(o outcome) {
 	}
 }
 
-// Run executes the configured load against cfg.BaseURL and returns the
-// report. It honours ctx: cancellation stops the run early and reports
-// what was measured so far.
+// Run sends cfg.RPS requests per second for cfg.Duration to cfg.BaseURL,
+// waits for the last of them, and returns the report. Cancelling ctx stops
+// the run early and reports what was measured so far.
 func Run(ctx context.Context, cfg Config) (*Report, error) {
-	cfg = cfg.withDefaults()
 	if cfg.BaseURL == "" {
 		return nil, fmt.Errorf("loadgen: BaseURL is required")
 	}
-	if cfg.Mode != Closed && cfg.Mode != Open {
-		return nil, fmt.Errorf("loadgen: unknown mode %q (want %q or %q)", cfg.Mode, Closed, Open)
+	if cfg.RPS <= 0 || cfg.Duration <= 0 {
+		return nil, fmt.Errorf("loadgen: RPS and Duration must be positive")
 	}
-	if cfg.Mode == Open && cfg.RPS <= 0 {
-		return nil, fmt.Errorf("loadgen: open-loop mode needs RPS > 0")
-	}
-	pool, err := buildPool(cfg)
+	pool, err := buildPool()
 	if err != nil {
 		return nil, err
 	}
 	col := &collector{shards: map[string]*ShardStats{}}
-	hc := &http.Client{Timeout: cfg.Timeout}
-
-	runCtx, cancel := context.WithTimeout(ctx, cfg.Duration)
-	defer cancel()
-	start := time.Now()
-	var next int64
-	var mu sync.Mutex
-	take := func() *request {
-		mu.Lock()
-		i := next
-		next++
-		mu.Unlock()
-		return &pool[int(i)%len(pool)]
+	// The transport holds at most conns connections per host. A request
+	// due while all of them are busy waits inside Do, and its latency,
+	// timed from its due time, includes that wait. The per-request timeout
+	// bounds the goroutines waiting at once to about RPS × timeout.
+	hc := &http.Client{
+		Timeout:   timeout,
+		Transport: &http.Transport{MaxConnsPerHost: conns, MaxIdleConnsPerHost: conns},
 	}
+	defer hc.CloseIdleConnections()
 
-	fire := func() {
-		req := take()
-		o := shoot(runCtx, hc, cfg.BaseURL, req)
-		if o.status == 0 && runCtx.Err() != nil {
-			// The run deadline cancelled this request mid-flight. That is
-			// the harness truncating its own measurement window, not the
-			// server failing — recording it would charge every run a few
-			// phantom transport errors.
-			return
-		}
-		col.record(o)
-		if cfg.VerifyBase != "" && req.path == "/solve" && o.status == http.StatusOK {
-			col.mu.Lock()
-			due := col.verified*cfg.VerifyEvery <= col.ok
-			col.mu.Unlock()
-			if due {
-				verifyOne(runCtx, hc, cfg, col, req)
-			}
-		}
-	}
-
+	t0 := time.Now()
 	var wg sync.WaitGroup
-	switch cfg.Mode {
-	case Closed:
-		for w := 0; w < cfg.Workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					if runCtx.Err() != nil {
-						return
-					}
-					fire()
-				}
-			}()
+	for k := 0; ctx.Err() == nil; k++ {
+		due := time.Duration(float64(k) * float64(time.Second) / cfg.RPS)
+		if due >= cfg.Duration {
+			break
 		}
-	case Open:
-		// Arrivals are a fixed-rate clock. The semaphore bounds in-flight
-		// requests; an arrival finding it full means the fleet is further
-		// behind than Workers requests — recorded as a transport-class
-		// failure rather than silently skipped, because dropped load is
-		// exactly what an open-loop test exists to surface.
-		sem := make(chan struct{}, cfg.Workers)
-		interval := time.Duration(float64(time.Second) / cfg.RPS)
-		if interval <= 0 {
-			interval = time.Millisecond
-		}
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-	arrivals:
-		for {
-			select {
-			case <-runCtx.Done():
-				break arrivals
-			case <-tick.C:
-				select {
-				case sem <- struct{}{}:
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						defer func() { <-sem }()
-						if runCtx.Err() != nil {
-							return
-						}
-						fire()
-					}()
-				default:
-					col.record(outcome{latMS: 0, status: 0})
-				}
+		time.Sleep(time.Until(t0.Add(due)))
+		req := &pool[k%len(pool)]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			o := shoot(ctx, hc, cfg.BaseURL+req.path, req.body, t0.Add(due))
+			if o.status == 0 && ctx.Err() != nil {
+				// The caller cancelled the run mid-request; that is not
+				// the server failing.
+				return
 			}
-		}
+			col.record(o)
+			if cfg.VerifyBase != "" && req.path == "/solve" && o.status == http.StatusOK {
+				col.verify(ctx, hc, cfg.VerifyBase+req.path, req.body, o.body)
+			}
+		}()
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
-
-	return assemble(cfg, col, elapsed), nil
+	return assemble(cfg, col, time.Since(t0)), nil
 }
 
-// shoot issues one request and observes the response without retries —
+// shoot sends one request and times it from due. There are no retries:
 // the load generator measures raw server behaviour; retry policy belongs
 // to real clients.
-func shoot(ctx context.Context, hc *http.Client, base string, req *request) outcome {
-	start := time.Now()
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, base+req.path, bytes.NewReader(req.body))
+func shoot(ctx context.Context, hc *http.Client, url string, body []byte, due time.Time) outcome {
+	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
-		return outcome{latMS: msSince(start)}
+		return outcome{latMS: msSince(due)}
 	}
 	httpReq.Header.Set("Content-Type", "application/json")
 	resp, err := hc.Do(httpReq)
 	if err != nil {
-		return outcome{latMS: msSince(start)}
+		return outcome{latMS: msSince(due)}
 	}
-	body, _ := io.ReadAll(resp.Body)
+	raw, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
+	if err != nil {
+		return outcome{latMS: msSince(due)}
+	}
 	o := outcome{
-		latMS:     msSince(start),
+		latMS:     msSince(due),
 		status:    resp.StatusCode,
+		body:      raw,
 		shard:     resp.Header.Get("X-Sectord-Shard"),
 		cacheDisp: resp.Header.Get("X-Sectord-Cache"),
 	}
-	if resp.StatusCode == http.StatusOK {
+	if o.status == http.StatusOK {
 		var probe struct {
 			Degraded bool `json:"degraded"`
 		}
-		if json.Unmarshal(body, &probe) == nil {
-			o.degraded = probe.Degraded
-		}
+		o.degraded = json.Unmarshal(raw, &probe) == nil && probe.Degraded
 	}
 	return o
 }
 
-// verifyOne replays the request against the direct backend and compares
-// the two answers with timing stripped.
-func verifyOne(ctx context.Context, hc *http.Client, cfg Config, col *collector, req *request) {
-	a, aOK := fetchNormalized(ctx, hc, cfg.BaseURL+req.path, req.body)
-	b, bOK := fetchNormalized(ctx, hc, cfg.VerifyBase+req.path, req.body)
-	if !aOK || !bOK {
+// verify compares got, the answer the client received, with the answer
+// url gives to the same body, timing stripped. It samples one per
+// verifyEvery OK answers recorded.
+func (c *collector) verify(ctx context.Context, hc *http.Client, url string, body, got []byte) {
+	c.mu.Lock()
+	due := c.verified*verifyEvery <= c.ok
+	c.mu.Unlock()
+	if !due {
+		return
+	}
+	direct := shoot(ctx, hc, url, body, time.Now())
+	a, aOK := answer(got)
+	b, bOK := answer(direct.body)
+	if direct.status != http.StatusOK || !aOK || !bOK {
 		return // a transient failure is not a mismatch
 	}
-	col.mu.Lock()
-	col.verified++
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.verified++
 	if !reflect.DeepEqual(a, b) {
-		col.mismatch++
+		c.mismatch++
 	}
-	col.mu.Unlock()
 }
 
-func fetchNormalized(ctx context.Context, hc *http.Client, url string, body []byte) (map[string]any, bool) {
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return nil, false
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	resp, err := hc.Do(httpReq)
-	if err != nil {
-		return nil, false
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, false
-	}
+// answer decodes a /solve reply without its elapsed_ms.
+func answer(body []byte) (map[string]any, bool) {
 	var m map[string]any
-	if err := json.Unmarshal(raw, &m); err != nil {
+	if json.Unmarshal(body, &m) != nil {
 		return nil, false
 	}
 	delete(m, "elapsed_ms")
@@ -498,95 +367,70 @@ func msSince(t time.Time) float64 {
 }
 
 // buildPool pre-generates the request bodies so generation cost never
-// pollutes measured latency, and so the same seed replays the same
-// workload byte-for-byte.
-func buildPool(cfg Config) ([]request, error) {
-	rng := rand.New(rand.NewSource(cfg.Seed))
+// pollutes measured latency, and so every run replays the same workload
+// byte-for-byte.
+func buildPool() ([]request, error) {
+	rng := rand.New(rand.NewSource(seed))
 	total := 0
-	for _, t := range cfg.Mix {
-		if t.Weight <= 0 {
-			return nil, fmt.Errorf("loadgen: tier %q has non-positive weight", t.Name)
-		}
-		total += t.Weight
+	for _, t := range mix {
+		total += t.weight
 	}
-	pickTier := func() TierSpec {
+	pickTier := func() tier {
 		n := rng.Intn(total)
-		for _, t := range cfg.Mix {
-			if n < t.Weight {
+		for _, t := range mix {
+			if n < t.weight {
 				return t
 			}
-			n -= t.Weight
+			n -= t.weight
 		}
-		return cfg.Mix[len(cfg.Mix)-1]
+		return mix[len(mix)-1]
 	}
-	type solveReq struct {
-		Solver        string `json:"solver,omitempty"`
-		FormatVersion int    `json:"format_version"`
-		Instance      any    `json:"instance"`
+	type envelope struct {
+		FormatVersion int               `json:"format_version"`
+		Instance      *model.Instance   `json:"instance,omitempty"`
+		Instances     []*model.Instance `json:"instances,omitempty"`
 	}
-	var instances []any // raw instances, for batch composition
+	var instances []*model.Instance // for batch composition
 	var pool []request
-	for i := 0; i < cfg.PoolSize; i++ {
-		tier := pickTier()
-		gcfg := tier.Config
-		gcfg.Seed = cfg.Seed + int64(i)*7919
+	for i := 0; i < poolSize; i++ {
+		t := pickTier()
+		gcfg := t.cfg
+		gcfg.Seed = seed + int64(i)*7919
 		in, err := gen.Generate(gcfg)
 		if err != nil {
-			return nil, fmt.Errorf("loadgen: tier %q: %w", tier.Name, err)
-		}
-		solver := cfg.Solvers[i%len(cfg.Solvers)]
-		if solver == "auto" {
-			solver = ""
+			return nil, fmt.Errorf("loadgen: tier %q: %w", t.name, err)
 		}
 		instances = append(instances, in)
-		if cfg.BatchEvery > 0 && (i+1)%cfg.BatchEvery == 0 {
-			k := cfg.BatchSize
-			if k > len(instances) {
-				k = len(instances)
-			}
-			body, err := json.Marshal(map[string]any{
-				"solver":         solver,
-				"format_version": 1,
-				"instances":      instances[len(instances)-k:],
-			})
-			if err != nil {
-				return nil, err
-			}
-			pool = append(pool, request{path: "/solve/batch", tier: tier.Name, body: body})
-			continue
+		req := request{path: "/solve"}
+		env := envelope{FormatVersion: 1, Instance: in}
+		if (i+1)%batchEvery == 0 {
+			req.path = "/solve/batch"
+			env = envelope{FormatVersion: 1, Instances: instances[len(instances)-batchSize:]}
 		}
-		body, err := json.Marshal(solveReq{Solver: solver, FormatVersion: 1, Instance: in})
-		if err != nil {
+		if req.body, err = json.Marshal(env); err != nil {
 			return nil, err
 		}
-		pool = append(pool, request{path: "/solve", tier: tier.Name, body: body})
+		pool = append(pool, req)
 	}
 	// Shuffle so tiers interleave rather than clump by pool order.
 	rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
 	return pool, nil
 }
 
+// percentiles summarises a latency sample with interpolated quantiles.
 func percentiles(ms []float64) Percentiles {
 	if len(ms) == 0 {
 		return Percentiles{}
 	}
-	sorted := append([]float64(nil), ms...)
-	sort.Float64s(sorted)
-	at := func(q float64) float64 {
-		i := int(q * float64(len(sorted)-1))
-		return sorted[i]
-	}
-	sum := 0.0
-	for _, v := range sorted {
-		sum += v
-	}
+	sort.Float64s(ms)
+	s := stats.Summarize(ms)
 	return Percentiles{
-		P50MS:  at(0.50),
-		P90MS:  at(0.90),
-		P99MS:  at(0.99),
-		P999MS: at(0.999),
-		MeanMS: sum / float64(len(sorted)),
-		MaxMS:  sorted[len(sorted)-1],
+		P50MS:  s.Median,
+		P90MS:  stats.Quantile(ms, 0.90),
+		P99MS:  stats.Quantile(ms, 0.99),
+		P999MS: stats.Quantile(ms, 0.999),
+		MeanMS: s.Mean,
+		MaxMS:  s.Max,
 	}
 }
 
@@ -595,30 +439,24 @@ func assemble(cfg Config, col *collector, elapsed time.Duration) *Report {
 	defer col.mu.Unlock()
 	n := len(col.latencies)
 	r := &Report{
-		Date:       time.Now().UTC().Format(time.RFC3339),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		BaseURL:    cfg.BaseURL,
-		Mode:       cfg.Mode,
-		Workers:    cfg.Workers,
-		DurationMS: float64(elapsed) / float64(time.Millisecond),
-		Requests:   n,
-		Latency:    percentiles(col.latencies),
-		LatencyOK:  percentiles(col.okLat),
-		OK:         col.ok,
-		Degraded:   col.degraded,
-		Shed:       col.shed,
-		Errors4xx:  col.e4xx,
-		Errors5xx:  col.e5xx,
-		Transport:  col.transport,
-		Shards:     col.shards,
-	}
-	if cfg.Mode == Open {
-		r.TargetRPS = cfg.RPS
-	}
-	if elapsed > 0 {
-		r.AchievedRPS = float64(n) / elapsed.Seconds()
+		Date:        time.Now().UTC().Format(time.RFC3339),
+		GoVersion:   runtime.Version(),
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		NumCPU:      runtime.NumCPU(),
+		BaseURL:     cfg.BaseURL,
+		TargetRPS:   cfg.RPS,
+		DurationMS:  float64(elapsed) / float64(time.Millisecond),
+		Requests:    n,
+		AchievedRPS: float64(n) / elapsed.Seconds(),
+		Latency:     percentiles(col.latencies),
+		LatencyOK:   percentiles(col.okLat),
+		OK:          col.ok,
+		Degraded:    col.degraded,
+		Shed:        col.shed,
+		Errors4xx:   col.e4xx,
+		Errors5xx:   col.e5xx,
+		Transport:   col.transport,
+		Shards:      col.shards,
 	}
 	if n > 0 {
 		r.ShedRate = float64(col.shed) / float64(n)

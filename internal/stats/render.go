@@ -35,9 +35,6 @@ func (t *Table) AddRow(cells ...any) {
 	t.rows = append(t.rows, row)
 }
 
-// NumRows reports the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // Render produces the aligned text form.
 func (t *Table) Render() string {
 	var b strings.Builder

@@ -119,9 +119,6 @@ func TestTableRender(t *testing.T) {
 			t.Errorf("Render missing %q:\n%s", want, out)
 		}
 	}
-	if tb.NumRows() != 2 {
-		t.Errorf("NumRows = %d", tb.NumRows())
-	}
 }
 
 func TestAsciiSeries(t *testing.T) {
