@@ -23,10 +23,10 @@
 // unitflow. Every local answer passes core.VerifySolution before it is
 // printed.
 //
-// The fractional upper bound printed alongside the profit costs one
-// knapsack relaxation per candidate orientation — quadratic in the
-// per-antenna eligible count — so on the large generator tiers (n=100k
-// and up) pass -bound=false to skip it; the solve itself stays fast.
+// The fractional upper bound printed alongside the profit scans every
+// customer for each candidate orientation — the per-antenna eligible
+// count times n — so on the large generator tiers (n=100k and up) pass
+// -bound=false to skip it; the solve itself stays fast.
 //
 // Exit codes: 0 = full solve, 1 = error (in batch mode: any item failed),
 // 3 = the -timeout deadline expired and a degraded fallback result was

@@ -2,6 +2,7 @@ package angular
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -486,24 +487,15 @@ func (s *Sweep) dantzigSet(set []int32, active []bool, capacity int64) int64 {
 	if len(set) == 0 {
 		return 0
 	}
-	if cap(s.markBuf) < len(s.ids) {
-		s.markBuf = make([]int32, len(s.ids))
-		s.markEpoch = 0
-	}
-	s.markBuf = s.markBuf[:len(s.ids)]
-	s.markEpoch++
-	if s.markEpoch == 0 { // wrapped: reset
-		clear(s.markBuf)
-		s.markEpoch = 1
-	}
+	s.marks.reset(len(s.ids))
 	for _, p := range set {
-		s.markBuf[p] = s.markEpoch
+		s.marks.add(p)
 	}
 	rem := capacity
 	var bound int64
 	for _, p32 := range s.density {
 		p := int(p32)
-		if s.markBuf[p] != s.markEpoch {
+		if !s.marks.has(p32) {
 			continue
 		}
 		if active != nil && !active[s.ids[p]] {
@@ -523,6 +515,110 @@ func (s *Sweep) dantzigSet(set []int32, active []bool, capacity int64) int64 {
 	}
 	return bound
 }
+
+// fractionalSet returns knapsack.FractionalBound of the positions marked
+// in set, bit for bit: the same float operations in the same order. It
+// walks the sweep's density order, which is byDensity's order except among
+// positions equal in both density and profit. Those have equal weights
+// too, so they are interchangeable (profit, weight) pairs and swapping them
+// changes no partial sum.
+func (s *Sweep) fractionalSet(set *stamps, capacity int64) float64 {
+	var bound float64
+	rem := capacity
+	for _, p := range s.density {
+		if !set.has(p) {
+			continue
+		}
+		w, pr := s.weights[p], float64(s.profits[p])
+		if w == 0 {
+			bound += pr
+			continue
+		}
+		if w <= rem {
+			bound += pr
+			rem -= w
+		} else {
+			bound += pr * float64(rem) / float64(w)
+			break
+		}
+	}
+	return bound
+}
+
+// WindowSet is a reusable set of one antenna's customers whose Dantzig
+// (fractional-knapsack) value is read off the antenna's sweep instead of
+// sorting the set: Reset binds it to an antenna, Clear empties it, Add
+// puts a customer in and FractionalBound walks the sweep's density order
+// over the members. Its value equals knapsack.FractionalBound of the
+// members' items bit for bit. The zero value is ready for Reset.
+type WindowSet struct {
+	s   *Sweep
+	pos []int32 // sweep position per customer index, −1 outside the sweep
+	set stamps
+}
+
+// Reset binds w to the engine's antenna, building its sweep if need be,
+// and empties it. Its scratch is sized to the instance once, so a reused
+// WindowSet allocates nothing after its first Reset on an instance.
+func (w *WindowSet) Reset(e *Engine, antenna int) {
+	w.s = e.Sweep(antenna)
+	n := len(e.in.Customers)
+	w.pos = slices.Grow(w.pos[:0], n)[:n]
+	for i := range w.pos {
+		w.pos[i] = -1
+	}
+	for t, id := range w.s.ids {
+		w.pos[id] = int32(t)
+	}
+	w.set.reset(n)
+}
+
+// Clear empties the set.
+func (w *WindowSet) Clear() { w.set.reset(len(w.pos)) }
+
+// Add puts customer i in the set. Only customers of the antenna's sweep
+// can be members: a customer the antenna covers at some angle is radially
+// in range, and so in the sweep (the radial semantics are one, pinned by
+// TestEngineMatchesScan). Add panics on any other, because a covered
+// customer missing from the sweep would silently lower the bound below
+// the optimum it certifies.
+func (w *WindowSet) Add(i int) {
+	p := w.pos[i]
+	if p < 0 {
+		panic(fmt.Sprintf("angular: customer %d is not in the antenna's sweep", i))
+	}
+	w.set.add(p)
+}
+
+// FractionalBound returns knapsack.FractionalBound(items, capacity) for
+// the members' items, bit for bit, in O(prefix of the density order).
+func (w *WindowSet) FractionalBound(capacity int64) float64 {
+	return w.s.fractionalSet(&w.set, capacity)
+}
+
+// stamps is an epoch-stamped set of sweep positions: reset empties it in
+// O(1) by advancing the epoch, clearing the stamps only when it wraps.
+type stamps struct {
+	mark  []int32 // epoch per position; members carry the current one
+	epoch int32
+}
+
+// reset empties the set and sizes it for positions below n.
+func (st *stamps) reset(n int) {
+	if cap(st.mark) < n {
+		st.mark = make([]int32, n)
+		st.epoch = 0
+	}
+	st.mark = st.mark[:n]
+	st.epoch++
+	if st.epoch == 0 { // wrapped: stale stamps may repeat, past len too
+		clear(st.mark[:cap(st.mark)])
+		st.epoch = 1
+	}
+}
+
+func (st *stamps) add(p int32)      { st.mark[p] = st.epoch }
+func (st *stamps) has(p int32) bool { return st.mark[p] == st.epoch }
 
 // floorFrac returns ⌊p·rem/w⌋, the split item's share of the Dantzig
 // bound. The whole items before it sum to an integer S, so the bound is

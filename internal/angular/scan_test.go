@@ -154,3 +154,29 @@ func TestEngineMatchesScan(t *testing.T) {
 	}
 	checkEngineMatchesScan(t, "large/parallel", eng, 97, nil, nil)
 }
+
+// TestWindowSetRefusesOutsideSweep checks that a WindowSet refuses, loudly,
+// a customer its antenna's sweep does not hold (here one beyond Range), so
+// no covered customer can drop out of a bound unnoticed.
+func TestWindowSetRefusesOutsideSweep(t *testing.T) {
+	in := (&model.Instance{
+		Variant: model.Sectors,
+		Customers: []model.Customer{
+			{Theta: 1, R: 1, Demand: 1, Profit: 1},
+			{Theta: 1, R: 9, Demand: 1, Profit: 1},
+		},
+		Antennas: []model.Antenna{{Rho: 1, Range: 2, Capacity: 1}},
+	}).Normalize()
+	var w WindowSet
+	w.Reset(NewEngine(in), 0)
+	w.Add(0)
+	if got := w.FractionalBound(1); math.Float64bits(got) != math.Float64bits(1) {
+		t.Fatalf("FractionalBound = %v, want 1", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Add of a customer outside the sweep did not panic")
+		}
+	}()
+	w.Add(1)
+}

@@ -41,8 +41,7 @@ type Sweep struct {
 	profits []int64 // profit per sorted position
 	density []int32 // positions in Dantzig order (profit density descending)
 
-	markBuf   []int32 // epoch marks for membership tests in dantzigSet
-	markEpoch int32
+	marks stamps // dantzigSet's member positions
 }
 
 // newSweepFromView gathers the antenna's in-range customers from the

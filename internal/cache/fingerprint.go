@@ -27,12 +27,13 @@
 package cache
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
 	"math"
-	"sort"
+	"slices"
 
 	"sectorpack/internal/core"
 	"sectorpack/internal/model"
@@ -147,34 +148,34 @@ func NewFingerprint(in *model.Instance, opt core.Options, solver string) (*Finge
 	// comparator would make the canonical order (and thus the key) depend
 	// on which permutation arrived first.
 	cs := in.Customers
-	sort.SliceStable(f.cust, func(a, b int) bool {
-		x, y := cs[f.cust[a]], cs[f.cust[b]]
-		if x.Theta != y.Theta { //sectorlint:ignore floateq canonical order must distinguish every bit pattern the hash distinguishes
-			return x.Theta < y.Theta
+	slices.SortStableFunc(f.cust, func(a, b int) int {
+		x, y := cs[a], cs[b]
+		if c := cmp.Compare(x.Theta, y.Theta); c != 0 {
+			return c
 		}
-		if x.R != y.R { //sectorlint:ignore floateq canonical order must distinguish every bit pattern the hash distinguishes
-			return x.R < y.R
+		if c := cmp.Compare(x.R, y.R); c != 0 {
+			return c
 		}
-		if x.Demand != y.Demand {
-			return x.Demand < y.Demand
+		if c := cmp.Compare(x.Demand, y.Demand); c != 0 {
+			return c
 		}
-		return x.Profit < y.Profit
+		return cmp.Compare(x.Profit, y.Profit)
 	})
 	as := in.Antennas
-	sort.SliceStable(f.ant, func(a, b int) bool {
-		x, y := as[f.ant[a]], as[f.ant[b]]
-		if x.Rho != y.Rho { //sectorlint:ignore floateq canonical order must distinguish every bit pattern the hash distinguishes
-			return x.Rho < y.Rho
+	slices.SortStableFunc(f.ant, func(a, b int) int {
+		x, y := as[a], as[b]
+		if c := cmp.Compare(x.Rho, y.Rho); c != 0 {
+			return c
 		}
 		// EffRange folds the two unbounded encodings (<= 0 and +Inf)
 		// together so semantically identical antennas sort and hash alike.
-		if x.EffRange() != y.EffRange() { //sectorlint:ignore floateq canonical order must distinguish every bit pattern the hash distinguishes
-			return x.EffRange() < y.EffRange()
+		if c := cmp.Compare(x.EffRange(), y.EffRange()); c != 0 {
+			return c
 		}
-		if x.Capacity != y.Capacity {
-			return x.Capacity < y.Capacity
+		if c := cmp.Compare(x.Capacity, y.Capacity); c != 0 {
+			return c
 		}
-		return x.MinRange < y.MinRange
+		return cmp.Compare(x.MinRange, y.MinRange)
 	})
 
 	w := newHasher()

@@ -112,25 +112,51 @@ func Order(order, tmp []int32, keys []uint64) {
 // every key. Sorting by one key and then stably by another orders by the
 // second key, ties by the first. tmp is scratch at least as long as order.
 func SortByKey(order, tmp []int32, keys []uint64, width int) {
-	const (
-		digitBits = 11
-		mask      = 1<<digitBits - 1
-	)
-	n := len(order)
-	if n == 0 {
+	if len(order) == 0 {
 		return
 	}
-	var counts [(64 + digitBits - 1) / digitBits][1 << digitBits]int32
-	digits := counts[:(width+digitBits-1)/digitBits]
+	radixByDigits[max(1, (width+digitBits-1)/digitBits)-1](order, tmp, keys)
+}
+
+// digitBits is the width of one SortByKey pass.
+const digitBits = 11
+
+// buckets is the number of values one digit takes.
+const buckets = 1 << digitBits
+
+// radixByDigits holds radixSort at each digit count a key width can need,
+// so a call declares, and so zeroes, the histogram rows its keys use and
+// no more: one row of 8 KB for keys of eleven bits, six for 64.
+var radixByDigits = [...]func(order, tmp []int32, keys []uint64){
+	radixSort[[1][buckets]int32],
+	radixSort[[2][buckets]int32],
+	radixSort[[3][buckets]int32],
+	radixSort[[4][buckets]int32],
+	radixSort[[5][buckets]int32],
+	radixSort[[6][buckets]int32],
+}
+
+// histograms is the set of SortByKey's histogram shapes: one row of counts
+// per digit.
+type histograms interface {
+	[1][buckets]int32 | [2][buckets]int32 | [3][buckets]int32 |
+		[4][buckets]int32 | [5][buckets]int32 | [6][buckets]int32
+}
+
+// radixSort is SortByKey over len(H) digits, with non-empty order.
+func radixSort[H histograms](order, tmp []int32, keys []uint64) {
+	const mask = buckets - 1
+	n := len(order)
+	var counts H
 	for _, i := range order {
 		k := keys[i]
-		for d := range digits {
-			digits[d][k>>(digitBits*d)&mask]++
+		for d := range len(counts) {
+			counts[d][k>>(digitBits*d)&mask]++
 		}
 	}
 	src, dst := order, tmp[:n]
-	for d := range digits {
-		c := &digits[d]
+	for d := range len(counts) {
+		c := &counts[d]
 		shift := digitBits * d
 		if c[keys[order[0]]>>shift&mask] == int32(n) {
 			continue

@@ -2,6 +2,7 @@ package cols
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -478,6 +479,67 @@ func TestAppendEligibleAppends(t *testing.T) {
 			if got := v.AppendEligible(a, out); !slices.Equal(got, want) {
 				t.Fatalf("antenna %+v: AppendEligible after %v differs from the brute-force scan", a, prefix)
 			}
+		}
+	}
+}
+
+// TestSortByKeyMatchesStableSort pins the radix sort to a comparison
+// stable sort at widths that take one digit, several, and all six, with
+// keys drawn from few values, so most keys tie and stability shows, and
+// with list lengths on both sides of one histogram bucket count.
+func TestSortByKeyMatchesStableSort(t *testing.T) {
+	rnd := rand.New(rand.NewSource(11))
+	for _, width := range []int{1, 11, 12, 22, 40, 53, 63, 64} {
+		for _, k := range []int{0, 1, 2, 255, 2049, 5000} {
+			for _, few := range []bool{true, false} {
+				vals := make([]uint64, 4)
+				for v := range vals {
+					vals[v] = rnd.Uint64() >> (64 - width)
+				}
+				keys := make([]uint64, k+7) // keys no order entry points at
+				for i := range keys {
+					keys[i] = rnd.Uint64() >> (64 - width)
+					if few {
+						keys[i] = vals[rnd.Intn(len(vals))]
+					}
+				}
+				order := make([]int32, k)
+				for i := range order {
+					order[i] = int32(rnd.Intn(len(keys)))
+				}
+				want := slices.Clone(order)
+				slices.SortStableFunc(want, func(a, b int32) int { return cmp.Compare(keys[a], keys[b]) })
+				SortByKey(order, make([]int32, k), keys, width)
+				if !slices.Equal(order, want) {
+					t.Fatalf("width=%d k=%d few=%v: radix order differs from the stable sort", width, k, few)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkSortByKey measures the radix sort on the list lengths sweeps
+// sort (k = 256…4096), with keys of one digit (an 11-bit profit) and of
+// six (a density's float bits, as dantzigOrder sorts them).
+func BenchmarkSortByKey(b *testing.B) {
+	rnd := rand.New(rand.NewSource(12))
+	for _, width := range []int{11, 63} {
+		for _, k := range []int{256, 1024, 4096} {
+			keys := make([]uint64, k)
+			for i := range keys {
+				keys[i] = rnd.Uint64() >> (64 - width)
+			}
+			src := make([]int32, k)
+			for i := range src {
+				src[i] = int32(i)
+			}
+			order, tmp := make([]int32, k), make([]int32, k)
+			b.Run(fmt.Sprintf("w%d/k%d", width, k), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					copy(order, src)
+					SortByKey(order, tmp, keys, width)
+				}
+			})
 		}
 	}
 }

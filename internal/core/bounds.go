@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"sectorpack/internal/angular"
-	"sectorpack/internal/knapsack"
 	"sectorpack/internal/model"
 )
 
@@ -41,31 +40,39 @@ func withBound(ctx context.Context, in *model.Instance, eng *angular.Engine, opt
 
 // UpperBoundContext is UpperBound of the engine's instance for callers
 // with a deadline and an engine: the candidate angles come from the
-// engine's cache. It consults ctx once per antenna and returns ctx.Err()
-// once it is cancelled. An uncancelled call returns exactly UpperBound's
-// value. The solvers end with it, so a deadline can interrupt the bound.
+// engine's cache. It consults ctx before every candidate window and
+// returns ctx.Err() once it is cancelled. An uncancelled call returns
+// exactly UpperBound's value. The solvers end with it, so a deadline can
+// interrupt the bound.
+//
+// Each window's members are found by a Covers scan over all n customers,
+// the O(m·c·n) part of the cost. They are marked in an angular.WindowSet,
+// whose Dantzig value walks the antenna sweep's precomputed density order
+// instead of sorting the window; it equals knapsack.FractionalBound of
+// the window bit for bit.
 func UpperBoundContext(ctx context.Context, eng *angular.Engine) (float64, error) {
 	in := eng.Instance()
 	total := float64(in.TotalProfit())
 	var sum float64
-	var items []knapsack.Item
+	var set angular.WindowSet
 	for j, a := range in.Antennas {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
 		best := 0.0
+		set.Reset(eng, j)
 		for _, alpha := range eng.Candidates(j) {
-			// A full scan, not eng.AppendMembers: a faster bound runs session-churn out of deltas (ROADMAP item 2).
-			items = items[:0]
-			for _, c := range in.Customers {
+			if err := ctx.Err(); err != nil {
+				return 0, err
+			}
+			// Still a scan of every customer, not the sweep's members
+			// (eng.AppendMembers): membership from the sweep would make a
+			// session delta so cheap that session-churn's benchmark runs
+			// out of generated deltas, until ROADMAP item 2 mends that.
+			set.Clear()
+			for i, c := range in.Customers {
 				if a.Covers(alpha, c) {
-					items = append(items, knapsack.Item{Weight: c.Demand, Profit: c.Profit})
+					set.Add(i)
 				}
 			}
-			if len(items) == 0 {
-				continue
-			}
-			if b := knapsack.FractionalBound(items, a.Capacity); b > best {
+			if b := set.FractionalBound(a.Capacity); b > best {
 				best = b
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"sectorpack/internal/angular"
 	"sectorpack/internal/model"
 )
 
@@ -61,6 +62,11 @@ func TestSolversConsultContextMidLoop(t *testing.T) {
 				return err
 			}
 			_, err = solver(ctx, in, Options{SkipBound: true, Seed: 1})
+			return err
+		}},
+		// Three antennas: one consult per antenna would survive the budget.
+		{"upper-bound", model.Sectors, func(ctx context.Context, in *model.Instance) error {
+			_, err := UpperBoundContext(ctx, angular.NewEngine(in))
 			return err
 		}},
 	}

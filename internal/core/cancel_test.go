@@ -139,27 +139,10 @@ func scanWindowItems(in *model.Instance, antenna int, alpha float64, active []bo
 }
 
 // refUpperBound is UpperBound as it was before it consulted a context or
-// an engine, the reference the bound must stay bit-identical to.
+// an engine, the reference the bound must stay bit-identical to: the scan
+// reference over candidate angles found by a scan too.
 func refUpperBound(in *model.Instance) float64 {
-	total := float64(in.TotalProfit())
-	var sum float64
-	for j := range in.Antennas {
-		best := 0.0
-		for _, alpha := range scanCandidates(in, j) {
-			items, _ := scanWindowItems(in, j, alpha, nil)
-			if len(items) == 0 {
-				continue
-			}
-			if b := knapsack.FractionalBound(items, in.Antennas[j].Capacity); b > best {
-				best = b
-			}
-		}
-		sum += best
-	}
-	if sum < total {
-		return sum
-	}
-	return total
+	return scanUpperBound(in, func(j int) []float64 { return scanCandidates(in, j) })
 }
 
 // errAfter is a context that reports Canceled from its (n+1)-th Err call
@@ -178,9 +161,9 @@ func (c *errAfter) Err() error {
 }
 
 // TestUpperBoundContext checks that the bound the solvers end with honours
-// cancellation between antennas, and that uncancelled it is bit-identical
-// to the scan reference, on random instances and on a banded n=3000
-// instance of the 100k-churn tier's shape.
+// cancellation between candidate windows, and that uncancelled it is
+// bit-identical to the scan reference, on random instances and on a banded
+// n=3000 instance of the 100k-churn tier's shape.
 func TestUpperBoundContext(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	check := func(tag string, in *model.Instance) {
@@ -211,7 +194,7 @@ func TestUpperBoundContext(t *testing.T) {
 	if _, err := UpperBoundContext(ctx, eng); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled ctx: err = %v, want context.Canceled", err)
 	}
-	// Cancelled after the first antenna: the second check must see it.
+	// Cancelled after the first window: the second check must see it.
 	if _, err := UpperBoundContext(&errAfter{Context: context.Background(), n: 1}, eng); !errors.Is(err, context.Canceled) {
 		t.Fatalf("ctx cancelled mid-bound: err = %v, want context.Canceled", err)
 	}

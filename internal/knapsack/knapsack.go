@@ -28,7 +28,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // Item is one knapsack item.
@@ -122,19 +122,22 @@ func byDensity(items []Item) []int {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ia, ib := items[idx[a]], items[idx[b]]
-		// compare ia.Profit/ia.Weight > ib.Profit/ib.Weight without division
+	slices.SortStableFunc(idx, func(a, b int) int {
+		ia, ib := items[a], items[b]
+		// compare ib.Profit/ib.Weight with ia.Profit/ia.Weight without division
 		if ia.Weight == 0 || ib.Weight == 0 {
 			if ia.Weight == 0 && ib.Weight == 0 {
-				return ia.Profit > ib.Profit
+				return cmp.Compare(ib.Profit, ia.Profit)
 			}
-			return ia.Weight == 0
+			if ia.Weight == 0 {
+				return -1
+			}
+			return 1
 		}
-		if c := CrossCmp(ia.Profit, ib.Weight, ib.Profit, ia.Weight); c != 0 {
-			return c > 0
+		if c := CrossCmp(ib.Profit, ia.Weight, ia.Profit, ib.Weight); c != 0 {
+			return c
 		}
-		return ia.Profit > ib.Profit
+		return cmp.Compare(ib.Profit, ia.Profit)
 	})
 	return idx
 }
