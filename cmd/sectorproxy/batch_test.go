@@ -1,8 +1,7 @@
-// Batch split differential (ISSUE 9 satellite): a proxied /solve/batch is
-// split across shards by per-item fingerprint, so the suite pins that the
-// re-assembled reply is indistinguishable from one backend solving the
-// whole batch — items in request order, per-item fields (including cache
-// provenance and per-item errors) intact, envelope counts aggregated.
+// Batch differential: a proxied /solve/batch routes whole to one shard,
+// so the suite pins that its reply — status, envelope, items in request
+// order with their per-item fields and errors — is the one a backend
+// gives directly, for valid batches and rejected envelopes alike.
 package main
 
 import (
@@ -13,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -52,8 +52,8 @@ func decodeBatch(t *testing.T, raw []byte) (map[string]any, []map[string]any) {
 }
 
 // stripItemVariance removes the per-item fields that legitimately differ
-// between a split and a single-backend run: timing always, and cache
-// disposition (the direct backend's LRU history differs from the home
+// between the proxied and the direct run: timing always, and cache
+// disposition (the direct backend's LRU history differs from the routed
 // shard's).
 func stripItemVariance(items []map[string]any) {
 	for _, it := range items {
@@ -62,8 +62,25 @@ func stripItemVariance(items []map[string]any) {
 	}
 }
 
-func TestFleetBatchSplitPreservesOrder(t *testing.T) {
-	backends, p, proxy := startFleet(t, 3)
+// normalizedBatch is normalized for a /solve/batch reply: it also strips
+// each item's variance, when the reply has items.
+func normalizedBatch(t *testing.T, raw []byte) map[string]any {
+	t.Helper()
+	env := normalized(t, raw)
+	items, _ := env["items"].([]any)
+	for _, it := range items {
+		if m, ok := it.(map[string]any); ok {
+			stripItemVariance([]map[string]any{m})
+		}
+	}
+	return env
+}
+
+// TestFleetBatchMatchesDirect pins every batch, valid or rejected, to the
+// direct backend's answer: the same status and, timing and cache
+// disposition aside, the same body.
+func TestFleetBatchMatchesDirect(t *testing.T) {
+	backends, _, proxy := startFleet(t, 3)
 	var instances []*model.Instance
 	for i := 0; i < 8; i++ {
 		in, err := gen.Generate(gen.Config{Family: gen.Uniform, Seed: int64(200 + i), N: 24, M: 3})
@@ -74,40 +91,55 @@ func TestFleetBatchSplitPreservesOrder(t *testing.T) {
 	}
 	// Duplicates of earlier items: they must come back at THEIR positions,
 	// not their twin's, and they exercise the within-batch cache path.
-	instances = append(instances, instances[0], instances[3])
-	body := batchBodyFor(t, "greedy", instances)
-
-	dStatus, dRaw, _ := post(t, backends[0].url()+"/solve/batch", body)
-	pStatus, pRaw, _ := post(t, proxy.URL+"/solve/batch", body)
-	if dStatus != http.StatusOK || pStatus != http.StatusOK {
-		t.Fatalf("direct status %d, proxied status %d, want 200/200", dStatus, pStatus)
+	withDuplicates := append(slices.Clone(instances), instances[0], instances[3])
+	bad, err := gen.Generate(gen.Config{Family: gen.Uniform, Seed: 210, N: 24, M: 3})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p.splits.Value() < 2 {
-		t.Errorf("batch_splits = %d; a 10-item batch over 3 shards should have split", p.splits.Value())
+	bad.Customers[0].Demand = -5 // invalid: fails daemon-side validation
+	tiny, err := gen.Generate(gen.Config{Family: gen.Uniform, Seed: 220, N: 3, M: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	dEnv, dItems := decodeBatch(t, dRaw)
-	pEnv, pItems := decodeBatch(t, pRaw)
-	for _, env := range []map[string]any{dEnv, pEnv} {
-		delete(env, "elapsed_ms")
+	oversized := make([]*model.Instance, 257)
+	for i := range oversized {
+		oversized[i] = tiny
 	}
-	if !reflect.DeepEqual(dEnv, pEnv) {
-		t.Errorf("batch envelope differs:\ndirect:  %v\nproxied: %v", dEnv, pEnv)
-	}
-	if len(pItems) != len(instances) {
-		t.Fatalf("proxied batch returned %d items for %d instances", len(pItems), len(instances))
-	}
-	for i, it := range pItems {
-		if idx, _ := it["index"].(float64); int(idx) != i {
-			t.Errorf("item at position %d carries index %v; re-assembly broke request order", i, it["index"])
+	// envelope is the 8-instance greedy batch with one field changed.
+	envelope := func(key string, value any) []byte {
+		env := map[string]any{"format_version": 1, "solver": "greedy", "instances": instances}
+		env[key] = value
+		body, err := json.Marshal(env)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return body
 	}
-	stripItemVariance(dItems)
-	stripItemVariance(pItems)
-	for i := range dItems {
-		if !reflect.DeepEqual(dItems[i], pItems[i]) {
-			t.Errorf("item %d differs after split/re-assembly:\ndirect:  %v\nproxied: %v", i, dItems[i], pItems[i])
-		}
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{
+		{"valid with duplicates", batchBodyFor(t, "greedy", withDuplicates)},
+		{"one bad item", batchBodyFor(t, "greedy", []*model.Instance{instances[0], bad, instances[1]})},
+		{"unknown top-level key", envelope("bogus", true)},
+		{"format_version 2", envelope("format_version", 2)},
+		{"unknown solver", envelope("solver", "no-such-solver")},
+		{"empty instances", batchBodyFor(t, "greedy", []*model.Instance{})},
+		{"257 instances", batchBodyFor(t, "greedy", oversized)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dStatus, dRaw, _ := post(t, backends[0].url()+"/solve/batch", tc.body)
+			pStatus, pRaw, pHeader := post(t, proxy.URL+"/solve/batch", tc.body)
+			if pStatus != dStatus {
+				t.Fatalf("proxied status %d, direct status %d\ndirect:  %s\nproxied: %s", pStatus, dStatus, dRaw, pRaw)
+			}
+			if d, p := normalizedBatch(t, dRaw), normalizedBatch(t, pRaw); !reflect.DeepEqual(d, p) {
+				t.Errorf("proxied batch reply differs from direct:\ndirect:  %v\nproxied: %v", d, p)
+			}
+			if pStatus == http.StatusOK && pHeader.Get("X-Sectord-Cache") == "" {
+				t.Error("proxied 200 batch reply lacks X-Sectord-Cache")
+			}
+		})
 	}
 }
 
@@ -132,7 +164,7 @@ func TestFleetBatchRepeatHitsEveryShardCache(t *testing.T) {
 	_, items := decodeBatch(t, raw)
 	for i, it := range items {
 		if got, _ := it["cache"].(string); got != "hit" {
-			t.Errorf("repeat batch item %d cache = %q, want \"hit\" — per-item cache provenance must survive the split", i, got)
+			t.Errorf("repeat batch item %d cache = %q, want \"hit\" — per-item cache provenance must survive the proxy", i, got)
 		}
 	}
 }
@@ -163,7 +195,7 @@ func TestFleetBatchBadItemKeepsPositionAndError(t *testing.T) {
 		t.Errorf("failed counts: direct %v, proxied %v, want 1", dEnv["failed"], pEnv["failed"])
 	}
 	if msg, _ := pItems[1]["error"].(string); msg == "" {
-		t.Errorf("bad item lost its error through the split: %v", pItems[1])
+		t.Errorf("bad item lost its error through the proxy: %v", pItems[1])
 	}
 	stripItemVariance(dItems)
 	stripItemVariance(pItems)
@@ -175,10 +207,10 @@ func TestFleetBatchBadItemKeepsPositionAndError(t *testing.T) {
 }
 
 // TestFleetBatchClientCancelKeepsBackend is the regression test for a
-// single-shard /solve/batch whose client hangs up mid-solve: the aborted
-// backend request says nothing about the backend's health, so it must not
-// count as a failure — with EjectAfter 1, counting it would eject a
-// healthy shard.
+// /solve/batch whose client hangs up mid-solve: the aborted backend
+// request says nothing about the backend's health, so it must not count
+// as a failure — with EjectAfter 1, counting it would eject a healthy
+// shard.
 func TestFleetBatchClientCancelKeepsBackend(t *testing.T) {
 	started := make(chan struct{}, 1)
 	core.Register("test-proxy-park", func(ctx context.Context, in *model.Instance, opt core.Options) (model.Solution, error) {
@@ -191,7 +223,7 @@ func TestFleetBatchClientCancelKeepsBackend(t *testing.T) {
 	})
 	t.Cleanup(func() { core.Unregister("test-proxy-park") })
 
-	_, p, _ := startFleet(t, 1) // one shard: every batch takes the single-shard path
+	_, p, _ := startFleet(t, 1) // one shard: the batch lands on the backend checked below
 	handled := make(chan struct{})
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		p.Handler().ServeHTTP(w, r)

@@ -6,10 +6,12 @@
 // fingerprint (internal/cache.RoutingKey), so every repeat of a solve —
 // including permuted duplicates — lands on the shard whose LRU already
 // holds the answer and whose singleflight collapses concurrent copies.
-// Batches are split per item by each item's own fingerprint, solved on
-// their home shards, and re-assembled in request order. Sessions are
-// created on the shard their instance hashes to and pinned by session ID
-// thereafter (delta-solve state is shard-local and cannot move).
+// A batch routes whole, by its raw bytes, to one shard: the proxy makes no
+// per-item decisions, so the daemon's envelope checks (format version,
+// item count, solver) and its per-item answers reach the client as the
+// daemon gave them. Sessions are created on the shard their instance
+// hashes to and pinned by session ID thereafter (delta-solve state is
+// shard-local and cannot move).
 //
 // The proxy is deliberately semantics-free: request bodies are forwarded
 // byte-for-byte (the routing decode happens on a private copy), and the
@@ -126,7 +128,6 @@ type Proxy struct {
 	routed    metric.Counter // requests that reached some backend
 	failovers metric.Counter // ring walks past the owner after transport failure
 	noBackend metric.Counter // requests refused because no backend was healthy
-	splits    metric.Counter // batch sub-requests fanned out
 	pinMisses metric.Counter // session requests with no pinned backend
 }
 
@@ -162,8 +163,8 @@ func NewProxy(cfg ProxyConfig) *Proxy {
 		})
 	}
 	p.ring = newRing(names, cfg.VNodes)
-	p.mux.HandleFunc("POST /solve", p.handleSolve)
-	p.mux.HandleFunc("POST /solve/batch", p.handleBatch)
+	p.mux.HandleFunc("POST /solve", p.handleSolve("solve", p.solveRoutingKey))
+	p.mux.HandleFunc("POST /solve/batch", p.handleSolve("batch", rawRoutingKey))
 	p.mux.HandleFunc("POST /session", p.handleSessionCreate)
 	p.mux.HandleFunc("POST /session/{id}/delta", p.handleSessionDelta)
 	p.mux.HandleFunc("DELETE /session/{id}", p.handleSessionDelete)
@@ -335,33 +336,28 @@ func (p *Proxy) routeOptions(seed *int64) core.Options {
 // can answer with its own error semantics and the proxy stays
 // semantics-free.
 func (p *Proxy) solveRoutingKey(body []byte) string {
-	req, _, ok := model.ParseSolveRequest(body)
-	if !ok {
-		if err := json.Unmarshal(body, &req); err != nil {
-			return "raw:" + string(body)
-		}
+	req, ok := model.ParseSolveRequest(body)
+	if (!ok && json.Unmarshal(body, &req) != nil) || req.Instance == nil {
+		return rawRoutingKey(body)
 	}
-	if req.Instance == nil {
-		return "raw:" + string(body)
-	}
-	return p.instanceRoutingKey(req.Instance, req.Solver, req.Seed, body)
-}
-
-func (p *Proxy) instanceRoutingKey(in *model.Instance, solver string, seed *int64, raw []byte) string {
-	name := solver
+	name := req.Solver
 	if name == "" {
 		name = "auto"
 	}
-	in.Normalize()
-	if err := in.Validate(); err != nil {
-		return "raw:" + string(raw)
+	req.Instance.Normalize()
+	if err := req.Instance.Validate(); err != nil {
+		return rawRoutingKey(body)
 	}
-	key, err := cache.RoutingKey(in, p.routeOptions(seed), name)
+	key, err := cache.RoutingKey(req.Instance, p.routeOptions(req.Seed), name)
 	if err != nil {
-		return "raw:" + string(raw)
+		return rawRoutingKey(body)
 	}
 	return key
 }
+
+// rawRoutingKey routes a body by its bytes: the key of every body the
+// proxy does not fingerprint, a /solve/batch body among them.
+func rawRoutingKey(body []byte) string { return "raw:" + string(body) }
 
 // send issues one request to backend b through its sectorclient and keeps
 // the backend's books: it counts the request, then either marks a
@@ -421,20 +417,24 @@ func pathWithQuery(r *http.Request, path string) string {
 	return path
 }
 
-func (p *Proxy) handleSolve(w http.ResponseWriter, r *http.Request) {
-	p.requests.Add(1)
-	start := time.Now()
-	body, ok := readBody(w, r)
-	if !ok {
-		return
+// handleSolve serves /solve and /solve/batch: it sends the client's body
+// unchanged to the ring owner of key(body), failing over on transport
+// errors, and relays the backend's answer.
+func (p *Proxy) handleSolve(route string, key func([]byte) string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		p.requests.Add(1)
+		start := time.Now()
+		body, ok := readBody(w, r)
+		if !ok {
+			return
+		}
+		b, resp, err := p.forward(r.Context(), key(body), http.MethodPost, pathWithQuery(r, r.URL.Path), body)
+		if err != nil {
+			p.writeForwardError(w, r.URL.Path, err)
+			return
+		}
+		p.relay(w, route, b, resp, start)
 	}
-	key := p.solveRoutingKey(body)
-	b, resp, err := p.forward(r.Context(), key, http.MethodPost, pathWithQuery(r, "/solve"), body)
-	if err != nil {
-		p.writeForwardError(w, "/solve", err)
-		return
-	}
-	p.relay(w, "solve", b, resp, start)
 }
 
 func (p *Proxy) writeForwardError(w http.ResponseWriter, route string, err error) {
@@ -471,7 +471,6 @@ func (p *Proxy) handleVars(w http.ResponseWriter, r *http.Request) {
 		{"sectorproxy.routed", &p.routed},
 		{"sectorproxy.failovers", &p.failovers},
 		{"sectorproxy.no_backend", &p.noBackend},
-		{"sectorproxy.batch_splits", &p.splits},
 		{"sectorproxy.session_pin_misses", &p.pinMisses},
 	} {
 		fmt.Fprintf(w, ",\n%q: %s", kv.name, kv.v.String())

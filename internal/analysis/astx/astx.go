@@ -40,12 +40,6 @@ func Funcs(files []*ast.File) []Func {
 	return out
 }
 
-// IsConstTrue reports whether expr is the constant true.
-func IsConstTrue(info *types.Info, expr ast.Expr) bool {
-	tv, ok := info.Types[expr]
-	return ok && tv.Value != nil && tv.Value.Kind() == constant.Bool && constant.BoolVal(tv.Value)
-}
-
 // IsConst reports whether expr evaluates to any compile-time constant.
 func IsConst(info *types.Info, expr ast.Expr) bool {
 	tv, ok := info.Types[expr]

@@ -110,9 +110,6 @@ func TestConstClassification(t *testing.T) {
 	if !IsConstZero(info, zero) || IsConstZero(info, twoPi) {
 		t.Error("IsConstZero must accept 0.0 and reject TwoPi")
 	}
-	if IsConstTrue(info, twoPi) {
-		t.Error("a float constant is not the constant true")
-	}
 	if !IsConversion(info, conv) || IsConversion(info, call) {
 		t.Error("IsConversion must accept float64(1) and reject lit(x)")
 	}

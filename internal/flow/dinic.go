@@ -47,9 +47,6 @@ func (g *Network) AddNodes(k int) int {
 	return first
 }
 
-// NumNodes returns the current node count.
-func (g *Network) NumNodes() int { return len(g.adj) }
-
 // AddEdge adds a directed edge u→v with the given capacity (and an implicit
 // residual reverse edge of capacity zero). It returns an edge handle usable
 // with Flow after solving.
@@ -148,25 +145,4 @@ func (g *Network) dfs(u, t int, limit int64, level []int32, iter []int) int64 {
 		}
 	}
 	return 0
-}
-
-// MinCutReachable returns the set of nodes reachable from s in the residual
-// graph after MaxFlow; the edges from this set to its complement form a
-// minimum cut. Useful for verifying optimality in tests.
-func (g *Network) MinCutReachable(s int) []bool {
-	seen := make([]bool, len(g.adj))
-	stack := []int{s}
-	seen[s] = true
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, eid := range g.adj[u] {
-			e := g.edges[eid]
-			if e.cap > 0 && !seen[e.to] {
-				seen[e.to] = true
-				stack = append(stack, int(e.to))
-			}
-		}
-	}
-	return seen
 }

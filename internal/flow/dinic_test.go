@@ -5,6 +5,30 @@ import (
 	"testing"
 )
 
+// NumNodes returns the current node count.
+func (g *Network) NumNodes() int { return len(g.adj) }
+
+// MinCutReachable returns the set of nodes reachable from s in the residual
+// graph after MaxFlow; the edges from this set to its complement form a
+// minimum cut.
+func (g *Network) MinCutReachable(s int) []bool {
+	seen := make([]bool, len(g.adj))
+	stack := []int{s}
+	seen[s] = true
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, eid := range g.adj[u] {
+			e := g.edges[eid]
+			if e.cap > 0 && !seen[e.to] {
+				seen[e.to] = true
+				stack = append(stack, int(e.to))
+			}
+		}
+	}
+	return seen
+}
+
 func mustEdge(t *testing.T, g *Network, u, v int, c int64) int {
 	t.Helper()
 	h, err := g.AddEdge(u, v, c)

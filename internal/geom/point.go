@@ -18,11 +18,6 @@ type XY struct {
 	Y float64
 }
 
-// ToXY converts polar to Cartesian coordinates.
-func (p Polar) ToXY() XY {
-	return XY{X: p.R * math.Cos(p.Theta), Y: p.R * math.Sin(p.Theta)}
-}
-
 // FromXY converts Cartesian to polar coordinates. The origin maps to
 // Polar{0, 0}.
 func FromXY(pt XY) Polar {

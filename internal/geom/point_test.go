@@ -10,7 +10,7 @@ func TestPolarXYRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 2000; i++ {
 		p := Polar{rng.Float64() * TwoPi, rng.Float64() * 100}
-		q := FromXY(p.ToXY())
+		q := FromXY(XY{X: p.R * math.Cos(p.Theta), Y: p.R * math.Sin(p.Theta)})
 		if !almostEqual(q.R, p.R, 1e-9*(1+p.R)) {
 			t.Fatalf("radius round trip: %v -> %v", p, q)
 		}

@@ -10,12 +10,8 @@
 //   - DPByProfit: exact O(n·P) dynamic program over total profit, the basis
 //     of the FPTAS.
 //   - FPTAS: (1−ε)-approximation in O(n³/ε) by profit scaling.
-//   - Greedy: the density greedy with the best-single-item fallback, a
-//     1/2-approximation in O(n log n).
 //   - BranchBound: exact depth-first search with the Dantzig fractional
 //     upper bound; fast in practice for n up to a few hundred.
-//   - MeetInMiddle: exact O(2^{n/2}) enumeration for tiny n, used as an
-//     independent cross-check in tests.
 //   - Solve: a dispatcher that picks an exact method when affordable and
 //     falls back to the FPTAS.
 //

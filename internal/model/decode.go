@@ -56,21 +56,13 @@ type BatchRequest struct {
 }
 
 // ParseSolveRequest decodes body when it is in canonical form (see
-// DESIGN.md, "Request decoding"), returning the request and the raw bytes
-// of its instance value (nil when the body has none). ok is false, and the
-// results are zero, for any other input: the caller then decodes the body
-// with encoding/json, which stays the reference. On canonical input the
-// result is what json.Unmarshal into a SolveRequest yields.
-func ParseSolveRequest(body []byte) (req SolveRequest, instance json.RawMessage, ok bool) {
+// DESIGN.md, "Request decoding"). ok is false, and req is zero, for any
+// other input: the caller then decodes the body with encoding/json, which
+// stays the reference. On canonical input the result is what
+// json.Unmarshal into a SolveRequest yields.
+func ParseSolveRequest(body []byte) (req SolveRequest, ok bool) {
 	env, ok := decodeEnvelope(body, solveFields)
-	return env.solveRequest(), env.instanceRaw, ok
-}
-
-// ParseBatchRequest is ParseSolveRequest for a BatchRequest body; items
-// holds the raw bytes of each instance, in order.
-func ParseBatchRequest(body []byte) (req BatchRequest, items []json.RawMessage, ok bool) {
-	env, ok := decodeEnvelope(body, batchFields)
-	return env.batchRequest(), env.itemsRaw, ok
+	return env.solveRequest(), ok
 }
 
 // DecodeSolveRequest reads r to its end and decodes the first JSON value
@@ -169,14 +161,12 @@ const (
 
 // envelope is a canonical decode of any of the four envelopes.
 type envelope struct {
-	solver      string
-	seed        *int64
-	timeout     int64
-	version     int
-	instance    *Instance
-	instanceRaw json.RawMessage
-	instances   []*Instance
-	itemsRaw    []json.RawMessage
+	solver    string
+	seed      *int64
+	timeout   int64
+	version   int
+	instance  *Instance
+	instances []*Instance
 }
 
 func (env envelope) solveRequest() SolveRequest {
@@ -235,13 +225,12 @@ func (d *canon) envelope(allow uint) (env envelope, ok bool) {
 		case fieldVersion:
 			env.version, ok = d.int()
 		case fieldInstance:
-			env.instance, env.instanceRaw, ok = d.instance()
+			env.instance, ok = d.instance()
 		default:
-			env.instances, env.itemsRaw = []*Instance{}, []json.RawMessage{}
+			env.instances = []*Instance{}
 			ok = d.array(func() bool {
-				in, raw, ok := d.instance()
+				in, ok := d.instance()
 				env.instances = append(env.instances, in)
-				env.itemsRaw = append(env.itemsRaw, raw)
 				return ok
 			})
 		}
@@ -793,11 +782,8 @@ func (d *canon) int() (int, bool) {
 	return int(n), ok && int64(int(n)) == n
 }
 
-// instance reads an Instance object and, when b holds the whole input,
-// its raw bytes too.
-func (d *canon) instance() (*Instance, json.RawMessage, bool) {
-	d.ws()
-	start := d.i
+// instance reads an Instance object.
+func (d *canon) instance() (*Instance, bool) {
 	in := new(Instance)
 	var seen uint
 	ok := d.object(func(key []byte) bool {
@@ -830,11 +816,7 @@ func (d *canon) instance() (*Instance, json.RawMessage, bool) {
 		}
 		return ok && first(&seen, bit)
 	})
-	var raw json.RawMessage
-	if d.r == nil {
-		raw = d.b[start:d.i]
-	}
-	return in, raw, ok
+	return in, ok
 }
 
 // A flat object is an object whose values are all numbers: a Customer or

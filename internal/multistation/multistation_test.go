@@ -2,6 +2,7 @@ package multistation
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -73,7 +74,7 @@ func TestSingleStationMatchesCore(t *testing.T) {
 			p := geom.Polar{Theta: rng.Float64() * geom.TwoPi, R: rng.Float64() * 8}
 			d := 1 + rng.Int63n(5)
 			single.Customers = append(single.Customers, model.Customer{Theta: p.Theta, R: p.R, Demand: d})
-			multi.Customers = append(multi.Customers, Customer{Pos: p.ToXY(), Demand: d})
+			multi.Customers = append(multi.Customers, Customer{Pos: geom.XY{X: p.R * math.Cos(p.Theta), Y: p.R * math.Sin(p.Theta)}, Demand: d})
 		}
 		single.Normalize()
 		multi.Normalize()
@@ -107,9 +108,8 @@ func TestFarApartStationsDecompose(t *testing.T) {
 		for i := 0; i < 12; i++ {
 			p := geom.Polar{Theta: r.Float64() * geom.TwoPi, R: r.Float64() * 5}
 			d := 1 + r.Int63n(4)
-			xy := p.ToXY()
 			multi.Customers = append(multi.Customers, Customer{
-				Pos: geom.XY{X: xy.X + center.X, Y: xy.Y + center.Y}, Demand: d,
+				Pos: geom.XY{X: p.R*math.Cos(p.Theta) + center.X, Y: p.R*math.Sin(p.Theta) + center.Y}, Demand: d,
 			})
 			single.Customers = append(single.Customers, model.Customer{Theta: p.Theta, R: p.R, Demand: d})
 		}

@@ -1,10 +1,10 @@
 // Package sweep holds the repository's one worker pool, Each, and the
 // experiment runner built on it. Each fans a body out over the indices of
 // a work list on a bounded set of goroutines; the columnar engine's
-// Prewarm and best-window evaluation, core.SolveBatch, cmd/sectorproxy's
-// sub-batch fan-out, and Run all use it. Run drains a queue of
-// deterministic jobs and collects results in submission order, so
-// experiment tables are reproducible regardless of scheduling.
+// Prewarm and best-window evaluation, core.SolveBatch and Run all use it.
+// Run drains a queue of deterministic jobs and collects results in
+// submission order, so experiment tables are reproducible regardless of
+// scheduling.
 // Cancellation flows through a context; the first job error aborts the
 // sweep.
 package sweep
