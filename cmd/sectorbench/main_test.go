@@ -106,9 +106,10 @@ func TestJSONExport(t *testing.T) {
 	// The delta-session claim: absorbing a 1% churn step through a warm
 	// session must beat the stateless re-solve by at least 5x. One timed
 	// pair read 5.4x to 6.1x on a shared 2-CPU Linux host, too close to the
-	// gate for a single sample, so the gate takes the median ratio of three
-	// scratch/delta pairs, each timed back to back: the report's and two
-	// more.
+	// gate for a single sample, and a median of three still fell under it
+	// (4.4x, 4.8x, 6.7x) while other packages' tests ran alongside. So the
+	// gate takes the median ratio of five scratch/delta pairs, each timed
+	// back to back: the report's and four more.
 	ratio := func(micro []microBench) float64 {
 		var scratch, delta float64
 		for _, m := range micro {
@@ -125,10 +126,13 @@ func TestJSONExport(t *testing.T) {
 		t.Logf("session delta %.0f ns/op, from-scratch %.0f ns/op: %.1fx", delta, scratch, scratch/delta)
 		return scratch / delta
 	}
-	ratios := []float64{ratio(rep.Micro), ratio(sessionBenchmarks()), ratio(sessionBenchmarks())}
+	ratios := []float64{ratio(rep.Micro)}
+	for len(ratios) < 5 {
+		ratios = append(ratios, ratio(sessionBenchmarks()))
+	}
 	slices.Sort(ratios)
-	if ratios[1] < 5 {
-		t.Errorf("session delta not 5x faster than from-scratch: median %.1fx of %.1f", ratios[1], ratios)
+	if ratios[2] < 5 {
+		t.Errorf("session delta not 5x faster than from-scratch: median %.1fx of %.1f", ratios[2], ratios)
 	}
 }
 

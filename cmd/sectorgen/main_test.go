@@ -2,6 +2,10 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -139,13 +143,38 @@ func TestGenerateTierPreset(t *testing.T) {
 	}
 }
 
+// readTrace decodes a trace sectorgen -churn wrote and validates it: the
+// envelope's format version, the base instance, and every delta applied
+// in turn.
+func readTrace(r io.Reader) (*model.Trace, error) {
+	var env struct {
+		FormatVersion int          `json:"format_version"`
+		Trace         *model.Trace `json:"trace"`
+	}
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&env); err != nil {
+		return nil, err
+	}
+	if env.FormatVersion != 1 || env.Trace == nil || env.Trace.Instance == nil {
+		return nil, fmt.Errorf("bad trace envelope: version %d, trace %v", env.FormatVersion, env.Trace)
+	}
+	if err := env.Trace.Instance.Normalize().Validate(); err != nil {
+		return nil, err
+	}
+	if _, err := env.Trace.Materialize(len(env.Trace.Deltas)); err != nil {
+		return nil, err
+	}
+	return env.Trace, nil
+}
+
 func TestGenerateChurnTrace(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	args := []string{"-churn", "-n", "60", "-m", "4", "-seed", "3", "-churn-steps", "5", "-churn-rate", "0.05", "-churn-capacity-every", "2"}
 	if err := run(args, &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	tr, err := model.ReadTraceJSON(&stdout)
+	tr, err := readTrace(&stdout)
 	if err != nil {
 		t.Fatalf("output is not a valid trace: %v", err)
 	}
@@ -169,7 +198,7 @@ func TestGenerateChurnTrace(t *testing.T) {
 	if err := model.WriteTraceJSON(&first, tr); err != nil {
 		t.Fatal(err)
 	}
-	tr2, err := model.ReadTraceJSON(&again)
+	tr2, err := readTrace(&again)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +219,15 @@ func TestGenerateChurnTrace(t *testing.T) {
 	if !strings.Contains(stderr.String(), "deltas") {
 		t.Errorf("confirmation %q does not report the delta count", stderr.String())
 	}
-	if tr, err := model.LoadTraceFile(path); err != nil || len(tr.Deltas) != 8 {
-		t.Errorf("LoadTraceFile: %d deltas, err %v (want the default 8)", len(tr.Deltas), err)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if tr, err := readTrace(f); err != nil {
+		t.Errorf("trace file: %v", err)
+	} else if len(tr.Deltas) != 8 {
+		t.Errorf("trace file has %d deltas, want the default 8", len(tr.Deltas))
 	}
 
 	// -churn is a single-trace mode.

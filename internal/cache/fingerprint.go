@@ -7,14 +7,15 @@
 // The fingerprint is computed over a *canonical form* of the instance:
 // customers and antennas are sorted by their semantic fields (IDs and the
 // cosmetic Name are excluded, and the encodings of "unbounded range" all
-// hash identically), and the sorted fields are streamed into SHA-256 as a
-// length-prefixed, fixed-order binary serialization with floats spelled as
-// their IEEE-754 bit patterns — canonical like sorted-key JSON, but
-// allocation-free, because the fingerprint is paid on every cached request
-// and must stay far cheaper than the cheapest solver. Two instances that
-// differ only by a permutation of their customer or antenna slices share a
-// key, while flipping any Options field, any demand unit, or the solver
-// name changes it.
+// hash identically), and the sorted fields are written into one buffer as
+// a length-prefixed, fixed-order binary serialization with floats spelled
+// as their IEEE-754 bit patterns and hashed with one SHA-256 call —
+// canonical like sorted-key JSON, but compact and cheap, because the
+// fingerprint is paid on every cached request and must stay far cheaper
+// than the cheapest solver. Two instances that differ only by a
+// permutation of their customer or antenna slices share a key, while
+// flipping any Options field, any demand unit, or the solver name changes
+// it.
 //
 // Because solutions are expressed in slice coordinates, the cache stores
 // them in canonical coordinates and each Fingerprint carries the
@@ -31,10 +32,10 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"hash"
 	"math"
 	"slices"
 
+	"sectorpack/internal/cols"
 	"sectorpack/internal/core"
 	"sectorpack/internal/model"
 )
@@ -57,32 +58,22 @@ type Fingerprint struct {
 // Key returns the hex SHA-256 cache key.
 func (f *Fingerprint) Key() string { return f.key }
 
-// hasher streams the canonical document into SHA-256 through a reused
-// 8-byte buffer: every field is written in a fixed order, strings are
-// length-prefixed, so the encoding is injective and stable across runs and
-// builds without materializing an intermediate document.
-type hasher struct {
-	sum hash.Hash
-	buf [8]byte
-}
+// doc is the canonical document being built: every field is appended in
+// a fixed order as 8 little-endian bytes, strings are length-prefixed, so
+// the encoding is injective and stable across runs and builds. The whole
+// document is hashed with one sha256.Sum256.
+type doc []byte
 
-func newHasher() *hasher {
-	return &hasher{sum: sha256.New()}
-}
+func (w *doc) u64(v uint64) { *w = binary.LittleEndian.AppendUint64(*w, v) }
 
-func (w *hasher) u64(v uint64) {
-	binary.LittleEndian.PutUint64(w.buf[:], v)
-	w.sum.Write(w.buf[:])
-}
-
-func (w *hasher) i64(v int64) { w.u64(uint64(v)) }
+func (w *doc) i64(v int64) { w.u64(uint64(v)) }
 
 // float spells a float as its IEEE-754 bit pattern: exact, total, and
 // immune to formatting round trips. Instances are validated NaN-free, so
 // bit equality coincides with semantic equality here.
-func (w *hasher) float(x float64) { w.u64(math.Float64bits(x)) }
+func (w *doc) float(x float64) { w.u64(math.Float64bits(x)) }
 
-func (w *hasher) bool(b bool) {
+func (w *doc) bool(b bool) {
 	if b {
 		w.u64(1)
 	} else {
@@ -90,14 +81,14 @@ func (w *hasher) bool(b bool) {
 	}
 }
 
-func (w *hasher) str(s string) {
+func (w *doc) str(s string) {
 	w.u64(uint64(len(s)))
-	w.sum.Write([]byte(s))
+	*w = append(*w, s...)
 }
 
-func (w *hasher) key() string {
-	var digest [sha256.Size]byte
-	return hex.EncodeToString(w.sum.Sum(digest[:0]))
+func (w doc) key() string {
+	sum := sha256.Sum256(w)
+	return hex.EncodeToString(sum[:])
 }
 
 // options hashes every core.Options field. A new field added to
@@ -105,7 +96,7 @@ func (w *hasher) key() string {
 // keys would alias solves with different semantics;
 // TestFingerprintSensitiveToEveryOptionsField walks core.Options by
 // reflection and fails when a field does not move the key.
-func (w *hasher) options(opt core.Options) {
+func (w *doc) options(opt core.Options) {
 	w.float(opt.Knapsack.Eps)
 	w.i64(opt.ExactLimits.MaxTuples)
 	w.i64(opt.Seed)
@@ -132,12 +123,10 @@ func RoutingKey(in *model.Instance, opt core.Options, solver string) (string, er
 // solving); the error return is reserved for future canonicalization
 // failures and is currently always nil.
 func NewFingerprint(in *model.Instance, opt core.Options, solver string) (*Fingerprint, error) {
+	cs, as := in.Customers, in.Antennas
 	f := &Fingerprint{
-		cust: make([]int, in.N()),
-		ant:  make([]int, in.M()),
-	}
-	for i := range f.cust {
-		f.cust[i] = i
+		cust: customerOrder(cs),
+		ant:  make([]int, len(as)),
 	}
 	for j := range f.ant {
 		f.ant[j] = j
@@ -147,21 +136,6 @@ func NewFingerprint(in *model.Instance, opt core.Options, solver string) (*Finge
 	// iff their sorted field streams are bit-identical — an Eps-tolerant
 	// comparator would make the canonical order (and thus the key) depend
 	// on which permutation arrived first.
-	cs := in.Customers
-	slices.SortStableFunc(f.cust, func(a, b int) int {
-		x, y := cs[a], cs[b]
-		if c := cmp.Compare(x.Theta, y.Theta); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(x.R, y.R); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(x.Demand, y.Demand); c != 0 {
-			return c
-		}
-		return cmp.Compare(x.Profit, y.Profit)
-	})
-	as := in.Antennas
 	slices.SortStableFunc(f.ant, func(a, b int) int {
 		x, y := as[a], as[b]
 		if c := cmp.Compare(x.Rho, y.Rho); c != 0 {
@@ -178,12 +152,12 @@ func NewFingerprint(in *model.Instance, opt core.Options, solver string) (*Finge
 		return cmp.Compare(x.MinRange, y.MinRange)
 	})
 
-	w := newHasher()
+	w := make(doc, 0, 8*(9+4*len(cs)+4*len(as))+len(solver))
 	w.i64(fingerprintVersion)
 	w.str(solver)
 	w.options(opt)
 	w.i64(int64(in.Variant))
-	w.i64(int64(in.N()))
+	w.i64(int64(len(cs)))
 	for _, i := range f.cust {
 		c := &cs[i]
 		w.float(c.Theta)
@@ -191,7 +165,7 @@ func NewFingerprint(in *model.Instance, opt core.Options, solver string) (*Finge
 		w.i64(c.Demand)
 		w.i64(c.Profit)
 	}
-	w.i64(int64(in.M()))
+	w.i64(int64(len(as)))
 	for _, j := range f.ant {
 		a := &as[j]
 		w.float(a.Rho)
@@ -201,6 +175,60 @@ func NewFingerprint(in *model.Instance, opt core.Options, solver string) (*Finge
 	}
 	f.key = w.key()
 	return f, nil
+}
+
+// compareCustomers is the customers' canonical comparator: by θ, R,
+// Demand and Profit, each by exact value.
+func compareCustomers(x, y *model.Customer) int {
+	if c := cmp.Compare(x.Theta, y.Theta); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(x.R, y.R); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(x.Demand, y.Demand); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.Profit, y.Profit)
+}
+
+// customerOrder returns the customers' canonical order: the indices
+// sorted stably by compareCustomers. It sorts (θ key, index) pairs, whose
+// order is total, and re-sorts by compareCustomers only the runs of equal
+// θ. cols.SortKey orders like cmp.Compare on θ, ±0 tie included, so the
+// result is the stable sort's.
+func customerOrder(cs []model.Customer) []int {
+	type pair struct {
+		key uint64
+		i   int
+	}
+	pairs := make([]pair, len(cs))
+	for i := range cs {
+		pairs[i] = pair{cols.SortKey(cs[i].Theta), i}
+	}
+	slices.SortFunc(pairs, func(a, b pair) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.i, b.i)
+	})
+	order := make([]int, len(cs))
+	for k, p := range pairs {
+		order[k] = p.i
+	}
+	for lo := 0; lo < len(pairs); {
+		hi := lo + 1
+		for hi < len(pairs) && pairs[hi].key == pairs[lo].key {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortStableFunc(order[lo:hi], func(a, b int) int {
+				return compareCustomers(&cs[a], &cs[b])
+			})
+		}
+		lo = hi
+	}
+	return order
 }
 
 // toCanonical re-expresses a solution produced in this fingerprint's

@@ -63,9 +63,12 @@ func UpperBoundContext(ctx context.Context, eng *angular.Engine) (float64, error
 				return 0, err
 			}
 			// Still a scan of every customer, not the sweep's members
-			// (eng.AppendMembers): membership from the sweep would make a
-			// session delta so cheap that session-churn's benchmark runs
-			// out of generated deltas, until ROADMAP item 2 mends that.
+			// (eng.AppendMembers), for two reasons ROADMAP item 2 mends.
+			// Membership from the sweep would make a session delta so
+			// cheap that session-churn's benchmark runs out of generated
+			// deltas. And solve-cold's rss_mb grows with the answers the
+			// cache keeps, so a faster bound, by raising its throughput,
+			// raises its memory past the benchmark's bound.
 			set.Clear()
 			for i, c := range in.Customers {
 				if a.Covers(alpha, c) {

@@ -27,11 +27,27 @@ func NormAngle(theta float64) float64 {
 	if 0 <= theta && theta < TwoPi {
 		return theta // math.Mod returns an angle already in range unchanged
 	}
+	return normAngleOut(theta)
+}
+
+// normAngleOut is NormAngle outside [0, 2π), kept out of line so the range
+// check inlines into callers. The difference of two normalized angles lies
+// in (−2π, 2π), so every negative AngleDist takes the first branch: on
+// (−2π, 0) math.Mod returns θ unchanged, and the branch is normAngleMod's
+// arithmetic without the math.Mod call, bit for bit. NaN, ±Inf and
+// |θ| ≥ 2π take normAngleMod.
+func normAngleOut(theta float64) float64 {
+	if -TwoPi < theta && theta < 0 {
+		if t := theta + TwoPi; t < TwoPi {
+			return t
+		}
+		return 0 // θ + 2π rounded up to 2π, which normAngleMod folds to 0
+	}
 	return normAngleMod(theta)
 }
 
-// normAngleMod is NormAngle's general case, kept out of line so the range
-// check inlines into callers.
+// normAngleMod is NormAngle's general case and the reference the fuzz
+// test holds normAngleOut to.
 func normAngleMod(theta float64) float64 {
 	t := math.Mod(theta, TwoPi)
 	if t < 0 {

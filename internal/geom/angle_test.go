@@ -30,6 +30,18 @@ func TestNormAngleCanonicalRange(t *testing.T) {
 	}
 }
 
+func TestNormAngleEdgesMatchMod(t *testing.T) {
+	for _, e := range normAngleEdges {
+		got, ref := NormAngle(e.in), normAngleMod(e.in)
+		if math.Float64bits(got) != math.Float64bits(ref) {
+			t.Errorf("NormAngle(%v) = %v, normAngleMod gives %v", e.in, got, ref)
+		}
+		if math.Float64bits(got) != math.Float64bits(e.want) {
+			t.Errorf("NormAngle(%v) = %v, want %v", e.in, got, e.want)
+		}
+	}
+}
+
 func TestNormAngleRangeProperty(t *testing.T) {
 	f := func(theta float64) bool {
 		if math.IsNaN(theta) || math.IsInf(theta, 0) {

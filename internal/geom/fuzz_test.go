@@ -5,15 +5,38 @@ import (
 	"testing"
 )
 
+// normAngleEdges are the inputs where NormAngle's branches meet, with the
+// result normAngleMod gives: the signed zeros, the ±2π ends, the first
+// angle inside −2π, a negative angle so small that θ + 2π rounds to 2π,
+// −π and a negative subnormal.
+var normAngleEdges = []struct {
+	in, want float64
+}{
+	{0, 0},
+	{math.Copysign(0, -1), math.Copysign(0, -1)},
+	{TwoPi, 0},
+	{-TwoPi, math.Copysign(0, -1)}, // math.Mod keeps the dividend's sign
+	{math.Nextafter(-TwoPi, 0), TwoPi + math.Nextafter(-TwoPi, 0)},
+	{-1e-17, 0}, // θ + 2π rounds to 2π and folds to 0
+	{-math.Pi, math.Pi},
+	{-math.SmallestNonzeroFloat64, 0},
+}
+
 func FuzzNormAngle(f *testing.F) {
 	for _, seed := range []float64{0, -1, 1, math.Pi, TwoPi, -TwoPi, 1e18, -1e18, 1e-300} {
 		f.Add(seed)
+	}
+	for _, e := range normAngleEdges {
+		f.Add(e.in)
 	}
 	f.Fuzz(func(t *testing.T, theta float64) {
 		if math.IsNaN(theta) || math.IsInf(theta, 0) {
 			t.Skip()
 		}
 		got := NormAngle(theta)
+		if want := normAngleMod(theta); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("NormAngle(%v) = %v, normAngleMod gives %v", theta, got, want)
+		}
 		if math.IsNaN(got) {
 			t.Fatalf("NormAngle(%v) = NaN", theta)
 		}

