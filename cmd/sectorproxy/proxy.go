@@ -33,6 +33,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"expvar"
 	"fmt"
 	"io"
 	"log/slog"
@@ -129,6 +130,8 @@ type Proxy struct {
 	failovers metric.Counter // ring walks past the owner after transport failure
 	noBackend metric.Counter // requests refused because no backend was healthy
 	pinMisses metric.Counter // session requests with no pinned backend
+
+	vars expvar.Map // what /debug/vars serves; filled by publishVars
 }
 
 // NewProxy builds the routing front over the backend URLs.
@@ -163,6 +166,7 @@ func NewProxy(cfg ProxyConfig) *Proxy {
 		})
 	}
 	p.ring = newRing(names, cfg.VNodes)
+	p.publishVars()
 	p.mux.HandleFunc("POST /solve", p.handleSolve("solve", p.solveRoutingKey))
 	p.mux.HandleFunc("POST /solve/batch", p.handleSolve("batch", rawRoutingKey))
 	p.mux.HandleFunc("POST /session", p.handleSessionCreate)
@@ -456,33 +460,38 @@ func (p *Proxy) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeProxyError(w, http.StatusServiceUnavailable, "no healthy backend")
 }
 
-// handleVars serves the proxy's metrics in the /debug/vars wire format
-// (unpublished, same rationale as the daemon's).
+// publishVars fills p.vars (unpublished, same rationale as the daemon's).
+func (p *Proxy) publishVars() {
+	p.vars.Set("sectorproxy.requests", &p.requests)
+	p.vars.Set("sectorproxy.routed", &p.routed)
+	p.vars.Set("sectorproxy.failovers", &p.failovers)
+	p.vars.Set("sectorproxy.no_backend", &p.noBackend)
+	p.vars.Set("sectorproxy.session_pin_misses", &p.pinMisses)
+	p.vars.Set("sectorproxy.sessions_pinned", expvar.Func(func() any {
+		pinned := 0
+		p.sessions.Range(func(_, _ any) bool { pinned++; return true })
+		return pinned
+	}))
+	for _, b := range p.backends {
+		p.vars.Set("sectorproxy.backend."+b.name, expvar.Func(func() any {
+			state := "up"
+			if b.down.Load() {
+				state = "down"
+			}
+			return map[string]any{
+				"state":                state,
+				"requests":             b.requests.Value(),
+				"failures":             b.failures.Value(),
+				"ejections":            b.ejections.Value(),
+				"consecutive_failures": b.consecFails.Load(),
+			}
+		}))
+	}
+}
+
+// handleVars serves p.vars in the /debug/vars wire format: one JSON
+// object, keys sorted.
 func (p *Proxy) handleVars(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	pinned := 0
-	p.sessions.Range(func(_, _ any) bool { pinned++; return true })
-	fmt.Fprintf(w, "{\n")
-	fmt.Fprintf(w, "%q: %s", "sectorproxy.requests", p.requests.String())
-	for _, kv := range []struct {
-		name string
-		v    *metric.Counter
-	}{
-		{"sectorproxy.routed", &p.routed},
-		{"sectorproxy.failovers", &p.failovers},
-		{"sectorproxy.no_backend", &p.noBackend},
-		{"sectorproxy.session_pin_misses", &p.pinMisses},
-	} {
-		fmt.Fprintf(w, ",\n%q: %s", kv.name, kv.v.String())
-	}
-	fmt.Fprintf(w, ",\n%q: %d", "sectorproxy.sessions_pinned", pinned)
-	for _, b := range p.backends {
-		state := "up"
-		if b.down.Load() {
-			state = "down"
-		}
-		fmt.Fprintf(w, ",\n%q: {\"state\": %q, \"requests\": %s, \"failures\": %s, \"ejections\": %s, \"consecutive_failures\": %d}",
-			"sectorproxy.backend."+b.name, state, b.requests.String(), b.failures.String(), b.ejections.String(), b.consecFails.Load())
-	}
-	fmt.Fprintf(w, "\n}\n")
+	fmt.Fprintln(w, p.vars.String())
 }

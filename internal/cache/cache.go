@@ -131,27 +131,19 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// NamedVar pairs an expvar with its metric name, for /debug/vars-style
-// rendering by an embedding server.
-type NamedVar struct {
-	Name string
-	Var  expvar.Var
-}
-
-// Vars returns the cache metrics as (name, expvar) pairs. The vars are not
-// published to the global expvar registry (publishing panics on duplicate
-// names, and tests build many caches per process).
-func (c *Cache) Vars() []NamedVar {
-	return []NamedVar{
-		{"hits", &c.hits},
-		{"misses", &c.misses},
-		{"evictions", &c.evictions},
-		{"collapsed", &c.collapsed},
-		{"stores", &c.stores},
-		{"restored", &c.restored},
-		{"bytes", expvar.Func(func() any { c.mu.Lock(); defer c.mu.Unlock(); return c.bytes })},
-		{"entries", expvar.Func(func() any { c.mu.Lock(); defer c.mu.Unlock(); return c.ll.Len() })},
-	}
+// Publish sets the cache metrics in m, each name prefixed with prefix. m
+// is the embedding server's own map, not the global expvar registry
+// (publishing panics on duplicate names, and tests build many caches per
+// process).
+func (c *Cache) Publish(m *expvar.Map, prefix string) {
+	m.Set(prefix+"hits", &c.hits)
+	m.Set(prefix+"misses", &c.misses)
+	m.Set(prefix+"evictions", &c.evictions)
+	m.Set(prefix+"collapsed", &c.collapsed)
+	m.Set(prefix+"stores", &c.stores)
+	m.Set(prefix+"restored", &c.restored)
+	m.Set(prefix+"bytes", expvar.Func(func() any { c.mu.Lock(); defer c.mu.Unlock(); return c.bytes }))
+	m.Set(prefix+"entries", expvar.Func(func() any { c.mu.Lock(); defer c.mu.Unlock(); return c.ll.Len() }))
 }
 
 // Get returns the cached solution for fp, remapped into fp's instance

@@ -127,7 +127,7 @@ func SolveHedged(ctx context.Context, in *model.Instance, primary Solver, hopt H
 		sol.SolverUsed = primaryName
 		return sol, nil
 	}
-	reason := classifyFailure(pres.err)
+	reason := ClassifyFailure(pres.err)
 
 	// Primary failed: collect the fallback. If it was already done the
 	// hedge "won" — the degraded answer is ready at the deadline with no
@@ -175,8 +175,9 @@ func awaitFallback(ch <-chan hedgeResult, cancel context.CancelFunc, grace time.
 	}
 }
 
-// classifyFailure maps a primary-leg error to its FallbackReason.
-func classifyFailure(err error) string {
+// ClassifyFailure maps a failed solve's error to its FallbackReason,
+// checking panic, then cancellation, then an invalid solution.
+func ClassifyFailure(err error) string {
 	var pe *PanicError
 	var ie *InvalidSolutionError
 	switch {

@@ -130,16 +130,15 @@ func (s *Server) recoverSession(ctx context.Context, id string) error {
 	}
 	e := &sessionEntry{sess: sess, solver: sess.Solver()}
 	e.touch()
-	// Publish the replayed stats before the entry becomes visible, so the
-	// store-wide sums see the recovered session immediately.
+	// Read the replayed stats before the entry becomes visible to deltas.
 	st := sess.Stats()
-	e.statsSnap.Store(&st)
 	if !s.sessions.put(id, e, s.sessionMax()) {
 		// Over the live-session cap. The journal stays on disk: a later
 		// restart with free capacity can still recover it, and the client's
 		// next delta gets a clean 404 rather than a corrupt session.
 		return errors.Join(errors.New("session table full"), sess.Close())
 	}
+	s.countStats(session.Stats{}, st)
 	return nil
 }
 

@@ -46,7 +46,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime/debug"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -131,10 +130,10 @@ const maxBatchItems = 256
 // guards the decoder, not memory accounting).
 const maxRequestBytes = 32 << 20
 
-// Server is the sectord HTTP service. Metrics are per-Server (unpublished
-// expvar vars, served by the /debug/vars handler below) so tests can build
-// many Servers in one process without tripping expvar's duplicate-publish
-// panic.
+// Server is the sectord HTTP service. Metrics are per-Server (an
+// unpublished expvar.Map, served by the /debug/vars handler below) so tests
+// can build many Servers in one process without tripping expvar's
+// duplicate-publish panic.
 type Server struct {
 	cfg     Config
 	sem     chan struct{}
@@ -155,6 +154,13 @@ type Server struct {
 	sessClosed  metric.Counter // sessions closed via DELETE
 	sessEvicted metric.Counter // sessions reaped by the idle sweep
 	sessDeltas  metric.Counter // deltas applied across all sessions
+
+	// What every counted session's Stats gained (sessions.go, countStats).
+	sessSolves        metric.Counter
+	sessSweepsKept    metric.Counter
+	sessSweepsDropped metric.Counter
+	sessStepsReused   metric.Counter
+	sessStepsResolved metric.Counter
 
 	snapSaves         metric.Counter // cache snapshots written (periodic + drain)
 	snapSaveFailures  metric.Counter // snapshot writes that failed
@@ -180,6 +186,8 @@ type Server struct {
 
 	latencyMu sync.Mutex
 	latency   map[string]*latencyHist // guarded by latencyMu (per-solver)
+
+	vars expvar.Map // what /debug/vars serves; filled by publishVars
 }
 
 // NewServer builds a Server from the config.
@@ -220,6 +228,7 @@ func NewServer(cfg Config) *Server {
 			s.allowed[name] = true
 		}
 	}
+	s.publishVars()
 	s.mux.HandleFunc("/solve", s.handleSolve)
 	s.mux.HandleFunc("/solve/batch", s.handleSolveBatch)
 	s.mux.HandleFunc("POST /session", s.handleSessionCreate)
@@ -512,14 +521,15 @@ func (c *call) resolve(name string) (string, core.Solver, bool) {
 	return name, solver, true
 }
 
-// classify maps a solve error onto the daemon's status/outcome taxonomy,
-// bumps the matching counter, and logs panics with their stacks. msg is
-// the client-facing error text.
+// classify maps a solve error onto the daemon's status/outcome taxonomy by
+// its core.ClassifyFailure reason, bumps the matching counter, and logs
+// panics with their stacks. msg is the client-facing error text.
 func (s *Server) classify(rid string, err error) (status int, outcome, msg string) {
 	var pe *core.PanicError
 	var ie *core.InvalidSolutionError
-	switch {
-	case errors.As(err, &pe):
+	switch core.ClassifyFailure(err) {
+	case core.FallbackPanic:
+		errors.As(err, &pe)
 		s.panics.Add(1)
 		s.logger.Error("solver panic",
 			slog.String("request_id", rid),
@@ -527,10 +537,11 @@ func (s *Server) classify(rid string, err error) (status int, outcome, msg strin
 			slog.String("panic", fmt.Sprint(pe.Value)),
 			slog.String("stack", string(pe.Stack)))
 		return http.StatusInternalServerError, "panic", "solve failed: " + pe.Error()
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+	case core.FallbackDeadline:
 		s.cancellations.Add(1)
 		return http.StatusServiceUnavailable, "cancelled", "solve aborted: " + err.Error()
-	case errors.As(err, &ie):
+	case core.FallbackInvalid:
+		errors.As(err, &ie)
 		s.invalid.Add(1)
 		return http.StatusInternalServerError, "invalid", "solve failed: " + ie.Error()
 	default:
@@ -981,84 +992,68 @@ func (s *Server) observeLatency(solver string, d time.Duration) {
 	if !ok {
 		h = &latencyHist{}
 		s.latency[solver] = h
+		s.vars.Set("sectord.latency."+solver, h)
 	}
 	s.latencyMu.Unlock()
 	h.observe(d)
 }
 
-// shardVar renders the configured shard name as an expvar string.
-type shardVar string
-
-func (v shardVar) String() string {
-	out, _ := json.Marshal(string(v))
-	return string(out)
-}
-
-// handleVars serves this Server's expvar counters in the standard
-// /debug/vars wire format. The vars are deliberately not published to the
+// publishVars fills s.vars. The map is deliberately not published to the
 // global expvar registry — expvar.Publish panics on duplicate names, which
 // would fire the second time a test (or an embedding program) builds a
-// Server.
-func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	vars := []struct {
-		name string
-		v    expvar.Var
-	}{
+// Server. observeLatency adds each solver's histogram on its first answer.
+func (s *Server) publishVars() {
+	for name, v := range map[string]expvar.Var{
 		// Proxy-aware gauges: a router or load harness scraping
 		// /debug/vars can see who this backend is and how close to
 		// shedding it runs without parsing logs.
-		{"sectord.shard", shardVar(s.cfg.ShardName)},
-		{"sectord.inflight", expvar.Func(func() any { return len(s.sem) })},
-		{"sectord.max_inflight", expvar.Func(func() any { return cap(s.sem) })},
-		{"sectord.requests", &s.requests},
-		{"sectord.solved", &s.solved},
-		{"sectord.cancellations", &s.cancellations},
-		{"sectord.shed", &s.shed},
-		{"sectord.failures", &s.failures},
-		{"sectord.panics", &s.panics},
-		{"sectord.fallbacks", &s.fallbacks},
-		{"sectord.hedge_wins", &s.hedgeWins},
-		{"sectord.invalid", &s.invalid},
-		{"sectord.batches", &s.batches},
-		{"sectord.batch_items", &s.batchItems},
-		{"sectord.snapshot.saves", &s.snapSaves},
-		{"sectord.snapshot.save_failures", &s.snapSaveFailures},
-		{"sectord.snapshot.load_skipped", &s.snapLoadSkipped},
-		{"sectord.snapshot.load_failures", &s.snapLoadFailures},
-		{"sectord.sessions.recovered", &s.sessRecovered},
-		{"sectord.sessions.recover_failed", &s.sessRecoverFailed},
-		{"sectord.sessions.journal_failures", &s.journalFailures},
-		{"sectord.sessions.journal_orphans", &s.journalOrphans},
-		{"sectord.sessions.idem_replays", &s.idemReplays},
+		"shard":        expvar.Func(func() any { return s.cfg.ShardName }),
+		"inflight":     expvar.Func(func() any { return len(s.sem) }),
+		"max_inflight": expvar.Func(func() any { return cap(s.sem) }),
+
+		"requests":      &s.requests,
+		"solved":        &s.solved,
+		"cancellations": &s.cancellations,
+		"shed":          &s.shed,
+		"failures":      &s.failures,
+		"panics":        &s.panics,
+		"fallbacks":     &s.fallbacks,
+		"hedge_wins":    &s.hedgeWins,
+		"invalid":       &s.invalid,
+		"batches":       &s.batches,
+		"batch_items":   &s.batchItems,
+
+		"snapshot.saves":         &s.snapSaves,
+		"snapshot.save_failures": &s.snapSaveFailures,
+		"snapshot.load_skipped":  &s.snapLoadSkipped,
+		"snapshot.load_failures": &s.snapLoadFailures,
+
+		"sessions.created":          &s.sessCreated,
+		"sessions.closed":           &s.sessClosed,
+		"sessions.evicted":          &s.sessEvicted,
+		"sessions.deltas":           &s.sessDeltas,
+		"sessions.active":           expvar.Func(func() any { return s.sessions.active() }),
+		"sessions.solves":           &s.sessSolves,
+		"sessions.sweeps_kept":      &s.sessSweepsKept,
+		"sessions.sweeps_dropped":   &s.sessSweepsDropped,
+		"sessions.steps_reused":     &s.sessStepsReused,
+		"sessions.steps_resolved":   &s.sessStepsResolved,
+		"sessions.recovered":        &s.sessRecovered,
+		"sessions.recover_failed":   &s.sessRecoverFailed,
+		"sessions.journal_failures": &s.journalFailures,
+		"sessions.journal_orphans":  &s.journalOrphans,
+		"sessions.idem_replays":     &s.idemReplays,
+	} {
+		s.vars.Set("sectord."+name, v)
 	}
-	vars = append(vars, s.sessionVars()...)
 	if s.cache != nil {
-		for _, nv := range s.cache.Vars() {
-			vars = append(vars, struct {
-				name string
-				v    expvar.Var
-			}{"sectord.cache." + nv.Name, nv.Var})
-		}
+		s.cache.Publish(&s.vars, "sectord.cache.")
 	}
-	fmt.Fprintf(w, "{\n")
-	first := true
-	for _, kv := range vars {
-		if !first {
-			fmt.Fprintf(w, ",\n")
-		}
-		first = false
-		fmt.Fprintf(w, "%q: %s", kv.name, kv.v.String())
-	}
-	s.latencyMu.Lock()
-	names := make([]string, 0, len(s.latency))
-	for name := range s.latency {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(w, ",\n%q: %s", "sectord.latency."+name, s.latency[name].String())
-	}
-	s.latencyMu.Unlock()
-	fmt.Fprintf(w, "\n}\n")
+}
+
+// handleVars serves s.vars in the /debug/vars wire format: one JSON
+// object, keys sorted.
+func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	fmt.Fprintln(w, s.vars.String())
 }

@@ -20,7 +20,6 @@ package daemon
 import (
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"log/slog"
@@ -48,42 +47,14 @@ type sessionEntry struct {
 	sess      *session.Session // guarded by mu
 	solver    string           // immutable after creation
 	lastNanos atomic.Int64
-
-	// statsSnap is the Stats reading published by the most recent
-	// snapshotStats call. It lets the store-wide sums (remove, totals) read
-	// a session's counters without taking mu — an in-flight Deliver can hold
-	// mu for a whole solve, and /debug/vars must not block behind it.
-	statsSnap atomic.Pointer[session.Stats]
 }
 
 func (e *sessionEntry) touch() { e.lastNanos.Store(time.Now().UnixNano()) }
 
-// snapshotStats reads the session's current stats and publishes them as
-// the entry's lock-free snapshot.
-//
-//sectorlint:locked sessionEntry.mu
-func (e *sessionEntry) snapshotStats() session.Stats {
-	st := e.sess.Stats()
-	e.statsSnap.Store(&st)
-	return st
-}
-
-// stats returns the last published snapshot without taking mu. It can lag
-// the live session by at most the delta currently being applied.
-func (e *sessionEntry) stats() session.Stats {
-	if p := e.statsSnap.Load(); p != nil {
-		return *p
-	}
-	return session.Stats{}
-}
-
-// sessionStore owns the id → session map. retired accumulates the Stats of
-// closed and evicted sessions so the store-wide sums in /debug/vars never
-// go backwards when a session dies.
+// sessionStore owns the id → session map.
 type sessionStore struct {
-	mu      sync.Mutex
-	m       map[string]*sessionEntry // guarded by mu
-	retired session.Stats            // guarded by mu
+	mu sync.Mutex
+	m  map[string]*sessionEntry // guarded by mu
 }
 
 // evictIdle removes every session idle longer than ttl, handing each to
@@ -102,7 +73,6 @@ func (st *sessionStore) evictIdle(ttl time.Duration, discard func(id string, ses
 		if !e.mu.TryLock() {
 			continue // in flight right now; not idle
 		}
-		st.retired = addStats(st.retired, e.sess.Stats())
 		discard(id, e.sess)
 		e.mu.Unlock()
 		delete(st.m, id)
@@ -111,10 +81,8 @@ func (st *sessionStore) evictIdle(ttl time.Duration, discard func(id string, ses
 	return evicted
 }
 
-// remove deletes id, folding its last published stats snapshot into the
-// retired accumulator. It reads the snapshot, not the live session — sess
-// is guarded by e.mu, which remove does not (and must not) take: an
-// in-flight Deliver can hold it for a whole solve.
+// remove deletes id. It does not take e.mu: an in-flight Deliver can hold
+// it for a whole solve.
 func (st *sessionStore) remove(id string) (*sessionEntry, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -122,7 +90,6 @@ func (st *sessionStore) remove(id string) (*sessionEntry, bool) {
 	if !ok {
 		return nil, false
 	}
-	st.retired = addStats(st.retired, e.stats())
 	delete(st.m, id)
 	return e, true
 }
@@ -145,35 +112,21 @@ func (st *sessionStore) put(id string, e *sessionEntry, max int) bool {
 	return true
 }
 
-// totals returns the store-wide Stats sums: retired sessions plus the
-// published snapshot of every live one. Reading snapshots instead of the
-// live sessions keeps totals lock-free per entry (an in-flight Deliver would
-// otherwise block the /debug/vars render) and race-free — sess is guarded
-// by each entry's mu.
-func (st *sessionStore) totals() session.Stats {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	t := st.retired
-	for _, e := range st.m {
-		t = addStats(t, e.stats())
-	}
-	return t
-}
-
 func (st *sessionStore) active() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return len(st.m)
 }
 
-func addStats(a, b session.Stats) session.Stats {
-	a.Solves += b.Solves
-	a.Deltas += b.Deltas
-	a.SweepsKept += b.SweepsKept
-	a.SweepsDropped += b.SweepsDropped
-	a.StepsReused += b.StepsReused
-	a.StepsResolved += b.StepsResolved
-	return a
+// countStats adds what a counted session's Stats gained, from before to
+// after, to the store-wide session sums. Stats only grow, so the sums
+// never go backwards, also when a session dies.
+func (s *Server) countStats(before, after session.Stats) {
+	s.sessSolves.Add(uint64(after.Solves - before.Solves))
+	s.sessSweepsKept.Add(uint64(after.SweepsKept - before.SweepsKept))
+	s.sessSweepsDropped.Add(uint64(after.SweepsDropped - before.SweepsDropped))
+	s.sessStepsReused.Add(uint64(after.StepsReused - before.StepsReused))
+	s.sessStepsResolved.Add(uint64(after.StepsResolved - before.StepsResolved))
 }
 
 // sessionDeltaRequest is the POST /session/{id}/delta body. The delta's
@@ -321,19 +274,18 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 
 	e := &sessionEntry{sess: sess, solver: name}
 	e.touch()
-	// Capture the response payload and publish the first stats snapshot
-	// before the entry becomes visible: session IDs are predictable, so the
-	// moment put succeeds a concurrent delta can lock the entry and advance
-	// sess mid-read.
+	// Capture the response payload before the entry becomes visible:
+	// session IDs are predictable, so the moment put succeeds a concurrent
+	// delta can lock the entry and advance sess mid-read.
 	stats := sess.Stats()
 	sol := sess.Solution()
-	e.statsSnap.Store(&stats)
 	if !s.sessions.put(id, e, s.sessionMax()) {
 		s.discardJournal(id, sess)
 		c.tableFull()
 		return
 	}
 	s.sessCreated.Add(1)
+	s.countStats(session.Stats{}, stats)
 	c.session = id
 	c.answerSession(name, sol, stats, true, "solver="+name)
 }
@@ -380,6 +332,7 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 	// to different sessions only contend for inflight-semaphore slots.
 	e.mu.Lock()
 	e.touch()
+	before := e.sess.Stats()
 	sol, replayed, err := e.sess.Deliver(ctx, req.Delta, req.IdempotencyKey)
 	if errors.Is(err, session.ErrJournal) {
 		// The journal no longer matches the live session and can't be made
@@ -395,9 +348,12 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 		c.fail(http.StatusInternalServerError, "error", "session journal write failed; session dropped")
 		return
 	}
-	stats := e.snapshotStats()
+	// A delta that was journaled counts, whether or not its re-solve
+	// succeeded; one whose append failed (above) does not.
+	stats := e.sess.Stats()
 	e.touch()
 	e.mu.Unlock()
+	s.countStats(before, stats)
 	if replayed {
 		s.idemReplays.Add(1)
 	}
@@ -427,34 +383,10 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	s.sessClosed.Add(1)
 	// Synchronize with an in-flight delta so the stats in the reply are
-	// final (remove already folded the last published snapshot into the
-	// store-wide accumulator).
+	// final.
 	e.mu.Lock()
 	stats := e.sess.Stats()
 	s.discardJournal(id, e.sess)
 	e.mu.Unlock()
 	c.succeed("", sessionDeleteResponse{SessionID: id, Stats: stats})
-}
-
-// sessionVars returns the session metrics for /debug/vars.
-func (s *Server) sessionVars() []struct {
-	name string
-	v    expvar.Var
-} {
-	intFunc := func(f func() int64) expvar.Var { return expvar.Func(func() any { return f() }) }
-	return []struct {
-		name string
-		v    expvar.Var
-	}{
-		{"sectord.sessions.created", &s.sessCreated},
-		{"sectord.sessions.closed", &s.sessClosed},
-		{"sectord.sessions.evicted", &s.sessEvicted},
-		{"sectord.sessions.deltas", &s.sessDeltas},
-		{"sectord.sessions.active", intFunc(func() int64 { return int64(s.sessions.active()) })},
-		{"sectord.sessions.solves", intFunc(func() int64 { return s.sessions.totals().Solves })},
-		{"sectord.sessions.sweeps_kept", intFunc(func() int64 { return s.sessions.totals().SweepsKept })},
-		{"sectord.sessions.sweeps_dropped", intFunc(func() int64 { return s.sessions.totals().SweepsDropped })},
-		{"sectord.sessions.steps_reused", intFunc(func() int64 { return s.sessions.totals().StepsReused })},
-		{"sectord.sessions.steps_resolved", intFunc(func() int64 { return s.sessions.totals().StepsResolved })},
-	}
 }

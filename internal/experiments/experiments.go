@@ -136,11 +136,8 @@ func runSolver(name string, in *model.Instance, opt core.Options) (solveOutcome,
 	if err != nil {
 		return solveOutcome{}, fmt.Errorf("%s on %s: %w", name, in.Name, err)
 	}
-	if err := sol.Assignment.Check(in); err != nil {
-		return solveOutcome{}, fmt.Errorf("%s on %s: infeasible result: %w", name, in.Name, err)
-	}
-	if got := sol.Assignment.Profit(in); got != sol.Profit {
-		return solveOutcome{}, fmt.Errorf("%s on %s: profit accounting mismatch", name, in.Name)
+	if err := core.VerifySolution(name, in, sol); err != nil {
+		return solveOutcome{}, fmt.Errorf("%s on %s: %w", name, in.Name, err)
 	}
 	return solveOutcome{Profit: sol.Profit, Bound: sol.UpperBound, Elapsed: elapsed}, nil
 }
