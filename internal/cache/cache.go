@@ -51,18 +51,48 @@ type flight struct {
 	err  error
 }
 
-// entry is one stored solution, in canonical coordinates.
+// maxPackedAntennas is the largest antenna count whose owners an entry
+// packs into one byte apiece: the byte holds owner+1, and 0 stands for
+// model.Unassigned.
+const maxPackedAntennas = 255
+
+// entry is one stored solution, in canonical coordinates. Immutable once
+// built, so a hit remaps it after releasing Cache.mu. When the instance
+// has at most maxPackedAntennas antennas the owners live in packed and
+// sol.Assignment holds only the orientations; otherwise packed is nil and
+// sol.Assignment.Owner keeps them wide.
 type entry struct {
-	key  string
-	sol  model.Solution
-	size int64
+	key    string
+	sol    model.Solution
+	packed []byte
+	size   int64
 }
 
-// entrySize approximates an entry's memory footprint for the byte budget.
+// newEntry builds the entry that stores canon under key, packing its
+// owners when they fit in a byte. canon is not modified.
+func newEntry(key string, canon model.Solution) *entry {
+	e := &entry{key: key, sol: canon, size: entrySize(key, canon)}
+	as := canon.Assignment
+	if len(as.Orientation) <= maxPackedAntennas {
+		e.packed = make([]byte, len(as.Owner))
+		for k, o := range as.Owner {
+			e.packed[k] = byte(o + 1)
+		}
+		e.sol.Assignment = &model.Assignment{Orientation: as.Orientation}
+	}
+	return e
+}
+
+// entrySize approximates the memory footprint of the entry newEntry
+// builds, for the byte budget.
 func entrySize(key string, sol model.Solution) int64 {
 	size := int64(len(key)) + 128 // struct, map, and list overhead
-	if sol.Assignment != nil {
-		size += int64(len(sol.Assignment.Orientation))*8 + int64(len(sol.Assignment.Owner))*8
+	if as := sol.Assignment; as != nil {
+		owner := int64(8)
+		if len(as.Orientation) <= maxPackedAntennas {
+			owner = 1
+		}
+		size += int64(len(as.Orientation))*8 + int64(len(as.Owner))*owner
 	}
 	size += int64(len(sol.Algorithm) + len(sol.SolverUsed) + len(sol.FallbackReason) + len(sol.FallbackDetail))
 	return size
@@ -151,17 +181,29 @@ func (c *Cache) Publish(m *expvar.Map, prefix string) {
 // allocated — callers may mutate it freely.
 func (c *Cache) Get(fp *Fingerprint) (model.Solution, bool) {
 	c.mu.Lock()
+	if sol, ok := c.serveLocked(fp); ok {
+		return sol, true
+	}
+	c.misses.Add(1)
+	c.mu.Unlock()
+	return model.Solution{}, false
+}
+
+// serveLocked answers fp from its stored entry. On a hit it marks the
+// entry most recently used, counts the hit, releases c.mu and returns the
+// entry remapped into fp's coordinates; on a miss it returns false with
+// c.mu still held.
+//
+//sectorlint:locked Cache.mu
+func (c *Cache) serveLocked(fp *Fingerprint) (model.Solution, bool) {
 	e, ok := c.entries[fp.key]
 	if !ok {
-		c.misses.Add(1)
-		c.mu.Unlock()
 		return model.Solution{}, false
 	}
 	c.ll.MoveToFront(e)
-	sol := e.Value.(*entry).sol
 	c.hits.Add(1)
 	c.mu.Unlock()
-	return fp.fromCanonical(sol), true
+	return fp.fromEntry(e.Value.(*entry)), true
 }
 
 // Put stores a solution for fp, converting it to canonical coordinates.
@@ -171,9 +213,9 @@ func (c *Cache) Put(fp *Fingerprint, sol model.Solution) {
 	if sol.Degraded() || sol.Assignment == nil {
 		return
 	}
-	canon := fp.toCanonical(sol)
+	e := newEntry(fp.key, fp.toCanonical(sol))
 	c.mu.Lock()
-	c.putLocked(fp.key, canon)
+	c.putLocked(e, &c.stores)
 	c.mu.Unlock()
 }
 
@@ -193,22 +235,15 @@ func (c *Cache) Delete(key string) {
 // restores in the metrics.
 //
 //sectorlint:locked Cache.mu
-func (c *Cache) putLocked(key string, canon model.Solution) {
-	c.putCountedLocked(key, canon, &c.stores)
-}
-
-//sectorlint:locked Cache.mu
-func (c *Cache) putCountedLocked(key string, canon model.Solution, counter *metric.Counter) {
-	size := entrySize(key, canon)
-	if size > c.maxBytes {
+func (c *Cache) putLocked(e *entry, counter *metric.Counter) {
+	if e.size > c.maxBytes {
 		return
 	}
-	if e, ok := c.entries[key]; ok {
-		c.removeLocked(e) // replacement, not eviction pressure
+	if old, ok := c.entries[e.key]; ok {
+		c.removeLocked(old) // replacement, not eviction pressure
 	}
-	e := c.ll.PushFront(&entry{key: key, sol: canon, size: size})
-	c.entries[key] = e
-	c.bytes += size
+	c.entries[e.key] = c.ll.PushFront(e)
+	c.bytes += e.size
 	counter.Add(1)
 	for c.bytes > c.maxBytes {
 		back := c.ll.Back()
@@ -241,12 +276,8 @@ func (c *Cache) removeLocked(e *list.Element) {
 // ctx error without waiting further.
 func (c *Cache) GetOrSolve(ctx context.Context, fp *Fingerprint, solve func(ctx context.Context) (model.Solution, error)) (model.Solution, Outcome, error) {
 	c.mu.Lock()
-	if e, ok := c.entries[fp.key]; ok {
-		c.ll.MoveToFront(e)
-		sol := e.Value.(*entry).sol
-		c.hits.Add(1)
-		c.mu.Unlock()
-		return fp.fromCanonical(sol), Hit, nil
+	if sol, ok := c.serveLocked(fp); ok {
+		return sol, Hit, nil
 	}
 	if fl, ok := c.flights[fp.key]; ok {
 		c.collapsed.Add(1)
@@ -275,7 +306,10 @@ func (c *Cache) GetOrSolve(ctx context.Context, fp *Fingerprint, solve func(ctx 
 	c.mu.Lock()
 	delete(c.flights, fp.key)
 	if store {
-		c.putLocked(fp.key, canon)
+		// Packed under the lock: building the entry before it would grow
+		// this frame, which sits under every solve (DESIGN.md,
+		// "Stack-alignment hazard").
+		c.putLocked(newEntry(fp.key, canon), &c.stores)
 	}
 	c.mu.Unlock()
 	if store {

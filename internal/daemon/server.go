@@ -153,10 +153,10 @@ type Server struct {
 	sessCreated metric.Counter // sessions opened via POST /session
 	sessClosed  metric.Counter // sessions closed via DELETE
 	sessEvicted metric.Counter // sessions reaped by the idle sweep
-	sessDeltas  metric.Counter // deltas applied across all sessions
 
 	// What every counted session's Stats gained (sessions.go, countStats).
 	sessSolves        metric.Counter
+	sessDeltas        metric.Counter
 	sessSweepsKept    metric.Counter
 	sessSweepsDropped metric.Counter
 	sessStepsReused   metric.Counter

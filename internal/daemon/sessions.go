@@ -123,6 +123,7 @@ func (st *sessionStore) active() int {
 // never go backwards, also when a session dies.
 func (s *Server) countStats(before, after session.Stats) {
 	s.sessSolves.Add(uint64(after.Solves - before.Solves))
+	s.sessDeltas.Add(uint64(after.Deltas - before.Deltas))
 	s.sessSweepsKept.Add(uint64(after.SweepsKept - before.SweepsKept))
 	s.sessSweepsDropped.Add(uint64(after.SweepsDropped - before.SweepsDropped))
 	s.sessStepsReused.Add(uint64(after.StepsReused - before.StepsReused))
@@ -368,7 +369,6 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 		c.answerSession(e.solver, sol, stats, false, "idempotent replay")
 		return
 	}
-	s.sessDeltas.Add(1)
 	c.answerSession(e.solver, sol, stats, true, fmt.Sprintf("profit=%d", sol.Profit))
 }
 

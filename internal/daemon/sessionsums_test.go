@@ -60,6 +60,7 @@ func TestSessionSumsMatchReplies(t *testing.T) {
 		var want session.Stats
 		for _, st := range last {
 			want.Solves += st.Solves
+			want.Deltas += st.Deltas
 			want.SweepsKept += st.SweepsKept
 			want.SweepsDropped += st.SweepsDropped
 			want.StepsReused += st.StepsReused
@@ -68,6 +69,7 @@ func TestSessionSumsMatchReplies(t *testing.T) {
 		m := vars(base)
 		for name, w := range map[string]int64{
 			"solves":         want.Solves,
+			"deltas":         want.Deltas,
 			"sweeps_kept":    want.SweepsKept,
 			"sweeps_dropped": want.SweepsDropped,
 			"steps_reused":   want.StepsReused,
